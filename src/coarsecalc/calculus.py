@@ -63,10 +63,9 @@ def grad_sup(space, f, h):
     if h < 0:
         raise ValueError(f"scale must be >= 0, got {h}")
     f = _check_field(space, f)
-    out = np.zeros(space.n)
-    for x, ball in enumerate(space.ball_rows(h)):
-        out[x] = np.abs(f[ball] - f[x]).max()
-    return out
+    indptr, indices, _ = space.neighbourhoods(h)
+    dev = np.abs(f[indices] - np.repeat(f, np.diff(indptr)))
+    return np.maximum.reduceat(dev, indptr[:-1])
 
 
 def grad_lp(space, f, h, p):
@@ -78,12 +77,11 @@ def grad_lp(space, f, h, p):
     if h <= 0:
         raise ValueError(f"scale must be > 0, got {h}")
     f = _check_field(space, f)
-    out = np.zeros(space.n)
-    for x, ball in enumerate(space.ball_rows(h)):
-        w = space.measure[ball]
-        dev = np.abs(f[ball] - f[x]) ** p
-        out[x] = (dev @ w / w.sum()) ** (1.0 / p)
-    return out
+    indptr, indices, _ = space.neighbourhoods(h)
+    dev = np.abs(f[indices] - np.repeat(f, np.diff(indptr))) ** p
+    mean = np.add.reduceat(dev * space.measure[indices], indptr[:-1]) / \
+        space.volumes(h)
+    return mean ** (1.0 / p)
 
 
 def grad_viewpoint(vp, f, p):
@@ -122,12 +120,10 @@ class FiberGradient:
         return self.indices[sl], self.values[sl]
 
     def sup_reduction(self):
-        n = self.indptr.size - 1
-        out = np.zeros(n)
-        for x in range(n):
-            _, v = self.row(x)
-            if v.size:
-                out[x] = np.abs(v).max()
+        out = np.zeros(self.indptr.size - 1)
+        full = np.diff(self.indptr) > 0   # reduceat misreads empty rows
+        out[full] = np.maximum.reduceat(np.abs(self.values),
+                                        self.indptr[:-1][full])
         return out
 
     def antisymmetry_defect(self):
@@ -144,15 +140,9 @@ def fiber_gradient(space, f, h) -> FiberGradient:
     if h < 0:
         raise ValueError(f"scale must be >= 0, got {h}")
     f = _check_field(space, f)
-    indptr = np.zeros(space.n + 1, dtype=np.int64)
-    indices = []
-    values = []
-    for x, ball in enumerate(space.ball_rows(h)):
-        indices.append(ball)
-        values.append(f[x] - f[ball])
-        indptr[x + 1] = indptr[x] + ball.size
-    return FiberGradient(float(h), indptr, np.concatenate(indices),
-                         np.concatenate(values))
+    indptr, indices, _ = space.neighbourhoods(h)
+    return FiberGradient(float(h), indptr, indices,
+                         np.repeat(f, np.diff(indptr)) - f[indices])
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +330,7 @@ def sandwich_report(vp, f, q, q2, slack=1e-12) -> SandwichReport:
         raise ValueError(f"need q <= q2, got {q} > {q2}")
     space = vp.space
     f = _check_field(space, f)
-    V = np.array([space.measure[b].sum() for b in space.ball_rows(vp.h)])
+    V = space.volumes(vp.h)
     if np.isinf(q):
         kappa = np.ones(space.n)
     else:
@@ -399,28 +389,27 @@ def _pair_form(rows, cols, w, n):
     return csr_matrix((data, (r, c)), shape=(n, n))
 
 
+def gradient_pairs(space, h=None, vp=None):
+    """Pair triplets (rows, cols, w) with
+    sum_k w_k (f(rows_k) - f(cols_k))^2 = ||grad f||_{2,mu}^2.
+
+    Without ``vp`` the pairs are the closed balls B(x, h) with
+    w = mu(x) mu(y) / V(x, h) (the ball-averaged gradient); with ``vp``
+    they are the kernel rows with w = mu(x) p_x(y) mu(y).
+    """
+    mu = space.measure
+    if vp is None:
+        indptr, cols, _ = space.neighbourhoods(h)
+    else:
+        indptr, cols = vp.dens.indptr, vp.dens.indices
+    rows = np.repeat(np.arange(space.n), np.diff(indptr))
+    if vp is None:
+        w = mu[rows] * mu[cols] / space.volumes(h)[rows]
+    else:
+        w = mu[rows] * vp.dens.data * mu[cols]
+    return rows, cols, w
+
+
 def l2_gradient_form(space, h):
     """Sparse Q with f^T Q f = ||grad_lp(f, h, 2)||_{2,mu}^2 exactly."""
-    rows, cols, w = [], [], []
-    mu = space.measure
-    for x, ball in enumerate(space.ball_rows(h)):
-        v = mu[ball].sum()
-        rows.append(np.full(ball.size, x))
-        cols.append(ball)
-        w.append(mu[x] * mu[ball] / v)
-    return _pair_form(np.concatenate(rows), np.concatenate(cols),
-                      np.concatenate(w), space.n)
-
-
-def viewpoint_l2_form(vp):
-    """Sparse Q with f^T Q f = ||grad_viewpoint(f, 2)||_{2,mu}^2 exactly."""
-    space = vp.space
-    mu = space.measure
-    rows, cols, w = [], [], []
-    for x in range(space.n):
-        sup, dens = vp.row(x)
-        rows.append(np.full(sup.size, x))
-        cols.append(sup)
-        w.append(mu[x] * dens * mu[sup])
-    return _pair_form(np.concatenate(rows), np.concatenate(cols),
-                      np.concatenate(w), space.n)
+    return _pair_form(*gradient_pairs(space, h), space.n)

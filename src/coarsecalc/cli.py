@@ -150,7 +150,6 @@ CONFIG_SCHEMA = {
         "space": _SPACE_SCHEMA,
         "kernel": _KERNEL_SCHEMA,
         "seed": {"type": "integer", "minimum": 0},
-        "jobs": {"type": "integer", "minimum": 1},
         "out": {"type": "string"},
         "tolerances": {"type": "object",
                        "additionalProperties": {"type": "number"}},
@@ -825,15 +824,16 @@ def _op_rough_volume(ctx, op, tag):
     target = _build_space(op["target"], ctx.base)
     F = _map_array(ctx, op.get("map", "identity"), space, target)
     rep = coarse.rough_volume_check(
-        space, target, F, np.asarray(op["A"], dtype=np.int64),
-        np.asarray(op["A_target"], dtype=np.int64), float(op["u"]))
-    ctx.emit_json(f"{tag}.json",
-                  {"status": rep.status, "ratio": rep.ratio,
-                   "bound": rep.bound, "holds": rep.holds, "u": rep.u},
-                  "rough_volume",
+        space, target, F, space.subset(op["A"]),
+        target.subset(op["A_target"]), float(op["u"]))
+    result = {"status": rep.status, "ratio": rep.ratio,
+              "bound": rep.bound, "holds": rep.holds, "u": rep.u}
+    ctx.emit_json(f"{tag}.json", result, "rough_volume",
                   "volume comparability across the map at the scale")
-    if rep.status != "ok":
+    if rep.status == "skipped_no_containment":
         return None
+    if not rep.holds:
+        ctx.fail(f"{tag}_witness.json", "rough_volume", result)
     return bool(rep.holds)
 
 
@@ -984,9 +984,6 @@ def run(config, out_dir=None, base_dir=".") -> int:
 _COMMON_FLAGS = (
     ("--seed", {"type": int}),
     ("--out", {}),
-    ("--jobs", {"type": int,
-                "help": "accepted for config parity; operations run "
-                        "sequentially"}),
     ("--tol-overrides", {"metavar": "FILE",
                          "help": "JSON file of tolerance overrides"}),
 )
@@ -1018,8 +1015,6 @@ def _common_config(args, ops, extra=None):
     cfg["operations"] = ops
     if getattr(args, "seed", None) is not None:
         cfg["seed"] = args.seed
-    if getattr(args, "jobs", None) is not None:
-        cfg["jobs"] = args.jobs
     if getattr(args, "tol_overrides", None):
         with open(args.tol_overrides) as fh:
             cfg["tolerances"] = json.load(fh)

@@ -153,9 +153,8 @@ def certify_lse(space, target, F, r_grid=()) -> LseCertificate:
 
     C_r = {}
     for r in r_grid:
-        vs = np.array([space.measure[b].sum() for b in space.ball_rows(r)])
-        vt = np.array([target.measure[b].sum()
-                       for b in target.ball_rows(r)])[F]
+        vs = space.volumes(r)
+        vt = target.volumes(r)[F]
         C_r[float(r)] = float(max((vs / vt).max(), (vt / vs).max()))
 
     violation = None
@@ -244,10 +243,8 @@ def discretize(space, h) -> Discretization:
 def pullback(space, f_target, F, h):
     """psi_h(x) = sup over the closed ball B(x,h) of |f(F(y))|."""
     g = np.abs(np.asarray(f_target, dtype=float)[np.asarray(F, np.int64)])
-    psi = np.empty(space.n)
-    for x, ball in enumerate(space.ball_rows(h)):
-        psi[x] = g[ball].max()
-    return psi
+    indptr, indices, _ = space.neighbourhoods(h)
+    return np.maximum.reduceat(g[indices], indptr[:-1])
 
 
 @dataclass

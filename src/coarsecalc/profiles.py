@@ -33,8 +33,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from coarsecalc.calculus import (
-    dirichlet_eigenvalue, grad_lp, grad_sup, grad_viewpoint, lp_norm,
-    l2_gradient_form, viewpoint_l2_form, DENSE_EIG_LIMIT)
+    dirichlet_eigenvalue, grad_lp, grad_sup, grad_viewpoint, gradient_pairs,
+    lp_norm, l2_gradient_form, DENSE_EIG_LIMIT)
 from coarsecalc.space import boundary as boundary_at_scale
 from coarsecalc.viewpoint import is_symmetric
 
@@ -90,27 +90,15 @@ class Backend:
         (sum of w over ordered pairs crossing the cut). None for "sup"."""
         if self.kind == "sup":
             return None
-        mu = space.measure
-        rows, cols, w = [], [], []
-        if self.kind == "lp":
-            for x, ball in enumerate(space.ball_rows(self.h)):
-                v = mu[ball].sum()
-                rows.append(np.full(ball.size, x))
-                cols.append(ball)
-                w.append(mu[x] * mu[ball] / v)
-        else:
-            for x in range(space.n):
-                sup, dens = self.vp.row(x)
-                rows.append(np.full(sup.size, x))
-                cols.append(sup)
-                w.append(mu[x] * dens * mu[sup])
-        return (np.concatenate(rows), np.concatenate(cols), np.concatenate(w))
+        return gradient_pairs(space, self.h, self.vp)
 
     def relation_rows(self, space):
-        """Support relation {x ~ y} as a list of index arrays per row."""
+        """Support relation {x ~ y} as CSR arrays (indptr, indices): the
+        kernel rows for a viewpoint (possibly empty), else the closed balls
+        at the scale."""
         if self.kind == "viewpoint":
-            return [self.vp.row(x)[0] for x in range(space.n)]
-        return list(space.ball_rows(self.h))
+            return self.vp.dens.indptr, self.vp.dens.indices
+        return space.neighbourhoods(self.h)[:2]
 
     def describe(self):
         if self.kind == "viewpoint":
@@ -286,9 +274,9 @@ def _subset_tables(space, backend):
     mu_masks = masks @ space.measure
     pw = backend.pair_weights(space)
     if pw is None:
+        indptr, cols = backend.relation_rows(space)
         rel = np.zeros((n, n), dtype=bool)
-        for x, ball in enumerate(backend.relation_rows(space)):
-            rel[x, ball] = True
+        rel[np.repeat(np.arange(n), np.diff(indptr)), cols] = True
         hit_in = masks @ rel.T.astype(float) > 0      # x within h of B
         hit_out = (1.0 - masks) @ rel.T.astype(float) > 0
         denom = (hit_in & hit_out).astype(float) @ space.measure
@@ -347,9 +335,6 @@ def _jp2(space, backend, idx):
     if backend.kind == "viewpoint":
         if not is_symmetric(backend.vp).symmetric:
             return None
-        if idx.size == space.n:
-            f = np.ones(space.n)
-            return _inf_result("whole_space", f)
         res = dirichlet_eigenvalue(backend.vp, idx)
         if res.delta <= 1e-14:
             return _inf_result("isolated_at_scale", res.field)
@@ -369,8 +354,6 @@ def _jp2(space, backend, idx):
     g = v[:, 0]
     f = np.zeros(space.n)
     f[idx] = g / root
-    if idx.size == space.n:
-        return _inf_result("whole_space", np.ones(space.n))
     if lam <= 1e-14 * max(1.0, float(w[-1])):
         return _inf_result("isolated_at_scale", f)
     return JpResult(lam ** -0.5, "exact", witness_field=f)
@@ -424,15 +407,14 @@ def _subset_ratio_tables(space, backend, idx):
     mu_b = masks @ space.measure[idx]
     pw = backend.pair_weights(space)
     if pw is None:
-        rel_rows = backend.relation_rows(space)
+        indptr, cols = backend.relation_rows(space)
+        rows = np.repeat(np.arange(space.n), np.diff(indptr))
+        pos = np.full(space.n, -1)
+        pos[idx] = np.arange(k)
+        hit = pos[cols] >= 0
         relA = np.zeros((space.n, k), dtype=bool)    # x ~ (j-th point of A)
-        pos = {int(p): j for j, p in enumerate(idx)}
-        for x in range(space.n):
-            for y in rel_rows[x]:
-                j = pos.get(int(y))
-                if j is not None:
-                    relA[x, j] = True
-        deg = np.array([r.size for r in rel_rows], dtype=float)
+        relA[rows[hit], pos[cols[hit]]] = True
+        deg = np.diff(indptr).astype(float)
         denom = np.empty(total)
         chunk = 1 << 14
         relAf = relA.astype(float)
@@ -469,7 +451,7 @@ def _indicator_ratio(space, backend, sub, pw):
 
 def _jp_inf(space, backend, idx):
     """Exact J_inf: the chain in-radius of A under the support relation."""
-    rel = backend.relation_rows(space)
+    indptr, cols = backend.relation_rows(space)
     if backend.kind == "viewpoint" and not is_symmetric(backend.vp).symmetric:
         raise ValueError("exact J_inf needs a symmetric support relation; "
                          "the viewpoint is not symmetric")
@@ -477,19 +459,15 @@ def _jp_inf(space, backend, idx):
     in_a[idx] = True
     k = np.full(space.n, -1, dtype=np.int64)
     k[~in_a] = 0
-    frontier = np.flatnonzero(~in_a)
-    if frontier.size == 0:
-        return _inf_result("whole_space", np.ones(space.n))
+    frontier = np.flatnonzero(~in_a)   # nonempty: jp_subset caught A = X
     step = 0
     while frontier.size:
         step += 1
-        nxt = []
-        for x in frontier:
-            for y in rel[x]:
-                if k[y] < 0:
-                    k[y] = step
-                    nxt.append(y)
-        frontier = np.array(nxt, dtype=np.int64)
+        front = np.zeros(space.n, dtype=bool)
+        front[frontier] = True
+        reached = cols[np.repeat(front, np.diff(indptr))]
+        frontier = np.unique(reached[k[reached] < 0])
+        k[frontier] = step
     if np.any(k[idx] < 0):
         lost = idx[k[idx] < 0]
         f = np.zeros(space.n)
@@ -520,7 +498,8 @@ def _jp_descent(space, backend, idx, p, rng):
             np.add.at(g, cols[keep], -term[keep])
             return e, g
     else:
-        rel = backend.relation_rows(space)
+        indptr, cols = backend.relation_rows(space)
+        rel = np.split(cols, indptr[1:-1])
 
         def energy_grad(f):
             e = 0.0

@@ -47,20 +47,15 @@ def lazy_srw(space, h) -> Viewpoint:
     if h <= 0:
         raise ValueError(f"scale must be > 0, got {h}")
     mu = space.measure
-    vols = np.empty(space.n)
-    rows = []
-    for x, ball in enumerate(space.ball_rows(h)):
-        vols[x] = mu[ball].sum()
-        rows.append(ball)
+    indptr, indices, _ = space.neighbourhoods(h)
+    vols = space.volumes(h)
     c0 = 1.0 / vols.max()
-    indptr = np.zeros(space.n + 1, dtype=np.int64)
-    indices = np.concatenate(rows)
     data = np.full(indices.size, c0)
-    for x, ball in enumerate(rows):
-        indptr[x + 1] = indptr[x] + ball.size
-        at_x = indptr[x] + int(np.searchsorted(ball, x))
-        data[at_x] = c0 + (1.0 - c0 * vols[x]) / mu[x]
-    dens = csr_matrix((data, indices, indptr), shape=(space.n, space.n))
+    # one diagonal entry per row, met in row order
+    data[np.repeat(np.arange(space.n), np.diff(indptr)) == indices] = \
+        c0 + (1.0 - c0 * vols) / mu
+    dens = csr_matrix((data, indices.copy(), indptr.copy()),
+                      shape=(space.n, space.n))
     return Viewpoint(space, h, dens, Certificate(1.0, c0), kind="lazy_srw")
 
 
@@ -71,40 +66,19 @@ def pure_srw(space, ambient_degree=None, step=1.0) -> Viewpoint:
     sample (correct for grid boxes and group-ball truncations, whose
     interior realizes the ambient degree).
     """
-    neigh = _neighbor_rows(space, step)
+    indptr, indices, _ = space.neighbourhoods(step)
+    rows = np.repeat(np.arange(space.n), np.diff(indptr))
+    off = rows != indices            # B(x, step) minus x
+    degree = np.bincount(rows[off], minlength=space.n)
     if ambient_degree is None:
-        ambient_degree = max(b.size for b in neigh)
+        ambient_degree = int(degree.max())
     if ambient_degree <= 0:
         raise ValueError("ambient degree must be positive")
-    mu = space.measure
-    indptr = np.zeros(space.n + 1, dtype=np.int64)
-    indices = np.concatenate([b for b in neigh]) if space.n else np.array([])
-    data = []
-    for x, b in enumerate(neigh):
-        indptr[x + 1] = indptr[x] + b.size
-        data.append(1.0 / (ambient_degree * mu[b]))
-    dens = csr_matrix((np.concatenate(data), indices, indptr),
+    cols = indices[off]
+    dens = csr_matrix((1.0 / (ambient_degree * space.measure[cols]), cols,
+                       np.concatenate([[0], np.cumsum(degree)])),
                       shape=(space.n, space.n))
     return Viewpoint(space, float(step), dens, None, kind="pure_srw")
-
-
-def _neighbor_rows(space, step):
-    """B(x, step) minus x for every x.
-
-    Graph-backed spaces whose lightest edge exceeds step/2 admit a direct
-    adjacency read (no two-hop path can fit inside step), which matters
-    on trees far too large for a per-point Dijkstra sweep.
-    """
-    G = space.graph_csr
-    if G is not None and G.data.min() > step / 2.0:
-        out = []
-        for x in range(space.n):
-            lo, hi = G.indptr[x], G.indptr[x + 1]
-            cols = G.indices[lo:hi]
-            out.append(np.sort(cols[G.data[lo:hi] <= step]))
-        return out
-    return [ball[ball != x]
-            for x, ball in enumerate(space.ball_rows(step))]
 
 
 # ----------------------------------------------------------------------

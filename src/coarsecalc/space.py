@@ -13,6 +13,14 @@ The metric is held by one of three interchangeable providers:
 * ``coords`` -- points in R^k with an l1 / l2 / linf norm, distances
   computed row-by-row on demand (never materializes N^2 floats).
 
+Balls come in two forms. :meth:`MetricMeasureSpace.ball` answers a single
+query and keeps nothing. Whole-space sweeps (gradients, kernels, volumes,
+thickenings, boundaries, doubling, chain metrics) read
+:meth:`MetricMeasureSpace.neighbourhoods`, which returns every closed ball
+at one radius as a CSR triple, built once and memoised per radius. The memo
+depends only on the metric, so :meth:`MetricMeasureSpace.with_measure`
+shares it.
+
 Conventions
 -----------
 * Balls are closed: ``B(x, r) = {y : d(x, y) <= r}``; ties at exactly ``r``
@@ -46,7 +54,8 @@ class MetricMeasureSpace:
     """A finite point set with a metric and a strictly positive measure.
 
     Immutable after construction; all queries are read-only, so instances are
-    safe to share across parallel workers.
+    safe to share across parallel workers. The only state added later is
+    the memo of :meth:`neighbourhoods`, whose arrays are read-only.
 
     Use the classmethods :meth:`from_dense`, :meth:`from_graph`,
     :meth:`from_coords` to construct, or :func:`load_space` to read the JSON
@@ -73,6 +82,7 @@ class MetricMeasureSpace:
         self._graph = graph
         self._coords = coords
         self._p_norm = p_norm
+        self._balls = {}   # radius -> neighbourhoods(radius)
 
     # ------------------------------------------------------------------
     # constructors
@@ -156,11 +166,14 @@ class MetricMeasureSpace:
                    p_norm=float(p_norm), meta=meta)
 
     def with_measure(self, measure, name=None):
-        """Copy of this space with a different measure (same metric)."""
-        return MetricMeasureSpace(
+        """Copy of this space with a different measure (same metric, same
+        neighbourhood memo)."""
+        out = MetricMeasureSpace(
             self.n, measure, name or self.name, self._mode, dense=self._dense,
             graph=self._graph, coords=self._coords, p_norm=self._p_norm,
             meta=self.meta, disconnected=self.disconnected)
+        out._balls = self._balls
+        return out
 
     # ------------------------------------------------------------------
     # distance queries
@@ -197,7 +210,10 @@ class MetricMeasureSpace:
     # balls and subsets
 
     def ball(self, x, r):
-        """Closed ball ``{y : d(x, y) <= r}`` as a sorted index array."""
+        """Closed ball ``{y : d(x, y) <= r}`` as a sorted index array.
+
+        A single query: it neither builds nor reads the neighbourhood memo.
+        """
         if r < 0:
             raise ValueError(f"radius must be >= 0, got {r}")
         row = self.dist_row(x, limit=r)
@@ -207,19 +223,65 @@ class MetricMeasureSpace:
         """Measure of the closed ball ``B(x, r)``."""
         return float(self.measure[self.ball(x, r)].sum())
 
-    def ball_rows(self, r) -> Iterator[np.ndarray]:
-        """Yield B(x, r) for every x in index order (memory-bounded)."""
-        for x in range(self.n):
-            yield self.ball(x, r)
+    def neighbourhoods(self, r):
+        """Every closed ball ``B(x, r)`` as one CSR triple
+        ``(indptr, indices, dist)``.
 
-    @property
-    def graph_csr(self):
-        """The adjacency CSR of a graph-backed space, else None.
-
-        Entries appear in both directions; row x holds x's incident edge
-        weights. Callers must not mutate it.
+        Row x holds the points of B(x, r) in index order, and ``dist`` holds
+        d(x, y) beside each of them. Rows are never empty (x lies in its own
+        ball). Membership and distances are bit-identical to :meth:`ball`
+        and :meth:`dist_row`. The triple is built on first use, memoised per
+        radius and read-only; callers that hand it to a structure that
+        mutates in place must copy it.
         """
-        return self._graph if self._mode == "graph" else None
+        r = float(r)
+        if r < 0:
+            raise ValueError(f"radius must be >= 0, got {r}")
+        out = self._balls.get(r)
+        if out is None:
+            out = self._balls[r] = self._build_neighbourhoods(r)
+        return out
+
+    def _build_neighbourhoods(self, r):
+        G = self._graph
+        if self._mode == "graph" and r < 2.0 * G.data.min(initial=np.inf):
+            # no two-edge path fits inside r: B(x, r) is x plus its incident
+            # edges of weight <= r, read off the adjacency (cheap on trees
+            # far too large for a Dijkstra per point)
+            src = np.repeat(np.arange(self.n), np.diff(G.indptr))
+            near = G.data <= r
+            rows = np.concatenate([np.arange(self.n), src[near]])
+            cols = np.concatenate([np.arange(self.n), G.indices[near]])
+            dist = np.concatenate([np.zeros(self.n), G.data[near]])
+            order = np.lexsort((cols, rows))
+            cols, dist = cols[order].astype(np.int64), dist[order]
+            counts = np.bincount(rows, minlength=self.n)
+        else:
+            balls, dists = [], []
+            for x in range(self.n):
+                row = self.dist_row(x, limit=r)
+                ball = np.flatnonzero(row <= r)
+                balls.append(ball)
+                dists.append(row[ball])
+            cols, dist = np.concatenate(balls), np.concatenate(dists)
+            counts = [b.size for b in balls]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+        for arr in (indptr, cols, dist):
+            arr.flags.writeable = False
+        return indptr, cols, dist
+
+    def volumes(self, r):
+        """V(x, r) for every x, summed over the rows of neighbourhoods(r)."""
+        indptr, indices, _ = self.neighbourhoods(r)
+        return np.add.reduceat(self.measure[indices], indptr[:-1])
+
+    def ball_rows(self, r) -> Iterator[np.ndarray]:
+        """Yield B(x, r) for every x in index order (rows of
+        neighbourhoods(r))."""
+        indptr, indices, _ = self.neighbourhoods(r)
+        for x in range(self.n):
+            yield indices[indptr[x]:indptr[x + 1]]
 
     def subset(self, indices) -> "Subset":
         """Wrap indices as a :class:`Subset` (deduplicated, sorted, measured)."""
@@ -233,7 +295,7 @@ class MetricMeasureSpace:
 
     # ------------------------------------------------------------------
 
-    def min_dist_to(self, targets, limit=None):
+    def min_dist_to(self, targets):
         """``d(x, targets)`` for every x, as one array.
 
         Graph-backed spaces use a multi-source Dijkstra; others take the
@@ -243,9 +305,8 @@ class MetricMeasureSpace:
         if targets.size == 0:
             return np.full(self.n, np.inf)
         if self._mode == "graph":
-            lim = np.inf if limit is None else limit
             return dijkstra(self._graph, directed=False, indices=targets,
-                            min_only=True, limit=lim)
+                            min_only=True)
         best = np.full(self.n, np.inf)
         for t in targets:
             np.minimum(best, self.dist_row(int(t)), out=best)
@@ -312,6 +373,15 @@ def _as_indices(space, A):
 # set calculus at a scale
 
 
+def _reach(space, mask, h):
+    """Mask of [A]_h for the set A given as a mask: the union of the rows
+    of neighbourhoods(h) that belong to A, i.e. the union of B(a, h)."""
+    indptr, indices, _ = space.neighbourhoods(h)
+    out = np.zeros(space.n, dtype=bool)
+    out[indices[np.repeat(mask, np.diff(indptr))]] = True
+    return out
+
+
 def thicken(space, A, h):
     """Closed thickening ``[A]_h = {x : d(x, A) <= h}``."""
     if h < 0:
@@ -319,18 +389,19 @@ def thicken(space, A, h):
     idx = _as_indices(space, A)
     if idx.size == 0:
         return space.subset([])
-    dmin = space.min_dist_to(idx, limit=h)
-    return space.subset(np.flatnonzero(dmin <= h))
+    mask = np.zeros(space.n, dtype=bool)
+    mask[idx] = True
+    return space.subset(np.flatnonzero(_reach(space, mask, h)))
 
 
 def boundary(space, A, h):
     """Boundary at scale h: ``[A]_h & [A^c]_h`` (complement inside the space)."""
-    idx = _as_indices(space, A)
-    comp = np.setdiff1d(np.arange(space.n, dtype=np.int64), idx,
-                        assume_unique=True)
-    inner = thicken(space, idx, h).indices
-    outer = thicken(space, comp, h).indices
-    return space.subset(np.intersect1d(inner, outer, assume_unique=True))
+    if h < 0:
+        raise ValueError(f"scale must be >= 0, got {h}")
+    mask = np.zeros(space.n, dtype=bool)
+    mask[_as_indices(space, A)] = True
+    both = _reach(space, mask, h) & _reach(space, ~mask, h)
+    return space.subset(np.flatnonzero(both))
 
 
 @dataclass(frozen=True)
@@ -352,15 +423,15 @@ def doubling_profile(space, scales):
     for r in scales:
         if r <= 0:
             raise ValueError(f"doubling scales must be > 0, got {r}")
-        best, argbest = 1.0, 0
-        for x in range(space.n):
-            row = space.dist_row(x, limit=2 * r)
-            v1 = space.measure[row <= r].sum()
-            v2 = space.measure[row <= 2 * r].sum()
-            ratio = v2 / v1
-            if ratio > best:
-                best, argbest = ratio, x
-        reports.append(DoublingReport(float(r), float(best), int(argbest)))
+        indptr, indices, dist = space.neighbourhoods(2 * r)
+        w = space.measure[indices]
+        inner = dist <= r
+        inner_ptr = np.concatenate([[0], np.cumsum(inner)])[indptr[:-1]]
+        ratio = np.add.reduceat(w, indptr[:-1]) / \
+            np.add.reduceat(w[inner], inner_ptr)
+        worst = int(np.argmax(ratio))
+        best, worst = (ratio[worst], worst) if ratio[worst] > 1.0 else (1.0, 0)
+        reports.append(DoublingReport(float(r), float(best), worst))
     return reports
 
 
@@ -374,17 +445,12 @@ def chain_metric(space, b):
     """
     if b <= 0:
         raise ValueError(f"chain step must be > 0, got {b}")
-    edges = []
-    for x in range(space.n):
-        row = space.dist_row(x, limit=b)
-        close = np.flatnonzero(row <= b)
-        for y in close:
-            if y > x:
-                edges.append((x, int(y), float(row[y])))
-    rows = [e[0] for e in edges]
-    cols = [e[1] for e in edges]
-    vals = [e[2] for e in edges]
-    g = csr_matrix((vals + vals, (rows + cols, cols + rows)),
+    indptr, indices, dist = space.neighbourhoods(b)
+    rows = np.repeat(np.arange(space.n), np.diff(indptr))
+    up = indices > rows
+    rows, cols, vals = rows[up], indices[up], dist[up]
+    pairs = (np.concatenate([rows, cols]), np.concatenate([cols, rows]))
+    g = csr_matrix((np.concatenate([vals, vals]), pairs),
                    shape=(space.n, space.n))
     ncomp, _ = connected_components(g, directed=False)
     meta = dict(space.meta)

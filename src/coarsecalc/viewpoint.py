@@ -125,19 +125,12 @@ def standard_viewpoint(space, h) -> Viewpoint:
     """
     if h <= 0:
         raise ValueError(f"scale must be > 0, got {h}")
-    indptr = np.zeros(space.n + 1, dtype=np.int64)
-    indices = []
-    data = []
-    vmax = 0.0
-    for x, ball in enumerate(space.ball_rows(h)):
-        v = space.measure[ball].sum()
-        vmax = max(vmax, v)
-        indices.append(ball)
-        data.append(np.full(ball.size, 1.0 / v))
-        indptr[x + 1] = indptr[x] + ball.size
-    dens = csr_matrix((np.concatenate(data), np.concatenate(indices), indptr),
-                      shape=(space.n, space.n))
-    return Viewpoint(space, h, dens, Certificate(1.0, 1.0 / vmax),
+    indptr, indices, _ = space.neighbourhoods(h)
+    V = space.volumes(h)
+    # copies: Viewpoint.__init__ drops zeros in place, the memo is read-only
+    dens = csr_matrix((np.repeat(1.0 / V, np.diff(indptr)), indices.copy(),
+                       indptr.copy()), shape=(space.n, space.n))
+    return Viewpoint(space, h, dens, Certificate(1.0, 1.0 / V.max()),
                      kind="standard")
 
 
@@ -307,14 +300,9 @@ def random_symmetric_viewpoint(space, h, rng) -> Viewpoint:
     least min-weight / max-row-integral, and the support factor is A = 1.
     """
     n = space.n
-    rows, cols = [], []
-    for x, ball in enumerate(space.ball_rows(h)):
-        rows.extend([x] * ball.size)
-        cols.extend(ball.tolist())
-    rows = np.array(rows)
-    cols = np.array(cols)
+    indptr, indices, _ = space.neighbourhoods(h)
     w = np.zeros((n, n))
-    w[rows, cols] = 1.0
+    w[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
     w *= rng.uniform(0.5, 1.5, size=(n, n))
     w = np.minimum(w, w.T)  # symmetric, zero outside symmetric ball pairs
     integrals = w @ space.measure

@@ -1,0 +1,32 @@
+"""The benchmark's traced run patches library methods by name; a refactor
+that renames or drops one would only surface as a crash in
+``perfbench/run.py --trace 1``. This keeps those names resolvable."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from coarsecalc import calculus
+from coarsecalc.space import MetricMeasureSpace
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_benchmark_hooks_resolve():
+    tracer = _load_tracer()
+    assert tracer.METHODS
+    for layer, (cls_name, methods) in tracer.METHODS.items():
+        cls = getattr(importlib.import_module(f"coarsecalc.{layer}"), cls_name)
+        for attr in methods:
+            # the tracer reads the class dict, so inherited names do not count
+            assert attr in vars(cls), f"{layer}.{cls_name}.{attr} is gone"
+    # called directly by the benchmark's probes
+    assert callable(vars(MetricMeasureSpace)["ball_rows"])
+    assert callable(calculus.l2_gradient_form)

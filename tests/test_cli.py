@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from coarsecalc import cli
+from coarsecalc import cli, zoo
 
 
 def _gen_space(tmp_path, name="space.json", family="path", **kw):
@@ -94,6 +94,12 @@ def test_unknown_operation_is_located_by_pointer(tmp_path, capsys):
     assert cli.main(["calc", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error at /operations/0" in err
+    # "jobs" was dropped from the schema, so it is an unknown key now
+    cfg.write_text(json.dumps({"jobs": 2,
+                               "operations": [{"op": "gamma"}]}))
+    assert cli.main(["calc", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at /" in err and "'jobs'" in err
 
 
 def test_random_fields_without_seed_rejected(tmp_path, capsys):
@@ -161,3 +167,43 @@ def test_config_route_artifacts_are_reproducible(tmp_path):
     assert names == sorted(p.name for p in out_b.iterdir())
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+def test_rough_volume_clause_passes_through_run(tmp_path):
+    # identity on the 8x8 grid: the 1-thickening of B(0, 2) sits in B(0, 3)
+    grid = {"family": "grid", "d": 2, "L": 8}
+    space = zoo.grid(2, 8)
+    out = tmp_path / "run"
+    rc = cli.run({"space": grid, "operations": [
+        {"op": "rough_volume", "target": grid,
+         "A": space.ball(0, 3.0).tolist(),
+         "A_target": space.ball(0, 2.0).tolist(), "u": 1.0}]},
+        out_dir=str(out))
+    assert rc == 0
+    man = _manifest(out)
+    assert man["passed"] is True
+    assert man["operations"] == [{"op": "rough_volume", "outcome": "pass"}]
+    with open(out / "00_rough_volume.json") as fh:
+        rep = json.load(fh)
+    assert rep["status"] == "clause1" and rep["holds"] is True
+
+
+def test_rough_volume_clause_failure_exits_1_with_witness(tmp_path):
+    # three points sent onto one point of a 30-point path: clause 1 applies
+    # (the preimage is everything) but mu'(A') / mu(A) = 10 exceeds the
+    # doubling bound of the path
+    out = tmp_path / "run"
+    rc = cli.run({"space": {"family": "path", "n": 3}, "operations": [
+        {"op": "rough_volume", "target": {"family": "path", "n": 30},
+         "map": [15, 15, 15], "A": [0, 1, 2],
+         "A_target": list(range(30)), "u": 1.0}]}, out_dir=str(out))
+    assert rc == 1
+    man = _manifest(out)
+    assert man["passed"] is False
+    assert man["failures"] == [{"operation": "rough_volume",
+                                "witness": "00_rough_volume_witness.json"}]
+    with open(out / "00_rough_volume_witness.json") as fh:
+        witness = json.load(fh)
+    assert witness["status"] == "clause1" and witness["holds"] is False
+    assert witness["ratio"] == pytest.approx(10.0)
+    assert witness["ratio"] > witness["bound"]

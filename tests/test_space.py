@@ -8,10 +8,12 @@ from coarsecalc import zoo
 from coarsecalc.space import (
     MetricMeasureSpace,
     boundary,
+    chain_metric,
     doubling_profile,
     geodesicity_report,
     load_space,
     save_space,
+    space_to_json,
     thicken,
 )
 
@@ -143,3 +145,74 @@ def test_subset_complement_partition():
     assert sorted(np.concatenate([A.indices, comp.indices]).tolist()) \
         == list(range(9))
     assert A.measure + comp.measure == pytest.approx(space.total_measure)
+
+
+def _realised(space, x, k):
+    """k distances realised from point x (exact ties for a radius)."""
+    d = np.unique(space.dist_row(x))
+    return [float(r) for r in d[np.isfinite(d) & (d > 0)][:k]]
+
+
+def _neighbourhood_cases():
+    l2 = zoo.grid(2, 4, "l2")
+    rgg = zoo.random_geometric(40, seed=3)
+    clusters = MetricMeasureSpace.from_coords(
+        np.array([[0.0], [1.0], [11.0], [12.0]]), np.ones(4))
+    cases = [
+        (zoo.grid(2, 4, "l1"), [0.0, 1.0, 2.0]),
+        (l2, [0.0, 1.0, 2.0] + [r for r in _realised(l2, 5, 5)
+                                if r != int(r)]),
+        (zoo.grid(2, 4, "linf"), [0.0, 1.0, 2.0]),
+        (zoo.path(9), [0.0, 1.0, 1.5, 2.0]),
+        (zoo.regular_tree(3, 3), [0.0, 1.0, 2.0]),
+        (zoo.free_group_ball(2, 2), [0.0, 1.0, 3.0]),
+        (zoo.heisenberg_ball(1), [0.0, 1.0, 2.0]),
+        (rgg, [0.0, 0.2] + _realised(rgg, 7, 3)),
+        # 0.3 + 0.3 + 0.3 != 0.9 in floats: path sums decide the ties
+        (zoo.scale_metric(zoo.regular_tree(3, 3), 0.3),
+         [0.0, 0.3, 0.5, 0.6, 0.9]),
+        (chain_metric(l2, 1.5), [0.0, 1.0, 1.5, 2.5]),
+        (chain_metric(clusters, 1.0), [0.0, 1.0, 2.0]),
+    ]
+    return [(space, r) for space, radii in cases for r in radii]
+
+
+@pytest.mark.parametrize("space,r", _neighbourhood_cases(),
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_neighbourhoods_match_per_point_oracle(space, r):
+    indptr, indices, dist = space.neighbourhoods(r)
+    assert indptr.size == space.n + 1
+    for x in range(space.n):
+        row = space.dist_row(x, limit=r)
+        ball = np.flatnonzero(row <= r)
+        sl = slice(indptr[x], indptr[x + 1])
+        np.testing.assert_array_equal(indices[sl], ball)
+        assert dist[sl].tobytes() == row[ball].tobytes()
+    # a disconnected chain metric is dense and cannot be saved
+    metric = {} if space.disconnected else space_to_json(space)["metric"]
+    if metric.get("type") == "graph" and \
+            r < 2.0 * min(e[2] for e in metric["edges"]):
+        # the adjacency read: x and its incident edges of weight <= r
+        near = [{x} for x in range(space.n)]
+        for i, j, w in metric["edges"]:
+            if w <= r:
+                near[i].add(j)
+                near[j].add(i)
+        for x in range(space.n):
+            assert indices[indptr[x]:indptr[x + 1]].tolist() == \
+                sorted(near[x])
+
+    assert space.neighbourhoods(r) is space.neighbourhoods(r)
+    reweighted = space.with_measure(np.linspace(1.0, 2.0, space.n))
+    assert reweighted.neighbourhoods(r) is space.neighbourhoods(r)
+    for arr in (indptr, indices, dist):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+    rng = np.random.default_rng(space.n)
+    for _ in range(3):
+        A = np.flatnonzero(rng.random(space.n) < 0.3)
+        union = np.unique(np.concatenate(
+            [space.ball(int(a), r) for a in A] + [np.array([], np.int64)]))
+        np.testing.assert_array_equal(thicken(space, A, r).indices, union)
