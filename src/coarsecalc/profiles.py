@@ -12,7 +12,7 @@ are against the space measure. Exact values:
 * p = 2 with a symmetric viewpoint or ball-average backend: smallest
   generalized eigenvalue of the gradient quadratic form (J_2 = lambda^-1/2);
 * p = 1: indicator form, max over subsets B of A of mu(B) / (boundary or
-  cut weight of B), enumerated exactly up to 18 points;
+  cut weight of B), enumerated exactly up to EXACT_ENUM_LIMIT points;
 * p = inf: chain in-radius, the maximal number of support-relation steps
   needed to leave A (a BFS; the optimizer is the step-count field itself).
 
@@ -253,41 +253,59 @@ class ProfileCurve:
 
 
 # ----------------------------------------------------------------------
-# exhaustive enumeration (N <= 18)
+# exhaustive enumeration (at most EXACT_ENUM_LIMIT points)
 
 
-def _subset_tables(space, backend):
-    """Per-mask measure and denominator over all subsets of the space.
+def _subset_tables(space, backend, idx):
+    """Measure and J_1 denominator of every subset B of ``idx``.
 
-    Returns (mu_of_mask, denom_of_mask) arrays of length 2^N, where the
-    denominator is mu(boundary at scale h) for the sup backend and the
-    ||grad 1_B||_1 cut weight otherwise. Chunked matrix arithmetic, no
-    Python loop over masks.
+    Returns (mu_b, den_b) of length 2^k in mask order: bit j of mask m
+    selects idx[j], so mask 0 is the empty set (the whole space is
+    idx = arange(N)). The denominator is mu(boundary at scale h) of B for
+    the sup backend and the cut weight ||grad 1_B||_1 otherwise. Masks are
+    formed a chunk at a time, never all at once.
     """
+    k = idx.size
+    if k > EXACT_ENUM_LIMIT:
+        raise ValueError(f"exhaustive enumeration is capped at "
+                         f"EXACT_ENUM_LIMIT = {EXACT_ENUM_LIMIT} points, "
+                         f"got {k}")
     n = space.n
-    if n > EXACT_ENUM_LIMIT:
-        raise ValueError(f"exhaustive enumeration capped at "
-                         f"{EXACT_ENUM_LIMIT} points, space has {n}")
-    total = 1 << n
-    bits = (np.arange(total)[:, None] >> np.arange(n)[None, :]) & 1
-    masks = bits.astype(float)
-    mu_masks = masks @ space.measure
     pw = backend.pair_weights(space)
     if pw is None:
         indptr, cols = backend.relation_rows(space)
-        rel = np.zeros((n, n), dtype=bool)
-        rel[np.repeat(np.arange(n), np.diff(indptr)), cols] = True
-        hit_in = masks @ rel.T.astype(float) > 0      # x within h of B
-        hit_out = (1.0 - masks) @ rel.T.astype(float) > 0
-        denom = (hit_in & hit_out).astype(float) @ space.measure
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        pos = np.full(n, -1)
+        pos[idx] = np.arange(k)
+        hit = pos[cols] >= 0
+        # only points that see A can see B; rel[i, j]: near[i] ~ idx[j]
+        near, row_of = np.unique(rows[hit], return_inverse=True)
+        rel = np.zeros((near.size, k))
+        rel[row_of, pos[cols[hit]]] = 1.0
+        deg = np.diff(indptr)[near]
+        mu_near = space.measure[near]
     else:
         rows, cols, w = pw
-        wsym = np.zeros((n, n))
-        np.add.at(wsym, (rows, cols), w)
+        wsym = csr_matrix((w, (rows, cols)), shape=(n, n))
         wsym = wsym + wsym.T
-        r = wsym.sum(axis=1)
-        denom = masks @ r - np.einsum("ij,ij->i", masks @ wsym, masks)
-    return mu_masks, denom
+        w_a = wsym[idx][:, idx].toarray()
+        rowsum = wsym[idx].toarray().sum(axis=1)
+    total, chunk = 1 << k, 1 << 14
+    mu_b = np.empty(total)
+    den_b = np.empty(total)
+    for s in range(0, total, chunk):
+        e = min(s + chunk, total)
+        masks = ((np.arange(s, e)[:, None] >> np.arange(k)) & 1).astype(float)
+        mu_b[s:e] = masks @ space.measure[idx]
+        if pw is None:
+            # near[i] sees B, and sees outside B unless all deg[i] points
+            # it sees are in B
+            seen = masks @ rel.T
+            den_b[s:e] = ((seen > 0) & (seen < deg)) @ mu_near
+        else:
+            den_b[s:e] = masks @ rowsum - np.einsum("ij,ij->i", masks @ w_a,
+                                                    masks)
+    return mu_b, den_b
 
 
 def _mask_indices(mask, n):
@@ -361,22 +379,19 @@ def _jp2(space, backend, idx):
 
 def _jp1(space, backend, idx):
     """Indicator-form J_1: max over B in A of mu(B)/denom(B)."""
+    # jp_subset has answered A = X, so no B inside A is the whole space
     if idx.size <= EXACT_ENUM_LIMIT:
-        mu_b, den_b = _subset_ratio_tables(space, backend, idx)
+        mu_b, den_b = _subset_tables(space, backend, idx)
+        mu_b, den_b = mu_b[1:], den_b[1:]          # drop the empty set
         tol = 1e-12 * max(1.0, float(den_b.max(initial=0.0)))
-        best, best_mask = -np.inf, None
-        # position 0 is the empty set
-        for m in range(1, mu_b.size):
-            if den_b[m] <= tol:
-                sub = idx[_mask_indices(m, idx.size)]
-                reason = "whole_space" if sub.size == space.n else \
-                    "isolated_at_scale"
-                return _inf_result(reason, sub, as_field=False)
-            q = mu_b[m] / den_b[m]
-            if q > best:
-                best, best_mask = q, m
-        sub = idx[_mask_indices(best_mask, idx.size)]
-        return JpResult(float(best), "exact", witness_subset=sub)
+        cut_off = np.flatnonzero(den_b <= tol)
+        if cut_off.size:
+            sub = idx[_mask_indices(cut_off[0] + 1, idx.size)]
+            return _inf_result("isolated_at_scale", sub, as_field=False)
+        q = mu_b / den_b
+        m = int(np.argmax(q))
+        sub = idx[_mask_indices(m + 1, idx.size)]
+        return JpResult(float(q[m]), "exact", witness_subset=sub)
     # candidate search: balls inside A around every point of A
     best, best_sub = -np.inf, None
     radii = _radius_grid(space, idx)
@@ -390,47 +405,10 @@ def _jp1(space, backend, idx):
                 continue
             q, is_inf = _indicator_ratio(space, backend, sub, pw)
             if is_inf:
-                reason = "whole_space" if sub.size == space.n else \
-                    "isolated_at_scale"
-                return _inf_result(reason, sub, as_field=False)
+                return _inf_result("isolated_at_scale", sub, as_field=False)
             if q > best:
                 best, best_sub = q, sub
     return JpResult(float(best), "lower_bound", witness_subset=best_sub)
-
-
-def _subset_ratio_tables(space, backend, idx):
-    """mu and denominator per submask of idx (enumeration in the full space)."""
-    k = idx.size
-    total = 1 << k
-    bits = (np.arange(total)[:, None] >> np.arange(k)[None, :]) & 1
-    masks = bits.astype(float)                       # 2^k x k over A's points
-    mu_b = masks @ space.measure[idx]
-    pw = backend.pair_weights(space)
-    if pw is None:
-        indptr, cols = backend.relation_rows(space)
-        rows = np.repeat(np.arange(space.n), np.diff(indptr))
-        pos = np.full(space.n, -1)
-        pos[idx] = np.arange(k)
-        hit = pos[cols] >= 0
-        relA = np.zeros((space.n, k), dtype=bool)    # x ~ (j-th point of A)
-        relA[rows[hit], pos[cols[hit]]] = True
-        deg = np.diff(indptr).astype(float)
-        denom = np.empty(total)
-        chunk = 1 << 14
-        relAf = relA.astype(float)
-        for s in range(0, total, chunk):
-            m = masks[s:s + chunk]
-            inb = relAf @ m.T > 0                    # x sees B
-            outb = (deg[:, None] - relAf @ m.T) > 0  # x sees complement
-            denom[s:s + chunk] = space.measure @ (inb & outb)
-        return mu_b, denom
-    rows, cols, w = pw
-    wsym = csr_matrix((w, (rows, cols)), shape=(space.n, space.n))
-    wsym = wsym + wsym.T
-    wA = np.asarray(wsym[idx][:, idx].todense())
-    rowsum_full = np.asarray(wsym[idx].sum(axis=1)).ravel()
-    denom = masks @ rowsum_full - np.einsum("ij,ij->i", masks @ wA, masks)
-    return mu_b, denom
 
 
 def _indicator_ratio(space, backend, sub, pw):
@@ -673,18 +651,21 @@ def isoperimetric_profile(space, backend, p, volume_grid,
                           max_candidates=1200) -> ProfileCurve:
     """j(v) = sup over subsets of measure <= v of J_p, sampled on a grid.
 
-    ``exact`` enumerates every proper nonempty subset (N <= 18 only);
-    ``candidates`` scans the documented family and flags the curve as a
-    lower bound. Subsets whose J is the infinity sentinel are skipped: the
-    profile describes proper subsets, and the sentinel signals a scale
-    below connectivity rather than a profile value.
+    ``exact`` enumerates every proper nonempty subset (at most
+    EXACT_ENUM_LIMIT points); ``candidates`` scans the documented family
+    and flags the curve as a lower bound. The whole space is left out (its
+    J is inf under every backend, so it would say nothing about proper
+    subsets); a subset isolated at the scale keeps its infinite J, so the
+    curve reads inf from the smallest volume that holds one. Each sample
+    reports the first best subset in enumeration (or family) order.
     """
     volume_grid = np.asarray(volume_grid, dtype=float)
     if strategy == "exact":
-        entries = _exact_profile_entries(space, backend, p)
+        masses, values = _exact_profile_entries(space, backend, p)
+        found = None
         mode = "exact"
     else:
-        entries = []
+        masses, values, found = [], [], []
         pw = backend.pair_weights(space) if p == 1 else None
         for sub, label in candidate_subsets(space, backend, max_candidates):
             if p == 1:
@@ -697,44 +678,45 @@ def isoperimetric_profile(space, backend, p, volume_grid,
                 if np.isinf(res.value) and res.reason == "whole_space":
                     continue
                 val = res.value
-            entries.append((sub.measure, val, sub.indices, label))
+            masses.append(sub.measure)
+            values.append(val)
+            found.append((sub.indices, label))
+        masses, values = np.array(masses), np.array(values)
         mode = "lower_bound"
-    values = np.full(volume_grid.size, np.nan)
+    out = np.full(volume_grid.size, np.nan)
     witnesses = [None] * volume_grid.size
+    rankable = values > -np.inf          # nan never wins a strict maximum
     for i, v in enumerate(volume_grid):
-        best = -np.inf
-        for mu_b, val, sub, label in entries:
-            if mu_b <= v and val > best:
-                best = val
-                witnesses[i] = {"indices": sub, "label": label,
-                                "measure": mu_b, "value": val}
-        values[i] = best if best > -np.inf else np.nan
-    return ProfileCurve("j_p", volume_grid, values, mode, witnesses,
+        ranked = np.where(rankable & (masses <= v), values, -np.inf)
+        if not np.any(ranked > -np.inf):
+            continue
+        j = int(np.argmax(ranked))
+        sub, label = found[j] if found is not None else \
+            (_mask_indices(j + 1, space.n), "exhaustive")
+        out[i] = values[j]
+        witnesses[i] = {"indices": sub, "label": label,
+                        "measure": masses[j], "value": values[j]}
+    return ProfileCurve("j_p", volume_grid, out, mode, witnesses,
                         {"p": p, "backend": backend.describe(),
                          "strategy": strategy})
 
 
 def _exact_profile_entries(space, backend, p):
-    if space.n > EXACT_ENUM_LIMIT:
-        raise ValueError(f"exact strategy capped at {EXACT_ENUM_LIMIT} "
-                         f"points, space has {space.n}")
-    entries = []
+    """(masses, values) of the proper nonempty subsets of the space, in
+    mask order from mask 1 (bit x selects point x)."""
+    mu_b, den_b = _subset_tables(space, backend, np.arange(space.n))
     if p == 1:
-        mu_b, den_b = _subset_tables(space, backend)
         tol = 1e-12 * max(1.0, float(den_b.max(initial=0.0)))
-        for m in range(1, (1 << space.n) - 1):
-            idx = _mask_indices(m, space.n)
-            val = np.inf if den_b[m] <= tol else mu_b[m] / den_b[m]
-            entries.append((mu_b[m], val, idx, "exhaustive"))
-        return entries
-    for m in range(1, (1 << space.n) - 1):
-        idx = _mask_indices(m, space.n)
+        values = np.full(mu_b.size, np.inf)
+        np.divide(mu_b, den_b, out=values, where=den_b > tol)
+    else:
+        values = np.empty(mu_b.size)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            res = jp_subset(space, backend, idx, p)
-        entries.append((float(space.measure[idx].sum()), res.value, idx,
-                        "exhaustive"))
-    return entries
+            for m in range(1, mu_b.size - 1):
+                values[m] = jp_subset(space, backend,
+                                      _mask_indices(m, space.n), p).value
+    return mu_b[1:-1], values[1:-1]
 
 
 def profile_in_balls(space, backend, p, radius_grid, centers=None,
@@ -780,7 +762,8 @@ def boundary_profile(space, h, family="all", t_grid=None):
 
     I(t) = inf{mu(boundary_h A) : mu(A) >= t} over *proper nonempty*
     subsets (the whole space has empty boundary and would collapse I to 0).
-    Exact by enumeration when family="all" and N <= 18; for an explicit
+    Exact by enumeration when family="all" (at most EXACT_ENUM_LIMIT
+    points, the first optimum in mask order is reported); for an explicit
     family, I is the same infimum restricted to the family and is labeled
     "upper_bound". I_down/I_up are the family-restricted lower/upper
     envelopes (inf of boundary above mass t / sup of boundary below mass t)
@@ -793,13 +776,10 @@ def boundary_profile(space, h, family="all", t_grid=None):
         t_grid = np.unique(np.cumsum(np.sort(space.measure)))
     t_grid = np.asarray(t_grid, dtype=float)
     if family == "all":
-        if space.n > EXACT_ENUM_LIMIT:
-            raise ValueError("family='all' needs N <= 18; pass a family")
         subs = None
-        mu_b, den_b = _subset_tables(space, Backend.sup(h))
-        masses = mu_b[1:-1]
-        bounds = den_b[1:-1]
-        mask_ids = np.arange(1, (1 << space.n) - 1)
+        mu_b, den_b = _subset_tables(space, Backend.sup(h),
+                                     np.arange(space.n))
+        masses, bounds = mu_b[1:-1], den_b[1:-1]    # proper, from mask 1
         mode_i = "exact"
     else:
         if family == "balls":
@@ -818,14 +798,11 @@ def boundary_profile(space, h, family="all", t_grid=None):
         masses = np.array([a.measure for a in fam])
         bounds = np.array([boundary_at_scale(space, a, h).measure
                            for a in fam])
-        mask_ids = None
         mode_i = "upper_bound"
 
     def witness(j):
-        if subs is not None:
-            return {"indices": subs[j].indices, "measure": masses[j],
-                    "boundary": bounds[j]}
-        idx = _mask_indices(mask_ids[j], space.n)
+        idx = _mask_indices(j + 1, space.n) if subs is None else \
+            subs[j].indices
         return {"indices": idx, "measure": masses[j], "boundary": bounds[j]}
 
     I_vals = np.full(t_grid.size, np.nan)
@@ -966,24 +943,21 @@ def cheeger(space, h, family):
     """min over the family (restricted to mu(A) <= mu(X)/2) of
     mu(boundary_h A)/mu(A), with the witness subset.
 
-    family="all" enumerates every subset (N <= 18); otherwise pass an
+    family="all" enumerates every subset (at most EXACT_ENUM_LIMIT points)
+    and reports the first minimiser in mask order; otherwise pass an
     iterable of subsets/index arrays.
     """
     half = space.total_measure / 2.0
     if isinstance(family, str) and family == "all":
-        if space.n > EXACT_ENUM_LIMIT:
-            raise ValueError("family='all' needs N <= 18")
-        mu_b, den_b = _subset_tables(space, Backend.sup(h))
-        best, best_m = np.inf, None
-        for m in range(1, 1 << space.n):
-            if mu_b[m] > half or mu_b[m] == 0:
-                continue
-            q = den_b[m] / mu_b[m]
-            if q < best:
-                best, best_m = q, m
-        if best_m is None:
+        mu_b, den_b = _subset_tables(space, Backend.sup(h),
+                                     np.arange(space.n))
+        ok = (mu_b != 0) & (mu_b <= half)
+        if not ok.any():
             raise ValueError("no subset satisfies mu(A) <= mu(X)/2")
-        return float(best), space.subset(_mask_indices(best_m, space.n))
+        ratio = np.full(mu_b.size, np.inf)
+        np.divide(den_b, mu_b, out=ratio, where=ok)
+        m = int(np.argmin(ratio))
+        return float(ratio[m]), space.subset(_mask_indices(m, space.n))
     fam = [a if hasattr(a, "indices") else space.subset(a) for a in family]
     fam = [a for a in fam if 0 < a.measure <= half]
     if not fam:

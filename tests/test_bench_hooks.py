@@ -4,9 +4,10 @@ that renames or drops one would only surface as a crash in
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-from coarsecalc import calculus
+from coarsecalc import calculus, profiles
 from coarsecalc.space import MetricMeasureSpace
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -30,3 +31,11 @@ def test_benchmark_hooks_resolve():
     # called directly by the benchmark's probes
     assert callable(vars(MetricMeasureSpace)["ball_rows"])
     assert callable(calculus.l2_gradient_form)
+    # the profile hooks bind these parameters by name
+    for fn, params in (
+            (profiles.isoperimetric_profile,
+             {"space", "backend", "p", "strategy"}),
+            (profiles.boundary_profile, {"space", "family"}),
+            (profiles.cheeger, {"space", "family"}),
+            (profiles.jp_subset, {"space", "backend", "p"})):
+        assert params <= set(inspect.signature(fn).parameters), fn.__name__

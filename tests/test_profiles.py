@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from coarsecalc import calculus, profiles, zoo
 from coarsecalc.profiles import Backend, RateFunction
 from coarsecalc.randomwalk import lazy_srw
+from coarsecalc.space import boundary
+from coarsecalc.viewpoint import random_symmetric_viewpoint
 
 
 # ---------------------------------------------------------------- rates
@@ -72,6 +74,77 @@ def test_jp_whole_space_sentinel():
         res = profiles.jp_subset(space, Backend.sup(1.0), list(range(6)), 1)
     assert np.isinf(res.value)
     assert res.reason == "whole_space"
+
+
+def test_j1_isolated_point_sentinel():
+    # distances double, so at h = 1 every ball is a single point and every
+    # nonempty B inside A has an empty boundary
+    space = zoo.scale_metric(zoo.path(6), 2.0)
+    with pytest.warns(UserWarning, match="isolated_at_scale"):
+        res = profiles.jp_subset(space, Backend.sup(1.0), [2, 3, 5], 1)
+    assert np.isinf(res.value)
+    assert res.reason == "isolated_at_scale"
+    np.testing.assert_array_equal(res.witness_subset, [2])   # mask 1
+
+
+# ----------------------------------------------------- exhaustive tables
+
+
+ORACLE_SPACES = {
+    "path9": (lambda: zoo.path(9), 1.0),
+    "grid3_l1": (lambda: zoo.grid(2, 3), 1.0),
+    "grid3_linf": (lambda: zoo.grid(2, 3, "linf"), 1.0),
+    "geo12": (lambda: zoo.random_geometric(12, 5), 0.6),
+}
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+@pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+def test_subset_tables_match_brute_force(name, unit):
+    make, h = ORACLE_SPACES[name]
+    space = make()
+    if not unit:
+        space = space.with_measure(
+            np.random.default_rng(3).uniform(0.5, 2.0, space.n))
+    vp = random_symmetric_viewpoint(space, h, np.random.default_rng(1))
+    for backend in (Backend.sup(h), Backend.lp(h), Backend.viewpoint(vp)):
+        pw = backend.pair_weights(space)
+        for idx in (np.arange(space.n), np.arange(1, space.n, 2)):
+            mu_b, den_b = profiles._subset_tables(space, backend, idx)
+            assert mu_b.shape == den_b.shape == (1 << idx.size,)
+            tol = 1e-12 * max(1.0, den_b.max())
+            for m in range(mu_b.size):
+                sub = idx[[j for j in range(idx.size) if m >> j & 1]]
+                mu = space.measure[sub].sum()
+                if pw is None:
+                    den = boundary(space, sub, h).measure
+                else:
+                    ind = np.zeros(space.n)
+                    ind[sub] = 1.0
+                    rows, cols, w = pw
+                    den = np.sum(w * np.abs(ind[rows] - ind[cols]))
+                if backend.kind == "sup" and unit:
+                    assert (mu_b[m], den_b[m]) == (mu, den)
+                    continue
+                assert mu_b[m] == pytest.approx(mu, rel=1e-12, abs=0)
+                if den > tol:
+                    assert den_b[m] == pytest.approx(den, rel=1e-12, abs=0)
+                else:
+                    assert abs(den_b[m]) <= tol
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: profiles.isoperimetric_profile(s, Backend.sup(1.0), 1, [1.0],
+                                             strategy="exact"),
+    lambda s: profiles.isoperimetric_profile(s, Backend.sup(1.0), 2, [1.0],
+                                             strategy="exact"),
+    lambda s: profiles.boundary_profile(s, 1.0, family="all"),
+    lambda s: profiles.cheeger(s, 1.0, "all"),
+], ids=["j1_exact", "j2_exact", "boundary_all", "cheeger_all"])
+def test_exhaustive_enumeration_cap(call):
+    space = zoo.path(profiles.EXACT_ENUM_LIMIT + 1)
+    with pytest.raises(ValueError, match="EXACT_ENUM_LIMIT = 18"):
+        call(space)
 
 
 def test_isoperimetric_profile_monotone():
