@@ -359,22 +359,49 @@ def _jp2(space, backend, idx):
         return JpResult(res.delta ** -0.5, "exact", witness_field=res.field)
     if backend.kind != "lp":
         return None
-    Q = l2_gradient_form(space, backend.h).tocsr()
-    QA = Q[idx][:, idx]
-    mu = space.measure[idx]
-    root = np.sqrt(mu)
     if idx.size > DENSE_EIG_LIMIT:
         raise ValueError("exact J_2 with the lp backend is limited to "
                          f"{DENSE_EIG_LIMIT} points; use candidates")
-    C = QA.multiply(1.0 / np.outer(root, root))
-    w, v = np.linalg.eigh(np.asarray(C.todense()))
+    indptr, cols, data = _lp_form(space, backend.h)
+    # dense block on idx: the entries of the rows of idx whose column is in idx
+    k = idx.size
+    pos = np.full(space.n, -1)
+    pos[idx] = np.arange(k)
+    counts = indptr[idx + 1] - indptr[idx]
+    take = np.repeat(indptr[idx] - np.cumsum(counts) + counts, counts) + \
+        np.arange(counts.sum())
+    col = pos[cols[take]]
+    keep = col >= 0
+    C = np.zeros((k, k))
+    C[np.repeat(np.arange(k), counts)[keep], col[keep]] = data[take[keep]]
+    w, v = np.linalg.eigh(C)
     lam = float(w[0])
     g = v[:, 0]
     f = np.zeros(space.n)
-    f[idx] = g / root
+    f[idx] = g / np.sqrt(space.measure[idx])
     if lam <= 1e-14 * max(1.0, float(w[-1])):
         return _inf_result("isolated_at_scale", f)
     return JpResult(lam ** -0.5, "exact", witness_field=f)
+
+
+def _lp_form(space, h):
+    """l2_gradient_form(space, h) as read-only CSR arrays
+    (indptr, indices, data) with sorted indices, each entry (x, y) divided
+    by sqrt(mu(x) mu(y)). Built on first use and memoised on the space per
+    scale; the form depends on the measure, so with_measure starts afresh."""
+    h = float(h)
+    out = space._forms.get(h)
+    if out is None:
+        Q = l2_gradient_form(space, h).tocsr()
+        Q.sort_indices()
+        root = np.sqrt(space.measure)
+        rows = np.repeat(np.arange(space.n), np.diff(Q.indptr))
+        out = Q.indptr, Q.indices, Q.data * (1.0 / (root[rows] *
+                                                    root[Q.indices]))
+        for arr in out:
+            arr.flags.writeable = False
+        space._forms[h] = out
+    return out
 
 
 def _jp1(space, backend, idx):
@@ -456,10 +483,8 @@ def _jp_inf(space, backend, idx):
     return JpResult(value, "exact", witness_field=f)
 
 
-def _jp_descent(space, backend, idx, p, rng):
-    """Projected subgradient descent on the p-Rayleigh quotient (8 restarts,
-    500 iterations); the reported J is a certified lower bound."""
-    rng = np.random.default_rng(0 if rng is None else rng)
+def _energy_grad(space, backend, p):
+    """f -> (||grad f||_p^p, a subgradient of it in f) for the backend."""
     mu = space.measure
     pw = backend.pair_weights(space)
     if pw is not None:
@@ -477,23 +502,34 @@ def _jp_descent(space, backend, idx, p, rng):
             return e, g
     else:
         indptr, cols = backend.relation_rows(space)
-        rel = np.split(cols, indptr[1:-1])
+        counts = np.diff(indptr)
+        at = np.arange(cols.size)
 
         def energy_grad(f):
-            e = 0.0
+            # row maxima at the first y reaching them (argmax's tie rule);
+            # sums run in point order, the gradient's as x, y, x, y, ...
+            d = np.abs(f[cols] - np.repeat(f, counts))
+            m = np.maximum.reduceat(d, indptr[:-1])
+            first = np.minimum.reduceat(
+                np.where(d == np.repeat(m, counts), at, cols.size),
+                indptr[:-1])
+            e = np.cumsum(mu * m ** p)[-1]
+            x = np.flatnonzero(m > 0)
+            y = cols[first[x]]
+            s = mu[x] * p * m[x] ** (p - 1) * np.sign(f[x] - f[y])
             g = np.zeros(space.n)
-            for x in range(space.n):
-                d = np.abs(f[rel[x]] - f[x])
-                j = int(np.argmax(d))
-                m = d[j]
-                e += mu[x] * m ** p
-                if m > 0:
-                    y = rel[x][j]
-                    s = mu[x] * p * m ** (p - 1) * np.sign(f[x] - f[y])
-                    g[x] += s
-                    g[y] -= s
+            np.add.at(g, np.column_stack((x, y)).ravel(),
+                      np.column_stack((s, -s)).ravel())
             return float(e), g
+    return energy_grad
 
+
+def _jp_descent(space, backend, idx, p, rng):
+    """Projected subgradient descent on the p-Rayleigh quotient (8 restarts,
+    500 iterations); the reported J is a certified lower bound."""
+    rng = np.random.default_rng(0 if rng is None else rng)
+    mu = space.measure
+    energy_grad = _energy_grad(space, backend, p)
     outside = np.setdiff1d(np.arange(space.n), idx, assume_unique=False)
     best_q, best_f = np.inf, None
     for _ in range(DESCENT_RESTARTS):

@@ -55,7 +55,9 @@ class MetricMeasureSpace:
 
     Immutable after construction; all queries are read-only, so instances are
     safe to share across parallel workers. The only state added later is
-    the memo of :meth:`neighbourhoods`, whose arrays are read-only.
+    two memos of read-only arrays: :meth:`neighbourhoods` per radius, shared
+    by :meth:`with_measure`, and the lp gradient form per scale that exact
+    J_2 in ``profiles`` keeps, which depends on the measure and is not.
 
     Use the classmethods :meth:`from_dense`, :meth:`from_graph`,
     :meth:`from_coords` to construct, or :func:`load_space` to read the JSON
@@ -83,6 +85,7 @@ class MetricMeasureSpace:
         self._coords = coords
         self._p_norm = p_norm
         self._balls = {}   # radius -> neighbourhoods(radius)
+        self._forms = {}   # scale -> profiles._lp_form(self, scale)
 
     # ------------------------------------------------------------------
     # constructors
@@ -167,7 +170,7 @@ class MetricMeasureSpace:
 
     def with_measure(self, measure, name=None):
         """Copy of this space with a different measure (same metric, same
-        neighbourhood memo)."""
+        neighbourhood memo, no form memo)."""
         out = MetricMeasureSpace(
             self.n, measure, name or self.name, self._mode, dense=self._dense,
             graph=self._graph, coords=self._coords, p_norm=self._p_norm,

@@ -7,7 +7,9 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from coarsecalc import calculus, profiles
+import numpy as np
+
+from coarsecalc import calculus, profiles, zoo
 from coarsecalc.space import MetricMeasureSpace
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -39,3 +41,19 @@ def test_benchmark_hooks_resolve():
             (profiles.cheeger, {"space", "family"}),
             (profiles.jp_subset, {"space", "backend", "p"})):
         assert params <= set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_l2_gradient_form_builds_afresh():
+    # the benchmark's form probe times one build per call, so the builder
+    # must neither memoise nor leave state on the space, even once exact
+    # J_2 has filled the space's own form memo
+    space = zoo.grid(2, 4)
+    a = calculus.l2_gradient_form(space, 1.0)
+    b = calculus.l2_gradient_form(space, 1.0)
+    assert a is not b and not np.shares_memory(a.data, b.data)
+    assert space._forms == {}
+    profiles.jp_subset(space, profiles.Backend.lp(1.0), [0, 1, 4], 2)
+    c = calculus.l2_gradient_form(space, 1.0)
+    assert c is not a and not np.shares_memory(c.data, a.data)
+    assert list(space._forms) == [1.0]
+    assert (c != a).nnz == 0

@@ -133,6 +133,152 @@ def test_subset_tables_match_brute_force(name, unit):
                     assert abs(den_b[m]) <= tol
 
 
+# ------------------------------------------------- exact J_2 and descent
+
+
+def _jp2_oracle(space, h, idx):
+    """Exact lp J_2 the slow way: slice the freshly built form, scale it by
+    1/sqrt(mu mu^T) as a sparse matrix and densify. Returns (value, mode,
+    reason, witness field)."""
+    Q = calculus.l2_gradient_form(space, h).tocsr()
+    root = np.sqrt(space.measure[idx])
+    C = Q[idx][:, idx].multiply(1.0 / np.outer(root, root))
+    w, v = np.linalg.eigh(np.asarray(C.todense()))
+    lam = float(w[0])
+    f = np.zeros(space.n)
+    f[idx] = v[:, 0] / root
+    if lam <= 1e-14 * max(1.0, float(w[-1])):
+        return np.inf, "exact", "isolated_at_scale", f
+    return lam ** -0.5, "exact", None, f
+
+
+def _same_jp2(res, want):
+    value, mode, reason, f = want
+    assert (res.value, res.mode, res.reason) == (value, mode, reason)
+    assert res.witness_field.tobytes() == f.tobytes()
+
+
+JP2_SPACES = {
+    "path9": (lambda: zoo.path(9), 1.0),
+    "grid4_l1": (lambda: zoo.grid(2, 4), 1.0),
+    "grid4_linf": (lambda: zoo.grid(2, 4, "linf"), 1.0),
+    "grid5_l2": (lambda: zoo.grid(2, 5, "l2"), 1.5),
+    "geo20": (lambda: zoo.random_geometric(20, 8), 0.35),
+}
+
+
+def _jp2_subsets(space, r, rng):
+    """Balls of radius r, coordinate boxes, their complements and random
+    subsets; the whole space and the empty set left out."""
+    coords = space.meta["coords"]
+    lo = coords.min(axis=0)
+    span = coords.max(axis=0) - lo
+    out = []
+    for x in (0, space.n // 2, space.n - 1):
+        ball = space.ball(x, r)
+        out += [ball, np.setdiff1d(np.arange(space.n), ball)]
+    for frac in (0.3, 0.6):
+        box = np.all(coords <= lo + frac * span, axis=1)
+        out += [np.flatnonzero(box), np.flatnonzero(~box)]
+    for size in (1, 3, space.n // 2, space.n - 1):
+        out.append(np.sort(rng.choice(space.n, size=size, replace=False)))
+    return [sub for sub in out if 0 < sub.size < space.n]
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+@pytest.mark.parametrize("name", sorted(JP2_SPACES))
+def test_jp2_matches_sliced_form_oracle(name, unit):
+    make, h = JP2_SPACES[name]
+    space = make()
+    if not unit:
+        space = space.with_measure(
+            np.random.default_rng(3).uniform(0.5, 2.0, space.n))
+    subsets = _jp2_subsets(space, h, np.random.default_rng(11))
+    assert len(subsets) >= 10
+    for idx in subsets:
+        res = profiles.jp_subset(space, Backend.lp(h), idx, 2)
+        _same_jp2(res, _jp2_oracle(space, h, idx))
+
+
+def test_jp2_isolated_point_sentinel():
+    # distances double, so at h = 1 every ball is a single point and the
+    # form vanishes
+    space = zoo.scale_metric(zoo.path(6), 2.0)
+    idx = np.array([2, 3, 5])
+    with pytest.warns(UserWarning, match="isolated_at_scale"):
+        res = profiles.jp_subset(space, Backend.lp(1.0), idx, 2)
+    assert np.isinf(res.value)
+    _same_jp2(res, _jp2_oracle(space, 1.0, idx))
+
+
+def test_jp2_form_memo_isolation():
+    space = zoo.grid(2, 4)
+    subsets = _jp2_subsets(space, 1.0, np.random.default_rng(5))
+    for idx in subsets:                      # warm the memo at h = 1
+        profiles.jp_subset(space, Backend.lp(1.0), idx, 2)
+    m = np.random.default_rng(2).uniform(0.5, 2.0, space.n)
+    moved = space.with_measure(m)
+    fresh = zoo.grid(2, 4).with_measure(m)
+    for idx in subsets:
+        a = profiles.jp_subset(moved, Backend.lp(1.0), idx, 2)
+        b = profiles.jp_subset(fresh, Backend.lp(1.0), idx, 2)
+        _same_jp2(a, (b.value, b.mode, b.reason, b.witness_field))
+        _same_jp2(a, _jp2_oracle(fresh, 1.0, idx))
+    # a second scale on the same space keeps its own form
+    for idx in subsets:
+        for h in (2.0, 1.0):
+            _same_jp2(profiles.jp_subset(space, Backend.lp(h), idx, 2),
+                      _jp2_oracle(space, h, idx))
+    assert sorted(space._forms) == [1.0, 2.0]
+    assert space._forms[1.0][2].tobytes() != space._forms[2.0][2].tobytes()
+    for arr in space._forms[1.0] + space._forms[2.0]:
+        assert not arr.flags.writeable
+
+
+def _energy_grad_oracle(space, h, p, f):
+    """The sup-gradient energy and its subgradient, one point at a time."""
+    mu = space.measure
+    e = 0.0
+    g = np.zeros(space.n)
+    for x, ball in enumerate(space.ball_rows(h)):
+        d = np.abs(f[ball] - f[x])
+        j = int(np.argmax(d))
+        m = d[j]
+        e += mu[x] * m ** p
+        if m > 0:
+            y = ball[j]
+            s = mu[x] * p * m ** (p - 1) * np.sign(f[x] - f[y])
+            g[x] += s
+            g[y] -= s
+    return float(e), g
+
+
+@pytest.mark.parametrize("p", [2, 3, 1.5])
+def test_sup_energy_grad_matches_loop_oracle(p):
+    rng = np.random.default_rng(9)
+    cases = [(zoo.path(8), 1.0), (zoo.grid(2, 3), 1.0),
+             (zoo.grid(2, 4, "linf"), 1.0),
+             # isolated points: single-point rows with m = 0
+             (zoo.random_geometric(10, 3), 0.25),
+             (zoo.scale_metric(zoo.path(6), 2.0), 1.0)]
+    for space, h in cases:
+        for unit in (True, False):
+            if not unit:
+                space = space.with_measure(rng.uniform(0.5, 2.0, space.n))
+            energy_grad = profiles._energy_grad(space, Backend.sup(h), p)
+            # integer fields tie the row maxima
+            for f in (rng.integers(-2, 3, space.n).astype(float),
+                      rng.standard_normal(space.n)):
+                e, g = energy_grad(f)
+                e_o, g_o = _energy_grad_oracle(space, h, p, f)
+                if p == 2:
+                    assert e == e_o
+                    assert g.tobytes() == g_o.tobytes()
+                else:
+                    assert e == pytest.approx(e_o, rel=1e-13, abs=0)
+                    np.testing.assert_allclose(g, g_o, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("call", [
     lambda s: profiles.isoperimetric_profile(s, Backend.sup(1.0), 1, [1.0],
                                              strategy="exact"),
