@@ -11,7 +11,7 @@ TREE_LIMIT = np.sqrt(3.0) / 2.0  # infinite 4-regular tree
 print("4-regular trees (rho approaches the limit from below)")
 for depth in (4, 6, 8, 10):
     tree = zoo.regular_tree(4, depth)
-    rho, iters = randomwalk.spectral_radius(
+    rho, _ = randomwalk.spectral_radius(
         randomwalk.pure_srw(tree, ambient_degree=4))
     print(f"  depth {depth:>2} ({tree.n:>5} points): rho = {rho:.6f}   "
           f"gap to limit {TREE_LIMIT - rho:+.4f}")
@@ -19,7 +19,7 @@ for depth in (4, 6, 8, 10):
 print("\nsquare lattice boxes (rho creeps up to 1)")
 for L in (4, 8, 16, 32):
     box = zoo.grid(2, L)
-    rho, iters = randomwalk.spectral_radius(
+    rho, _ = randomwalk.spectral_radius(
         randomwalk.pure_srw(box, ambient_degree=4))
     print(f"  {L:>2} x {L:<2} ({box.n:>5} points): rho = {rho:.6f}   "
           f"gap to 1 {1.0 - rho:.4f}")

@@ -25,8 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
-from scipy.sparse.linalg import eigsh
+from scipy.linalg.blas import dgemv, dnrm2
+from scipy.linalg.lapack import dsyevd
+from scipy.sparse import csr_matrix, diags, issparse
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from coarsecalc.space import doubling_profile
 from coarsecalc.viewpoint import apply as vp_apply
@@ -34,7 +36,9 @@ from coarsecalc.viewpoint import is_symmetric
 
 EIG_RESIDUAL_TOL = 1e-10
 ENERGY_IDENTITY_RTOL = 1e-10
-DENSE_EIG_LIMIT = 2000
+# largest matrix solved whole by LAPACK; on one thread Lanczos is faster on
+# box walks from about 200 points and on criterion 7's J_2 blocks above 256
+DENSE_EIG_SIZE = 256
 
 
 def _check_field(space, f):
@@ -178,6 +182,49 @@ def _require_symmetric(vp, who):
                          f"({rep.x},{rep.y}) differs by {rep.gap:g}")
 
 
+def symmetric_eig(M, which, k=1):
+    """(theta, V, residuals): the k eigenpairs of the symmetric matrix M
+    (dense or sparse) that are largest ("LA"), smallest ("SA") or largest in
+    |theta| ("LM"), theta ascending.
+
+    Up to DENSE_EIG_SIZE points LAPACK dsyevd solves M whole (bitwise what
+    np.linalg.eigh returns); above it ARPACK Lanczos runs to machine
+    precision from a fixed start, so reruns repeat. Each residual
+    ||M v - theta v|| bounds |lambda - theta| for an eigenvalue lambda of M
+    (Parlett, ch. 4); one above EIG_RESIDUAL_TOL * max(1, |theta|), or no
+    Lanczos convergence, raises ArithmeticError.
+    """
+    n = M.shape[0]
+    if n <= DENSE_EIG_SIZE:
+        dense = M.toarray() if issparse(M) else M
+        w, v, info = dsyevd(dense, compute_v=1, lower=1)
+        if info != 0:
+            raise ArithmeticError(f"dsyevd failed (info = {info})")
+        if which == "LM":
+            pick = np.sort(np.argsort(np.abs(w), kind="stable")[n - k:])
+        else:
+            pick = slice(n - k, n) if which == "LA" else slice(k)
+        theta, V = w[pick], v[:, pick]
+    else:
+        v0 = np.ones(n) + np.linspace(0.0, 1e-3, n)
+        try:
+            theta, V = eigsh(M, k=k, which=which, tol=0, v0=v0)
+        except ArpackNoConvergence as exc:
+            raise ArithmeticError(f"Lanczos did not converge on {n} "
+                                  f"points: {exc}") from exc
+    residuals = np.empty(k)
+    for j, t in enumerate(theta.tolist()):
+        x = V[:, j]
+        # dense: one BLAS call; M is symmetric, so dense.T (no copy) will do
+        r = dgemv(1.0, dense.T, x, beta=-t, y=x) if n <= DENSE_EIG_SIZE \
+            else M @ x - t * x
+        residuals[j] = dnrm2(r)
+        if residuals[j] > EIG_RESIDUAL_TOL * max(1.0, abs(t)):
+            raise ArithmeticError(f"eigensolver residual {residuals[j]:g} on "
+                                  f"{n} points exceeds {EIG_RESIDUAL_TOL:g}")
+    return theta, V, residuals
+
+
 @dataclass(frozen=True)
 class DirichletResult:
     """Rayleigh-quotient eigenvalue of a subset with its minimizer.
@@ -197,34 +244,19 @@ def dirichlet_eigenvalue(vp, A) -> DirichletResult:
 
     Conjugating the transition matrix by sqrt(mu) gives the symmetric matrix
     M[x,y] = p_x(y) sqrt(mu(x) mu(y)); on the subset, delta = 2 (1 - lambda_max(M_A)).
-    Dense solve for |A| <= 2000, Lanczos above, residual checked to 1e-10.
+    lambda_max comes from symmetric_eig, residual checked.
     """
     _require_symmetric(vp, "dirichlet_eigenvalue")
     idx = A.indices if hasattr(A, "indices") else np.asarray(A, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("subset must be nonempty")
     M = vp.symmetric_matrix().tocsr()
-    MA = M[idx][:, idx]
-    if idx.size == 1:
-        lam = float(MA[0, 0])
-        g = np.array([1.0])
-    elif idx.size <= DENSE_EIG_LIMIT:
-        w, v = np.linalg.eigh(MA.toarray())
-        lam = float(w[-1])
-        g = v[:, -1]
-    else:
-        w, v = eigsh(MA, k=1, which="LA")
-        lam = float(w[0])
-        g = v[:, 0]
-    resid = np.linalg.norm(MA @ g - lam * g)
-    if resid > EIG_RESIDUAL_TOL * max(1.0, abs(lam)):
-        raise ArithmeticError(f"eigensolver residual {resid:g} exceeds "
-                              f"{EIG_RESIDUAL_TOL:g}")
+    theta, V, _ = symmetric_eig(M[idx][:, idx], "LA")
     mu = vp.space.measure
     f = np.zeros(vp.space.n)
-    f[idx] = g / np.sqrt(mu[idx])
+    f[idx] = V[:, 0] / np.sqrt(mu[idx])
     f /= np.sqrt(np.sum(f * f * mu))
-    lam_min = 1.0 - lam
+    lam_min = 1.0 - float(theta[0])
     return DirichletResult(2.0 * lam_min, lam_min, f)
 
 

@@ -711,12 +711,12 @@ def _op_spectral_radius(ctx, op, tag):
                      "compressed spectral radii along a ball exhaustion")
         return None
     if "subset" in op:
-        rho, iters = randomwalk.dirichlet_spectral_radius(
+        rho, residual = randomwalk.dirichlet_spectral_radius(
             vp, np.asarray(op["subset"], dtype=np.int64))
     else:
-        rho, iters = randomwalk.spectral_radius(vp)
-    ctx.emit_json(f"{tag}.json", {"rho": rho, "iterations": iters},
-                  "spectral_radius", "spectral radius by power iteration")
+        rho, residual = randomwalk.spectral_radius(vp)
+    ctx.emit_json(f"{tag}.json", {"rho": rho, "residual": residual},
+                  "spectral_radius", "spectral radius and its eigen residual")
     return None
 
 

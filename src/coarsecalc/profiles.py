@@ -34,11 +34,12 @@ from scipy.sparse import csr_matrix
 
 from coarsecalc.calculus import (
     dirichlet_eigenvalue, grad_lp, grad_sup, grad_viewpoint, gradient_pairs,
-    lp_norm, l2_gradient_form, DENSE_EIG_LIMIT)
+    lp_norm, l2_gradient_form, symmetric_eig)
 from coarsecalc.space import boundary as boundary_at_scale
 from coarsecalc.viewpoint import is_symmetric
 
 EXACT_ENUM_LIMIT = 18
+EXACT_J2_LIMIT = 2000      # exact lp J_2 assembles a dense block on A
 DESCENT_RESTARTS = 8
 DESCENT_ITERS = 500
 DESCENT_TOL = 1e-8
@@ -359,9 +360,9 @@ def _jp2(space, backend, idx):
         return JpResult(res.delta ** -0.5, "exact", witness_field=res.field)
     if backend.kind != "lp":
         return None
-    if idx.size > DENSE_EIG_LIMIT:
+    if idx.size > EXACT_J2_LIMIT:
         raise ValueError("exact J_2 with the lp backend is limited to "
-                         f"{DENSE_EIG_LIMIT} points; use candidates")
+                         f"{EXACT_J2_LIMIT} points; use candidates")
     indptr, cols, data = _lp_form(space, backend.h)
     # dense block on idx: the entries of the rows of idx whose column is in idx
     k = idx.size
@@ -374,12 +375,11 @@ def _jp2(space, backend, idx):
     keep = col >= 0
     C = np.zeros((k, k))
     C[np.repeat(np.arange(k), counts)[keep], col[keep]] = data[take[keep]]
-    w, v = np.linalg.eigh(C)
-    lam = float(w[0])
-    g = v[:, 0]
+    theta, V, _ = symmetric_eig(C, "SA")
+    lam = float(theta[0])
     f = np.zeros(space.n)
-    f[idx] = g / np.sqrt(space.measure[idx])
-    if lam <= 1e-14 * max(1.0, float(w[-1])):
+    f[idx] = V[:, 0] / np.sqrt(space.measure[idx])
+    if lam <= 1e-14 * max(1.0, *C.diagonal().tolist()):
         return _inf_result("isolated_at_scale", f)
     return JpResult(lam ** -0.5, "exact", witness_field=f)
 
@@ -527,6 +527,14 @@ def _energy_grad(space, backend, p):
 def _jp_descent(space, backend, idx, p, rng):
     """Projected subgradient descent on the p-Rayleigh quotient (8 restarts,
     500 iterations); the reported J is a certified lower bound."""
+    # a point of A related to no other point carries a zero-energy field
+    indptr, cols = backend.relation_rows(space)
+    rows = np.repeat(np.arange(space.n), np.diff(indptr))
+    lost = np.setdiff1d(idx, np.r_[rows[rows != cols], cols[rows != cols]])
+    if lost.size:
+        f = np.zeros(space.n)
+        f[lost] = 1.0
+        return _inf_result("isolated_at_scale", f)
     rng = np.random.default_rng(0 if rng is None else rng)
     mu = space.measure
     energy_grad = _energy_grad(space, backend, p)
@@ -646,9 +654,8 @@ def candidate_subsets(space, backend=None, max_candidates=1200):
 
     if backend is not None and backend.kind == "viewpoint" and \
             is_symmetric(backend.vp).symmetric and space.n >= 3:
-        M = np.asarray(backend.vp.symmetric_matrix().todense())
-        w, v = np.linalg.eigh(M)
-        g = v[:, -2] / np.sqrt(space.measure)   # second eigenfield on L2(mu)
+        _, V, _ = symmetric_eig(backend.vp.symmetric_matrix(), "LA", k=2)
+        g = V[:, 0] / np.sqrt(space.measure)   # second eigenfield on L2(mu)
         levels = np.unique(g)
         if levels.size > 32:
             levels = levels[np.linspace(0, levels.size - 1, 32).astype(int)]

@@ -31,10 +31,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.sparse import csr_matrix
 
-from coarsecalc.viewpoint import Certificate, Viewpoint, is_symmetric
+from coarsecalc.calculus import _require_symmetric, symmetric_eig
+from coarsecalc.viewpoint import Certificate, Viewpoint
 
 MASS_TOL = 1e-10
-POWER_TOL = 1e-10
 ROUNDTRIP_RTOL = 1e-8
 QUAD_RTOL = 1e-9
 
@@ -130,10 +130,7 @@ def on_diagonal(vp, x, n_grid) -> DecayCurve:
     kernel; both are enforced. The smallest grid point is cross-checked
     against a direct 2n-step iteration.
     """
-    rep = is_symmetric(vp)
-    if not rep.symmetric:
-        raise ValueError(f"on_diagonal requires a symmetric viewpoint; "
-                         f"worst pair ({rep.x},{rep.y}) gap {rep.gap:g}")
+    _require_symmetric(vp, "on_diagonal")
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 0:
         raise ValueError("need a nonempty grid of steps >= 0")
@@ -384,9 +381,7 @@ def nash_from_decay(space, vp, decay: DecayCurve, fields) -> NashFromDecayReport
     from coarsecalc.calculus import lp_norm
     from coarsecalc.viewpoint import apply as vp_apply
 
-    rep = is_symmetric(vp)
-    if not rep.symmetric:
-        raise ValueError("nash_from_decay requires a symmetric viewpoint")
+    _require_symmetric(vp, "nash_from_decay")
     mu = space.measure
     times = decay.times.astype(int)
     table = dict(zip(times.tolist(), decay.values.tolist()))
@@ -429,43 +424,15 @@ def nash_from_decay(space, vp, decay: DecayCurve, fields) -> NashFromDecayReport
 # spectral radius
 
 
-def _power_lambda_max(M, tol=POWER_TOL, max_iter=200000):
-    """Largest eigenvalue of a symmetric PSD-shifted matrix via power
-    iteration with Rayleigh-quotient convergence; deterministic start."""
-    n = M.shape[0]
-    v = np.ones(n) + np.linspace(0.0, 1e-3, n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0, it
-        v_new = w / nw
-        lam_new = float(v_new @ (M @ v_new))
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)):
-            return lam_new, it
-        lam, v = lam_new, v_new
-    raise ArithmeticError(f"power iteration did not converge in {max_iter} "
-                          "steps")
-
-
-def _sym_matrix(kernel):
-    if isinstance(kernel, Viewpoint):
-        rep = is_symmetric(kernel)
-        if not rep.symmetric:
-            raise ValueError("spectral radius requires symmetric densities; "
-                             f"worst pair ({rep.x},{rep.y}) gap {rep.gap:g}")
-        return kernel.symmetric_matrix().tocsr()
-    M = csr_matrix(kernel)
-    gap = abs(M - M.T)
-    if gap.nnz and gap.max() > 1e-12:
-        raise ValueError("spectral radius requires a symmetric matrix")
-    return M
+def _sym_matrix(vp):
+    _require_symmetric(vp, "spectral radius")
+    return vp.symmetric_matrix().tocsr()
 
 
 def spectral_radius(kernel):
-    """(rho, iterations) of the self-adjoint operator on L2(mu).
+    """(rho, residual) of the self-adjoint operator on L2(mu): rho is the
+    largest |theta| symmetric_eig finds, and residual = ||M v - theta v||
+    bounds its distance to an eigenvalue of M.
 
     On a full finite stochastic symmetric kernel this is exactly 1
     (constants are fixed); the informative quantity is the Dirichlet
@@ -476,7 +443,7 @@ def spectral_radius(kernel):
 
 
 def dirichlet_spectral_radius(kernel, A):
-    """(rho_A, iterations): spectral radius of the kernel compressed to A.
+    """(rho_A, residual): spectral radius of the kernel compressed to A.
 
     The finite-truncation proxy for an infinite space's spectral radius:
     rho_A increases along exhaustions and converges to it from below.
@@ -487,15 +454,8 @@ def dirichlet_spectral_radius(kernel, A):
 
 
 def _rho_of(M):
-    from scipy.sparse import identity
-
-    n = M.shape[0]
-    if n == 1:
-        return float(M[0, 0]), 1
-    eye = identity(n, format="csr")
-    hi, it1 = _power_lambda_max(M + eye)       # 1 + lambda_max
-    lo, it2 = _power_lambda_max(eye - M)       # 1 - lambda_min
-    return max(hi - 1.0, lo - 1.0), it1 + it2
+    theta, _, residuals = symmetric_eig(M, "LM")
+    return abs(float(theta[0])), float(residuals[0])
 
 
 def exhaustion_radii(kernel, subsets):

@@ -5,11 +5,12 @@ that renames or drops one would only surface as a crash in
 import importlib
 import importlib.util
 import inspect
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 
-from coarsecalc import calculus, profiles, zoo
+from coarsecalc import calculus, profiles, randomwalk, zoo
 from coarsecalc.space import MetricMeasureSpace
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -57,3 +58,20 @@ def test_l2_gradient_form_builds_afresh():
     assert c is not a and not np.shares_memory(c.data, a.data)
     assert list(space._forms) == [1.0]
     assert (c != a).nnz == 0
+
+
+def test_spectral_hook_reads_rho_and_residual():
+    # the spectral hook reads out[1] of both radius functions; it was an
+    # iteration count and is now the residual, which truncates to 0
+    tracer = _load_tracer()
+    vp = randomwalk.pure_srw(zoo.grid(2, 4), ambient_degree=4)
+    counts = defaultdict(int)
+    for fn, args in ((randomwalk.spectral_radius, (vp,)),
+                     (randomwalk.dirichlet_spectral_radius, (vp, [5, 6]))):
+        out = fn(*args)
+        assert isinstance(out, tuple) and len(out) == 2
+        rho, residual = out
+        assert isinstance(rho, float) and isinstance(residual, float)
+        assert 0 <= residual <= calculus.EIG_RESIDUAL_TOL
+        tracer.HOOKS[f"randomwalk.{fn.__name__}"](fn, args, {}, out, counts)
+    assert counts["randomwalk.power_iters"] == 0

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from coarsecalc import calculus, zoo
-from coarsecalc.randomwalk import lazy_srw
+from coarsecalc.randomwalk import lazy_srw, pure_srw
 from coarsecalc.viewpoint import random_symmetric_viewpoint, standard_viewpoint
 
 
@@ -121,6 +122,84 @@ def test_dirichlet_eigenvalue_monotone_in_domain():
     large = calculus.dirichlet_eigenvalue(vp, list(range(3, 15)))
     assert 0 < large.delta < small.delta
     assert small.delta == pytest.approx(2.0 * small.lambda_min, rel=1e-12)
+
+
+def _walk_matrix(space):
+    return pure_srw(space, ambient_degree=4).symmetric_matrix().tocsr()
+
+
+# (name, matrix): bipartite boxes and tree balls (spectrum symmetric about
+# 0, so "LM" has to pick between +rho and -rho), a lazy walk, and gradient
+# forms handed over dense, on both sides of DENSE_EIG_SIZE
+EIG_CASES = {
+    "box8": lambda: _walk_matrix(zoo.grid(2, 8)),
+    "box16": lambda: _walk_matrix(zoo.grid(2, 16)),
+    "box17": lambda: _walk_matrix(zoo.grid(2, 17)),
+    "box24": lambda: _walk_matrix(zoo.grid(2, 24)),
+    "tree4": lambda: _walk_matrix(zoo.regular_tree(4, 4)),
+    "tree5": lambda: _walk_matrix(zoo.regular_tree(4, 5)),
+    "lazy_rgg300": lambda: lazy_srw(zoo.random_geometric(300, 4), 0.12)
+    .symmetric_matrix().tocsr(),
+    "form_box6": lambda: calculus.l2_gradient_form(
+        zoo.grid(2, 6), 1.0).toarray()[1:, 1:],
+    "form_box18": lambda: calculus.l2_gradient_form(
+        zoo.grid(2, 18), 1.0).toarray()[1:, 1:],
+}
+
+
+def test_eig_cases_straddle_the_dense_size():
+    sizes = [make().shape[0] for make in EIG_CASES.values()]
+    assert min(sizes) <= calculus.DENSE_EIG_SIZE < max(sizes)
+    assert calculus.DENSE_EIG_SIZE in sizes     # box16: the last dense size
+
+
+@pytest.mark.parametrize("name", sorted(EIG_CASES))
+def test_symmetric_eig_matches_dense_oracle(name):
+    M = EIG_CASES[name]()
+    dense = M.toarray() if hasattr(M, "toarray") else M
+    w = np.linalg.eigvalsh(dense)
+    for which in ("LA", "SA", "LM"):
+        for k in (1, 2):
+            theta, V, res = calculus.symmetric_eig(M, which, k)
+            assert theta.shape == (k,) and V.shape == (M.shape[0], k)
+            assert np.all(np.diff(theta) >= 0)
+            tol = 1e-12 * np.maximum(1.0, np.abs(theta))
+            if which == "LA":
+                assert np.all(np.abs(theta - w[-k:]) <= tol)
+            elif which == "SA":
+                assert np.all(np.abs(theta - w[:k]) <= tol)
+            else:
+                top = np.sort(np.abs(w))[-k:]
+                assert np.all(np.abs(np.sort(np.abs(theta)) - top) <= tol)
+                gap = np.abs(theta[:, None] - w[None, :]).min(axis=1)
+                assert np.all(gap <= tol)
+            bound = calculus.EIG_RESIDUAL_TOL * np.maximum(1.0, np.abs(theta))
+            direct = np.linalg.norm(dense @ V - V * theta, axis=0)
+            assert np.all(res <= bound) and np.all(direct <= bound)
+            np.testing.assert_allclose(np.linalg.norm(V, axis=0), 1.0,
+                                       rtol=1e-12)
+            again = calculus.symmetric_eig(M, which, k)
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip((theta, V, res), again))
+
+
+def test_symmetric_eig_raises_on_residual_and_nonconvergence(monkeypatch):
+    small = _walk_matrix(zoo.grid(2, 4))
+    large = _walk_matrix(zoo.grid(2, 17))
+    monkeypatch.setattr(calculus, "EIG_RESIDUAL_TOL", 0.0)
+    for M in (small, large):
+        with pytest.raises(ArithmeticError, match="residual"):
+            calculus.symmetric_eig(M, "LA")
+    monkeypatch.undo()
+
+    def stalled(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]),
+                                  np.zeros((large.shape[0], 0)))
+
+    monkeypatch.setattr(calculus, "eigsh", stalled)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        calculus.symmetric_eig(large, "LM")
+    calculus.symmetric_eig(small, "LM")          # the dense path is untouched
 
 
 def test_sandwich_report_holds_across_exponents():

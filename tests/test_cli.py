@@ -1,10 +1,11 @@
 """End-to-end command line checks, driven in-process through cli.main."""
 
 import json
+import math
 
 import pytest
 
-from coarsecalc import cli, zoo
+from coarsecalc import calculus, cli, randomwalk, zoo
 
 
 def _gen_space(tmp_path, name="space.json", family="path", **kw):
@@ -207,3 +208,62 @@ def test_rough_volume_clause_failure_exits_1_with_witness(tmp_path):
     assert witness["status"] == "clause1" and witness["holds"] is False
     assert witness["ratio"] == pytest.approx(10.0)
     assert witness["ratio"] > witness["bound"]
+
+
+def _spectral_run(out, L, op):
+    return cli.run({"space": {"family": "grid", "d": 2, "L": L},
+                    "kernel": {"kind": "pure_srw", "ambient_degree": 4},
+                    "operations": [dict(op, op="spectral_radius")]},
+                   out_dir=str(out))
+
+
+@pytest.mark.parametrize("L,op,side", [
+    (17, {}, 17),                                  # Lanczos path
+    (8, {}, 8),                                    # dense path
+    (8, {"subset": [x * 8 + y for x in range(5) for y in range(5)]}, 5),
+], ids=["whole17", "whole8", "subset5"])
+def test_spectral_radius_through_run(tmp_path, L, op, side):
+    # the nearest-neighbour walk on a side-s box has rho = cos(pi / (s + 1))
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert _spectral_run(out, L, op) == 0
+        assert _manifest(out)["operations"] == [
+            {"op": "spectral_radius", "outcome": "info"}]
+    with open(runs[0] / "00_spectral_radius.json") as fh:
+        art = json.load(fh)
+    assert sorted(art) == ["residual", "rho"]
+    assert art["rho"] == pytest.approx(math.cos(math.pi / (side + 1)),
+                                       abs=1e-12)
+    assert 0 <= art["residual"] <= calculus.EIG_RESIDUAL_TOL
+    names = sorted(p.name for p in runs[0].iterdir())
+    assert names == ["00_spectral_radius.json", "manifest.json"]
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
+def test_spectral_radius_radii_through_run(tmp_path):
+    out = tmp_path / "run"
+    radii = [1.0, 2.0, 4.0, 8.0]
+    assert _spectral_run(out, 8, {"radii": radii, "center": 27}) == 0
+    rows = (out / "00_spectral_radius.csv").read_text().splitlines()
+    assert rows[0] == "radius,rho"
+    rhos = [float(r.split(",")[1]) for r in rows[1:]]
+    space = zoo.grid(2, 8)
+    vp = randomwalk.pure_srw(space, ambient_degree=4)
+    assert rhos == randomwalk.exhaustion_radii(
+        vp, [space.ball(27, r) for r in radii])
+    assert rhos == sorted(rhos)
+    assert rhos[-1] == pytest.approx(math.cos(math.pi / 9), abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [8, 17], ids=["dense", "lanczos"])
+def test_spectral_radius_residual_breach_leaves_witness(tmp_path,
+                                                        monkeypatch, L):
+    monkeypatch.setattr(calculus, "EIG_RESIDUAL_TOL", 0.0)
+    out = tmp_path / "run"
+    assert _spectral_run(out, L, {}) == 1
+    man = _manifest(out)
+    assert man["failures"] == [{"operation": "spectral_radius",
+                                "witness": "00_spectral_radius_witness.json"}]
+    with open(out / "00_spectral_radius_witness.json") as fh:
+        assert "residual" in json.load(fh)["error"]

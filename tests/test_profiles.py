@@ -211,6 +211,23 @@ def test_jp2_isolated_point_sentinel():
     _same_jp2(res, _jp2_oracle(space, 1.0, idx))
 
 
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, np.inf])
+def test_isolated_point_sentinel_for_every_p(p):
+    # point 1 has no other point within 0.25, so 1_{1} has zero gradient;
+    # descent (p = 1.5, 2, 3 on the sup backend) used to report a finite
+    # lower bound for p = 1.5 and 2
+    space = zoo.random_geometric(10, 3)
+    A = np.array([0, 1, 2, 4, 5])
+    with pytest.warns(UserWarning, match="isolated_at_scale"):
+        res = profiles.jp_subset(space, Backend.sup(0.25), A, p, rng=0)
+    assert np.isinf(res.value)
+    assert (res.mode, res.reason) == ("exact", "isolated_at_scale")
+    if res.witness_field is not None:
+        f = res.witness_field
+        assert np.any(f[A] != 0) and not np.any(np.delete(f, A))
+        assert not np.any(calculus.grad_sup(space, f, 0.25))
+
+
 def test_jp2_form_memo_isolation():
     space = zoo.grid(2, 4)
     subsets = _jp2_subsets(space, 1.0, np.random.default_rng(5))

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from coarsecalc import randomwalk, zoo
+from coarsecalc.calculus import EIG_RESIDUAL_TOL
 from coarsecalc.profiles import RateFunction
 from coarsecalc.randomwalk import (
     DecayCurve,
@@ -150,9 +151,9 @@ def test_spectral_radius_of_tree_against_tridiagonal_reduction():
     off = np.array([0.5] + [np.sqrt(3.0) / 4.0] * (depth - 1))
     want = eigvalsh_tridiagonal(np.zeros(depth + 1), off)[-1]
     tree = zoo.regular_tree(4, depth)
-    rho, iters = spectral_radius(pure_srw(tree, ambient_degree=4))
-    assert rho == pytest.approx(want, abs=1e-7)
-    assert iters > 0
+    rho, residual = spectral_radius(pure_srw(tree, ambient_degree=4))
+    assert rho == pytest.approx(want, abs=1e-12)
+    assert 0 <= residual <= EIG_RESIDUAL_TOL
 
 
 def test_lattice_radius_below_one_and_growing():
