@@ -31,6 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from coarsecalc.calculus import (
     dirichlet_eigenvalue, grad_lp, grad_sup, grad_viewpoint, gradient_pairs,
@@ -526,19 +527,28 @@ def _energy_grad(space, backend, p):
 
 def _jp_descent(space, backend, idx, p, rng):
     """Projected subgradient descent on the p-Rayleigh quotient (8 restarts,
-    500 iterations); the reported J is a certified lower bound."""
-    # a point of A related to no other point carries a zero-energy field
+    500 iterations); the reported J is a certified lower bound. A one-point
+    A has a one-dimensional field space, so J_p({x}) is exact."""
+    # points of A that no chain of relation pairs links to the outside
+    # carry a zero-energy field
     indptr, cols = backend.relation_rows(space)
-    rows = np.repeat(np.arange(space.n), np.diff(indptr))
-    lost = np.setdiff1d(idx, np.r_[rows[rows != cols], cols[rows != cols]])
+    rel = csr_matrix((np.ones(cols.size), cols, indptr),
+                     shape=(space.n, space.n))
+    comp = connected_components(rel, directed=False)[1]
+    outside = np.setdiff1d(np.arange(space.n), idx)
+    lost = idx[~np.isin(comp[idx], comp[outside])]
     if lost.size:
         f = np.zeros(space.n)
         f[lost] = 1.0
         return _inf_result("isolated_at_scale", f)
-    rng = np.random.default_rng(0 if rng is None else rng)
     mu = space.measure
     energy_grad = _energy_grad(space, backend, p)
-    outside = np.setdiff1d(np.arange(space.n), idx, assume_unique=False)
+    if idx.size == 1:
+        f = np.zeros(space.n)
+        f[idx] = 1.0
+        value = (mu[idx[0]] / energy_grad(f)[0]) ** (1.0 / p)
+        return JpResult(float(value), "exact", witness_field=f)
+    rng = np.random.default_rng(0 if rng is None else rng)
     best_q, best_f = np.inf, None
     for _ in range(DESCENT_RESTARTS):
         f = np.zeros(space.n)

@@ -176,20 +176,31 @@ class GammaTransform:
 
 
 def gamma_transform(phi, t_grid, v_min=None) -> GammaTransform:
-    """Invert t = integral_{v_min}^{M} phi(v)^2 dv/v and set gamma = 1/M.
+    """Invert t = F(M) = integral_{v_min}^{M} phi(v)^2 dv/v, gamma = 1/M.
 
     With no explicit cutoff the integrand must be integrable at 0: the
     estimated below-cutoff tail has to stay under 1e-6 of the smallest t,
-    otherwise the call errors out demanding an explicit v_min. Bisection is
-    monotone; quadrature is adaptive with relative error 1e-9; the round
-    trip integral reproduces each t to 1e-8 relative.
+    otherwise the call errors out demanding an explicit v_min. Each t is
+    bracketed by lo < M <= hi with F(hi) >= t, then solved by Newton's
+    method in s = log M from hi. dF/ds = phi(e^s)^2 is exact and
+    nondecreasing (phi is), so s -> F(e^s) is convex and Newton from the
+    right of the root decreases monotonically onto it inside [lo, hi];
+    phi(hi) > 0 there since F(hi) >= t > 0. So M stays right of the root,
+    F(M) >= t up to quadrature error, and gamma errs low. Quadrature is
+    adaptive with relative error 1e-9, split at a tabulated rate's kinks;
+    the round trip integral reproduces each t to 1e-8 relative.
     """
     t_grid = np.asarray(sorted(float(t) for t in t_grid))
     if t_grid.size == 0 or t_grid[0] <= 0:
         raise ValueError("t grid must be positive")
+    kinks = phi.params["args"] if phi.kind == "tabulated" else np.empty(0)
 
-    def integrand(v):
-        return phi(v) ** 2 / v
+    def integral(a, b):
+        if b <= a:
+            return 0.0
+        inner = kinks[(kinks > a) & (kinks < b)]
+        return quad(lambda v: phi(v) ** 2 / v, a, b, epsrel=QUAD_RTOL,
+                    limit=400, points=inner if inner.size else None)[0]
 
     auto = v_min is None
     if auto:
@@ -198,14 +209,9 @@ def gamma_transform(phi, t_grid, v_min=None) -> GammaTransform:
     if v_min <= 0:
         raise ValueError("v_min must be > 0")
     # estimate the contribution below the cutoff by geometric extrapolation
-    tail = 0.0
-    pieces = []
-    lo = v_min
-    for _ in range(8):
-        piece = quad(integrand, lo / 2.0, lo, epsrel=QUAD_RTOL, limit=200)[0]
-        pieces.append(piece)
-        tail += piece
-        lo /= 2.0
+    pieces = [integral(v_min / 2.0 ** (k + 1), v_min / 2.0 ** k)
+              for k in range(8)]
+    tail = sum(pieces)
     if pieces[0] > 0 and pieces[-1] > 0:
         ratio = pieces[-1] / pieces[-2] if pieces[-2] > 0 else 1.0
         if ratio < 0.999:
@@ -217,38 +223,30 @@ def gamma_transform(phi, t_grid, v_min=None) -> GammaTransform:
             f"phi^2(v)/v is not integrable near 0 (tail estimate {tail:g}); "
             "pass an explicit v_min cutoff")
 
-    def seg(a, b):
-        if b <= a:
-            return 0.0
-        return quad(integrand, a, b, epsrel=QUAD_RTOL, limit=400)[0]
-
     # March through the sorted t grid keeping a running lower bracket
     # (M_base, F_base) with F_base = integral from v_min to M_base, so each
-    # bisection step only integrates a short segment.
+    # step only integrates a short segment.
     gammas = np.empty(t_grid.size)
     m_base, f_base = v_min, 0.0
     for i, t in enumerate(t_grid):
         lo, f_lo = m_base, f_base
         hi = max(2.0 * lo, 2.0 * v_min)
-        f_hi = f_lo + seg(lo, hi)
+        f_hi = f_lo + integral(lo, hi)
         while f_hi < t:
             lo, f_lo = hi, f_hi
             hi *= 4.0
             if hi > 1e280:
                 raise ValueError(f"t={t:g} unreachable: phi^2/v integral "
                                  "saturates below it")
-            f_hi = f_lo + seg(lo, hi)
+            f_hi = f_lo + integral(lo, hi)
         for _ in range(200):
-            mid = np.sqrt(lo * hi)
-            f_mid = f_lo + seg(lo, mid)
-            if f_mid >= t:
-                hi = mid
-            else:
-                lo, f_lo = mid, f_mid
-            if hi / lo < 1.0 + 1e-12:
+            nxt = hi * np.exp(-(f_hi - t) / phi(hi) ** 2)
+            if hi / nxt < 1.0 + 1e-12:
                 break
-        M = hi
-        got = quad(integrand, v_min, M, epsrel=QUAD_RTOL, limit=400)[0]
+            f_hi -= integral(nxt, hi)
+            hi = nxt
+        M = nxt     # a last step under 1e-12 needs no segment integral
+        got = integral(v_min, M)
         if abs(got - t) > ROUNDTRIP_RTOL * t:
             raise ArithmeticError(f"gamma round-trip failed at t={t:g}: "
                                   f"integral {got!r}")

@@ -267,3 +267,52 @@ def test_spectral_radius_residual_breach_leaves_witness(tmp_path,
                                 "witness": "00_spectral_radius_witness.json"}]
     with open(out / "00_spectral_radius_witness.json") as fh:
         assert "residual" in json.load(fh)["error"]
+
+
+def test_decay_vs_profile_through_run(tmp_path):
+    out = tmp_path / "run"
+    assert cli.run({"space": {"family": "path", "n": 48},
+                    "kernel": {"kind": "lazy_srw", "h": 1.0},
+                    "operations": [{"op": "decay_vs_profile",
+                                    "phi": "power:1", "n": {"max": 48},
+                                    "centers": [24]}]},
+                   out_dir=str(out)) == 0
+    man = _manifest(out)
+    assert man["passed"] is True
+    assert man["operations"] == [{"op": "decay_vs_profile",
+                                  "outcome": "pass"}]
+    assert [a["path"] for a in man["artifacts"]] == [
+        "00_decay_vs_profile.json"]
+    assert man["failures"] == []
+    with open(out / "00_decay_vs_profile.json") as fh:
+        art = json.load(fh)
+    assert art["status"] == "ok"
+    # the diffusive window of a 48-point path keeps n <= (48/4)^2
+    assert art["kept_n"] == list(range(1, 49))
+    assert art["best_c"] > 0
+    assert art["slope_decay"] == pytest.approx(-0.5, abs=0.1)
+
+
+def test_gamma_of_zero_stretch_tabulated_rate_through_run(tmp_path):
+    # phi vanishes up to v = 2; quadrature across that kink used to fail
+    # the round trip, so the run exited 1 with a witness
+    rate = tmp_path / "rate.json"
+    rate.write_text(json.dumps({"args": [1, 2, 4, 8, 100],
+                                "values": [0, 0, 1.5, 3, 20]}))
+    out = tmp_path / "run"
+    op = {"op": "gamma", "phi": "tabulated:rate.json", "v_min": 1e-3,
+          "t": {"min": 1e-2, "max": 1e2, "count": 50}}
+    assert cli.run({"operations": [op]}, out_dir=str(out),
+                   base_dir=str(tmp_path)) == 0
+    man = _manifest(out)
+    assert man["passed"] is True and man["failures"] == []
+    assert man["operations"] == [{"op": "gamma", "outcome": "info"}]
+    assert [a["path"] for a in man["artifacts"]] == ["00_gamma.csv",
+                                                     "00_gamma_meta.json"]
+    rows = (out / "00_gamma.csv").read_text().splitlines()
+    assert rows[0] == "t,gamma" and len(rows) == 51
+    gammas = [float(r.split(",")[1]) for r in rows[1:]]
+    assert all(0 < b < a < 0.5 for a, b in zip(gammas, gammas[1:]))
+    with open(out / "00_gamma_meta.json") as fh:
+        assert json.load(fh) == {"v_min": 1e-3, "tail_estimate": 0.0,
+                                 "phi": "tabulated"}

@@ -228,6 +228,44 @@ def test_isolated_point_sentinel_for_every_p(p):
         assert not np.any(calculus.grad_sup(space, f, 0.25))
 
 
+@pytest.mark.parametrize("p", [1, 1.5, 2, 3, np.inf])
+def test_closed_component_sentinel_for_every_p(p):
+    # points 0 and 2 see only each other at 0.25, so 1_{0,2} has zero
+    # gradient; descent used to report 25,336.8 (p = 2) and 192.9 (p = 1.5)
+    space = zoo.random_geometric(10, 3)
+    A = np.array([0, 2, 4, 5])
+    with pytest.warns(UserWarning, match="isolated_at_scale"):
+        res = profiles.jp_subset(space, Backend.sup(0.25), A, p, rng=0)
+    assert np.isinf(res.value)
+    assert (res.mode, res.reason) == ("exact", "isolated_at_scale")
+    if res.witness_field is not None:
+        f = res.witness_field
+        assert np.any(f[A] != 0) and not np.any(np.delete(f, A))
+        assert not np.any(calculus.grad_sup(space, f, 0.25))
+
+
+@pytest.mark.parametrize("p", [1.5, 2, 3])
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "random_mu"])
+def test_descent_one_point_subset_is_exact(p, unit):
+    # centring a random start zeroed every one-point field, so descent
+    # raised; J_p({x}) = ||1_x||_p / ||grad 1_x||_p exactly
+    space = zoo.grid(2, 4)
+    if not unit:
+        space = space.with_measure(
+            np.random.default_rng(1).uniform(0.5, 2.0, space.n))
+    f = np.zeros(space.n)
+    f[5] = 1.0
+    want = calculus.lp_norm(space, f, p) / calculus.lp_norm(
+        space, calculus.grad_sup(space, f, 1.0), p)
+    res = profiles.jp_subset(space, Backend.sup(1.0), [5], p)
+    assert res.mode == "exact"
+    assert res.value == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(res.witness_field, f)
+    # J_p is monotone in A
+    assert res.value <= profiles.jp_subset(space, Backend.sup(1.0),
+                                           [5, 6], p, rng=0).value
+
+
 def test_jp2_form_memo_isolation():
     space = zoo.grid(2, 4)
     subsets = _jp2_subsets(space, 1.0, np.random.default_rng(5))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
 
 from coarsecalc import randomwalk, zoo
@@ -98,6 +99,65 @@ def test_gamma_transform_linear_closed_form():
 def test_gamma_transform_demands_cutoff_when_divergent():
     with pytest.raises(ValueError, match="v_min"):
         gamma_transform(RateFunction.log_power(1.0, 0.0), [1.0])
+
+
+# phi is zero up to v = 2; quad across the kink at 2 used to miss 1e-9
+ZERO_STRETCH = RateFunction.tabulated([1, 2, 4, 8, 100], [0, 0, 1.5, 3, 20])
+
+
+def _forward(phi, a, b):
+    """Tight-tolerance F = integral_a^b phi(v)^2 dv/v, split at the kinks."""
+    kinks = [k for k in phi.params.get("args", []) if a < k < b]
+    return quad(lambda v: phi(v) ** 2 / v, a, b, epsrel=1e-13, limit=1000,
+                points=kinks or None)[0]
+
+
+@pytest.mark.parametrize("phi,v_min", [
+    (RateFunction.power(0.5), 1e-6),
+    (RateFunction.power(3.0, 0.1), 1e-2),
+    (RateFunction.log_power(1.0, 0.5), 1e-3),
+    (RateFunction.tabulated([0.5, 1, 3, 10], [0.1, 1, 2, 2.5]), 1e-3),
+    (ZERO_STRETCH, 1e-3),
+], ids=["sqrt", "cubic", "log_power", "tabulated", "zero_stretch"])
+def test_gamma_transform_is_on_the_conservative_side(phi, v_min):
+    # Newton in log M approaches the root from the right, so an
+    # independent integral up to M = 1/gamma reaches t: gamma errs low
+    ts = np.geomspace(1e-2, 1e2, 30)
+    g = gamma_transform(phi, ts, v_min=v_min)
+    for t, gam in zip(g.t, g.gamma):
+        assert _forward(phi, v_min, 1.0 / gam) >= t * (1.0 - 1e-9)
+
+
+def test_gamma_transform_log_power_matches_forward_integral():
+    phi = RateFunction.log_power(-0.5, 1.0, 2.0)
+    v_min = 1e-4
+    Ms = np.geomspace(1e-3, 1e5, 17)
+    ts = [_forward(phi, v_min, M) for M in Ms]
+    g = gamma_transform(phi, ts, v_min=v_min)
+    np.testing.assert_allclose(g.gamma, 1.0 / Ms, rtol=1e-9)
+
+
+def test_gamma_transform_zero_stretch_tabulated_rate():
+    # used to raise "gamma round-trip failed at t=0.01"
+    g = gamma_transform(ZERO_STRETCH, np.geomspace(1e-2, 1e2, 50),
+                        v_min=1e-3)
+    assert g.tail_estimate == 0.0
+    assert np.all(1.0 / g.gamma > 2.0)
+    assert np.all(np.diff(g.gamma) < 0)
+
+
+def test_decay_vs_profile_quad_calls_per_grid_point(monkeypatch):
+    # the bisection took about 42 quad calls per t on this call
+    calls = []
+    real = randomwalk.quad
+    monkeypatch.setattr(randomwalk, "quad",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    space = zoo.path(192)
+    rep = randomwalk.decay_vs_profile(space, lazy_srw(space, 1.0),
+                                      RateFunction.power(1.0),
+                                      range(1, 193), centers=[96])
+    assert rep.status == "ok"
+    assert len(calls) <= 12 * 160
 
 
 def test_gamma_interpolation():
