@@ -94,15 +94,27 @@ def grad_viewpoint(vp, f, p):
     if p < 1:
         raise ValueError(f"exponent must be >= 1, got {p}")
     f = _check_field(vp.space, f)
-    out = np.zeros(vp.space.n)
-    for x in range(vp.space.n):
-        sup, dens = vp.row(x)
-        dev = np.abs(f[sup] - f[x])
-        if np.isinf(p):
-            out[x] = dev.max() if sup.size else 0.0
-        else:
-            out[x] = (np.sum(dev ** p * dens * vp.space.measure[sup])
-                      ) ** (1.0 / p)
+    dev = np.abs(_row_deviation(vp.dens, f))
+    if np.isinf(p):
+        return _row_max(vp.dens.indptr, dev)
+    return _row_integral(vp.dens, dev ** p, vp.space.measure) ** (1.0 / p)
+
+
+def _row_deviation(D, f):
+    """f(y) - f(x) at every stored entry (x, y) of the CSR matrix D."""
+    return f[D.indices] - np.repeat(f, np.diff(D.indptr))
+
+
+def _row_integral(D, g, mu):
+    """sum_y g(x, y) D(x, y) mu(y) for every row x; g runs over D's entries."""
+    return csr_matrix((g * D.data, D.indices, D.indptr), shape=D.shape) @ mu
+
+
+def _row_max(indptr, vals):
+    """Largest of vals over each CSR row, 0 on an empty row."""
+    out = np.zeros(indptr.size - 1)
+    full = np.diff(indptr) > 0   # reduceat misreads empty rows
+    out[full] = np.maximum.reduceat(vals, indptr[:-1][full])
     return out
 
 
@@ -124,11 +136,7 @@ class FiberGradient:
         return self.indices[sl], self.values[sl]
 
     def sup_reduction(self):
-        out = np.zeros(self.indptr.size - 1)
-        full = np.diff(self.indptr) > 0   # reduceat misreads empty rows
-        out[full] = np.maximum.reduceat(np.abs(self.values),
-                                        self.indptr[:-1][full])
-        return out
+        return _row_max(self.indptr, np.abs(self.values))
 
     def antisymmetry_defect(self):
         """max over stored pairs of |value(x,y) + value(y,x)| (0 if exact)."""
@@ -165,14 +173,10 @@ def laplacian(vp, f, p=2):
     f = _check_field(vp.space, f)
     if p == 2:
         return f - vp_apply(vp, f)
-    out = np.zeros(vp.space.n)
-    for x in range(vp.space.n):
-        sup, dens = vp.row(x)
-        t = f[x] - f[sup]
-        mag = np.abs(t)
-        term = np.where(mag > 0, mag ** (p - 2) * t, 0.0)
-        out[x] = np.sum(term * dens * vp.space.measure[sup])
-    return out
+    t = -_row_deviation(vp.dens, f)
+    mag = np.abs(t)
+    term = np.where(mag > 0, mag ** (p - 2) * t, 0.0)
+    return _row_integral(vp.dens, term, vp.space.measure)
 
 
 def _require_symmetric(vp, who):
@@ -290,14 +294,9 @@ def p2_energy_identity(vp, f):
     _require_symmetric(vp, "p2_energy_identity")
     f = _check_field(vp.space, f)
     mu = vp.space.measure
-    dens2 = vp.dens @ diags(mu) @ vp.dens
-    lhs = 0.0
-    dens2 = csr_matrix(dens2)
-    for x in range(vp.space.n):
-        sl = slice(dens2.indptr[x], dens2.indptr[x + 1])
-        sup = dens2.indices[sl]
-        dev = f[sup] - f[x]
-        lhs += mu[x] * np.sum(dev * dev * dens2.data[sl] * mu[sup])
+    dens2 = csr_matrix(vp.dens @ diags(mu) @ vp.dens)
+    dev = _row_deviation(dens2, f)
+    lhs = float(mu @ _row_integral(dens2, dev * dev, mu))
     pf = vp_apply(vp, f)
     rhs = float(np.sum(f * f * mu) - np.sum(pf * pf * mu))
     scale = max(abs(lhs), abs(rhs), 1e-300)

@@ -94,30 +94,27 @@ def _write_csv(path, header, rows):
 # ----------------------------------------------------------------------
 # config schema and validation
 
+# a saved space {"file": PATH}, or a zoo family with its parameters
 _SPACE_SCHEMA = {
     "type": "object",
-    "oneOf": [
-        {"required": ["file"],
-         "properties": {"file": {"type": "string"}},
-         "additionalProperties": False},
-        {"required": ["family"],
-         "properties": {
-             "family": {"enum": ["grid", "path", "regular_tree",
-                                 "free_group", "heisenberg",
-                                 "random_geometric"]},
-             "d": {"type": "integer", "minimum": 1},
-             "L": {"type": "integer", "minimum": 2},
-             "metric": {"enum": ["l1", "linf", "l2"]},
-             "n": {"type": "integer", "minimum": 2},
-             "degree": {"type": "integer", "minimum": 3},
-             "depth": {"type": "integer", "minimum": 1},
-             "rank": {"type": "integer", "minimum": 1},
-             "radius": {"type": "integer", "minimum": 1},
-             "seed": {"type": "integer", "minimum": 0},
-             "scale": {"type": "number", "exclusiveMinimum": 0},
-         },
-         "additionalProperties": False},
-    ],
+    "if": {"required": ["file"]},
+    "then": {"properties": {"file": {"type": "string"}},
+             "additionalProperties": False},
+    "else": {"required": ["family"],
+             "properties": {
+                 "family": {"enum": sorted(zoo.FAMILIES)},
+                 "d": {"type": "integer", "minimum": 1},
+                 "L": {"type": "integer", "minimum": 2},
+                 "metric": {"enum": list(zoo.GRID_METRICS)},
+                 "n": {"type": "integer", "minimum": 2},
+                 "degree": {"type": "integer", "minimum": 3},
+                 "depth": {"type": "integer", "minimum": 1},
+                 "rank": {"type": "integer", "minimum": 1},
+                 "radius": {"type": "integer", "minimum": 1},
+                 "seed": {"type": "integer", "minimum": 0},
+                 "scale": {"type": "number", "exclusiveMinimum": 0},
+             },
+             "additionalProperties": False},
 }
 
 _KERNEL_SCHEMA = {
@@ -143,6 +140,19 @@ OP_NAMES = [
     "thicken_support", "transfer_band",
 ]
 
+# keys an operation cannot run without; profile needs volumes unless it
+# has radii
+_OP_NEEDS = {op: {"required": keys} for op, keys in {
+    "certify": ["target"], "decay_vs_profile": ["phi"], "discretize": ["h"],
+    "gamma": ["phi"], "grad": ["field"], "laplacian": ["field"],
+    "nash_check": ["phi"], "pullback_transfer": ["target", "field"],
+    "rough_volume": ["target", "A", "A_target", "u"],
+    "scale_reduction": ["b", "h"], "sobolev_verify": ["phi"],
+    "thicken_support": ["field"], "transfer_band": ["target"],
+}.items()}
+_OP_NEEDS["profile"] = {"if": {"not": {"required": ["radii"]}},
+                        "then": {"required": ["volumes"]}}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["operations"],
@@ -158,7 +168,12 @@ CONFIG_SCHEMA = {
             "minItems": 1,
             "items": {"type": "object",
                       "required": ["op"],
-                      "properties": {"op": {"enum": OP_NAMES}}},
+                      "properties": {"op": {"enum": OP_NAMES},
+                                     "target": _SPACE_SCHEMA},
+                      "allOf": [{"if": {"required": ["op"],
+                                        "properties": {"op": {"const": op}}},
+                                 "then": needs}
+                                for op, needs in _OP_NEEDS.items()]},
         },
     },
     "additionalProperties": False,
@@ -185,11 +200,6 @@ def validate_config(doc):
     if err is not None:
         raise ConfigError(_pointer(err.absolute_path), err.message)
 
-    space = doc.get("space")
-    if space and space.get("family") == "random_geometric" and \
-            "seed" not in space:
-        raise ConfigError("/space/seed",
-                          "random_geometric requires its own seed")
     kernel = doc.get("kernel")
     if kernel:
         if kernel["kind"] in ("standard", "lazy_srw", "random_symmetric") \
@@ -233,6 +243,7 @@ class RunContext:
     kernel: object = None
     rng: object = None
     tolerances: dict = dataclass_field(default_factory=dict)
+    op_pointer: str = "/operations"   # JSON pointer of the running operation
     artifacts: list = dataclass_field(default_factory=list)
     failures: list = dataclass_field(default_factory=list)
 
@@ -276,30 +287,15 @@ class RunContext:
         self.failures.append({"operation": op, "witness": name})
 
 
-def _build_space(spec, base):
-    if "file" in spec:
-        return load_space(Path(base) / spec["file"]
-                          if not Path(spec["file"]).is_absolute()
-                          else spec["file"])
-    fam = spec["family"]
-    if fam == "grid":
-        sp = zoo.grid(spec.get("d", 2), spec["L"],
-                      metric=spec.get("metric", "l1"))
-    elif fam == "path":
-        sp = zoo.path(spec["n"])
-    elif fam == "regular_tree":
-        sp = zoo.regular_tree(spec["degree"], spec["depth"])
-    elif fam == "free_group":
-        sp = zoo.free_group_ball(spec["rank"], spec["radius"])
-    elif fam == "heisenberg":
-        sp = zoo.heisenberg_ball(spec["radius"])
-    elif fam == "random_geometric":
-        sp = zoo.random_geometric(spec["n"], seed=spec["seed"])
-    else:  # unreachable past schema validation
-        raise ConfigError("/space/family", f"unknown family {fam!r}")
-    if "scale" in spec:
-        sp = zoo.scale_metric(sp, spec["scale"])
-    return sp
+def _build_space(spec, base, pointer):
+    """The space a spec names: a saved ``{"file": ...}`` or a zoo family.
+    A spec the space cannot be built from is a ConfigError at pointer."""
+    try:
+        if "file" in spec:
+            return load_space(Path(base) / spec["file"])
+        return zoo.generate(spec)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(pointer, str(exc)) from None
 
 
 def _build_kernel(spec, space, ctx):
@@ -324,18 +320,14 @@ def _fields(ctx, spec, nonneg=False):
         n = ctx.need_space().n
         k = int(spec.split(":", 1)[1])
         out = [ctx.need_rng().standard_normal(n) for _ in range(k)]
-    elif isinstance(spec, str) and spec.startswith("file:"):
-        with open(ctx.resolve(spec.split(":", 1)[1])) as fh:
-            doc = json.load(fh)
-        out = [np.asarray(doc, dtype=float)] if doc and \
-            not isinstance(doc[0], list) else \
-            [np.asarray(row, dtype=float) for row in doc]
-    elif isinstance(spec, list):
-        out = [np.asarray(spec, dtype=float)] if spec and \
-            not isinstance(spec[0], list) else \
-            [np.asarray(row, dtype=float) for row in spec]
     else:
-        raise ConfigError("/operations", f"bad field spec {spec!r}")
+        if isinstance(spec, str) and spec.startswith("file:"):
+            with open(ctx.resolve(spec.split(":", 1)[1])) as fh:
+                spec = json.load(fh)
+        elif not isinstance(spec, list):
+            raise ConfigError(ctx.op_pointer, f"bad field spec {spec!r}")
+        rows = [spec] if spec and not isinstance(spec[0], list) else spec
+        out = [np.asarray(row, dtype=float) for row in rows]
     return [np.abs(f) for f in out] if nonneg else out
 
 
@@ -382,18 +374,25 @@ def _steps(spec, default_max=64):
     return list(range(1, default_max + 1))
 
 
-def _map_array(ctx, spec, space, target):
+def _target_map(ctx, op):
+    """(space, target, F): the run's space, the op's target space and the
+    map into it ("identity", "file:PATH" or an inline list)."""
+    space = ctx.need_space()
+    target = _build_space(op["target"], ctx.base, f"{ctx.op_pointer}/target")
+    spec = op.get("map", "identity")
     if spec == "identity":
         if space.n != target.n:
-            raise ConfigError("/operations",
+            raise ConfigError(f"{ctx.op_pointer}/map",
                               "identity map needs equal point counts")
-        return np.arange(space.n)
-    if isinstance(spec, str) and spec.startswith("file:"):
+        F = np.arange(space.n)
+    elif isinstance(spec, str) and spec.startswith("file:"):
         with open(ctx.resolve(spec.split(":", 1)[1])) as fh:
-            return np.asarray(json.load(fh), dtype=np.int64)
-    if isinstance(spec, list):
-        return np.asarray(spec, dtype=np.int64)
-    raise ConfigError("/operations", f"bad map spec {spec!r}")
+            F = np.asarray(json.load(fh), dtype=np.int64)
+    elif isinstance(spec, list):
+        F = np.asarray(spec, dtype=np.int64)
+    else:
+        raise ConfigError(f"{ctx.op_pointer}/map", f"bad map spec {spec!r}")
+    return space, target, F
 
 
 # ----------------------------------------------------------------------
@@ -721,9 +720,7 @@ def _op_spectral_radius(ctx, op, tag):
 
 
 def _op_certify(ctx, op, tag):
-    space = ctx.need_space()
-    target = _build_space(op["target"], ctx.base)
-    F = _map_array(ctx, op.get("map", "identity"), space, target)
+    space, target, F = _target_map(ctx, op)
     cert = coarse.certify_lse(space, target, F,
                               r_grid=[float(r) for r in op.get("radii", [])])
     ctx.emit_json(f"{tag}.json", cert.to_dict(), "certify",
@@ -752,9 +749,7 @@ def _op_discretize(ctx, op, tag):
 
 
 def _op_pullback_transfer(ctx, op, tag):
-    space = ctx.need_space()
-    target = _build_space(op["target"], ctx.base)
-    F = _map_array(ctx, op.get("map", "identity"), space, target)
+    space, target, F = _target_map(ctx, op)
     cert = coarse.certify_lse(space, target, F,
                               r_grid=[float(r) for r in op.get("radii", [])])
     f_target = _fields(ctx, op["field"])[0]
@@ -772,9 +767,7 @@ def _op_pullback_transfer(ctx, op, tag):
 
 
 def _op_transfer_band(ctx, op, tag):
-    space = ctx.need_space()
-    target = _build_space(op["target"], ctx.base)
-    F = _map_array(ctx, op.get("map", "identity"), space, target)
+    space, target, F = _target_map(ctx, op)
     cert = coarse.certify_lse(space, target, F,
                               r_grid=[float(r) for r in op.get("radii", [])])
     if not cert.ok:
@@ -820,9 +813,7 @@ def _op_thicken_support(ctx, op, tag):
 
 
 def _op_rough_volume(ctx, op, tag):
-    space = ctx.need_space()
-    target = _build_space(op["target"], ctx.base)
-    F = _map_array(ctx, op.get("map", "identity"), space, target)
+    space, target, F = _target_map(ctx, op)
     rep = coarse.rough_volume_check(
         space, target, F, space.subset(op["A"]),
         target.subset(op["A_target"]), float(op["u"]))
@@ -921,26 +912,27 @@ def run(config, out_dir=None, base_dir=".") -> int:
         return 2
 
     out = Path(out_dir or config.get("out", "coarsecalc_out"))
-    out.mkdir(parents=True, exist_ok=True)
     ctx = RunContext(out=out, base=Path(base_dir),
                      tolerances=config.get("tolerances", {}))
     if "seed" in config:
         ctx.rng = np.random.default_rng(int(config["seed"]))
     try:
         if "space" in config:
-            ctx.space = _build_space(config["space"], ctx.base)
+            ctx.space = _build_space(config["space"], ctx.base, "/space")
         if "kernel" in config:
             ctx.kernel = _build_kernel(config["kernel"], ctx.need_space(),
                                        ctx)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
+    out.mkdir(parents=True, exist_ok=True)
 
     all_passed = True
     statuses = []
     for i, op in enumerate(config["operations"]):
         name = op["op"]
         tag = f"{i:02d}_{name}"
+        ctx.op_pointer = f"/operations/{i}"
         try:
             outcome = OP_TABLE[name](ctx, op, tag)
         except ConfigError as exc:
@@ -1053,12 +1045,10 @@ def build_parser():
     z = sub.add_parser("zoo", help="generate and inspect spaces")
     zs = z.add_subparsers(dest="action", required=True)
     zg = zs.add_parser("generate")
-    zg.add_argument("--family", required=True,
-                    choices=["grid", "path", "regular_tree", "free_group",
-                             "heisenberg", "random_geometric"])
+    zg.add_argument("--family", required=True, choices=sorted(zoo.FAMILIES))
     zg.add_argument("--d", type=int, default=None)
     zg.add_argument("--L", type=int, default=None)
-    zg.add_argument("--metric", default=None, choices=["l1", "linf", "l2"])
+    zg.add_argument("--metric", default=None, choices=zoo.GRID_METRICS)
     zg.add_argument("--n", type=int, default=None)
     zg.add_argument("--degree", type=int, default=None)
     zg.add_argument("--depth", type=int, default=None)
@@ -1176,16 +1166,12 @@ def build_parser():
 
 def _cmd_zoo(args):
     if args.action == "generate":
-        spec = {"family": args.family}
-        for key in ("d", "L", "metric", "n", "degree", "depth", "rank",
-                    "radius", "seed", "scale"):
-            val = getattr(args, key, None)
-            if val is not None:
-                spec[key] = val
+        spec = {key: val for key, val in vars(args).items()
+                if val is not None and key not in ("command", "action", "out")}
         try:
-            space = _build_space(spec, ".")
-        except (ConfigError, KeyError, TypeError) as exc:
-            print(f"config error at /space: {exc}", file=sys.stderr)
+            space = _build_space(spec, ".", "/space")
+        except ConfigError as exc:
+            print(exc, file=sys.stderr)
             return 2
         save_space(space, args.out)
         print(f"{space.name}: {space.n} points, total measure "

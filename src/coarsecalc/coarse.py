@@ -258,14 +258,6 @@ class TransferReport:
     detail: dict = dataclass_field(default_factory=dict)
 
 
-def _level_measure(measure, values, ts, strict):
-    out = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        sel = values > t if strict else values >= t
-        out[i] = measure[sel].sum()
-    return out
-
-
 def pullback_transfer_report(space, target, F, cert, f_target, h,
                              p=2, q=2) -> TransferReport:
     """Measured constants for the three pullback comparison lemmas.

@@ -4,6 +4,8 @@ Every generator returns a :class:`~coarsecalc.space.MetricMeasureSpace` with
 unit counting measure. Group balls carry the word metric of the documented
 generating set (not the graph metric of the induced subgraph, which can
 differ when geodesics leave the ball); trees carry their graph metric.
+``generate`` builds any family of ``FAMILIES`` from a spec dict; the
+command line builds every family space through it.
 
 Generating sets
 ---------------
@@ -19,70 +21,14 @@ seeds give bit-identical spaces on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
-from coarsecalc.space import MetricMeasureSpace, load_space
+from coarsecalc.space import MetricMeasureSpace
 
 # Vertex-count guard for tree / group ball generators.
 MAX_POINTS = 2_000_000
 
-_GRID_METRICS = ("l1", "l2", "linf")
-
-
-@dataclass(frozen=True)
-class SpaceSpec:
-    """Parameters selecting one benchmark space.
-
-    Only the fields relevant to ``family`` need to be set; ``generate``
-    rejects out-of-range values. ``seed`` is mandatory for random families.
-    """
-
-    family: str
-    d: Optional[int] = None
-    L: Optional[int] = None
-    rank: Optional[int] = None
-    degree: Optional[int] = None
-    depth: Optional[int] = None
-    n: Optional[int] = None
-    radius: Optional[int] = None
-    metric: Optional[str] = None
-    seed: Optional[int] = None
-    path: Optional[str] = None
-
-
-def generate(spec: SpaceSpec) -> MetricMeasureSpace:
-    """Build the space selected by ``spec``; deterministic given the spec."""
-    fam = spec.family
-    if fam == "grid":
-        return grid(_need(spec, "d"), _need(spec, "L"), spec.metric or "l1")
-    if fam == "free_group":
-        return free_group_ball(_need(spec, "rank"), _need(spec, "radius"))
-    if fam == "regular_tree":
-        return regular_tree(_need(spec, "degree"), _need(spec, "depth"))
-    if fam == "heisenberg":
-        return heisenberg_ball(_need(spec, "radius"))
-    if fam == "random_geometric":
-        if spec.seed is None:
-            raise ValueError("random_geometric requires a seed")
-        return random_geometric(_need(spec, "n"), spec.seed)
-    if fam == "file":
-        if not spec.path:
-            raise ValueError("file family requires a path")
-        return load_space(spec.path)
-    raise ValueError(f"unknown family {fam!r}")
-
-
-def _need(spec, field):
-    v = getattr(spec, field)
-    if v is None:
-        raise ValueError(f"family {spec.family!r} requires parameter {field!r}")
-    return v
-
-
-# ----------------------------------------------------------------------
+GRID_METRICS = ("l1", "l2", "linf")
 
 
 def grid(d, L, metric="l1") -> MetricMeasureSpace:
@@ -94,8 +40,8 @@ def grid(d, L, metric="l1") -> MetricMeasureSpace:
     d, L = int(d), int(L)
     if d < 1 or L < 1:
         raise ValueError(f"grid needs d >= 1 and L >= 1, got d={d}, L={L}")
-    if metric not in _GRID_METRICS:
-        raise ValueError(f"grid metric must be one of {_GRID_METRICS}, "
+    if metric not in GRID_METRICS:
+        raise ValueError(f"grid metric must be one of {GRID_METRICS}, "
                          f"got {metric!r}")
     n = L ** d
     if n > MAX_POINTS:
@@ -270,3 +216,40 @@ def scale_metric(space, factor) -> MetricMeasureSpace:
                                   p_norm=space._p_norm, meta=meta)
     return MetricMeasureSpace(space.n, space.measure, name, "dense",
                               dense=space._dense * factor, meta=meta)
+
+
+# family name -> (builder, required parameters, optional parameters with
+# their defaults); a spec names a family and its parameters
+FAMILIES = {
+    "grid": (grid, ("L",), {"d": 2, "metric": "l1"}),
+    "path": (path, ("n",), {}),
+    "regular_tree": (regular_tree, ("degree", "depth"), {}),
+    "free_group": (free_group_ball, ("rank", "radius"), {}),
+    "heisenberg": (heisenberg_ball, ("radius",), {}),
+    "random_geometric": (random_geometric, ("n", "seed"), {}),
+}
+
+
+def generate(spec) -> MetricMeasureSpace:
+    """Build the space a spec dict names, e.g. ``{"family": "grid", "L": 8}``.
+
+    An optional ``"scale"`` multiplies every distance (``scale_metric``).
+    Raises ValueError for an unknown family, a missing parameter or a
+    parameter the family does not take; deterministic given the spec.
+    """
+    params = dict(spec)
+    family = params.pop("family", None)
+    scale = params.pop("scale", None)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of "
+                         f"{sorted(FAMILIES)}")
+    build, required, optional = FAMILIES[family]
+    for key in required:
+        if key not in params:
+            raise ValueError(f"family {family!r} requires parameter {key!r}")
+    for key in sorted(params):
+        if key not in required and key not in optional:
+            raise ValueError(f"family {family!r} does not take parameter "
+                             f"{key!r}")
+    space = build(**{**optional, **params})
+    return space if scale is None else scale_metric(space, scale)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from coarsecalc import calculus, zoo
@@ -227,3 +228,72 @@ def test_fiber_gradient_consistency():
     assert fg.antisymmetry_defect() == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(fg.sup_reduction(),
                                calculus.grad_sup(space, f, 1.0), atol=1e-12)
+
+
+# Per-point loops over kernel rows: the oracle for the CSR reductions in
+# grad_viewpoint, laplacian (p != 2) and p2_energy_identity.
+def _loop_grad(vp, f, p):
+    out = np.zeros(vp.space.n)
+    for x in range(vp.space.n):
+        sup, dens = vp.row(x)
+        dev = np.abs(f[sup] - f[x])
+        if np.isinf(p):
+            out[x] = dev.max() if sup.size else 0.0
+        else:
+            out[x] = np.sum(dev ** p * dens * vp.space.measure[sup]) ** (1 / p)
+    return out
+
+
+def _loop_laplacian(vp, f, p):
+    out = np.zeros(vp.space.n)
+    for x in range(vp.space.n):
+        sup, dens = vp.row(x)
+        t = f[x] - f[sup]
+        mag = np.abs(t)
+        term = np.where(mag > 0, mag ** (p - 2) * t, 0.0)
+        out[x] = np.sum(term * dens * vp.space.measure[sup])
+    return out
+
+
+def _loop_two_step_lhs(vp, f):
+    mu = vp.space.measure
+    dens2 = csr_matrix(vp.dens @ diags(mu) @ vp.dens)
+    lhs = 0.0
+    for x in range(vp.space.n):
+        sl = slice(dens2.indptr[x], dens2.indptr[x + 1])
+        sup = dens2.indices[sl]
+        dev = f[sup] - f[x]
+        lhs += mu[x] * np.sum(dev * dev * dens2.data[sl] * mu[sup])
+    return lhs
+
+
+def _close(a, b):
+    """Agreement to 1e-13 relative to the largest entry."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return np.abs(a - b).max() <= 1e-13 * max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("make,h", [
+    (lambda: zoo.path(12), 1.0), (lambda: zoo.grid(2, 5), 1.0),
+    (lambda: zoo.regular_tree(3, 3), 1.0),
+    (lambda: zoo.random_geometric(40, 3), 0.3)],
+    ids=["path", "grid", "tree", "rgg"])
+@pytest.mark.parametrize("measure", ["unit", "random"])
+def test_kernel_reductions_match_row_loops(make, h, measure):
+    rng = np.random.default_rng(17)
+    space = make()
+    if measure == "random":
+        space = space.with_measure(rng.uniform(0.5, 2.0, space.n))
+    for vp in (lazy_srw(space, h), standard_viewpoint(space, h),
+               random_symmetric_viewpoint(space, h, rng)):
+        f = rng.standard_normal(space.n)
+        for p in (1, 1.5, 2, 3, np.inf):
+            assert _close(calculus.grad_viewpoint(vp, f, p),
+                          _loop_grad(vp, f, p)), (vp.kind, p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for p in (1.5, 3):
+                assert _close(calculus.laplacian(vp, f, p),
+                              _loop_laplacian(vp, f, p)), (vp.kind, p)
+        if calculus.is_symmetric(vp).symmetric:
+            assert _close(calculus.p2_energy_identity(vp, f)[0],
+                          _loop_two_step_lhs(vp, f)), vp.kind

@@ -101,6 +101,21 @@ def test_unknown_operation_is_located_by_pointer(tmp_path, capsys):
     assert cli.main(["calc", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "config error at /" in err and "'jobs'" in err
+    # an operation missing a key it cannot run without stops the run
+    # before anything is written
+    out = tmp_path / "run"
+    for op, key in [({"op": "grad"}, "field"),
+                    ({"op": "sobolev_verify"}, "phi"),
+                    ({"op": "discretize"}, "h"),
+                    ({"op": "profile", "p": 2, "backend": "lp:1"}, "volumes"),
+                    ({"op": "certify"}, "target")]:
+        cfg.write_text(json.dumps({"space": {"family": "grid", "L": 3},
+                                   "operations": [{"op": "cheeger"}, op]}))
+        assert cli.main(["calc", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error at /operations/1:")
+        assert f"'{key}'" in err and not out.exists()
 
 
 def test_random_fields_without_seed_rejected(tmp_path, capsys):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from coarsecalc import zoo
-from coarsecalc.zoo import SpaceSpec
+from coarsecalc import cli, zoo
+from coarsecalc.space import save_space
 
 
 def test_grid_shape_and_measure():
@@ -79,19 +79,104 @@ def test_scale_metric():
 
 
 def test_generate_dispatch():
-    g = zoo.generate(SpaceSpec(family="grid", d=2, L=3, metric="linf"))
+    g = zoo.generate({"family": "grid", "d": 2, "L": 3, "metric": "linf"})
     assert g.n == 9
-    t = zoo.generate(SpaceSpec(family="regular_tree", degree=3, depth=2))
+    t = zoo.generate({"family": "regular_tree", "degree": 3, "depth": 2})
     assert t.n == 10
+    # d and metric are optional for grids, and scale stretches any family
+    assert zoo.generate({"family": "grid", "L": 3}).dist(0, 4) == 2.0
+    s = zoo.generate({"family": "path", "n": 5, "scale": 2.0})
+    assert s.dist(0, 4) == pytest.approx(8.0)
 
 
-def test_generate_errors():
-    with pytest.raises(ValueError, match="seed"):
-        zoo.generate(SpaceSpec(family="random_geometric", n=10))
-    with pytest.raises(ValueError, match="requires parameter"):
-        zoo.generate(SpaceSpec(family="grid", d=2))
+# One valid spec per family, plus a scaled one: every route that builds a
+# space from a spec must save the same bytes.
+ROUTE_SPECS = [
+    {"family": "grid", "L": 3},
+    {"family": "grid", "d": 1, "L": 4, "metric": "linf"},
+    {"family": "path", "n": 5},
+    {"family": "regular_tree", "degree": 3, "depth": 2},
+    {"family": "free_group", "rank": 2, "radius": 2},
+    {"family": "heisenberg", "radius": 1},
+    {"family": "random_geometric", "n": 12, "seed": 4},
+    {"family": "random_geometric", "n": 12, "seed": 4, "scale": 2.5},
+]
+
+# Malformed specs and the name every route's error must quote.
+BAD_SPECS = [
+    ({"family": "hyperbolic_plane", "n": 4}, "'hyperbolic_plane'"),
+    ({"family": "grid"}, "'L'"),
+    ({"family": "path"}, "'n'"),
+    ({"family": "random_geometric", "n": 10}, "'seed'"),
+    ({"family": "grid", "L": 3, "degree": 9}, "'degree'"),
+]
+
+
+def _zoo_generate_argv(spec, out):
+    argv = ["zoo", "generate", "--out", str(out)]
+    for key, val in spec.items():
+        argv += [f"--{key}", str(val)]
+    return argv
+
+
+def _exit_code(argv):
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:          # argparse rejects a bad choice
+        return exc.code
+
+
+def test_every_family_is_in_the_route_table():
+    assert {spec["family"] for spec in ROUTE_SPECS} == set(zoo.FAMILIES)
+
+
+@pytest.mark.parametrize("spec", ROUTE_SPECS,
+                         ids=[f"{s['family']}{i}" for i, s in
+                              enumerate(ROUTE_SPECS)])
+def test_every_route_saves_the_same_space(spec, tmp_path, monkeypatch):
+    built = {}
+    real = cli._build_space
+
+    def record(spec, base, pointer):
+        built[pointer] = real(spec, base, pointer)
+        return built[pointer]
+
+    monkeypatch.setattr(cli, "_build_space", record)
+    save_space(zoo.generate(spec), tmp_path / "zoo.json")
+    assert cli.main(_zoo_generate_argv(spec, tmp_path / "cli.json")) == 0
+    assert cli.run({"space": spec, "operations": [
+        {"op": "certify", "target": spec}]},
+        out_dir=str(tmp_path / "run")) == 0
+    assert sorted(built) == ["/operations/0/target", "/space"]
+    for pointer, space in built.items():
+        save_space(space, tmp_path / "built.json")
+        assert (tmp_path / "built.json").read_bytes() == \
+            (tmp_path / "zoo.json").read_bytes(), pointer
+    assert (tmp_path / "cli.json").read_bytes() == \
+        (tmp_path / "zoo.json").read_bytes()
+
+
+def test_generate_errors(tmp_path, capsys):
+    for spec, name in BAD_SPECS:
+        with pytest.raises(ValueError, match=name):
+            zoo.generate(spec)
+        assert _exit_code(_zoo_generate_argv(spec, tmp_path / "x.json")) == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+        assert cli.run({"space": spec, "operations": [{"op": "cheeger"}]},
+                       out_dir=str(tmp_path / "run")) == 2
+        assert cli.run({"space": {"family": "path", "n": 4}, "operations": [
+            {"op": "certify", "target": spec}]},
+            out_dir=str(tmp_path / "op_run")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("config error at /space") and name in err[0]
+        assert err[1].startswith("config error at /operations/0/target")
+        assert name in err[1] and "Traceback" not in "".join(err)
+        assert not (tmp_path / "run").exists()
+    with pytest.raises(ValueError, match="requires parameter 'seed'"):
+        zoo.generate({"family": "random_geometric", "n": 10})
     with pytest.raises(ValueError, match="unknown family"):
-        zoo.generate(SpaceSpec(family="hyperbolic_plane"))
+        zoo.generate({"family": "hyperbolic_plane"})
 
 
 def test_point_count_guard():
