@@ -185,6 +185,7 @@ class ConfigError(Exception):
 
     def __init__(self, pointer, message):
         self.pointer = pointer or "/"
+        self.message = message
         super().__init__(f"config error at {self.pointer}: {message}")
 
 
@@ -299,19 +300,26 @@ def _build_space(spec, base, pointer):
 
 
 def _build_kernel(spec, space, ctx):
+    """The kernel a spec names. A file that cannot be read or does not
+    hold a kernel of the space is a ConfigError at /kernel/path, a kernel
+    the other parameters cannot build one at /kernel."""
     kind = spec["kind"]
-    if kind == "standard":
-        return viewpoint.standard_viewpoint(space, spec["h"])
-    if kind == "lazy_srw":
-        return randomwalk.lazy_srw(space, spec["h"])
-    if kind == "pure_srw":
-        return randomwalk.pure_srw(space,
-                                   ambient_degree=spec.get("ambient_degree"),
-                                   step=spec.get("step", 1.0))
-    if kind == "random_symmetric":
-        return viewpoint.random_symmetric_viewpoint(space, spec["h"],
-                                                    ctx.need_rng())
-    return viewpoint.load_viewpoint(ctx.resolve(spec["path"]), space)
+    try:
+        if kind == "standard":
+            return viewpoint.standard_viewpoint(space, spec["h"])
+        if kind == "lazy_srw":
+            return randomwalk.lazy_srw(space, spec["h"])
+        if kind == "pure_srw":
+            return randomwalk.pure_srw(
+                space, ambient_degree=spec.get("ambient_degree"),
+                step=spec.get("step", 1.0))
+        if kind == "random_symmetric":
+            return viewpoint.random_symmetric_viewpoint(space, spec["h"],
+                                                        ctx.need_rng())
+        return viewpoint.load_viewpoint(ctx.resolve(spec["path"]), space)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("/kernel/path" if kind == "file" else "/kernel",
+                          str(exc)) from None
 
 
 def _fields(ctx, spec, nonneg=False):
@@ -903,7 +911,9 @@ def run(config, out_dir=None, base_dir=".") -> int:
 
     Operations run sequentially; assertion failures do not stop the run
     (each writes its witness), so one invocation reports everything it
-    can. The manifest is written last and lists every artifact.
+    can. The manifest is written last and lists every artifact. A config
+    error met while an operation runs stops the run with exit code 2; the
+    manifest then lists what ran and records the error.
     """
     try:
         validate_config(config)
@@ -937,6 +947,8 @@ def run(config, out_dir=None, base_dir=".") -> int:
             outcome = OP_TABLE[name](ctx, op, tag)
         except ConfigError as exc:
             print(exc, file=sys.stderr)
+            _write_manifest(out, config, statuses, ctx, False, {
+                "pointer": exc.pointer, "message": exc.message})
             return 2
         except (AssertionError, ArithmeticError, ValueError) as exc:
             ctx.fail(f"{tag}_witness.json", name, {"error": str(exc)})
@@ -948,10 +960,17 @@ def run(config, out_dir=None, base_dir=".") -> int:
         if outcome is False:
             all_passed = False
 
+    _write_manifest(out, config, statuses, ctx, all_passed)
+    return 0 if all_passed else 1
+
+
+def _write_manifest(out, config, statuses, ctx, passed, config_error=None):
+    """manifest.json: the operations run, their outcomes and artifacts; a
+    run stopped by a config error also records its pointer and message."""
     manifest = {
         "tool": "coarsecalc",
         "version": VERSION,
-        "passed": all_passed,
+        "passed": passed,
         "config": _jsonable(config),
         "operations": [{"op": n, "outcome":
                         ("info" if s is None else ("pass" if s else "fail"))}
@@ -959,9 +978,10 @@ def run(config, out_dir=None, base_dir=".") -> int:
         "artifacts": ctx.artifacts,
         "failures": ctx.failures,
     }
+    if config_error is not None:
+        manifest["config_error"] = config_error
     _write_json(out / "manifest.json", manifest)
     print(f"manifest: {out / 'manifest.json'}")
-    return 0 if all_passed else 1
 
 
 # ----------------------------------------------------------------------

@@ -485,50 +485,76 @@ def _jp_inf(space, backend, idx):
 
 
 def _energy_grad(space, backend, p):
-    """f -> (||grad f||_p^p, a subgradient of it in f) for the backend."""
+    """F -> (e, G) for a stack F of fields, one per row: e[r] is
+    ||grad F[r]||_p^p and G[r] a subgradient of it in F[r]. Every row block
+    that is summed is C-contiguous and every row is summed on its own, so a
+    row's result is the same bits whatever else is in the stack."""
     mu = space.measure
+    n = space.n
     pw = backend.pair_weights(space)
     if pw is not None:
         rows, cols, w = pw
         keep = rows != cols
+        ends = np.concatenate((rows[keep], cols[keep]))
 
-        def energy_grad(f):
-            diff = f[rows] - f[cols]
+        def energy_grad(F):
+            diff = np.take(F, rows, axis=1) - np.take(F, cols, axis=1)
             mag = np.abs(diff)
-            e = float(np.sum(w * mag ** p))
+            e = np.sum(w * mag ** p, axis=1)
             term = np.where(mag > 0, p * w * mag ** (p - 2) * diff, 0.0)
-            g = np.zeros(space.n)
-            np.add.at(g, rows[keep], term[keep])
-            np.add.at(g, cols[keep], -term[keep])
-            return e, g
+            term = term[:, keep]
+            # per row, the pairs' first ends in pair order, then their
+            # second ends: np.add.at's order on one field
+            flat = (n * np.arange(F.shape[0]))[:, None] + ends
+            G = np.bincount(flat.ravel(),
+                            np.concatenate((term, -term), axis=1).ravel(),
+                            minlength=F.size)
+            return e, G.reshape(F.shape)
     else:
         indptr, cols = backend.relation_rows(space)
-        counts = np.diff(indptr)
+        src = np.repeat(np.arange(n), np.diff(indptr))
         at = np.arange(cols.size)
 
-        def energy_grad(f):
+        def energy_grad(F):
             # row maxima at the first y reaching them (argmax's tie rule);
             # sums run in point order, the gradient's as x, y, x, y, ...
-            d = np.abs(f[cols] - np.repeat(f, counts))
-            m = np.maximum.reduceat(d, indptr[:-1])
+            R = F.shape[0]
+            D = np.abs(np.take(F, cols, axis=1) - np.take(F, src, axis=1))
+            M = np.maximum.reduceat(D, indptr[:-1], axis=1)
             first = np.minimum.reduceat(
-                np.where(d == np.repeat(m, counts), at, cols.size),
-                indptr[:-1])
-            e = np.cumsum(mu * m ** p)[-1]
-            x = np.flatnonzero(m > 0)
-            y = cols[first[x]]
-            s = mu[x] * p * m[x] ** (p - 1) * np.sign(f[x] - f[y])
-            g = np.zeros(space.n)
-            np.add.at(g, np.column_stack((x, y)).ravel(),
-                      np.column_stack((s, -s)).ravel())
-            return float(e), g
+                np.where(D == np.take(M, src, axis=1), at, cols.size),
+                indptr[:-1], axis=1)
+            e = np.cumsum(mu * M ** p, axis=1)[:, -1]
+            # flat (x, y) pairs and their terms, x in order within a row
+            ends = np.empty((R, n, 2), dtype=np.int64)
+            ends[:, :, 0] = np.arange(n)
+            ends[:, :, 1] = cols[first]
+            ends += (n * np.arange(R))[:, None, None]
+            S = np.empty((R, n, 2))
+            S[:, :, 0] = mu * p * M ** (p - 1) * np.sign(
+                F - np.take(F, ends[:, :, 1]))
+            np.negative(S[:, :, 0], out=S[:, :, 1])
+            moved = M > 0
+            G = np.bincount(ends[moved].ravel(), S[moved].ravel(),
+                            minlength=F.size)
+            return e, G.reshape(F.shape)
     return energy_grad
 
 
 def _jp_descent(space, backend, idx, p, rng):
-    """Projected subgradient descent on the p-Rayleigh quotient (8 restarts,
-    500 iterations); the reported J is a certified lower bound. A one-point
-    A has a one-dimensional field space, so J_p({x}) is exact."""
+    """Projected subgradient descent on the p-Rayleigh quotient; the
+    reported J is a certified lower bound. A one-point A has a
+    one-dimensional field space, so J_p({x}) is exact.
+
+    The DESCENT_RESTARTS random starts (one normal draw of shape (R, |A|))
+    advance together as the rows of one array, each for up to
+    DESCENT_ITERS steps, and each step's closing energy and subgradient
+    open the next step. A restart stops on its own: on a zero subgradient
+    or field, or after more than 20 steps that move its quotient by under
+    DESCENT_TOL. The result is that of running the restarts one after
+    another: the best quotient by strict <, so the earliest restart and
+    step win a tie, and a zero energy returns the field of the
+    lowest-numbered restart that reaches it, at its first such step."""
     # points of A that no chain of relation pairs links to the outside
     # carry a zero-energy field
     indptr, cols = backend.relation_rows(space)
@@ -546,50 +572,81 @@ def _jp_descent(space, backend, idx, p, rng):
     if idx.size == 1:
         f = np.zeros(space.n)
         f[idx] = 1.0
-        value = (mu[idx[0]] / energy_grad(f)[0]) ** (1.0 / p)
+        value = (mu[idx[0]] / energy_grad(f[None])[0][0]) ** (1.0 / p)
         return JpResult(float(value), "exact", witness_field=f)
+
+    def norms(F):
+        # lp_norm row by row: an array ** 0.5 would take numpy's sqrt path
+        s = np.sum(np.abs(F) ** p * mu, axis=1)
+        return np.array([t ** (1.0 / p) for t in s])
+
     rng = np.random.default_rng(0 if rng is None else rng)
-    best_q, best_f = np.inf, None
-    for _ in range(DESCENT_RESTARTS):
-        f = np.zeros(space.n)
-        f[idx] = rng.normal(size=idx.size)
-        f[idx] -= np.average(f[idx], weights=mu[idx])
-        norm = lp_norm(space, f, p)
-        if norm == 0:
-            continue
-        f /= norm
-        stall, last = 0, np.inf
-        for it in range(DESCENT_ITERS):
-            e, ge = energy_grad(f)
-            if e <= 1e-18:
-                return _inf_result("isolated_at_scale", f.copy())
-            gn = p * mu * np.abs(f) ** (p - 1) * np.sign(f)
-            d = ge - e * gn      # subgradient of e/norm^p at norm = 1
-            d[outside] = 0.0
-            nd = np.linalg.norm(d)
-            if nd == 0:
-                break
-            f = f - (0.2 / (1.0 + 0.02 * it)) * d / nd
-            f[outside] = 0.0
-            norm = lp_norm(space, f, p)
-            if norm == 0:
-                break
-            f /= norm
-            q = energy_grad(f)[0]
-            if q < best_q:
-                best_q, best_f = q, f.copy()
-            if abs(last - q) < DESCENT_TOL * max(1.0, q):
-                stall += 1
-                if stall > 20:
-                    break
-            else:
-                stall = 0
-            last = q
-    if best_f is None:
+    drawn = rng.bit_generator.state
+    Z = rng.normal(size=(DESCENT_RESTARTS, idx.size))
+    # centred as a C-contiguous block: F[:, idx] comes back in F order,
+    # whose row sums would not be a single field's
+    Z -= np.average(Z, axis=1, weights=mu[idx])[:, None]
+    F = np.zeros((DESCENT_RESTARTS, space.n))
+    F[:, idx] = Z
+    norm = norms(F)
+    ids = np.flatnonzero(norm != 0)          # restart numbers, ascending
+    F = F[ids] / norm[ids, None]
+    best_q = np.full(DESCENT_RESTARTS, np.inf)
+    best_f = np.zeros((DESCENT_RESTARTS, space.n))
+    stall = np.zeros(ids.size, dtype=np.int64)
+    last = np.full(ids.size, np.inf)
+    inf_f, inf_id = None, DESCENT_RESTARTS
+    E, G = energy_grad(F)
+    for it in range(DESCENT_ITERS):
+        zero = np.flatnonzero(E <= 1e-18)
+        if zero.size:
+            # restarts after the first to reach zero energy would not run
+            inf_f, inf_id = F[zero[0]].copy(), ids[zero[0]]
+            go = ids < inf_id
+            F, E, G, ids, stall, last = (
+                a[go] for a in (F, E, G, ids, stall, last))
+        if not ids.size:
+            break
+        gn = p * mu * np.abs(F) ** (p - 1) * np.sign(F)
+        D = G - E[:, None] * gn     # subgradient of e/norm^p at norm = 1
+        D[:, outside] = 0.0
+        nd = np.sqrt([d.dot(d) for d in D])   # np.linalg.norm, row by row
+        go = nd != 0
+        if not go.all():
+            F, D, nd, ids, stall, last = (
+                a[go] for a in (F, D, nd, ids, stall, last))
+        F = F - (0.2 / (1.0 + 0.02 * it)) * D / nd[:, None]
+        F[:, outside] = 0.0
+        norm = norms(F)
+        go = norm != 0
+        if not go.all():
+            F, norm, ids, stall, last = (
+                a[go] for a in (F, norm, ids, stall, last))
+        F /= norm[:, None]
+        E, G = energy_grad(F)
+        better = E < best_q[ids]
+        best_q[ids[better]] = E[better]
+        best_f[ids[better]] = F[better]
+        stall = np.where(np.abs(last - E) < DESCENT_TOL * np.maximum(1.0, E),
+                         stall + 1, 0)
+        last = E
+        go = stall <= 20
+        if not go.all():
+            F, E, G, ids, stall, last = (
+                a[go] for a in (F, E, G, ids, stall, last))
+    if inf_f is not None:
+        # leave rng where one-by-one restarts leave it: they never draw
+        # the starts after the one that returns
+        rng.bit_generator.state = drawn
+        rng.normal(size=(inf_id + 1, idx.size))
+        return _inf_result("isolated_at_scale", inf_f)
+    r = int(np.argmin(best_q))
+    if best_q[r] == np.inf:
         raise ValueError("descent failed to produce a nonzero field")
     # best_q approximates inf of ||grad f||_p^p at ||f||_p = 1
-    value = best_q ** (-1.0 / p)
-    return JpResult(float(value), "lower_bound", witness_field=best_f)
+    value = best_q[r] ** (-1.0 / p)
+    return JpResult(float(value), "lower_bound",
+                    witness_field=best_f[r].copy())
 
 
 def _radius_grid(space, idx, cap=12):

@@ -331,3 +331,83 @@ def test_gamma_of_zero_stretch_tabulated_rate_through_run(tmp_path):
     with open(out / "00_gamma_meta.json") as fh:
         assert json.load(fh) == {"v_min": 1e-3, "tail_estimate": 0.0,
                                  "phi": "tabulated"}
+
+
+def test_kernel_errors_exit_2_before_the_out_dir(tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    small = tmp_path / "small.json"
+    assert cli.main(["viewpoint", "lazy", "--space",
+                     str(_gen_space(tmp_path, family="path", n=4)),
+                     "--h", "1", "--out", str(small)]) == 0
+    out = tmp_path / "run"
+    for kernel, pointer, words in [
+            ({"kind": "file", "path": "missing.json"}, "/kernel/path",
+             "missing.json"),
+            ({"kind": "file", "path": "bad.json"}, "/kernel/path",
+             "Expecting property name"),
+            # a kernel of another space: load_viewpoint's ValueError
+            ({"kind": "file", "path": "small.json"}, "/kernel/path",
+             "kernel has 4 rows, space has 9")]:
+        rc = cli.run({"space": {"family": "path", "n": 9}, "kernel": kernel,
+                      "operations": [{"op": "energy_check",
+                                      "fields": [[1.0] * 9]}]},
+                     out_dir=str(out), base_dir=str(tmp_path))
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith(f"config error at {pointer}:")
+        assert words in err and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_config_error_mid_run_writes_the_manifest(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = cli.run({"space": {"family": "grid", "L": 3},
+                  "operations": [{"op": "cheeger"},
+                                 {"op": "certify",
+                                  "target": {"family": "path"}}]},
+                 out_dir=str(out))
+    assert rc == 2
+    message = "family 'path' requires parameter 'n'"
+    assert capsys.readouterr().err.strip() == \
+        f"config error at /operations/1/target: {message}"
+    man = _manifest(out)
+    assert man["passed"] is False
+    assert man["operations"] == [{"op": "cheeger", "outcome": "info"}]
+    assert [a["path"] for a in man["artifacts"]] == ["00_cheeger.json"]
+    assert man["failures"] == []
+    assert man["config_error"] == {"pointer": "/operations/1/target",
+                                   "message": message}
+    assert sorted(p.name for p in out.iterdir()) == ["00_cheeger.json",
+                                                     "manifest.json"]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_descent_profiles_through_run_are_reproducible(tmp_path):
+    # p = 2 on the sup backend and p = 3 on the lp backend both go through
+    # the descent; p = 3 draws its starts from the config's seed. Every
+    # candidate is descended whatever its volume, so the grid is 2x2: 4x4
+    # takes about 20 s a run
+    config = {"space": {"family": "grid", "L": 2}, "seed": 5,
+              "operations": [
+                  {"op": "profile", "p": 2, "backend": "sup:1",
+                   "volumes": [2, 3]},
+                  {"op": "profile", "p": 3, "backend": "lp:1",
+                   "volumes": [2, 3]}]}
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert cli.run(config, out_dir=str(out_a)) == 0
+    assert cli.run(config, out_dir=str(out_b)) == 0
+    man = _manifest(out_a)
+    assert man["passed"] is True
+    assert man["operations"] == [{"op": "profile", "outcome": "info"}] * 2
+    for tag in ("00_profile", "01_profile"):
+        with open(out_a / f"{tag}.json") as fh:
+            curve = json.load(fh)
+        assert curve["mode"] == "lower_bound"
+        assert len(curve["values"]) == 2
+        assert all(0 < v < math.inf for v in curve["values"])
+        assert curve["values"][0] <= curve["values"][1]
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()

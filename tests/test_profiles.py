@@ -1,14 +1,19 @@
 """Rate functions, J_p evaluation, profile curves, inequality fitting."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from coarsecalc import calculus, profiles, zoo
 from coarsecalc.profiles import Backend, RateFunction
 from coarsecalc.randomwalk import lazy_srw
 from coarsecalc.space import boundary
-from coarsecalc.viewpoint import random_symmetric_viewpoint
+from coarsecalc.viewpoint import (
+    is_symmetric, random_symmetric_viewpoint, standard_viewpoint)
 
 
 # ---------------------------------------------------------------- rates
@@ -322,9 +327,11 @@ def test_sup_energy_grad_matches_loop_oracle(p):
                 space = space.with_measure(rng.uniform(0.5, 2.0, space.n))
             energy_grad = profiles._energy_grad(space, Backend.sup(h), p)
             # integer fields tie the row maxima
-            for f in (rng.integers(-2, 3, space.n).astype(float),
-                      rng.standard_normal(space.n)):
-                e, g = energy_grad(f)
+            F = np.vstack([rng.integers(-2, 3, (3, space.n)),
+                           rng.standard_normal((3, space.n))])
+            E, G = energy_grad(F)
+            assert E.shape == (6,) and G.shape == F.shape
+            for f, e, g in zip(F, E, G):
                 e_o, g_o = _energy_grad_oracle(space, h, p, f)
                 if p == 2:
                     assert e == e_o
@@ -332,6 +339,216 @@ def test_sup_energy_grad_matches_loop_oracle(p):
                 else:
                     assert e == pytest.approx(e_o, rel=1e-13, abs=0)
                     np.testing.assert_allclose(g, g_o, rtol=1e-13, atol=0)
+
+
+def _pair_energy_grad_oracle(space, backend, p, f):
+    """The pair-weight energy and its gradient, one pair at a time."""
+    e = 0.0
+    g = np.zeros(space.n)
+    for x, y, w in zip(*backend.pair_weights(space)):
+        diff = f[x] - f[y]
+        e += w * abs(diff) ** p
+        if x != y and diff != 0:
+            t = p * w * abs(diff) ** (p - 2) * diff
+            g[x] += t
+            g[y] -= t
+    return e, g
+
+
+@pytest.mark.parametrize("p", [2, 3, 1.5])
+def test_pair_energy_grad_matches_loop_oracle(p):
+    rng = np.random.default_rng(4)
+    for space, h in [(zoo.path(8), 1.0), (zoo.grid(2, 4, "l2"), 1.5),
+                     (zoo.random_geometric(10, 3), 0.25)]:
+        space = space.with_measure(rng.uniform(0.5, 2.0, space.n))
+        vp = random_symmetric_viewpoint(space, h, np.random.default_rng(1))
+        for backend in (Backend.lp(h), Backend.viewpoint(vp)):
+            F = np.vstack([rng.integers(-2, 3, (3, space.n)),
+                           rng.standard_normal((3, space.n))])
+            E, G = profiles._energy_grad(space, backend, p)(F)
+            assert E.shape == (6,) and G.shape == F.shape
+            for f, e, g in zip(F, E, G):
+                e_o, g_o = _pair_energy_grad_oracle(space, backend, p, f)
+                assert e == pytest.approx(e_o, rel=1e-12, abs=0)
+                np.testing.assert_allclose(g, g_o, rtol=1e-12, atol=1e-15)
+
+
+def _energy_grad_1d_oracle(space, backend, p):
+    """The one-field energy function the sequential descent used."""
+    mu = space.measure
+    pw = backend.pair_weights(space)
+    if pw is not None:
+        rows, cols, w = pw
+        keep = rows != cols
+
+        def energy_grad(f):
+            diff = f[rows] - f[cols]
+            mag = np.abs(diff)
+            e = float(np.sum(w * mag ** p))
+            term = np.where(mag > 0, p * w * mag ** (p - 2) * diff, 0.0)
+            g = np.zeros(space.n)
+            np.add.at(g, rows[keep], term[keep])
+            np.add.at(g, cols[keep], -term[keep])
+            return e, g
+    else:
+        indptr, cols = backend.relation_rows(space)
+        counts = np.diff(indptr)
+        at = np.arange(cols.size)
+
+        def energy_grad(f):
+            d = np.abs(f[cols] - np.repeat(f, counts))
+            m = np.maximum.reduceat(d, indptr[:-1])
+            first = np.minimum.reduceat(
+                np.where(d == np.repeat(m, counts), at, cols.size),
+                indptr[:-1])
+            e = np.cumsum(mu * m ** p)[-1]
+            x = np.flatnonzero(m > 0)
+            y = cols[first[x]]
+            s = mu[x] * p * m[x] ** (p - 1) * np.sign(f[x] - f[y])
+            g = np.zeros(space.n)
+            np.add.at(g, np.column_stack((x, y)).ravel(),
+                      np.column_stack((s, -s)).ravel())
+            return float(e), g
+    return energy_grad
+
+
+def _jp_descent_oracle(space, backend, idx, p, rng):
+    """The descent with its restarts run one after another."""
+    indptr, cols = backend.relation_rows(space)
+    rel = csr_matrix((np.ones(cols.size), cols, indptr),
+                     shape=(space.n, space.n))
+    comp = connected_components(rel, directed=False)[1]
+    outside = np.setdiff1d(np.arange(space.n), idx)
+    lost = idx[~np.isin(comp[idx], comp[outside])]
+    if lost.size:
+        f = np.zeros(space.n)
+        f[lost] = 1.0
+        return profiles._inf_result("isolated_at_scale", f)
+    mu = space.measure
+    energy_grad = _energy_grad_1d_oracle(space, backend, p)
+    if idx.size == 1:
+        f = np.zeros(space.n)
+        f[idx] = 1.0
+        value = (mu[idx[0]] / energy_grad(f)[0]) ** (1.0 / p)
+        return profiles.JpResult(float(value), "exact", witness_field=f)
+    rng = np.random.default_rng(0 if rng is None else rng)
+    best_q, best_f = np.inf, None
+    for _ in range(profiles.DESCENT_RESTARTS):
+        f = np.zeros(space.n)
+        f[idx] = rng.normal(size=idx.size)
+        f[idx] -= np.average(f[idx], weights=mu[idx])
+        norm = calculus.lp_norm(space, f, p)
+        if norm == 0:
+            continue
+        f /= norm
+        stall, last = 0, np.inf
+        for it in range(profiles.DESCENT_ITERS):
+            e, ge = energy_grad(f)
+            if e <= 1e-18:
+                return profiles._inf_result("isolated_at_scale", f.copy())
+            gn = p * mu * np.abs(f) ** (p - 1) * np.sign(f)
+            d = ge - e * gn
+            d[outside] = 0.0
+            nd = np.linalg.norm(d)
+            if nd == 0:
+                break
+            f = f - (0.2 / (1.0 + 0.02 * it)) * d / nd
+            f[outside] = 0.0
+            norm = calculus.lp_norm(space, f, p)
+            if norm == 0:
+                break
+            f /= norm
+            q = energy_grad(f)[0]
+            if q < best_q:
+                best_q, best_f = q, f.copy()
+            if abs(last - q) < profiles.DESCENT_TOL * max(1.0, q):
+                stall += 1
+                if stall > 20:
+                    break
+            else:
+                stall = 0
+            last = q
+    if best_f is None:
+        raise ValueError("descent failed to produce a nonzero field")
+    value = best_q ** (-1.0 / p)
+    return profiles.JpResult(float(value), "lower_bound", witness_field=best_f)
+
+
+def _same_descent(space, backend, idx, p, seed):
+    """Both descents from equal Generators: the same value, mode, reason
+    and witness bytes, and the Generators left in the same state."""
+    got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = profiles._jp_descent(space, backend, idx, p, got_rng)
+        want = _jp_descent_oracle(space, backend, idx, p, want_rng)
+    assert (got.value, got.mode, got.reason) == \
+        (want.value, want.mode, want.reason)
+    assert got.witness_field.tobytes() == want.witness_field.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return got
+
+
+DESCENT_SPACES = {
+    "path8": (lambda: zoo.path(8), 1.0),
+    "grid4_l1": (lambda: zoo.grid(2, 4), 1.0),
+    "grid4_linf": (lambda: zoo.grid(2, 4, "linf"), 1.0),
+    "geo12": (lambda: zoo.random_geometric(12, 5), 1.0),
+    # isolated points and closed components at h = 0.25
+    "geo10_isolated": (lambda: zoo.random_geometric(10, 3), 0.25),
+    "tree34": (lambda: zoo.regular_tree(3, 4), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_SPACES))
+def test_descent_matches_sequential_oracle(name, monkeypatch):
+    # 60 steps a restart keep the matrix quick; the stall and zero-step
+    # exits it meets come well before that, and the full length is
+    # compared below
+    monkeypatch.setattr(profiles, "DESCENT_ITERS", 60)
+    make, h = DESCENT_SPACES[name]
+    rng = np.random.default_rng(12)
+    for unit in (True, False):
+        space = make()
+        if not unit:
+            space = space.with_measure(rng.uniform(0.5, 2.0, space.n))
+        # asymmetric, except where every ball with two points pairs them
+        vp = standard_viewpoint(space, h)
+        assert name == "geo10_isolated" or not is_symmetric(vp).symmetric
+        cases = [(Backend.sup(h), 1.5), (Backend.sup(h), 2),
+                 (Backend.sup(h), 3), (Backend.lp(h), 1.5),
+                 (Backend.lp(h), 3), (Backend.viewpoint(vp), 2)]
+        for i, (backend, p) in enumerate(cases):
+            # subsets of 2 to N/2 points
+            for size in {2, 2 + (i + 3 * unit) % (space.n // 2 - 1)}:
+                idx = np.sort(rng.choice(space.n, size=size, replace=False))
+                _same_descent(space, backend, idx, p, seed=i)
+
+
+@pytest.mark.parametrize("make,backend,idx,p", [
+    (lambda: zoo.path(8), Backend.sup(1.0), [2, 3, 4], 2),
+    (lambda: zoo.grid(2, 3), Backend.sup(1.0), [0, 1, 3], 2),
+    # restarts end at different steps: stalls, a zero step, the full run
+    (lambda: zoo.random_geometric(12, 5), Backend.lp(1.0), [1, 7], 1.5),
+], ids=["path8_sup", "grid3_sup", "geo12_lp_mixed_exits"])
+def test_descent_full_length_matches_oracle(make, backend, idx, p):
+    _same_descent(make(), backend, np.array(idx), p, seed=0)
+
+
+def test_descent_zero_energy_exit_matches_oracle():
+    # measures spread over 60 decades let a restart reach e <= 1e-18; on
+    # seeds 40, 87 and 126 the first to get there is restart 2, 3 or 4,
+    # while the restarts before it go on
+    hits = 0
+    for trial in (1, 40, 87, 126):
+        rng = np.random.default_rng(trial)
+        n = int(rng.integers(3, 8))
+        space = zoo.path(n).with_measure(10.0 ** rng.uniform(-30, 30, n))
+        idx = np.sort(rng.choice(n, int(rng.integers(2, n)), replace=False))
+        for p in (1.5, 3):
+            res = _same_descent(space, Backend.lp(1.0), idx, p, seed=trial)
+            hits += res.reason == "isolated_at_scale"
+    assert hits >= 5
 
 
 @pytest.mark.parametrize("call", [
