@@ -175,7 +175,8 @@ def laplacian(vp, f, p=2):
         return f - vp_apply(vp, f)
     t = -_row_deviation(vp.dens, f)
     mag = np.abs(t)
-    term = np.where(mag > 0, mag ** (p - 2) * t, 0.0)
+    # zero differences have no finite power below p = 2
+    term = np.power(mag, p - 2, out=np.zeros_like(mag), where=mag > 0) * t
     return _row_integral(vp.dens, term, vp.space.measure)
 
 
@@ -441,6 +442,7 @@ def gradient_pairs(space, h=None, vp=None):
     return rows, cols, w
 
 
-def l2_gradient_form(space, h):
-    """Sparse Q with f^T Q f = ||grad_lp(f, h, 2)||_{2,mu}^2 exactly."""
-    return _pair_form(*gradient_pairs(space, h), space.n)
+def l2_gradient_form(space, h=None, vp=None):
+    """Sparse Q with f^T Q f = ||grad f||_{2,mu}^2 exactly, on the pairs of
+    gradient_pairs(space, h, vp); symmetric even when the kernel is not."""
+    return _pair_form(*gradient_pairs(space, h, vp), space.n)

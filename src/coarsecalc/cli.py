@@ -131,55 +131,6 @@ _KERNEL_SCHEMA = {
     "additionalProperties": False,
 }
 
-OP_NAMES = [
-    "accept", "boundary_profile", "certify", "cheeger", "coarea_check",
-    "decay", "decay_vs_profile", "discretize", "energy_check", "gamma",
-    "grad", "gradient_sandwich", "laplacian", "nash_check",
-    "nash_from_decay", "profile", "pullback_transfer", "rough_volume",
-    "scale_reduction", "smoothing", "sobolev_verify", "spectral_radius",
-    "thicken_support", "transfer_band",
-]
-
-# keys an operation cannot run without; profile needs volumes unless it
-# has radii
-_OP_NEEDS = {op: {"required": keys} for op, keys in {
-    "certify": ["target"], "decay_vs_profile": ["phi"], "discretize": ["h"],
-    "gamma": ["phi"], "grad": ["field"], "laplacian": ["field"],
-    "nash_check": ["phi"], "pullback_transfer": ["target", "field"],
-    "rough_volume": ["target", "A", "A_target", "u"],
-    "scale_reduction": ["b", "h"], "sobolev_verify": ["phi"],
-    "thicken_support": ["field"], "transfer_band": ["target"],
-}.items()}
-_OP_NEEDS["profile"] = {"if": {"not": {"required": ["radii"]}},
-                        "then": {"required": ["volumes"]}}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["operations"],
-    "properties": {
-        "space": _SPACE_SCHEMA,
-        "kernel": _KERNEL_SCHEMA,
-        "seed": {"type": "integer", "minimum": 0},
-        "out": {"type": "string"},
-        "tolerances": {"type": "object",
-                       "additionalProperties": {"type": "number"}},
-        "operations": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "object",
-                      "required": ["op"],
-                      "properties": {"op": {"enum": OP_NAMES},
-                                     "target": _SPACE_SCHEMA},
-                      "allOf": [{"if": {"required": ["op"],
-                                        "properties": {"op": {"const": op}}},
-                                 "then": needs}
-                                for op, needs in _OP_NEEDS.items()]},
-        },
-    },
-    "additionalProperties": False,
-}
-
-
 class ConfigError(Exception):
     """Schema or semantic config failure, located by JSON pointer."""
 
@@ -903,6 +854,45 @@ OP_TABLE = {
     "spectral_radius": _op_spectral_radius,
     "thicken_support": _op_thicken_support,
     "transfer_band": _op_transfer_band,
+}
+
+# keys an operation cannot run without; profile needs volumes unless it
+# has radii
+_OP_NEEDS = {op: {"required": keys} for op, keys in {
+    "certify": ["target"], "decay_vs_profile": ["phi"], "discretize": ["h"],
+    "gamma": ["phi"], "grad": ["field"], "laplacian": ["field"],
+    "nash_check": ["phi"], "pullback_transfer": ["target", "field"],
+    "rough_volume": ["target", "A", "A_target", "u"],
+    "scale_reduction": ["b", "h"], "sobolev_verify": ["phi"],
+    "thicken_support": ["field"], "transfer_band": ["target"],
+}.items()}
+_OP_NEEDS["profile"] = {"if": {"not": {"required": ["radii"]}},
+                        "then": {"required": ["volumes"]}}
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["operations"],
+    "properties": {
+        "space": _SPACE_SCHEMA,
+        "kernel": _KERNEL_SCHEMA,
+        "seed": {"type": "integer", "minimum": 0},
+        "out": {"type": "string"},
+        "tolerances": {"type": "object",
+                       "additionalProperties": {"type": "number"}},
+        "operations": {
+            "type": "array",
+            "minItems": 1,
+            "items": {"type": "object",
+                      "required": ["op"],
+                      "properties": {"op": {"enum": sorted(OP_TABLE)},
+                                     "target": _SPACE_SCHEMA},
+                      "allOf": [{"if": {"required": ["op"],
+                                        "properties": {"op": {"const": op}}},
+                                 "then": needs}
+                                for op, needs in _OP_NEEDS.items()]},
+        },
+    },
+    "additionalProperties": False,
 }
 
 

@@ -9,8 +9,8 @@ where the gradient is selected by a :class:`Backend` (sup-gradient at a
 scale, ball-averaged L^p gradient, or a viewpoint gradient) and all norms
 are against the space measure. Exact values:
 
-* p = 2 with a symmetric viewpoint or ball-average backend: smallest
-  generalized eigenvalue of the gradient quadratic form (J_2 = lambda^-1/2);
+* p = 2 with any pair-weight backend (ball average, or any viewpoint):
+  smallest generalized eigenvalue of the gradient form (J_2 = lambda^-1/2);
 * p = 1: indicator form, max over subsets B of A of mu(B) / (boundary or
   cut weight of B), enumerated exactly up to EXACT_ENUM_LIMIT points;
 * p = inf: chain in-radius, the maximal number of support-relation steps
@@ -34,13 +34,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from coarsecalc.calculus import (
-    dirichlet_eigenvalue, grad_lp, grad_sup, grad_viewpoint, gradient_pairs,
+    DENSE_EIG_SIZE, grad_lp, grad_sup, grad_viewpoint, gradient_pairs,
     lp_norm, l2_gradient_form, symmetric_eig)
 from coarsecalc.space import boundary as boundary_at_scale
 from coarsecalc.viewpoint import is_symmetric
 
 EXACT_ENUM_LIMIT = 18
-EXACT_J2_LIMIT = 2000      # exact lp J_2 assembles a dense block on A
 DESCENT_RESTARTS = 8
 DESCENT_ITERS = 500
 DESCENT_TOL = 1e-8
@@ -329,10 +328,8 @@ def jp_subset(space, backend, A, p, rng=None) -> JpResult:
         # J_p(X) = inf for all p; without this the descent path would
         # report a finite lower bound instead of the sentinel
         return _inf_result("whole_space", np.ones(space.n))
-    if p == 2:
-        res = _jp2(space, backend, idx)
-        if res is not None:
-            return res
+    if p == 2 and backend.kind != "sup":
+        return _jp2(space, backend, idx)
     if p == 1:
         return _jp1(space, backend, idx)
     if np.isinf(p):
@@ -350,22 +347,11 @@ def _inf_result(reason, field_or_subset, as_field=True):
 
 
 def _jp2(space, backend, idx):
-    """Exact J_2 via the smallest generalized eigenvalue; None if the
-    backend has no quadratic form (sup) or the viewpoint is asymmetric."""
-    if backend.kind == "viewpoint":
-        if not is_symmetric(backend.vp).symmetric:
-            return None
-        res = dirichlet_eigenvalue(backend.vp, idx)
-        if res.delta <= 1e-14:
-            return _inf_result("isolated_at_scale", res.field)
-        return JpResult(res.delta ** -0.5, "exact", witness_field=res.field)
-    if backend.kind != "lp":
-        return None
-    if idx.size > EXACT_J2_LIMIT:
-        raise ValueError("exact J_2 with the lp backend is limited to "
-                         f"{EXACT_J2_LIMIT} points; use candidates")
-    indptr, cols, data = _lp_form(space, backend.h)
-    # dense block on idx: the entries of the rows of idx whose column is in idx
+    """Exact J_2 via the smallest generalized eigenvalue of the gradient
+    form on A of a backend with pair weights (lp or a viewpoint)."""
+    indptr, cols, data = _form(space, backend)
+    # block on idx: the entries of the rows of idx whose column is in idx,
+    # dense up to DENSE_EIG_SIZE points (symmetric_eig's switch), CSR above
     k = idx.size
     pos = np.full(space.n, -1)
     pos[idx] = np.arange(k)
@@ -374,8 +360,12 @@ def _jp2(space, backend, idx):
         np.arange(counts.sum())
     col = pos[cols[take]]
     keep = col >= 0
-    C = np.zeros((k, k))
-    C[np.repeat(np.arange(k), counts)[keep], col[keep]] = data[take[keep]]
+    at = np.repeat(np.arange(k), counts)[keep], col[keep]
+    if k <= DENSE_EIG_SIZE:
+        C = np.zeros((k, k))
+        C[at] = data[take[keep]]
+    else:
+        C = csr_matrix((data[take[keep]], at), shape=(k, k))
     theta, V, _ = symmetric_eig(C, "SA")
     lam = float(theta[0])
     f = np.zeros(space.n)
@@ -385,15 +375,16 @@ def _jp2(space, backend, idx):
     return JpResult(lam ** -0.5, "exact", witness_field=f)
 
 
-def _lp_form(space, h):
-    """l2_gradient_form(space, h) as read-only CSR arrays
+def _form(space, backend):
+    """The backend's l2_gradient_form as read-only CSR arrays
     (indptr, indices, data) with sorted indices, each entry (x, y) divided
-    by sqrt(mu(x) mu(y)). Built on first use and memoised on the space per
-    scale; the form depends on the measure, so with_measure starts afresh."""
-    h = float(h)
-    out = space._forms.get(h)
+    by sqrt(mu(x) mu(y)). Built on first use and memoised on the space, for
+    lp per scale float(h) and for a viewpoint per Viewpoint object; the
+    form depends on the measure, so with_measure starts afresh."""
+    key = backend.vp if backend.kind == "viewpoint" else float(backend.h)
+    out = space._forms.get(key)
     if out is None:
-        Q = l2_gradient_form(space, h).tocsr()
+        Q = l2_gradient_form(space, backend.h, backend.vp).tocsr()
         Q.sort_indices()
         root = np.sqrt(space.measure)
         rows = np.repeat(np.arange(space.n), np.diff(Q.indptr))
@@ -401,7 +392,7 @@ def _lp_form(space, h):
                                                     root[Q.indices]))
         for arr in out:
             arr.flags.writeable = False
-        space._forms[h] = out
+        space._forms[key] = out
     return out
 
 
@@ -501,7 +492,10 @@ def _energy_grad(space, backend, p):
             diff = np.take(F, rows, axis=1) - np.take(F, cols, axis=1)
             mag = np.abs(diff)
             e = np.sum(w * mag ** p, axis=1)
-            term = np.where(mag > 0, p * w * mag ** (p - 2) * diff, 0.0)
+            # zero differences have no finite power below p = 2
+            power = np.power(mag, p - 2, out=np.zeros_like(mag),
+                             where=mag > 0)
+            term = p * w * power * diff
             term = term[:, keep]
             # per row, the pairs' first ends in pair order, then their
             # second ends: np.add.at's order on one field
@@ -762,7 +756,9 @@ def isoperimetric_profile(space, backend, p, volume_grid,
     """j(v) = sup over subsets of measure <= v of J_p, sampled on a grid.
 
     ``exact`` enumerates every proper nonempty subset (at most
-    EXACT_ENUM_LIMIT points); ``candidates`` scans the documented family
+    EXACT_ENUM_LIMIT points) and is labelled exact when every subset's J_p
+    is; ``candidates`` scans the members of the documented family with
+    measure at most max(volume_grid), the only ones a sample can report,
     and flags the curve as a lower bound. The whole space is left out (its
     J is inf under every backend, so it would say nothing about proper
     subsets); a subset isolated at the scale keeps its infinite J, so the
@@ -771,13 +767,15 @@ def isoperimetric_profile(space, backend, p, volume_grid,
     """
     volume_grid = np.asarray(volume_grid, dtype=float)
     if strategy == "exact":
-        masses, values = _exact_profile_entries(space, backend, p)
+        masses, values, mode = _exact_profile_entries(space, backend, p)
         found = None
-        mode = "exact"
     else:
         masses, values, found = [], [], []
         pw = backend.pair_weights(space) if p == 1 else None
+        top = volume_grid.max(initial=-np.inf)
         for sub, label in candidate_subsets(space, backend, max_candidates):
+            if sub.measure > top:
+                continue
             if p == 1:
                 # the profile is itself a subset supremum, so each candidate
                 # contributes its indicator ratio directly (no inner max)
@@ -812,9 +810,11 @@ def isoperimetric_profile(space, backend, p, volume_grid,
 
 
 def _exact_profile_entries(space, backend, p):
-    """(masses, values) of the proper nonempty subsets of the space, in
-    mask order from mask 1 (bit x selects point x)."""
+    """(masses, values, mode) of the proper nonempty subsets of the space,
+    in mask order from mask 1 (bit x selects point x); mode is "exact" when
+    every subset's J_p is, else "lower_bound"."""
     mu_b, den_b = _subset_tables(space, backend, np.arange(space.n))
+    modes = {"exact"}
     if p == 1:
         tol = 1e-12 * max(1.0, float(den_b.max(initial=0.0)))
         values = np.full(mu_b.size, np.inf)
@@ -824,9 +824,11 @@ def _exact_profile_entries(space, backend, p):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for m in range(1, mu_b.size - 1):
-                values[m] = jp_subset(space, backend,
-                                      _mask_indices(m, space.n), p).value
-    return mu_b[1:-1], values[1:-1]
+                res = jp_subset(space, backend, _mask_indices(m, space.n), p)
+                values[m] = res.value
+                modes.add(res.mode)
+    mode = "exact" if modes == {"exact"} else "lower_bound"
+    return mu_b[1:-1], values[1:-1], mode
 
 
 def profile_in_balls(space, backend, p, radius_grid, centers=None,

@@ -56,8 +56,9 @@ class MetricMeasureSpace:
     Immutable after construction; all queries are read-only, so instances are
     safe to share across parallel workers. The only state added later is
     two memos of read-only arrays: :meth:`neighbourhoods` per radius, shared
-    by :meth:`with_measure`, and the lp gradient form per scale that exact
-    J_2 in ``profiles`` keeps, which depends on the measure and is not.
+    by :meth:`with_measure`, and the gradient forms that exact J_2 in
+    ``profiles`` keeps, one per lp scale and one per viewpoint, which
+    depend on the measure and are not.
 
     Use the classmethods :meth:`from_dense`, :meth:`from_graph`,
     :meth:`from_coords` to construct, or :func:`load_space` to read the JSON
@@ -85,7 +86,7 @@ class MetricMeasureSpace:
         self._coords = coords
         self._p_norm = p_norm
         self._balls = {}   # radius -> neighbourhoods(radius)
-        self._forms = {}   # scale -> profiles._lp_form(self, scale)
+        self._forms = {}   # lp scale or Viewpoint -> profiles._form(...)
 
     # ------------------------------------------------------------------
     # constructors

@@ -352,7 +352,10 @@ def viewpoint_from_json(doc, space) -> Viewpoint:
     indices = []
     data = []
     seen = set()
-    for row in rows:
+    for i, row in enumerate(rows):
+        for key in ("x", "support", "density"):
+            if key not in row:
+                raise ValueError(f"kernel row {i} is missing key {key!r}")
         x = int(row["x"])
         if not 0 <= x < space.n or x in seen:
             raise ValueError(f"bad or duplicate row index {x}")

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from coarsecalc import calculus, cli, randomwalk, zoo
+from coarsecalc import calculus, cli, profiles, randomwalk, viewpoint, zoo
 
 
 def _gen_space(tmp_path, name="space.json", family="path", **kw):
@@ -340,6 +340,10 @@ def test_kernel_errors_exit_2_before_the_out_dir(tmp_path, capsys):
     assert cli.main(["viewpoint", "lazy", "--space",
                      str(_gen_space(tmp_path, family="path", n=4)),
                      "--h", "1", "--out", str(small)]) == 0
+    rows = [{"x": x, "support": [x], "density": [1.0]} for x in range(9)]
+    del rows[3]["density"]
+    (tmp_path / "short_row.json").write_text(json.dumps({"h": 1,
+                                                         "rows": rows}))
     out = tmp_path / "run"
     for kernel, pointer, words in [
             ({"kind": "file", "path": "missing.json"}, "/kernel/path",
@@ -348,7 +352,9 @@ def test_kernel_errors_exit_2_before_the_out_dir(tmp_path, capsys):
              "Expecting property name"),
             # a kernel of another space: load_viewpoint's ValueError
             ({"kind": "file", "path": "small.json"}, "/kernel/path",
-             "kernel has 4 rows, space has 9")]:
+             "kernel has 4 rows, space has 9"),
+            ({"kind": "file", "path": "short_row.json"}, "/kernel/path",
+             "kernel row 3 is missing key 'density'")]:
         rc = cli.run({"space": {"family": "path", "n": 9}, "kernel": kernel,
                       "operations": [{"op": "energy_check",
                                       "fields": [[1.0] * 9]}]},
@@ -382,12 +388,31 @@ def test_config_error_mid_run_writes_the_manifest(tmp_path, capsys):
                                                      "manifest.json"]
 
 
+def test_viewpoint_profile_through_run_reports_exact_witnesses(tmp_path):
+    # the standard kernel is not symmetric, and its J_2 is still exact
+    out = tmp_path / "run"
+    config = {"space": {"family": "grid", "L": 4},
+              "kernel": {"kind": "standard", "h": 1},
+              "operations": [{"op": "profile", "p": 2, "backend": "vp",
+                              "volumes": [2, 4, 8]}]}
+    assert cli.run(config, out_dir=str(out)) == 0
+    with open(out / "00_profile.json") as fh:
+        curve = json.load(fh)
+    space = zoo.grid(2, 4)
+    backend = profiles.Backend.viewpoint(
+        viewpoint.standard_viewpoint(space, 1.0))
+    assert len(curve["witnesses"]) == 3
+    for wit in curve["witnesses"].values():
+        res = profiles.jp_subset(space, backend, wit["indices"], 2)
+        assert res.mode == "exact"
+        assert wit["value"] == res.value
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_descent_profiles_through_run_are_reproducible(tmp_path):
     # p = 2 on the sup backend and p = 3 on the lp backend both go through
-    # the descent; p = 3 draws its starts from the config's seed. Every
-    # candidate is descended whatever its volume, so the grid is 2x2: 4x4
-    # takes about 20 s a run
+    # the descent; p = 3 draws its starts from the config's seed. Only
+    # candidates of measure at most 3 are descended
     config = {"space": {"family": "grid", "L": 2}, "seed": 5,
               "operations": [
                   {"op": "profile", "p": 2, "backend": "sup:1",

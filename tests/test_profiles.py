@@ -64,15 +64,6 @@ def test_j1_single_points_on_path(idx, expected):
     assert res.mode == "exact"
 
 
-def test_j2_matches_dirichlet_eigenvalue():
-    space = zoo.path(12)
-    vp = lazy_srw(space, 1.0)
-    A = list(range(3, 8))
-    res = profiles.jp_subset(space, Backend.viewpoint(vp), A, 2)
-    delta = calculus.dirichlet_eigenvalue(vp, A).delta
-    assert res.value == pytest.approx(delta ** -0.5, rel=1e-9)
-
-
 def test_jp_whole_space_sentinel():
     space = zoo.path(6)
     with pytest.warns(UserWarning, match="whole_space"):
@@ -203,6 +194,74 @@ def test_jp2_matches_sliced_form_oracle(name, unit):
     for idx in subsets:
         res = profiles.jp_subset(space, Backend.lp(h), idx, 2)
         _same_jp2(res, _jp2_oracle(space, h, idx))
+
+
+def test_j2_matches_dirichlet_eigenvalue():
+    # for a symmetric kernel the gradient form's quotient is the Dirichlet
+    # eigenvalue's, delta = 2 (1 - lambda_max(M_A))
+    for name, (make, h) in sorted(JP2_SPACES.items()):
+        for unit in (True, False):
+            space = make()
+            if not unit:
+                space = space.with_measure(
+                    np.random.default_rng(3).uniform(0.5, 2.0, space.n))
+            for vp in (lazy_srw(space, h), random_symmetric_viewpoint(
+                    space, h, np.random.default_rng(1))):
+                assert is_symmetric(vp).symmetric
+                for idx in _jp2_subsets(space, h, np.random.default_rng(11)):
+                    res = profiles.jp_subset(space, Backend.viewpoint(vp),
+                                             idx, 2)
+                    delta = calculus.dirichlet_eigenvalue(vp, idx).delta
+                    assert res.mode == "exact"
+                    assert res.value == pytest.approx(delta ** -0.5,
+                                                      rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+@pytest.mark.parametrize("name", sorted(JP2_SPACES))
+def test_asymmetric_viewpoint_j2_is_exact(name, unit):
+    make, h = JP2_SPACES[name]
+    space = make()
+    if not unit:
+        space = space.with_measure(
+            np.random.default_rng(3).uniform(0.5, 2.0, space.n))
+    vp = standard_viewpoint(space, h)
+    assert not is_symmetric(vp).symmetric
+    backend = Backend.viewpoint(vp)
+    rng = np.random.default_rng(4)
+    for size in (2, 3, space.n // 3):
+        idx = np.sort(rng.choice(space.n, size=size, replace=False))
+        res = profiles.jp_subset(space, backend, idx, 2)
+        assert res.mode == "exact"
+        # the descent's lower bound can land above it by rounding only
+        low = profiles._jp_descent(space, backend, idx, 2, 0)
+        assert res.value >= low.value * (1 - 1e-12)
+        f = res.witness_field
+        quotient = calculus.lp_norm(space, f, 2) / calculus.lp_norm(
+            space, calculus.grad_viewpoint(vp, f, 2), 2)
+        assert quotient == pytest.approx(res.value, rel=1e-12, abs=0)
+
+
+def test_j2_blocks_above_dense_size_are_exact():
+    # blocks above DENSE_EIG_SIZE are gathered as CSR for Lanczos
+    big = zoo.grid(2, 46)
+    box = np.flatnonzero(np.all(big.meta["coords"] < 45, axis=1))
+    assert box.size == 2025
+    res = profiles.jp_subset(big, Backend.lp(1.0), box, 2)
+    assert res.mode == "exact"
+    f = res.witness_field
+    quotient = calculus.lp_norm(big, f, 2) / calculus.lp_norm(
+        big, calculus.grad_lp(big, f, 1.0, 2), 2)
+    assert quotient == pytest.approx(res.value, rel=1e-10, abs=0)
+    space = zoo.grid(2, 20)
+    vp = standard_viewpoint(space, 1.0)
+    idx = np.flatnonzero(np.all(space.meta["coords"] < 18, axis=1))
+    assert idx.size > calculus.DENSE_EIG_SIZE
+    res = profiles.jp_subset(space, Backend.viewpoint(vp), idx, 2)
+    assert res.mode == "exact"
+    Q = calculus.l2_gradient_form(space, vp=vp).tocsr()[idx][:, idx]
+    want = np.linalg.eigvalsh(Q.toarray())[0] ** -0.5
+    assert res.value == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_jp2_isolated_point_sentinel():
@@ -525,6 +584,19 @@ def test_descent_matches_sequential_oracle(name, monkeypatch):
                 _same_descent(space, backend, idx, p, seed=i)
 
 
+def test_p_below_2_warns_of_nothing():
+    # every pair set holds (x, x), whose zero difference has no finite
+    # power below 2
+    space = zoo.grid(2, 4)
+    vp = standard_viewpoint(space, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = profiles.jp_subset(space, Backend.lp(1.0), [0, 1, 5], 1.5)
+        lap = calculus.laplacian(vp, np.arange(space.n) % 3.0, 1.5)
+    assert res.mode == "lower_bound" and 0 < res.value < np.inf
+    assert np.all(np.isfinite(lap))
+
+
 @pytest.mark.parametrize("make,backend,idx,p", [
     (lambda: zoo.path(8), Backend.sup(1.0), [2, 3, 4], 2),
     (lambda: zoo.grid(2, 3), Backend.sup(1.0), [0, 1, 3], 2),
@@ -563,6 +635,43 @@ def test_exhaustive_enumeration_cap(call):
     space = zoo.path(profiles.EXACT_ENUM_LIMIT + 1)
     with pytest.raises(ValueError, match="EXACT_ENUM_LIMIT = 18"):
         call(space)
+
+
+def test_exact_profile_mode_follows_its_subsets():
+    # the sup backend descends every subset of two or more points at p = 2
+    curve = profiles.isoperimetric_profile(zoo.path(5), Backend.sup(1.0), 2,
+                                           [1.0, 2.0, 3.0], strategy="exact")
+    assert curve.mode == "lower_bound"
+    space = zoo.grid(2, 3)
+    vp = standard_viewpoint(space, 1.0)
+    assert not is_symmetric(vp).symmetric
+    curve = profiles.isoperimetric_profile(space, Backend.viewpoint(vp), 2,
+                                           [1.0, 2.0, 3.0], strategy="exact")
+    assert curve.mode == "exact"
+
+
+def test_candidate_profile_evaluates_only_reportable_subsets(monkeypatch):
+    space = zoo.grid(2, 4)
+    backend = Backend.lp(1.0)
+    grid = [2.0, 4.0]
+    scan = [(sub, label, profiles.jp_subset(space, backend, sub.indices,
+                                             2).value)
+            for sub, label in profiles.candidate_subsets(space, backend)]
+    assert len(scan) == 234
+    calls = []
+    jp_subset = profiles.jp_subset
+    monkeypatch.setattr(profiles, "jp_subset",
+                        lambda *a, **kw: calls.append(1) or jp_subset(*a,
+                                                                      **kw))
+    curve = profiles.isoperimetric_profile(space, backend, 2, grid)
+    assert len(calls) == sum(sub.measure <= 4 for sub, _, _ in scan) == 85
+    for i, v in enumerate(grid):
+        fits = [c for c in scan if c[0].measure <= v]
+        best = max(val for _, _, val in fits)
+        sub, label, val = next(c for c in fits if c[2] == best)
+        assert curve.values[i] == val
+        assert curve.witnesses[i]["label"] == label
+        assert np.array_equal(curve.witnesses[i]["indices"], sub.indices)
 
 
 def test_isoperimetric_profile_monotone():
