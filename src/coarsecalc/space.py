@@ -10,8 +10,9 @@ The metric is held by one of three interchangeable providers:
 * ``dense``  -- an explicit N x N array (validated on construction);
 * ``graph``  -- a weighted undirected graph, distances are shortest paths
   computed on demand (always a metric, so no triangle check is needed);
-* ``coords`` -- points in R^k with an l1 / l2 / linf norm, distances
-  computed row-by-row on demand (never materializes N^2 floats).
+* ``coords`` -- points in R^k with an l1 / l2 / linf norm; single rows are
+  computed on demand, whole-space balls come from one KD-tree query (never
+  materializes N^2 floats).
 
 Balls come in two forms. :meth:`MetricMeasureSpace.ball` answers a single
 query and keeps nothing. Whole-space sweeps (gradients, kernels, volumes,
@@ -162,6 +163,10 @@ class MetricMeasureSpace:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2:
             raise ValueError("coords must be a 2-d array (points x axes)")
+        if not np.all(np.isfinite(coords)):
+            i, k = np.argwhere(~np.isfinite(coords))[0]
+            kind = "NaN" if np.isnan(coords[i, k]) else "infinite"
+            raise ValueError(f"coordinate is {kind} at point {i}, axis {k}")
         if p_norm not in (1, 2, np.inf, 1.0, 2.0):
             raise ValueError("p_norm must be 1, 2 or inf")
         meta = dict(meta) if meta else {}
@@ -237,6 +242,12 @@ class MetricMeasureSpace:
         and :meth:`dist_row`. The triple is built on first use, memoised per
         radius and read-only; callers that hand it to a structure that
         mutates in place must copy it.
+
+        Builders: coords spaces take every pair within r from one KD-tree
+        query and re-measure it with :meth:`dist_row`'s formula; graph
+        spaces read the adjacency while r is below twice the lightest
+        edge; dense spaces, and graph spaces at larger r, scan one
+        :meth:`dist_row` (a Dijkstra sweep limited to r) per point.
         """
         r = float(r)
         if r < 0:
@@ -248,15 +259,34 @@ class MetricMeasureSpace:
 
     def _build_neighbourhoods(self, r):
         G = self._graph
-        if self._mode == "graph" and r < 2.0 * G.data.min(initial=np.inf):
+        pairs = None
+        if self._mode == "coords":
+            # one KD-tree query at a slightly inflated radius finds every
+            # candidate pair; re-measuring them with dist_row's formula makes
+            # ties at exactly r fall as they do row by row. Imported here:
+            # scipy.spatial is slow to import and set-up rarely needs it.
+            from scipy.spatial import cKDTree
+            X = self._coords
+            ij = cKDTree(X).query_pairs(np.nextafter(r * (1 + 1e-9), np.inf),
+                                        p=self._p_norm, output_type="ndarray")
+            d = _norm_rows(X[ij[:, 1]] - X[ij[:, 0]], self._p_norm)
+            keep = d <= r
+            i, j, d = ij[keep, 0], ij[keep, 1], d[keep]
+            pairs = np.concatenate([i, j]), np.concatenate([j, i]), \
+                np.concatenate([d, d])
+        elif self._mode == "graph" and r < 2.0 * G.data.min(initial=np.inf):
             # no two-edge path fits inside r: B(x, r) is x plus its incident
             # edges of weight <= r, read off the adjacency (cheap on trees
             # far too large for a Dijkstra per point)
-            src = np.repeat(np.arange(self.n), np.diff(G.indptr))
             near = G.data <= r
-            rows = np.concatenate([np.arange(self.n), src[near]])
-            cols = np.concatenate([np.arange(self.n), G.indices[near]])
-            dist = np.concatenate([np.zeros(self.n), G.data[near]])
+            pairs = np.repeat(np.arange(self.n), np.diff(G.indptr))[near], \
+                G.indices[near], G.data[near]
+        if pairs is not None:
+            # the pairs plus the N self-pairs (distance 0), in row order
+            own = np.arange(self.n)
+            rows = np.concatenate([own, pairs[0]])
+            cols = np.concatenate([own, pairs[1]])
+            dist = np.concatenate([np.zeros(self.n), pairs[2]])
             order = np.lexsort((cols, rows))
             cols, dist = cols[order].astype(np.int64), dist[order]
             counts = np.bincount(rows, minlength=self.n)

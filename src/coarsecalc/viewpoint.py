@@ -206,16 +206,21 @@ def symmetrize(space, vp):
 
 
 def _assert_standard(space, vp):
-    for x in range(space.n):
-        sup, vals = vp.row(x)
-        ball = space.ball(x, vp.h)
-        if sup.size != ball.size or np.any(sup != ball):
-            raise ValueError(f"symmetrize expects the standard viewpoint; "
-                             f"row {x} support differs from B(x, h)")
-        v = space.measure[ball].sum()
-        if np.max(np.abs(vals - 1.0 / v)) > 1e-12 / v:
-            raise ValueError(f"symmetrize expects the standard viewpoint; "
-                             f"row {x} is not uniform on its ball")
+    indptr, indices, _ = space.neighbourhoods(vp.h)
+    D = vp.dens
+    if not (np.array_equal(D.indptr, indptr) and
+            np.array_equal(D.indices, indices)):
+        x = next(x for x in range(space.n) if not np.array_equal(
+            vp.row(x)[0], indices[indptr[x]:indptr[x + 1]]))
+        raise ValueError(f"symmetrize expects the standard viewpoint; "
+                         f"row {x} support differs from B(x, h)")
+    counts = np.diff(indptr)
+    V = np.repeat(space.volumes(vp.h), counts)
+    off = np.abs(D.data - 1.0 / V) > 1e-12 / V
+    if np.any(off):
+        x = int(np.repeat(np.arange(space.n), counts)[np.argmax(off)])
+        raise ValueError(f"symmetrize expects the standard viewpoint; "
+                         f"row {x} is not uniform on its ball")
 
 
 def compose(P, Q) -> Viewpoint:

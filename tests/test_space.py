@@ -1,9 +1,16 @@
 """Core space container: balls, thickening, boundary, doubling, (de)serialization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import coarsecalc
 from coarsecalc import zoo
 from coarsecalc.space import (
     MetricMeasureSpace,
@@ -138,6 +145,16 @@ def test_min_dist_to():
     assert d[5] == pytest.approx(4.0)
 
 
+@pytest.mark.parametrize("bad,kind", [(np.nan, "NaN"), (np.inf, "infinite"),
+                                       (-np.inf, "infinite")])
+def test_from_coords_rejects_non_finite_coordinates(bad, kind):
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    coords[1, 1] = bad
+    with pytest.raises(ValueError,
+                       match=f"coordinate is {kind} at point 1, axis 1"):
+        MetricMeasureSpace.from_coords(coords, np.ones(3))
+
+
 def test_subset_complement_partition():
     space = zoo.grid(2, 3)
     A = space.subset([0, 4, 8])
@@ -158,12 +175,22 @@ def _neighbourhood_cases():
     rgg = zoo.random_geometric(40, seed=3)
     clusters = MetricMeasureSpace.from_coords(
         np.array([[0.0], [1.0], [11.0], [12.0]]), np.ones(4))
+    # coords spaces where the KD-tree's ties are hardest: 0.1 and 0.3
+    # multiples are inexact in floats, so equal lattice distances can differ
+    # in their last bits
+    fine = zoo.scale_metric(zoo.grid(2, 5, "l2"), 0.1)
+    thirds = zoo.scale_metric(zoo.path(9), 0.3)
+    cube = zoo.grid(3, 4, "l2")
+    dupes = MetricMeasureSpace.from_coords(
+        np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0],
+                  [1.0, 0.0]]), np.ones(5), name="duplicates")
+    big_rgg = zoo.random_geometric(300, seed=5)
     cases = [
         (zoo.grid(2, 4, "l1"), [0.0, 1.0, 2.0]),
         (l2, [0.0, 1.0, 2.0] + [r for r in _realised(l2, 5, 5)
                                 if r != int(r)]),
         (zoo.grid(2, 4, "linf"), [0.0, 1.0, 2.0]),
-        (zoo.path(9), [0.0, 1.0, 1.5, 2.0]),
+        (zoo.path(9), [0.0, 0.5, 1.0, 1.5, 2.0, 20.0]),
         (zoo.regular_tree(3, 3), [0.0, 1.0, 2.0]),
         (zoo.free_group_ball(2, 2), [0.0, 1.0, 3.0]),
         (zoo.heisenberg_ball(1), [0.0, 1.0, 2.0]),
@@ -173,6 +200,12 @@ def _neighbourhood_cases():
          [0.0, 0.3, 0.5, 0.6, 0.9]),
         (chain_metric(l2, 1.5), [0.0, 1.0, 1.5, 2.5]),
         (chain_metric(clusters, 1.0), [0.0, 1.0, 2.0]),
+        (fine, _realised(fine, 12, 6)),
+        (thirds, sorted(set(_realised(thirds, 0, 4) +
+                            _realised(thirds, 4, 3)))),
+        (cube, [r for r in _realised(cube, 0, 3) if r != int(r)]),
+        (dupes, [0.0, 1.0, 1.5]),
+        (big_rgg, [0.0] + _realised(big_rgg, 17, 2) + [0.09]),
     ]
     return [(space, r) for space, radii in cases for r in radii]
 
@@ -216,3 +249,43 @@ def test_neighbourhoods_match_per_point_oracle(space, r):
         union = np.unique(np.concatenate(
             [space.ball(int(a), r) for a in A] + [np.array([], np.int64)]))
         np.testing.assert_array_equal(thicken(space, A, r).indices, union)
+
+
+@given(points=arrays(np.int64, st.tuples(st.integers(2, 40), st.integers(1, 3)),
+                     elements=st.integers(-6, 6)),
+       scale=st.sampled_from([0.1, 0.3]),
+       p_norm=st.sampled_from([1.0, 2.0, np.inf]))
+def test_coords_neighbourhoods_equal_per_point_rule_bitwise(points, scale,
+                                                            p_norm):
+    space = MetricMeasureSpace.from_coords(points * scale,
+                                           np.ones(len(points)), p_norm)
+    rows = space.dense_matrix()   # the dist_row of every point
+    # every realised distance is a radius with ties at exactly r
+    for r in np.unique(rows).tolist():
+        inside = rows <= r
+        indptr, indices, dist = space.neighbourhoods(r)
+        np.testing.assert_array_equal(np.diff(indptr), inside.sum(axis=1))
+        np.testing.assert_array_equal(indices, np.nonzero(inside)[1])
+        assert dist.tobytes() == rows[inside].tobytes()
+
+
+def test_coords_neighbourhoods_make_no_dist_row_call(monkeypatch):
+    # the oracle cases above hold this space's balls at r = 0.09 to the
+    # per-point rule; here they must come without a single dist_row
+    def refuse(self, x, limit=None):
+        raise AssertionError("coords balls must not be built point by point")
+
+    monkeypatch.setattr(MetricMeasureSpace, "dist_row", refuse)
+    indptr, indices, _ = zoo.random_geometric(300, seed=5).neighbourhoods(0.09)
+    assert np.all(np.diff(indptr) >= 1) and indptr[-1] == indices.size
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # the KD-tree is imported where coords balls are built, so importing
+    # the package (set-up of every run) does not pay for scipy.spatial
+    src = str(Path(coarsecalc.__file__).resolve().parents[1])
+    code = "import sys, coarsecalc; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

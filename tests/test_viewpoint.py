@@ -7,6 +7,7 @@ from scipy.sparse import csr_matrix
 from coarsecalc import zoo
 from coarsecalc.viewpoint import (
     Certificate,
+    Viewpoint,
     Violation,
     apply,
     compose,
@@ -98,6 +99,23 @@ def test_symmetrize_reweights_by_ball_volume(path6):
     sym, reweighted = symmetrize(path6, vp)
     np.testing.assert_allclose(reweighted.measure, [2, 3, 3, 3, 3, 2])
     assert is_symmetric(sym).symmetric
+
+
+def test_symmetrize_refuses_a_support_other_than_the_ball(path6):
+    # a wider kernel declared at h = 1: row 0 reaches point 2, outside B(0, 1)
+    wide = standard_viewpoint(path6, 2.0)
+    vp = Viewpoint(path6, 1.0, wide.dens, wide.certificate)
+    with pytest.raises(ValueError,
+                       match=r"row 0 support differs from B\(x, h\)"):
+        symmetrize(path6, vp)
+
+
+def test_symmetrize_refuses_a_row_not_uniform_on_its_ball(path6):
+    dens = standard_viewpoint(path6, 1.0).dens.toarray()
+    dens[3, 2], dens[3, 4] = 0.25, 5.0 / 12.0   # row 3 still integrates to 1
+    vp = Viewpoint(path6, 1.0, csr_matrix(dens), Certificate(1.0, 0.25))
+    with pytest.raises(ValueError, match="row 3 is not uniform on its ball"):
+        symmetrize(path6, vp)
 
 
 def test_compose_is_matrix_product(path6):
