@@ -6,7 +6,9 @@ walk experiments (``walk``), equivalence certification (``coarse``) and
 the acceptance suite (``accept``). Each of calc/profile/walk/coarse also
 takes ``--config FILE``: a JSON experiment description executed by
 :func:`run`, which is the general path; inline flags cover the common
-one-shot invocations and are translated into the same config form.
+one-shot invocations and are translated into the same config form. The
+table ``OPS`` declares every operation: its handler, required keys,
+defaults, and the one-shot action and flags that fill its keys.
 
 Exit codes: 0 when every asserted invariant passed, 1 when at least one
 failed (a witness file is written next to the artifacts), 2 when the
@@ -131,6 +133,10 @@ _KERNEL_SCHEMA = {
     "additionalProperties": False,
 }
 
+# what a config's "tolerances" may override
+TOLERANCES = {"energy_rel": 1e-10, "sandwich_slack": 1e-12}
+
+
 class ConfigError(Exception):
     """Schema or semantic config failure, located by JSON pointer."""
 
@@ -146,7 +152,8 @@ def _pointer(path):
 
 def validate_config(doc):
     """Raise ConfigError on the first (best-match) schema or semantic
-    violation; the pointer names the offending element."""
+    violation; the pointer names the offending element. Returns the
+    operations with their defaults filled in."""
     validator = Draft202012Validator(CONFIG_SCHEMA)
     err = best_match(validator.iter_errors(doc))
     if err is not None:
@@ -161,24 +168,43 @@ def validate_config(doc):
         if kernel["kind"] == "file" and "path" not in kernel:
             raise ConfigError("/kernel/path", "kernel kind 'file' needs path")
 
+    ops = []
+    for i, op in enumerate(doc["operations"]):
+        if op["op"] == "spectral_radius" and "center" in op \
+                and "radii" not in op:
+            raise ConfigError(f"/operations/{i}/center", "center needs radii")
+        ops.append(_merged(OPS[op["op"]].defaults, op))
+
     if "seed" not in doc:
-        culprit = _first_stochastic(doc)
+        culprit = _first_stochastic(kernel, ops)
         if culprit is not None:
             raise ConfigError("/seed",
                               f"seed is mandatory: {culprit} is stochastic")
+    return ops
 
 
-def _first_stochastic(doc):
-    kernel = doc.get("kernel")
+def _merged(base, over):
+    """base updated by over; a dict value updates a dict value key by key,
+    so {"n": {"max": 8}} keeps the default start and step of n."""
+    out = dict(base)
+    for key, val in over.items():
+        old = out.get(key)
+        out[key] = {**old, **val} if isinstance(old, dict) \
+            and isinstance(val, dict) else val
+    return out
+
+
+def _first_stochastic(kernel, ops):
     if kernel and kernel.get("kind") == "random_symmetric":
         return "/kernel (random_symmetric)"
-    for i, op in enumerate(doc.get("operations", [])):
+    for i, op in enumerate(ops):
         for key, val in op.items():
             if isinstance(val, str) and val.startswith("random:"):
                 return f"/operations/{i}/{key}"
+        # profile descends from random starts when p is not 1, 2 or inf
         p = op.get("p")
-        if isinstance(p, (int, float)) and not math.isinf(p) \
-                and p not in (1, 2):
+        if op["op"] == "profile" and isinstance(p, (int, float)) \
+                and not math.isinf(p) and p not in (1, 2):
             return f"/operations/{i}/p (descent restarts)"
     return None
 
@@ -198,9 +224,6 @@ class RunContext:
     op_pointer: str = "/operations"   # JSON pointer of the running operation
     artifacts: list = dataclass_field(default_factory=list)
     failures: list = dataclass_field(default_factory=list)
-
-    def tol(self, name, default):
-        return float(self.tolerances.get(name, default))
 
     def need_space(self):
         if self.space is None:
@@ -273,96 +296,113 @@ def _build_kernel(spec, space, ctx):
                           str(exc)) from None
 
 
-def _fields(ctx, spec, nonneg=False):
-    """Field list from 'random:N', 'file:path', or an inline array."""
+def _read_json(ctx, relpath, pointer):
+    """The JSON document at relpath; one that cannot be read is a
+    ConfigError at pointer."""
+    try:
+        with open(ctx.resolve(relpath)) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(pointer, str(exc)) from None
+
+
+def _fields(ctx, op, key, nonneg=False):
+    """Field list op[key] names: 'random:N', 'file:path', or an inline
+    array."""
+    spec, pointer = op[key], f"{ctx.op_pointer}/{key}"
     if isinstance(spec, str) and spec.startswith("random:"):
         n = ctx.need_space().n
         k = int(spec.split(":", 1)[1])
         out = [ctx.need_rng().standard_normal(n) for _ in range(k)]
     else:
         if isinstance(spec, str) and spec.startswith("file:"):
-            with open(ctx.resolve(spec.split(":", 1)[1])) as fh:
-                spec = json.load(fh)
+            spec = _read_json(ctx, spec.split(":", 1)[1], pointer)
         elif not isinstance(spec, list):
-            raise ConfigError(ctx.op_pointer, f"bad field spec {spec!r}")
+            raise ConfigError(pointer, f"bad field spec {spec!r}")
         rows = [spec] if spec and not isinstance(spec[0], list) else spec
         out = [np.asarray(row, dtype=float) for row in rows]
     return [np.abs(f) for f in out] if nonneg else out
 
 
-def _phi(ctx, spec):
+def _phi(ctx, op):
     """Rate spec: 'power:exp[,coef]', 'log_power:log,pow[,coef]',
     'tabulated:file'."""
+    spec, pointer = op["phi"], f"{ctx.op_pointer}/phi"
     kind, _, rest = str(spec).partition(":")
-    if kind == "power":
-        parts = [float(x) for x in rest.split(",")]
-        return RateFunction.power(*parts)
-    if kind == "log_power":
-        parts = [float(x) for x in rest.split(",")]
-        return RateFunction.log_power(*parts)
-    if kind == "tabulated":
-        with open(ctx.resolve(rest)) as fh:
-            doc = json.load(fh)
-        return RateFunction.tabulated(doc["args"], doc["values"])
-    raise ConfigError("/operations", f"bad rate spec {spec!r}")
+    try:
+        if kind in ("power", "log_power"):
+            return getattr(RateFunction, kind)(
+                *[float(x) for x in rest.split(",")])
+        if kind == "tabulated":
+            doc = _read_json(ctx, rest, pointer)
+            return RateFunction.tabulated(doc["args"], doc["values"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(pointer, f"bad rate spec {spec!r}: {exc}") from None
+    raise ConfigError(pointer, f"bad rate spec {spec!r}")
 
 
-def _backend(ctx, spec):
+def _backend(ctx, op):
+    """Backend spec: 'sup:h', 'lp:h', 'vp' (the run's kernel) or
+    'vp:file'."""
+    spec, pointer = op["backend"], f"{ctx.op_pointer}/backend"
     kind, _, rest = str(spec).partition(":")
-    if kind == "sup":
-        return Backend.sup(float(rest))
-    if kind == "lp":
-        return Backend.lp(float(rest))
-    if kind == "vp":
-        if rest:
-            vp = viewpoint.load_viewpoint(ctx.resolve(rest),
-                                          ctx.need_space())
-        else:
-            vp = ctx.need_kernel()
-        return Backend.viewpoint(vp)
-    raise ConfigError("/operations", f"bad backend spec {spec!r}")
+    try:
+        if kind in ("sup", "lp"):
+            return getattr(Backend, kind)(float(rest))
+        if kind == "vp":
+            if rest:
+                vp = viewpoint.load_viewpoint(ctx.resolve(rest),
+                                              ctx.need_space())
+            else:
+                vp = ctx.need_kernel()
+            return Backend.viewpoint(vp)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(pointer,
+                          f"bad backend spec {spec!r}: {exc}") from None
+    raise ConfigError(pointer, f"bad backend spec {spec!r}")
 
 
-def _steps(spec, default_max=64):
+def _steps(spec):
     if isinstance(spec, list):
         return [int(x) for x in spec]
-    if isinstance(spec, dict):
-        return list(range(int(spec.get("start", 1)),
-                          int(spec.get("max", default_max)) + 1,
-                          int(spec.get("step", 1))))
-    return list(range(1, default_max + 1))
+    return list(range(int(spec["start"]), int(spec["max"]) + 1,
+                      int(spec["step"])))
 
 
-def _target_map(ctx, op):
-    """(space, target, F): the run's space, the op's target space and the
-    map into it ("identity", "file:PATH" or an inline list)."""
+def _target_map(ctx, op, certify=True):
+    """(space, target, F, cert): the run's space, the op's target space,
+    the map into it ("identity", "file:PATH" or an inline list) and, with
+    certify, the map's certificate over the op's radii."""
     space = ctx.need_space()
     target = _build_space(op["target"], ctx.base, f"{ctx.op_pointer}/target")
-    spec = op.get("map", "identity")
+    spec, pointer = op["map"], f"{ctx.op_pointer}/map"
     if spec == "identity":
         if space.n != target.n:
-            raise ConfigError(f"{ctx.op_pointer}/map",
+            raise ConfigError(pointer,
                               "identity map needs equal point counts")
         F = np.arange(space.n)
     elif isinstance(spec, str) and spec.startswith("file:"):
-        with open(ctx.resolve(spec.split(":", 1)[1])) as fh:
-            F = np.asarray(json.load(fh), dtype=np.int64)
+        F = np.asarray(_read_json(ctx, spec.split(":", 1)[1], pointer),
+                       dtype=np.int64)
     elif isinstance(spec, list):
         F = np.asarray(spec, dtype=np.int64)
     else:
-        raise ConfigError(f"{ctx.op_pointer}/map", f"bad map spec {spec!r}")
-    return space, target, F
+        raise ConfigError(pointer, f"bad map spec {spec!r}")
+    cert = coarse.certify_lse(space, target, F,
+                              r_grid=[float(r) for r in op["radii"]]) \
+        if certify else None
+    return space, target, F, cert
 
 
 # ----------------------------------------------------------------------
 # operation handlers: each returns True/False for asserted invariants or
-# None for purely informational output
+# None for purely informational output; OPS fills in the keys they read
 
 
 def _op_energy_check(ctx, op, tag):
     vp = ctx.need_kernel()
-    fields = _fields(ctx, op.get("fields", "random:20"))
-    tol = ctx.tol("energy_rel", 1e-10)
+    fields = _fields(ctx, op, "fields")
+    tol = float(ctx.tolerances["energy_rel"])
     rows, worst = [], (0.0, None)
     for i, f in enumerate(fields):
         d, g = calculus.energy(vp, f)
@@ -387,8 +427,8 @@ def _op_energy_check(ctx, op, tag):
 
 def _op_coarea_check(ctx, op, tag):
     space = ctx.need_space()
-    h = float(op.get("h", 1.0))
-    fields = _fields(ctx, op.get("fields", "random:20"), nonneg=True)
+    h = float(op["h"])
+    fields = _fields(ctx, op, "fields", nonneg=True)
     rows = []
     for i, f in enumerate(fields):
         lo, mid, up = calculus.coarea(space, f, h)
@@ -401,9 +441,9 @@ def _op_coarea_check(ctx, op, tag):
 
 def _op_gradient_sandwich(ctx, op, tag):
     vp = ctx.need_kernel()
-    fields = _fields(ctx, op.get("fields", "random:20"))
-    q, q2 = float(op.get("q", 1)), float(op.get("q2", 2))
-    slack = ctx.tol("sandwich_slack", 1e-12)
+    fields = _fields(ctx, op, "fields")
+    q, q2 = float(op["q"]), float(op["q2"])
+    slack = float(ctx.tolerances["sandwich_slack"])
     bad = None
     for i, f in enumerate(fields):
         rep = calculus.sandwich_report(vp, f, q, q2, slack=slack)
@@ -426,8 +466,8 @@ def _op_gradient_sandwich(ctx, op, tag):
 
 def _op_smoothing(ctx, op, tag):
     space = ctx.need_space()
-    h = float(op.get("h", 1.0))
-    fields = _fields(ctx, op.get("fields", "random:10"))
+    h = float(op["h"])
+    fields = _fields(ctx, op, "fields")
     rows = []
     holds = True
     for i, f in enumerate(fields):
@@ -442,23 +482,23 @@ def _op_smoothing(ctx, op, tag):
 
 def _op_grad(ctx, op, tag):
     space = ctx.need_space()
-    f = _fields(ctx, op["field"])[0]
-    kind = op.get("kind", "sup")
-    p = float(op.get("p", 2))
+    f = _fields(ctx, op, "field")[0]
+    kind = op["kind"]
+    p = float(op["p"])
     if kind == "viewpoint":
         g = calculus.grad_viewpoint(ctx.need_kernel(), f, p)
     elif kind == "lp":
-        g = calculus.grad_lp(space, f, float(op.get("h", 1.0)), p)
+        g = calculus.grad_lp(space, f, float(op["h"]), p)
     else:
-        g = calculus.grad_sup(space, f, float(op.get("h", 1.0)))
+        g = calculus.grad_sup(space, f, float(op["h"]))
     ctx.emit_json(f"{tag}.json", g, "grad", "gradient field values")
     return None
 
 
 def _op_laplacian(ctx, op, tag):
     vp = ctx.need_kernel()
-    f = _fields(ctx, op["field"])[0]
-    out = calculus.laplacian(vp, f, p=float(op.get("p", 2)))
+    f = _fields(ctx, op, "field")[0]
+    out = calculus.laplacian(vp, f, p=float(op["p"]))
     ctx.emit_json(f"{tag}.json", out, "laplacian",
                   "scale Laplacian field values")
     return None
@@ -466,23 +506,16 @@ def _op_laplacian(ctx, op, tag):
 
 def _op_profile(ctx, op, tag):
     space = ctx.need_space()
-    b = _backend(ctx, op.get("backend", "sup:1"))
-    p = float(op.get("p", 2))
-    rng = ctx.rng
+    b = _backend(ctx, op)
+    p = float(op["p"])
     if "radii" in op:
         curve = profiles.profile_in_balls(space, b, p,
                                           [float(r) for r in op["radii"]],
-                                          rng=rng)
+                                          rng=ctx.rng)
     else:
         curve = profiles.isoperimetric_profile(
             space, b, p, [float(v) for v in op["volumes"]],
-            strategy=op.get("strategy", "candidates"), rng=rng)
-    _emit_curve(ctx, tag, "profile", curve,
-                "isoperimetric profile samples with witnesses")
-    return None
-
-
-def _emit_curve(ctx, tag, opname, curve, claim):
+            strategy=op["strategy"], rng=ctx.rng)
     rows, wits = [], {}
     for i, (a, v) in enumerate(zip(curve.args, curve.values)):
         wid = ""
@@ -490,25 +523,21 @@ def _emit_curve(ctx, tag, opname, curve, claim):
             wid = f"w{i}"
             wits[wid] = curve.witnesses[i]
         rows.append((a, v, curve.mode, wid))
+    claim = "isoperimetric profile samples with witnesses"
     ctx.emit_csv(f"{tag}.csv", ["argument", "value", "mode", "witness"],
-                 rows, opname, claim)
+                 rows, "profile", claim)
     ctx.emit_json(f"{tag}.json",
                   {"kind": curve.kind, "args": curve.args,
                    "values": curve.values, "mode": curve.mode,
                    "meta": curve.meta, "witnesses": wits},
-                  opname, claim + " (JSON form)")
+                  "profile", claim + " (JSON form)")
+    return None
 
 
 def _op_boundary_profile(ctx, op, tag):
-    space = ctx.need_space()
-    h = float(op.get("h", 1.0))
-    family = op.get("family", "all")
-    if family == "balls":
-        family = [space.subset(space.ball(x, r))
-                  for x in range(space.n)
-                  for r in (h, 2 * h, 4 * h)]
-    curves = profiles.boundary_profile(space, h, family=family,
-                                       t_grid=op.get("t_grid"))
+    curves = profiles.boundary_profile(ctx.need_space(), float(op["h"]),
+                                       family=op["family"],
+                                       t_grid=op["t_grid"])
     rows = []
     for curve in curves:
         for a, v in zip(curve.args, curve.values):
@@ -521,8 +550,8 @@ def _op_boundary_profile(ctx, op, tag):
 
 def _op_cheeger(ctx, op, tag):
     space = ctx.need_space()
-    h = float(op.get("h", 1.0))
-    family = op.get("family", "all")
+    h = float(op["h"])
+    family = op["family"]
     if isinstance(family, list):
         family = [space.subset(np.asarray(s, dtype=np.int64))
                   for s in family]
@@ -536,12 +565,12 @@ def _op_cheeger(ctx, op, tag):
 
 def _op_sobolev_verify(ctx, op, tag):
     space = ctx.need_space()
-    b = _backend(ctx, op.get("backend", "sup:1"))
-    p = float(op.get("p", 2))
-    phi = _phi(ctx, op["phi"])
-    fields = _fields(ctx, op.get("fields", "random:40"))
+    b = _backend(ctx, op)
+    p = float(op["p"])
+    phi = _phi(ctx, op)
+    fields = _fields(ctx, op, "fields")
     rep = profiles.sobolev_verify(space, b, p, phi, fields)
-    assert_c = op.get("assert_C")
+    assert_c = op["assert_C"]
     passed = rep.passes and (assert_c is None or rep.C <= float(assert_c))
     ctx.emit_json(f"{tag}.json",
                   {"passes": rep.passes, "C": rep.C, "C_prime": rep.C_prime,
@@ -561,10 +590,10 @@ def _op_sobolev_verify(ctx, op, tag):
 def _op_nash_check(ctx, op, tag):
     space = ctx.need_space()
     vp = ctx.need_kernel()
-    phi = _phi(ctx, op["phi"])
-    fields = _fields(ctx, op.get("fields", "random:40"))
+    phi = _phi(ctx, op)
+    fields = _fields(ctx, op, "fields")
     rep = profiles.nash_check(space, vp, phi, fields)
-    assert_c = op.get("assert_C")
+    assert_c = op["assert_C"]
     passed = rep.passes and (assert_c is None or rep.C <= float(assert_c))
     ctx.emit_json(f"{tag}.json",
                   {"passes": rep.passes, "C": rep.C,
@@ -581,8 +610,7 @@ def _op_nash_check(ctx, op, tag):
 
 def _op_decay(ctx, op, tag):
     vp = ctx.need_kernel()
-    x = int(op.get("x", 0))
-    curve = randomwalk.on_diagonal(vp, x, _steps(op.get("n")))
+    curve = randomwalk.on_diagonal(vp, int(op["x"]), _steps(op["n"]))
     ctx.emit_csv(f"{tag}.csv", ["n", "return_density"],
                  list(zip(curve.times, curve.values)), "decay",
                  "even-step return densities at the chosen point")
@@ -590,15 +618,13 @@ def _op_decay(ctx, op, tag):
 
 
 def _op_gamma(ctx, op, tag):
-    phi = _phi(ctx, op["phi"])
-    t = op.get("t", {})
+    phi = _phi(ctx, op)
+    t = op["t"]
     if isinstance(t, list):
         ts = np.asarray(t, dtype=float)
     else:
-        ts = np.geomspace(float(t.get("min", 1e-2)),
-                          float(t.get("max", 1e4)),
-                          int(t.get("count", 50)))
-    gt = randomwalk.gamma_transform(phi, ts, v_min=op.get("v_min"))
+        ts = np.geomspace(float(t["min"]), float(t["max"]), int(t["count"]))
+    gt = randomwalk.gamma_transform(phi, ts, v_min=op["v_min"])
     ctx.emit_csv(f"{tag}.csv", ["t", "gamma"],
                  list(zip(gt.t, gt.gamma)), "gamma",
                  "decay transform of the rate function")
@@ -612,10 +638,9 @@ def _op_gamma(ctx, op, tag):
 def _op_decay_vs_profile(ctx, op, tag):
     space = ctx.need_space()
     vp = ctx.need_kernel()
-    phi = _phi(ctx, op["phi"])
-    rep = randomwalk.decay_vs_profile(space, vp, phi,
-                                      _steps(op.get("n"), 256),
-                                      centers=op.get("centers"))
+    phi = _phi(ctx, op)
+    rep = randomwalk.decay_vs_profile(space, vp, phi, _steps(op["n"]),
+                                      centers=op["centers"])
     ctx.emit_json(f"{tag}.json",
                   {"status": rep.status, "best_c": rep.best_c,
                    "slope_decay": rep.slope_decay,
@@ -636,9 +661,8 @@ def _op_decay_vs_profile(ctx, op, tag):
 def _op_nash_from_decay(ctx, op, tag):
     space = ctx.need_space()
     vp = ctx.need_kernel()
-    curve = randomwalk.on_diagonal(vp, int(op.get("x", 0)),
-                                   _steps(op.get("n")))
-    fields = _fields(ctx, op.get("fields", "random:20"))
+    curve = randomwalk.on_diagonal(vp, int(op["x"]), _steps(op["n"]))
+    fields = _fields(ctx, op, "fields")
     rep = randomwalk.nash_from_decay(space, vp, curve, fields)
     rows = [(e.index, e.skipped, e.n_star, e.constant, e.margin, e.passed)
             for e in rep.entries]
@@ -659,8 +683,7 @@ def _op_spectral_radius(ctx, op, tag):
     vp = ctx.need_kernel()
     space = ctx.need_space()
     if "radii" in op:
-        center = int(op.get("center", 0))
-        subsets = [space.subset(space.ball(center, float(r)))
+        subsets = [space.subset(space.ball(int(op["center"]), float(r)))
                    for r in op["radii"]]
         rhos = randomwalk.exhaustion_radii(vp, subsets)
         ctx.emit_csv(f"{tag}.csv", ["radius", "rho"],
@@ -679,9 +702,7 @@ def _op_spectral_radius(ctx, op, tag):
 
 
 def _op_certify(ctx, op, tag):
-    space, target, F = _target_map(ctx, op)
-    cert = coarse.certify_lse(space, target, F,
-                              r_grid=[float(r) for r in op.get("radii", [])])
+    _, _, _, cert = _target_map(ctx, op)
     ctx.emit_json(f"{tag}.json", cert.to_dict(), "certify",
                   "distortion envelopes and volume constants for the map")
     if not cert.ok:
@@ -708,13 +729,11 @@ def _op_discretize(ctx, op, tag):
 
 
 def _op_pullback_transfer(ctx, op, tag):
-    space, target, F = _target_map(ctx, op)
-    cert = coarse.certify_lse(space, target, F,
-                              r_grid=[float(r) for r in op.get("radii", [])])
-    f_target = _fields(ctx, op["field"])[0]
+    space, target, F, cert = _target_map(ctx, op)
+    f_target = _fields(ctx, op, "field")[0]
     rep = coarse.pullback_transfer_report(
-        space, target, F, cert, f_target, float(op.get("h", 1.0)),
-        p=float(op.get("p", 2)), q=float(op.get("q", 2)))
+        space, target, F, cert, f_target, float(op["h"]),
+        p=float(op["p"]), q=float(op["q"]))
     ctx.emit_json(f"{tag}.json",
                   {"status": rep.status, "c_l1": rep.c_l1,
                    "C_l2": rep.C_l2, "C_l3": rep.C_l3,
@@ -726,19 +745,15 @@ def _op_pullback_transfer(ctx, op, tag):
 
 
 def _op_transfer_band(ctx, op, tag):
-    space, target, F = _target_map(ctx, op)
-    cert = coarse.certify_lse(space, target, F,
-                              r_grid=[float(r) for r in op.get("radii", [])])
+    space, target, F, cert = _target_map(ctx, op)
     if not cert.ok:
         ctx.fail(f"{tag}_witness.json", "transfer_band",
                  {"axiom": cert.violation.axiom,
                   "detail": cert.violation.detail})
         return False
     band = coarse.profile_transfer_band(
-        space, target, F, cert, p=float(op.get("p", 2)),
-        h=float(op.get("h", 1.0)),
-        v_grid=[float(v) for v in op["volumes"]] if "volumes" in op
-        else None)
+        space, target, F, cert, p=float(op["p"]), h=float(op["h"]),
+        v_grid=op["volumes"])
     ctx.emit_json(f"{tag}.json",
                   {"within_band": band.within_band, "K": band.K,
                    "K_prime": band.K_prime, "volumes": band.volumes,
@@ -757,9 +772,8 @@ def _op_transfer_band(ctx, op, tag):
 
 def _op_thicken_support(ctx, op, tag):
     space = ctx.need_space()
-    f = _fields(ctx, op["field"])[0]
-    res = coarse.thicken_support(space, f, float(op.get("h", 1.0)),
-                                 p=float(op.get("p", 2)))
+    f = _fields(ctx, op, "field")[0]
+    res = coarse.thicken_support(space, f, float(op["h"]), p=float(op["p"]))
     ctx.emit_json(f"{tag}.json",
                   {"status": res.status,
                    "thick_support": res.thick_support.indices,
@@ -772,7 +786,7 @@ def _op_thicken_support(ctx, op, tag):
 
 
 def _op_rough_volume(ctx, op, tag):
-    space, target, F = _target_map(ctx, op)
+    space, target, F, _ = _target_map(ctx, op, certify=False)
     rep = coarse.rough_volume_check(
         space, target, F, space.subset(op["A"]),
         target.subset(op["A_target"]), float(op["u"]))
@@ -789,10 +803,10 @@ def _op_rough_volume(ctx, op, tag):
 
 def _op_scale_reduction(ctx, op, tag):
     space = ctx.need_space()
-    fields = _fields(ctx, op.get("fields", "random:10"))
+    fields = _fields(ctx, op, "fields")
     rep = coarse.scale_reduction_check(
         space, float(op["b"]), float(op["h"]), fields,
-        profile_radii=[float(r) for r in op.get("profile_radii", [])])
+        profile_radii=[float(r) for r in op["profile_radii"]])
     ctx.emit_json(f"{tag}.json",
                   {"status": rep.status, "best_C": rep.best_C,
                    "per_field": rep.per_field,
@@ -808,7 +822,7 @@ def _op_scale_reduction(ctx, op, tag):
 
 
 def _op_accept(ctx, op, tag):
-    results = acceptance.run_all(op.get("criteria"))
+    results = acceptance.run_all(op["criteria"])
     table = acceptance.as_table(results)
     ctx.emit_json(f"{tag}.json", table, "accept",
                   "acceptance criteria with sub-checks and timings")
@@ -829,45 +843,136 @@ def _op_accept(ctx, op, tag):
     return True
 
 
-OP_TABLE = {
-    "accept": _op_accept,
-    "boundary_profile": _op_boundary_profile,
-    "certify": _op_certify,
-    "cheeger": _op_cheeger,
-    "coarea_check": _op_coarea_check,
-    "decay": _op_decay,
-    "decay_vs_profile": _op_decay_vs_profile,
-    "discretize": _op_discretize,
-    "energy_check": _op_energy_check,
-    "gamma": _op_gamma,
-    "grad": _op_grad,
-    "gradient_sandwich": _op_gradient_sandwich,
-    "laplacian": _op_laplacian,
-    "nash_check": _op_nash_check,
-    "nash_from_decay": _op_nash_from_decay,
-    "profile": _op_profile,
-    "pullback_transfer": _op_pullback_transfer,
-    "rough_volume": _op_rough_volume,
-    "scale_reduction": _op_scale_reduction,
-    "smoothing": _op_smoothing,
-    "sobolev_verify": _op_sobolev_verify,
-    "spectral_radius": _op_spectral_radius,
-    "thicken_support": _op_thicken_support,
-    "transfer_band": _op_transfer_band,
+# ----------------------------------------------------------------------
+# the operation table
+#
+# A one-shot flag is (flag, op key, converter, argparse keywords); a flag
+# left unset or empty leaves its key out. The shared --h fills h as well.
+
+
+def _floats(text):
+    return [float(x) for x in text.split(",") if x]
+
+
+def _ints(text):
+    return [int(x) for x in text.split(",") if x]
+
+
+@dataclass(frozen=True)
+class Op:
+    """One operation: its handler, the keys it cannot run without, the
+    values of the keys it may leave out and, for a one-shot action, the
+    command, the action word and the flags that fill its keys."""
+    handler: object
+    needs: tuple = ()
+    defaults: dict = dataclass_field(default_factory=dict)
+    command: str = None
+    action: str = None
+    flags: tuple = ()
+
+
+_FLOAT, _INT = {"type": float}, {"type": int}
+_REQUIRED = {"required": True}
+_STEPS = {"start": 1, "max": 64, "step": 1}
+_FIELDS = ("--fields", "fields", None, {})
+_P = ("--p", "p", None, _FLOAT)
+_H = ("--h", "h", None, {})
+_FIELD = ("--field", "field", lambda path: f"file:{path}", _REQUIRED)
+_TARGET = (("--target", "target", lambda path: {"file": path}, _REQUIRED),
+           ("--map", "map",
+            lambda path: path if path == "identity" else f"file:{path}", {}),
+           ("--radii", "radii", _floats, {}))
+_N_MAX = ("--n-max", "n", lambda n: {"max": n}, _INT)
+
+# in the order the one-shot actions are listed in --help
+OPS = {
+    "grad": Op(_op_grad, ("field",), {"kind": "sup", "p": 2, "h": 1.0},
+               "calc", "grad",
+               (("--kind", "kind", None,
+                 {"choices": ["sup", "lp", "viewpoint"]}), _P,
+                _FIELD, _H)),
+    "energy_check": Op(_op_energy_check, (), {"fields": "random:20"},
+                       "calc", "energy", (_FIELDS,)),
+    "coarea_check": Op(_op_coarea_check, (),
+                       {"h": 1.0, "fields": "random:20"},
+                       "calc", "coarea", (_FIELDS, _H)),
+    "gradient_sandwich": Op(_op_gradient_sandwich, (),
+                            {"fields": "random:20", "q": 1, "q2": 2},
+                            "calc", "sandwich",
+                            (_FIELDS, ("--q", "q", None, _FLOAT),
+                             ("--q2", "q2", None, _FLOAT))),
+    "profile": Op(_op_profile, (),
+                  {"backend": "sup:1", "p": 2, "strategy": "candidates"},
+                  "profile", "jp",
+                  (_P, ("--backend", "backend", None, {}),
+                   ("--volumes", "volumes", _floats, _REQUIRED))),
+    "boundary_profile": Op(_op_boundary_profile, (),
+                           {"h": 1.0, "family": "all", "t_grid": None},
+                           "profile", "boundary",
+                           (("--scale", "h", None, _FLOAT),
+                            ("--family", "family", None, {}))),
+    "cheeger": Op(_op_cheeger, (), {"h": 1.0, "family": "all"},
+                  "profile", "cheeger", (("--scale", "h", None, _FLOAT),)),
+    "sobolev_verify": Op(_op_sobolev_verify, ("phi",),
+                         {"backend": "sup:1", "p": 2, "fields": "random:40",
+                          "assert_C": None},
+                         "profile", "sobolev",
+                         (("--backend", "backend", None, {}), _P,
+                          ("--phi", "phi", None, _REQUIRED), _FIELDS,
+                          ("--assert-c", "assert_C", None, _FLOAT))),
+    "decay": Op(_op_decay, (), {"x": 0, "n": _STEPS}, "walk", "decay",
+                (("--x", "x", None, _INT), _N_MAX)),
+    "gamma": Op(_op_gamma, ("phi",),
+                {"t": {"min": 1e-2, "max": 1e4, "count": 50}, "v_min": None},
+                "walk", "gamma",
+                (("--phi", "phi", None, _REQUIRED),
+                 ("--t-min", "t", lambda t: {"min": t}, _FLOAT),
+                 ("--t-max", "t", lambda t: {"max": t}, _FLOAT),
+                 ("--t-count", "t", lambda t: {"count": t}, _INT),
+                 ("--v-min", "v_min", None, _FLOAT))),
+    "decay_vs_profile": Op(_op_decay_vs_profile, ("phi",),
+                           {"n": dict(_STEPS, max=256), "centers": None},
+                           "walk", "compare",
+                           (("--phi", "phi", None, _REQUIRED), _N_MAX,
+                            ("--centers", "centers", _ints, {}))),
+    "spectral_radius": Op(_op_spectral_radius, (), {"center": 0},
+                          "walk", "rho",
+                          (("--center", "center", None, _INT),
+                           ("--radii", "radii", _floats, {}))),
+    "certify": Op(_op_certify, ("target",), {"map": "identity", "radii": []},
+                  "coarse", "certify", _TARGET),
+    "discretize": Op(_op_discretize, ("h",), {}, "coarse", "discretize",
+                     (_H,)),
+    "thicken_support": Op(_op_thicken_support, ("field",),
+                          {"h": 1.0, "p": 2}, "coarse", "thicken",
+                          (_FIELD, _P, _H)),
+    "transfer_band": Op(_op_transfer_band, ("target",),
+                        {"map": "identity", "radii": [], "p": 2, "h": 1.0,
+                         "volumes": None},
+                        "coarse", "band",
+                        _TARGET + (_P, ("--volumes", "volumes", _floats, {}),
+                                   _H)),
+    "accept": Op(_op_accept, (), {"criteria": None}),
+    "laplacian": Op(_op_laplacian, ("field",), {"p": 2}),
+    "nash_check": Op(_op_nash_check, ("phi",),
+                     {"fields": "random:40", "assert_C": None}),
+    "nash_from_decay": Op(_op_nash_from_decay, (),
+                          {"x": 0, "n": _STEPS, "fields": "random:20"}),
+    "pullback_transfer": Op(_op_pullback_transfer, ("target", "field"),
+                            {"map": "identity", "radii": [], "h": 1.0,
+                             "p": 2, "q": 2}),
+    "rough_volume": Op(_op_rough_volume, ("target", "A", "A_target", "u"),
+                       {"map": "identity"}),
+    "scale_reduction": Op(_op_scale_reduction, ("b", "h"),
+                          {"fields": "random:10", "profile_radii": []}),
+    "smoothing": Op(_op_smoothing, (), {"h": 1.0, "fields": "random:10"}),
 }
 
-# keys an operation cannot run without; profile needs volumes unless it
-# has radii
-_OP_NEEDS = {op: {"required": keys} for op, keys in {
-    "certify": ["target"], "decay_vs_profile": ["phi"], "discretize": ["h"],
-    "gamma": ["phi"], "grad": ["field"], "laplacian": ["field"],
-    "nash_check": ["phi"], "pullback_transfer": ["target", "field"],
-    "rough_volume": ["target", "A", "A_target", "u"],
-    "scale_reduction": ["b", "h"], "sobolev_verify": ["phi"],
-    "thicken_support": ["field"], "transfer_band": ["target"],
-}.items()}
-_OP_NEEDS["profile"] = {"if": {"not": {"required": ["radii"]}},
-                        "then": {"required": ["volumes"]}}
+
+def _when(name, clause):
+    return {"if": {"required": ["op"], "properties": {"op": {"const": name}}},
+            "then": clause}
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -884,12 +989,14 @@ CONFIG_SCHEMA = {
             "minItems": 1,
             "items": {"type": "object",
                       "required": ["op"],
-                      "properties": {"op": {"enum": sorted(OP_TABLE)},
+                      "properties": {"op": {"enum": sorted(OPS)},
                                      "target": _SPACE_SCHEMA},
-                      "allOf": [{"if": {"required": ["op"],
-                                        "properties": {"op": {"const": op}}},
-                                 "then": needs}
-                                for op, needs in _OP_NEEDS.items()]},
+                      "allOf": [_when(name, {"required": list(spec.needs)})
+                                for name, spec in OPS.items() if spec.needs]
+                      # profile needs volumes unless it has radii
+                      + [_when("profile", {
+                          "if": {"not": {"required": ["radii"]}},
+                          "then": {"required": ["volumes"]}})]},
         },
     },
     "additionalProperties": False,
@@ -903,17 +1010,18 @@ def run(config, out_dir=None, base_dir=".") -> int:
     (each writes its witness), so one invocation reports everything it
     can. The manifest is written last and lists every artifact. A config
     error met while an operation runs stops the run with exit code 2; the
-    manifest then lists what ran and records the error.
+    manifest then lists what ran and records the error. Any other error
+    an operation raises is its failure, with the message as witness.
     """
     try:
-        validate_config(config)
+        ops = validate_config(config)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
 
     out = Path(out_dir or config.get("out", "coarsecalc_out"))
     ctx = RunContext(out=out, base=Path(base_dir),
-                     tolerances=config.get("tolerances", {}))
+                     tolerances={**TOLERANCES, **config.get("tolerances", {})})
     if "seed" in config:
         ctx.rng = np.random.default_rng(int(config["seed"]))
     try:
@@ -927,29 +1035,28 @@ def run(config, out_dir=None, base_dir=".") -> int:
         return 2
     out.mkdir(parents=True, exist_ok=True)
 
-    all_passed = True
     statuses = []
-    for i, op in enumerate(config["operations"]):
+    for i, op in enumerate(ops):
         name = op["op"]
         tag = f"{i:02d}_{name}"
         ctx.op_pointer = f"/operations/{i}"
         try:
-            outcome = OP_TABLE[name](ctx, op, tag)
+            outcome = OPS[name].handler(ctx, op, tag)
         except ConfigError as exc:
             print(exc, file=sys.stderr)
             _write_manifest(out, config, statuses, ctx, False, {
                 "pointer": exc.pointer, "message": exc.message})
             return 2
-        except (AssertionError, ArithmeticError, ValueError) as exc:
+        except Exception as exc:
+            print(f"{tag}: {type(exc).__name__}: {exc}", file=sys.stderr)
             ctx.fail(f"{tag}_witness.json", name, {"error": str(exc)})
             outcome = False
         statuses.append((name, outcome))
         label = "info" if outcome is None else \
             ("ok" if outcome else "FAIL")
         print(f"{tag}: {label}")
-        if outcome is False:
-            all_passed = False
 
+    all_passed = all(s is None or s for _, s in statuses)
     _write_manifest(out, config, statuses, ctx, all_passed)
     return 0 if all_passed else 1
 
@@ -977,7 +1084,7 @@ def _write_manifest(out, config, statuses, ctx, passed, config_error=None):
 # ----------------------------------------------------------------------
 # argument parsing: one-shot flags assemble configs for run()
 #
-# Shared flags live on the action parsers (defined through parent parsers
+# Shared flags live on the action parsers (defined through a parent parser
 # with SUPPRESS defaults) so they can follow the action word, while the
 # calc/profile/walk/coarse parsers carry the same flags with real defaults
 # for the --config route; SUPPRESS keeps an action parse from clobbering a
@@ -997,52 +1104,11 @@ _DATA_FLAGS = (
     ("--h", {"type": float}),
 )
 
-
-def _parents():
-    shared = argparse.ArgumentParser(add_help=False)
-    for flag, kw in _COMMON_FLAGS + _DATA_FLAGS:
-        shared.add_argument(flag, default=argparse.SUPPRESS, **kw)
-    return [shared]
-
-
-def _add_route_flags(sp):
-    sp.add_argument("--config", default=None,
-                    help="experiment config JSON; overrides inline flags")
-    for flag, kw in _COMMON_FLAGS + _DATA_FLAGS:
-        sp.add_argument(flag, default=None, **kw)
-
-
-def _common_config(args, ops, extra=None):
-    cfg = dict(extra or {})
-    cfg["operations"] = ops
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "tol_overrides", None):
-        with open(args.tol_overrides) as fh:
-            cfg["tolerances"] = json.load(fh)
-    return cfg
-
-
-def _space_cfg(args):
-    space = getattr(args, "space", None)
-    return {"space": {"file": space}} if space else {}
-
-
-def _kernel_cfg(args):
-    if getattr(args, "vp", None):
-        return {"kernel": {"kind": "file", "path": args.vp}}
-    kind = getattr(args, "kernel", None)
-    if kind:
-        k = {"kind": kind}
-        h = getattr(args, "h", None)
-        if h is not None:
-            k["h"] = h
-        return {"kernel": k}
-    return {}
-
-
-def _floats(text):
-    return [float(x) for x in text.split(",") if x]
+# the commands whose actions are the one-shot operations of OPS
+_COMMANDS = {"calc": "gradients, energies, coarea",
+             "profile": "isoperimetric and boundary profiles",
+             "walk": "return decay and spectral radii",
+             "coarse": "equivalence certification and transfer"}
 
 
 def build_parser():
@@ -1090,81 +1156,23 @@ def build_parser():
     p.add_argument("--space", required=True)
     p.add_argument("--vp", required=True)
 
-    c = sub.add_parser("calc", help="gradients, energies, coarea")
-    _add_route_flags(c)
-    cs = c.add_subparsers(dest="action")
-    p = cs.add_parser("grad", parents=_parents())
-    p.add_argument("--kind", default="sup",
-                   choices=["sup", "lp", "viewpoint"])
-    p.add_argument("--p", type=float, default=2)
-    p.add_argument("--field", required=True)
-    p = cs.add_parser("energy", parents=_parents())
-    p.add_argument("--fields", default="random:20")
-    p = cs.add_parser("coarea", parents=_parents())
-    p.add_argument("--fields", default="random:20")
-    p = cs.add_parser("sandwich", parents=_parents())
-    p.add_argument("--fields", default="random:20")
-    p.add_argument("--q", type=float, default=1)
-    p.add_argument("--q2", type=float, default=2)
-
-    pr = sub.add_parser("profile", help="isoperimetric and boundary "
-                                        "profiles")
-    _add_route_flags(pr)
-    ps = pr.add_subparsers(dest="action")
-    p = ps.add_parser("jp", parents=_parents())
-    p.add_argument("--p", type=float, default=2)
-    p.add_argument("--backend", default="sup:1")
-    p.add_argument("--volumes", required=True)
-    p = ps.add_parser("boundary", parents=_parents())
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--family", default="all")
-    p = ps.add_parser("cheeger", parents=_parents())
-    p.add_argument("--scale", type=float, default=1.0)
-    p = ps.add_parser("sobolev", parents=_parents())
-    p.add_argument("--backend", default="sup:1")
-    p.add_argument("--p", type=float, default=2)
-    p.add_argument("--phi", required=True)
-    p.add_argument("--fields", default="random:40")
-    p.add_argument("--assert-c", type=float, default=None)
-
-    w = sub.add_parser("walk", help="return decay and spectral radii")
-    _add_route_flags(w)
-    ws = w.add_subparsers(dest="action")
-    p = ws.add_parser("decay", parents=_parents())
-    p.add_argument("--x", type=int, default=0)
-    p.add_argument("--n-max", type=int, default=64)
-    p = ws.add_parser("gamma", parents=_parents())
-    p.add_argument("--phi", required=True)
-    p.add_argument("--t-min", type=float, default=1e-2)
-    p.add_argument("--t-max", type=float, default=1e4)
-    p.add_argument("--t-count", type=int, default=50)
-    p.add_argument("--v-min", type=float, default=None)
-    p = ws.add_parser("compare", parents=_parents())
-    p.add_argument("--phi", required=True)
-    p.add_argument("--n-max", type=int, default=256)
-    p.add_argument("--centers", default=None)
-    p = ws.add_parser("rho", parents=_parents())
-    p.add_argument("--center", type=int, default=None)
-    p.add_argument("--radii", default=None)
-
-    co = sub.add_parser("coarse", help="equivalence certification and "
-                                       "transfer")
-    _add_route_flags(co)
-    cos = co.add_subparsers(dest="action")
-    p = cos.add_parser("certify", parents=_parents())
-    p.add_argument("--target", required=True)
-    p.add_argument("--map", default="identity")
-    p.add_argument("--radii", default="")
-    cos.add_parser("discretize", parents=_parents())
-    p = cos.add_parser("thicken", parents=_parents())
-    p.add_argument("--field", required=True)
-    p.add_argument("--p", type=float, default=2)
-    p = cos.add_parser("band", parents=_parents())
-    p.add_argument("--target", required=True)
-    p.add_argument("--map", default="identity")
-    p.add_argument("--radii", default="")
-    p.add_argument("--p", type=float, default=2)
-    p.add_argument("--volumes", default=None)
+    shared = argparse.ArgumentParser(add_help=False)
+    for flag, kw in _COMMON_FLAGS + _DATA_FLAGS:
+        shared.add_argument(flag, default=argparse.SUPPRESS, **kw)
+    for command, text in _COMMANDS.items():
+        c = sub.add_parser(command, help=text)
+        c.add_argument("--config", default=None,
+                       help="experiment config JSON; overrides inline flags")
+        for flag, kw in _COMMON_FLAGS + _DATA_FLAGS:
+            c.add_argument(flag, default=None, **kw)
+        actions = c.add_subparsers(dest="action")
+        for name, spec in OPS.items():
+            if spec.command == command:
+                p = actions.add_parser(spec.action, parents=[shared])
+                p.set_defaults(operation=name)
+                for flag, _, _, kw in spec.flags:
+                    if flag != "--h":   # shared, already on p
+                        p.add_argument(flag, **kw)
 
     a = sub.add_parser("accept", help="run the acceptance suite")
     for flag, kw in _COMMON_FLAGS:
@@ -1237,86 +1245,24 @@ def _cmd_viewpoint(args):
     return 0
 
 
-def _one_shot_ops(args):
-    """Translate subcommand flags into an operation list."""
-    act = args.action
-    h = getattr(args, "h", None)
-    if args.command == "calc":
-        if act == "grad":
-            return [{"op": "grad", "kind": args.kind, "p": args.p,
-                     "field": f"file:{args.field}",
-                     **({"h": h} if h is not None else {})}]
-        if act == "energy":
-            return [{"op": "energy_check", "fields": args.fields}]
-        if act == "coarea":
-            return [{"op": "coarea_check", "fields": args.fields,
-                     **({"h": h} if h is not None else {})}]
-        if act == "sandwich":
-            return [{"op": "gradient_sandwich", "fields": args.fields,
-                     "q": args.q, "q2": args.q2}]
-    if args.command == "profile":
-        if act == "jp":
-            return [{"op": "profile", "p": args.p, "backend": args.backend,
-                     "volumes": _floats(args.volumes)}]
-        if act == "boundary":
-            return [{"op": "boundary_profile", "h": args.scale,
-                     "family": args.family}]
-        if act == "cheeger":
-            return [{"op": "cheeger", "h": args.scale}]
-        if act == "sobolev":
-            op = {"op": "sobolev_verify", "backend": args.backend,
-                  "p": args.p, "phi": args.phi, "fields": args.fields}
-            if args.assert_c is not None:
-                op["assert_C"] = args.assert_c
-            return [op]
-    if args.command == "walk":
-        if act == "decay":
-            return [{"op": "decay", "x": args.x,
-                     "n": {"max": args.n_max}}]
-        if act == "gamma":
-            return [{"op": "gamma", "phi": args.phi,
-                     "t": {"min": args.t_min, "max": args.t_max,
-                           "count": args.t_count},
-                     **({"v_min": args.v_min}
-                        if args.v_min is not None else {})}]
-        if act == "compare":
-            op = {"op": "decay_vs_profile", "phi": args.phi,
-                  "n": {"max": args.n_max}}
-            if args.centers:
-                op["centers"] = [int(x) for x in args.centers.split(",")]
-            return [op]
-        if act == "rho":
-            op = {"op": "spectral_radius"}
-            if args.radii:
-                op["radii"] = _floats(args.radii)
-                op["center"] = args.center or 0
-            elif args.center is not None:
-                op["center"] = args.center
-            return [op]
-    if args.command == "coarse":
-        if act == "certify":
-            return [{"op": "certify", "target": {"file": args.target},
-                     "map": args.map if args.map == "identity"
-                     else f"file:{args.map}",
-                     "radii": _floats(args.radii)}]
-        if act == "discretize":
-            if h is None:
-                return "discretize needs --h"
-            return [{"op": "discretize", "h": h}]
-        if act == "thicken":
-            return [{"op": "thicken_support",
-                     "field": f"file:{args.field}", "h": h or 1.0,
-                     "p": args.p}]
-        if act == "band":
-            op = {"op": "transfer_band", "target": {"file": args.target},
-                  "map": args.map if args.map == "identity"
-                  else f"file:{args.map}",
-                  "radii": _floats(args.radii), "p": args.p,
-                  "h": h or 1.0}
-            if args.volumes:
-                op["volumes"] = _floats(args.volumes)
-            return [op]
-    return f"unknown action {act!r}"
+def _one_shot_config(args):
+    """The config an action's flags describe; a flag left unset or empty
+    leaves its key out, for the operation's default to fill."""
+    op = {"op": args.operation}
+    for flag, key, convert, _ in OPS[args.operation].flags:
+        val = getattr(args, flag[2:].replace("-", "_"))
+        if val not in (None, ""):
+            op = _merged(op, {key: convert(val) if convert else val})
+    cfg = {"operations": [op]}
+    if args.space:
+        cfg["space"] = {"file": args.space}
+    if args.vp:
+        cfg["kernel"] = {"kind": "file", "path": args.vp}
+    elif args.kernel:
+        cfg["kernel"] = {"kind": args.kernel}
+        if args.h is not None:
+            cfg["kernel"]["h"] = args.h
+    return cfg
 
 
 def main(argv=None) -> int:
@@ -1325,40 +1271,31 @@ def main(argv=None) -> int:
         return _cmd_zoo(args)
     if args.command == "viewpoint":
         return _cmd_viewpoint(args)
+    base = "."
     if args.command == "accept":
-        ops = [{"op": "accept"}]
+        cfg = {"operations": [{"op": "accept"}]}
         if args.criteria:
-            ops[0]["criteria"] = [int(x) for x in args.criteria.split(",")]
-        cfg = _common_config(args, ops)
-        return run(cfg, out_dir=args.out)
-
-    if getattr(args, "config", None):
-        path = Path(args.config)
+            cfg["operations"][0]["criteria"] = _ints(args.criteria)
+    elif args.config:
+        base = Path(args.config).parent
         try:
-            with open(path) as fh:
+            with open(args.config) as fh:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error at /: {exc}", file=sys.stderr)
             return 2
-        if getattr(args, "seed", None) is not None:
-            cfg["seed"] = args.seed
-        if getattr(args, "tol_overrides", None):
-            with open(args.tol_overrides) as fh:
-                cfg.setdefault("tolerances", {}).update(json.load(fh))
-        return run(cfg, out_dir=getattr(args, "out", None) or
-                   cfg.get("out"), base_dir=path.parent)
-
-    if getattr(args, "action", None) is None:
+    elif args.action is None:
         print(f"config error at /: {args.command} needs a subcommand or "
               f"--config", file=sys.stderr)
         return 2
-    ops = _one_shot_ops(args)
-    if isinstance(ops, str):
-        print(f"config error at /: {ops}", file=sys.stderr)
-        return 2
-    cfg = _common_config(args, ops, _space_cfg(args))
-    cfg.update(_kernel_cfg(args))
-    return run(cfg, out_dir=getattr(args, "out", None))
+    else:
+        cfg = _one_shot_config(args)
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if args.tol_overrides:
+        with open(args.tol_overrides) as fh:
+            cfg.setdefault("tolerances", {}).update(json.load(fh))
+    return run(cfg, out_dir=args.out, base_dir=base)
 
 
 if __name__ == "__main__":

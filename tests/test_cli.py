@@ -436,3 +436,271 @@ def test_descent_profiles_through_run_are_reproducible(tmp_path):
     assert names == sorted(p.name for p in out_b.iterdir())
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# ----------------------------------------------------------------------
+# one-shot flags against the config route, and one run per operation
+
+LAZY = {"kind": "lazy_srw", "h": 1.0}
+FIELD = [0.0, 1.0, -2.0, 3.0, 0.5, 0.0, -1.0, 2.0, 4.0]
+
+# one-shot argv, then the same run as a config: its top-level keys and its
+# one operation. Paths are relative to the directory the test runs in.
+ONE_SHOT = {
+    "calc grad": (
+        ["--space", "space.json", "--field", "field.json", "--kind", "lp",
+         "--h", "2"], {},
+        {"op": "grad", "field": "file:field.json", "kind": "lp", "h": 2.0}),
+    "calc energy": (
+        ["--space", "space.json", "--kernel", "lazy_srw", "--h", "1",
+         "--seed", "5", "--fields", "random:4"], {"kernel": LAZY, "seed": 5},
+        {"op": "energy_check", "fields": "random:4"}),
+    "calc coarea": (
+        ["--space", "space.json", "--h", "2", "--seed", "5",
+         "--fields", "random:3"], {"seed": 5},
+        {"op": "coarea_check", "h": 2.0, "fields": "random:3"}),
+    "calc sandwich": (
+        ["--space", "space.json", "--kernel", "lazy_srw", "--h", "1",
+         "--seed", "5", "--fields", "random:3", "--q", "1.5"],
+        {"kernel": LAZY, "seed": 5},
+        {"op": "gradient_sandwich", "fields": "random:3", "q": 1.5}),
+    "profile jp": (
+        ["--space", "space.json", "--backend", "lp:1", "--volumes", "2,4"],
+        {}, {"op": "profile", "backend": "lp:1", "volumes": [2.0, 4.0]}),
+    "profile boundary": (
+        ["--space", "space.json", "--scale", "2"], {},
+        {"op": "boundary_profile", "h": 2.0}),
+    "profile cheeger": (
+        ["--space", "space.json", "--scale", "2"], {},
+        {"op": "cheeger", "h": 2.0}),
+    "profile sobolev": (
+        ["--space", "space.json", "--backend", "lp:1", "--phi", "power:0.5",
+         "--seed", "7", "--fields", "random:4"], {"seed": 7},
+        {"op": "sobolev_verify", "backend": "lp:1", "phi": "power:0.5",
+         "fields": "random:4"}),
+    "walk decay": (
+        ["--space", "space.json", "--kernel", "lazy_srw", "--h", "1",
+         "--x", "2", "--n-max", "8"], {"kernel": LAZY},
+        {"op": "decay", "x": 2, "n": {"max": 8}}),
+    "walk gamma": (
+        ["--phi", "power:1", "--t-min", "0.1", "--t-count", "5"], {},
+        {"op": "gamma", "phi": "power:1", "t": {"min": 0.1, "count": 5}}),
+    "walk compare": (
+        ["--space", "space.json", "--kernel", "lazy_srw", "--h", "1",
+         "--phi", "power:1", "--n-max", "16", "--centers", "4"],
+        {"kernel": LAZY},
+        {"op": "decay_vs_profile", "phi": "power:1", "n": {"max": 16},
+         "centers": [4]}),
+    "walk rho": (
+        ["--space", "space.json", "--kernel", "lazy_srw", "--h", "1",
+         "--radii", "1,2", "--center", "4"], {"kernel": LAZY},
+        {"op": "spectral_radius", "radii": [1.0, 2.0], "center": 4}),
+    "coarse certify": (
+        ["--space", "space.json", "--target", "space.json",
+         "--radii", "1,2"], {},
+        {"op": "certify", "target": {"file": "space.json"},
+         "radii": [1.0, 2.0]}),
+    "coarse discretize": (
+        ["--space", "space.json", "--h", "2"], {},
+        {"op": "discretize", "h": 2.0}),
+    "coarse thicken": (
+        ["--space", "space.json", "--field", "field.json", "--h", "1"], {},
+        {"op": "thicken_support", "field": "file:field.json", "h": 1.0}),
+    "coarse band": (
+        ["--space", "space.json", "--target", "space.json",
+         "--map", "map.json", "--radii", "1,2", "--volumes", "2,4"], {},
+        {"op": "transfer_band", "target": {"file": "space.json"},
+         "map": "file:map.json", "radii": [1.0, 2.0], "volumes": [2.0, 4.0]}),
+}
+
+
+@pytest.fixture
+def run_dir(tmp_path, monkeypatch):
+    """A directory holding space.json (a 9-point path), field.json and
+    map.json (the path's reversal), made the working directory."""
+    _gen_space(tmp_path, family="path", n=9)
+    (tmp_path / "field.json").write_text(json.dumps(FIELD))
+    (tmp_path / "map.json").write_text(json.dumps(list(range(8, -1, -1))))
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("action", sorted(ONE_SHOT))
+def test_one_shot_flags_match_the_config_route(run_dir, action):
+    argv, top, op = ONE_SHOT[action]
+    shot, routed = run_dir / "shot", run_dir / "routed"
+    rc = cli.main(action.split() + argv + ["--out", str(shot)])
+    config = dict(top, operations=[op])
+    if any(a == "--space" for a in argv):
+        config["space"] = {"file": "space.json"}
+    assert cli.run(config, out_dir=str(routed), base_dir=str(run_dir)) == rc
+    names = sorted(p.name for p in shot.iterdir())
+    assert names == sorted(p.name for p in routed.iterdir())
+    names.remove("manifest.json")
+    assert names
+    for name in names:
+        assert (shot / name).read_bytes() == (routed / name).read_bytes()
+
+
+# a passing run of every operation: its config, its one operation and the
+# outcome the manifest records
+PATH9 = {"family": "path", "n": 9}
+GRID3 = {"family": "grid", "d": 2, "L": 3}
+RUN_CASES = {
+    "accept": ({}, {"criteria": [3]}, "pass"),
+    "boundary_profile": ({"space": PATH9}, {"h": 1.0}, "info"),
+    "certify": ({"space": GRID3}, {"target": GRID3, "radii": [1, 2]},
+                "pass"),
+    "cheeger": ({"space": PATH9}, {}, "info"),
+    "coarea_check": ({"space": PATH9, "seed": 3},
+                     {"fields": "random:3", "h": 2.0}, "pass"),
+    "decay": ({"space": PATH9, "kernel": LAZY}, {"n": {"max": 8}}, "info"),
+    "decay_vs_profile": ({"space": {"family": "path", "n": 48},
+                          "kernel": LAZY},
+                         {"phi": "power:1", "n": {"max": 48},
+                          "centers": [24]}, "pass"),
+    "discretize": ({"space": PATH9}, {"h": 2.0}, "pass"),
+    "energy_check": ({"space": PATH9, "kernel": LAZY, "seed": 3},
+                     {"fields": "random:3"}, "pass"),
+    "gamma": ({}, {"phi": "power:1", "t": {"count": 5}}, "info"),
+    "grad": ({"space": PATH9}, {"field": FIELD, "kind": "lp"}, "info"),
+    "gradient_sandwich": ({"space": PATH9, "kernel": LAZY, "seed": 3},
+                          {"fields": "random:3"}, "pass"),
+    "laplacian": ({"space": PATH9, "kernel": LAZY}, {"field": FIELD},
+                  "info"),
+    "nash_check": ({"space": PATH9, "kernel": LAZY, "seed": 3},
+                   {"phi": "power:1", "fields": "random:4"}, "pass"),
+    "nash_from_decay": ({"space": PATH9, "kernel": LAZY, "seed": 3},
+                        {"fields": "random:4", "n": {"max": 16}}, "pass"),
+    "profile": ({"space": PATH9}, {"backend": "lp:1", "volumes": [2, 4]},
+                "info"),
+    "pullback_transfer": ({"space": PATH9},
+                          {"target": PATH9, "field": FIELD}, "pass"),
+    "rough_volume": ({"space": PATH9},
+                     {"target": PATH9, "A": [3, 4, 5], "A_target": [4],
+                      "u": 1.0}, "pass"),
+    "scale_reduction": ({"space": PATH9, "seed": 3},
+                        {"b": 1.0, "h": 2.0, "fields": "random:3"}, "pass"),
+    "smoothing": ({"space": PATH9, "seed": 3}, {"fields": "random:3"},
+                  "pass"),
+    "sobolev_verify": ({"space": PATH9, "seed": 3},
+                       {"backend": "lp:1", "phi": "power:0.5",
+                        "fields": "random:4"}, "pass"),
+    "spectral_radius": ({"space": GRID3, "kernel": LAZY}, {}, "info"),
+    "thicken_support": ({"space": PATH9}, {"field": FIELD}, "info"),
+    "transfer_band": ({"space": {"family": "path", "n": 16}},
+                      {"target": {"family": "path", "n": 16},
+                       "radii": [2, 4]}, "pass"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_every_operation_runs_through_run(tmp_path, name):
+    top, op, outcome = RUN_CASES[name]
+    out = tmp_path / "run"
+    assert cli.run(dict(top, operations=[dict(op, op=name)]),
+                   out_dir=str(out)) == 0
+    man = _manifest(out)
+    assert man["operations"] == [{"op": name, "outcome": outcome}]
+    assert man["failures"] == [] and man["artifacts"]
+    for art in man["artifacts"]:
+        assert (out / art["path"]).is_file()
+
+
+def test_every_operation_has_a_run_case():
+    assert sorted(RUN_CASES) == sorted(cli.OPS)
+
+
+@pytest.mark.parametrize("op,pointer,words", [
+    ({"op": "energy_check", "fields": "file:nope.json"},
+     "/operations/0/fields", "nope.json"),
+    ({"op": "certify", "target": PATH9, "map": "file:nope.json"},
+     "/operations/0/map", "nope.json"),
+    ({"op": "gamma", "phi": "tabulated:nope.json"}, "/operations/0/phi",
+     "nope.json"),
+    ({"op": "gamma", "phi": "power:x"}, "/operations/0/phi", "'power:x'"),
+    ({"op": "gamma", "phi": "bogus:1"}, "/operations/0/phi", "'bogus:1'"),
+    ({"op": "profile", "backend": "sup:x", "volumes": [2]},
+     "/operations/0/backend", "'sup:x'"),
+    ({"op": "profile", "backend": "vp:nope.json", "volumes": [2]},
+     "/operations/0/backend", "nope.json"),
+], ids=["fields_file", "map_file", "phi_file", "phi_number", "phi_kind",
+        "backend_number", "backend_file"])
+def test_bad_spec_exits_2_with_pointer_and_manifest(tmp_path, capsys, op,
+                                                   pointer, words):
+    out = tmp_path / "run"
+    rc = cli.run({"space": PATH9, "kernel": LAZY, "operations": [op]},
+                 out_dir=str(out), base_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith(f"config error at {pointer}:") and words in err
+    man = _manifest(out)
+    assert man["passed"] is False and man["operations"] == []
+    assert man["config_error"]["pointer"] == pointer
+
+
+def test_handler_error_becomes_a_witness(tmp_path):
+    out = tmp_path / "run"
+    rc = cli.run({"space": PATH9, "kernel": LAZY, "operations": [
+        {"op": "spectral_radius", "subset": [0, 99]}, {"op": "cheeger"}]},
+        out_dir=str(out))
+    assert rc == 1
+    man = _manifest(out)
+    assert man["operations"] == [{"op": "spectral_radius", "outcome": "fail"},
+                                 {"op": "cheeger", "outcome": "info"}]
+    with open(out / "00_spectral_radius_witness.json") as fh:
+        assert "99" in json.load(fh)["error"]
+
+
+@pytest.mark.parametrize("top,op", [
+    ({}, {"op": "grad", "field": FIELD, "kind": "lp", "p": 3}),
+    ({"kernel": LAZY}, {"op": "laplacian", "field": FIELD, "p": 3}),
+    ({}, {"op": "thicken_support", "field": FIELD, "p": 3}),
+], ids=["grad", "laplacian", "thicken_support"])
+def test_deterministic_ops_at_p3_need_no_seed(tmp_path, top, op):
+    config = dict(top, space=PATH9, operations=[op])
+    assert cli.run(config, out_dir=str(tmp_path / "run")) == 0
+
+
+def test_profile_at_p3_needs_a_seed(run_dir, capsys):
+    assert cli.main(["calc", "grad", "--space", "space.json", "--field",
+                     "field.json", "--kind", "lp", "--p", "3",
+                     "--out", "grad"]) == 0
+    assert cli.main(["profile", "jp", "--space", "space.json", "--p", "3",
+                     "--backend", "lp:1", "--volumes", "2"]) == 2
+    assert "seed is mandatory: /operations/0/p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["coarse", "thicken", "--field", "field.json"],
+    ["coarse", "band", "--target", "space.json", "--radii", "1,2"]],
+    ids=["thicken", "band"])
+def test_one_shot_h_zero_reaches_the_operation(run_dir, argv):
+    cli.main(argv + ["--space", "space.json", "--h", "0", "--out", "run"])
+    # the manifest echoes only the flags given
+    op = _manifest(run_dir / "run")["config"]["operations"][0]
+    assert op["h"] == 0.0 and "p" not in op
+
+
+def test_center_without_radii_is_a_config_error(run_dir, capsys):
+    assert cli.main(["walk", "rho", "--space", "space.json", "--kernel",
+                     "lazy_srw", "--h", "1", "--center", "3"]) == 2
+    assert cli.run({"space": PATH9, "kernel": LAZY, "operations": [
+        {"op": "spectral_radius", "center": 3}]}) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["config error at /operations/0/center: center needs "
+                   "radii"] * 2
+    assert not (run_dir / "coarsecalc_out").exists()
+
+
+def test_boundary_profile_balls_is_the_library_family(tmp_path):
+    # on a 20-point path the family reaches radii past 4h
+    out = tmp_path / "run"
+    assert cli.run({"space": {"family": "path", "n": 20}, "operations": [
+        {"op": "boundary_profile", "h": 1.0, "family": "balls"}]},
+        out_dir=str(out)) == 0
+    rows = (out / "00_boundary_profile.csv").read_text().splitlines()[1:]
+    curves = profiles.boundary_profile(zoo.path(20), 1.0, family="balls")
+    assert [r.split(",") for r in rows] == [
+        [c.kind, repr(float(a)), repr(float(v)), c.mode]
+        for c in curves for a, v in zip(c.args, c.values)]
