@@ -745,6 +745,11 @@ def _op_pullback_transfer(ctx, op, tag):
 
 
 def _op_transfer_band(ctx, op, tag):
+    # the band reads the certificate's volume constants, which certify_lse
+    # measures only over a radius grid
+    if not op.get("radii"):
+        raise ConfigError(f"{ctx.op_pointer}/radii",
+                          "transfer_band needs a nonempty radii grid")
     space, target, F, cert = _target_map(ctx, op)
     if not cert.ok:
         ctx.fail(f"{tag}_witness.json", "transfer_band",
@@ -947,7 +952,7 @@ OPS = {
                           {"h": 1.0, "p": 2}, "coarse", "thicken",
                           (_FIELD, _P, _H)),
     "transfer_band": Op(_op_transfer_band, ("target",),
-                        {"map": "identity", "radii": [], "p": 2, "h": 1.0,
+                        {"map": "identity", "p": 2, "h": 1.0,
                          "volumes": None},
                         "coarse", "band",
                         _TARGET + (_P, ("--volumes", "volumes", _floats, {}),

@@ -96,6 +96,29 @@ def test_gamma_transform_linear_closed_form():
         assert got == pytest.approx((2.0 * t + 0.01) ** -0.5, rel=1e-8)
 
 
+@pytest.mark.parametrize("e,c,v_min", [
+    (0.25, 3.0, 1e-4), (0.1, 1.0, 1e-3), (0.05, 1.0, 1e-3)])
+def test_gamma_transform_small_exponent_closed_form(e, c, v_min):
+    # t = c^2 (M^2e - v_min^2e) / 2e; quadrature over the decades M spans
+    # here used to fail the round trip
+    ts = np.geomspace(1e-2, 1e4, 50)
+    g = gamma_transform(RateFunction.power(e, c), ts, v_min=v_min)
+    M = (v_min ** (2 * e) + 2 * e * ts / c ** 2) ** (1 / (2 * e))
+    np.testing.assert_allclose(g.gamma, 1.0 / M, rtol=1e-13)
+
+
+def test_gamma_transform_constant_rate():
+    # phi = c: t = c^2 log(M / v_min), so gamma = exp(-t / c^2) / v_min
+    phi, v_min = RateFunction.power(0.0, 2.0), 1e-3
+    ts = np.geomspace(1e-2, 1e3, 40)
+    g = gamma_transform(phi, ts, v_min=v_min)
+    np.testing.assert_allclose(g.gamma, np.exp(-ts / 4.0) / v_min,
+                               rtol=1e-12)
+    # t = 1e4 needs M = v_min e^2500, past the bracket's 1e280
+    with pytest.raises(ValueError, match="unreachable"):
+        gamma_transform(phi, [1e3, 1e4], v_min=v_min)
+
+
 def test_gamma_transform_demands_cutoff_when_divergent():
     with pytest.raises(ValueError, match="v_min"):
         gamma_transform(RateFunction.log_power(1.0, 0.0), [1.0])
@@ -106,10 +129,25 @@ ZERO_STRETCH = RateFunction.tabulated([1, 2, 4, 8, 100], [0, 0, 1.5, 3, 20])
 
 
 def _forward(phi, a, b):
-    """Tight-tolerance F = integral_a^b phi(v)^2 dv/v, split at the kinks."""
-    kinks = [k for k in phi.params.get("args", []) if a < k < b]
-    return quad(lambda v: phi(v) ** 2 / v, a, b, epsrel=1e-13, limit=1000,
-                points=kinks or None)[0]
+    """Tight-tolerance F = integral_a^b phi(v)^2 dv/v, split at the kinks.
+
+    Quadrature runs over the offset w = v - a, and a tabulated phi is
+    read off its knots shifted by a, so the nodes keep their precision
+    on intervals much narrower than a (on [1, 1 + 1e-8] nodes in v are
+    rounded to 2e-8 of the width, which moves the result by 4e-10)."""
+    if phi.kind == "tabulated":
+        args, values = phi.params["args"] - a, phi.params["values"]
+        kinks = [k for k in args if 0 < k < b - a]
+
+        def f(w):
+            return np.interp(w, args, values)
+    else:
+        kinks = []
+
+        def f(w):
+            return phi(a + w)
+    return quad(lambda w: f(w) ** 2 / (a + w), 0.0, b - a, epsrel=1e-13,
+                limit=1000, points=kinks or None)[0]
 
 
 @pytest.mark.parametrize("phi,v_min", [
@@ -126,6 +164,31 @@ def test_gamma_transform_is_on_the_conservative_side(phi, v_min):
     g = gamma_transform(phi, ts, v_min=v_min)
     for t, gam in zip(g.t, g.gamma):
         assert _forward(phi, v_min, 1.0 / gam) >= t * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("phi,a,b", [
+    (RateFunction.power(0.5), 1.0, 1.0 + 1e-9),
+    (RateFunction.power(3.0, 0.1), 7.0, 7.0 * (1.0 + 1e-6)),
+    (RateFunction.power(0.25, 3.0), 1e-4, 1e2),
+    (RateFunction.power(0.0, 2.0), 1e-3, 1e3),
+    (RateFunction.power(0.0, 2.0), 5.0, 5.0 + 1e-9),
+    (RateFunction.tabulated([1, 1 + 1e-8], [0, 1]), 1.0, 1.0 + 1e-8),
+    (RateFunction.tabulated([1000, 1000.01], [0, 1e-3]), 1000.0, 1000.01),
+    (RateFunction.tabulated([0.5, 1, 3, 10], [0.1, 1, 2, 2.5]), 0.1, 50.0),
+    (RateFunction.tabulated([0.5, 1, 3, 10], [0.1, 1, 2, 2.5]), 1.2, 1.3),
+    (ZERO_STRETCH, 1e-3, 150.0),
+    (ZERO_STRETCH, 1.5, 3.0),
+    (ZERO_STRETCH, 5.0, 5.0 * (1.0 + 1e-10)),
+], ids=["sqrt_short", "cubic_short", "quartic_root_long", "constant_long",
+        "constant_short", "tiny_segment", "steep_far_segment",
+        "both_clamped_ends", "inside_one_segment", "zero_stretch",
+        "zero_stretch_kink", "zero_stretch_short"])
+def test_exact_integral_matches_forward_quad(phi, a, b):
+    # no quad call: power and tabulated rates are integrated in closed form
+    got = randomwalk._phi2_integral(phi)(a, b)
+    want = _forward(phi, a, b)
+    assert want > 0
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_gamma_transform_log_power_matches_forward_integral():
@@ -147,17 +210,27 @@ def test_gamma_transform_zero_stretch_tabulated_rate():
 
 
 def test_decay_vs_profile_quad_calls_per_grid_point(monkeypatch):
-    # the bisection took about 42 quad calls per t on this call
+    # the bisection took about 42 quad calls per t on a power rate; power
+    # and tabulated rates now take none, log_power keeps Newton's few
     calls = []
     real = randomwalk.quad
     monkeypatch.setattr(randomwalk, "quad",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
     space = zoo.path(192)
-    rep = randomwalk.decay_vs_profile(space, lazy_srw(space, 1.0),
-                                      RateFunction.power(1.0),
+    vp = lazy_srw(space, 1.0)
+    rep = randomwalk.decay_vs_profile(space, vp, RateFunction.power(1.0),
                                       range(1, 193), centers=[96])
     assert rep.status == "ok"
-    assert len(calls) <= 12 * 160
+    assert calls == []
+    for phi in (ZERO_STRETCH,
+                RateFunction.tabulated([0.5, 1, 3, 10], [0.1, 1, 2, 2.5])):
+        gamma_transform(phi, np.geomspace(1e-2, 1e2, 160), v_min=1e-3)
+    assert calls == []
+    rep = randomwalk.decay_vs_profile(space, vp,
+                                      RateFunction.log_power(1.0, 1.0),
+                                      range(1, 193), centers=[96])
+    assert rep.status == "ok"
+    assert 0 < len(calls) <= 12 * 160
 
 
 def test_gamma_interpolation():
