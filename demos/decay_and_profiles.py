@@ -21,9 +21,9 @@ phi = RateFunction.power(0.5)  # phi(v) = sqrt(v), i.e. V(x,r) ~ r^2
 t = np.geomspace(0.5, 512, 40)
 gt = randomwalk.gamma_transform(phi, t, v_min=1.0)
 print("\nrate transform of phi(v) = v^(1/2) (closed form 1/(t + 1))")
-for ti in (1.0, 8.0, 64.0):
-    print(f"  t={ti:<4g} gamma = {gt.at(ti):.6f}   "
-          f"closed form {1.0 / (ti + 1.0):.6f}")
+for ti, g in zip(gt.t[::13], gt.gamma[::13]):   # grid points, no interpolation
+    print(f"  t={ti:<9.6g} gamma = {g:.15f}   "
+          f"closed form {1.0 / (ti + 1.0):.15f}")
 
 rep = randomwalk.decay_vs_profile(space, vp, phi, np.arange(1, 257),
                                   centers=[center, 0])

@@ -25,9 +25,10 @@ when A is the whole space or contains points isolated at the scale.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -36,7 +37,7 @@ from scipy.sparse.csgraph import connected_components
 from coarsecalc.calculus import (
     DENSE_EIG_SIZE, grad_lp, grad_sup, grad_viewpoint, gradient_pairs,
     lp_norm, l2_gradient_form, symmetric_eig)
-from coarsecalc.space import boundary as boundary_at_scale
+from coarsecalc.space import Subset, boundary as boundary_at_scale
 from coarsecalc.viewpoint import is_symmetric
 
 EXACT_ENUM_LIMIT = 18
@@ -349,51 +350,52 @@ def _inf_result(reason, field_or_subset, as_field=True):
 def _jp2(space, backend, idx):
     """Exact J_2 via the smallest generalized eigenvalue of the gradient
     form on A of a backend with pair weights (lp or a viewpoint)."""
-    indptr, cols, data = _form(space, backend)
-    # block on idx: the entries of the rows of idx whose column is in idx,
-    # dense up to DENSE_EIG_SIZE points (symmetric_eig's switch), CSR above
-    k = idx.size
-    pos = np.full(space.n, -1)
-    pos[idx] = np.arange(k)
-    counts = indptr[idx + 1] - indptr[idx]
-    take = np.repeat(indptr[idx] - np.cumsum(counts) + counts, counts) + \
-        np.arange(counts.sum())
-    col = pos[cols[take]]
-    keep = col >= 0
-    at = np.repeat(np.arange(k), counts)[keep], col[keep]
-    if k <= DENSE_EIG_SIZE:
-        C = np.zeros((k, k))
-        C[at] = data[take[keep]]
-    else:
-        C = csr_matrix((data[take[keep]], at), shape=(k, k))
+    value, v = _j2_eig(space, backend, idx)
+    f = np.zeros(space.n)
+    f[idx] = v / np.sqrt(space.measure[idx])
+    return JpResult(value, "exact", witness_field=f,
+                    reason="isolated_at_scale" if np.isinf(value) else None)
+
+
+def _j2_eig(space, backend, idx):
+    """(J_2(A), v) from the residual-checked smallest eigenpair (theta, v)
+    of the form's block on A: theta ** -0.5, or inf (with its warning)."""
+    Q = _form(space, backend)
+    C = Q[idx[:, None], idx] if isinstance(Q, np.ndarray) else Q[idx][:, idx]
     theta, V, _ = symmetric_eig(C, "SA")
     lam = float(theta[0])
-    f = np.zeros(space.n)
-    f[idx] = V[:, 0] / np.sqrt(space.measure[idx])
     if lam <= 1e-14 * max(1.0, *C.diagonal().tolist()):
-        return _inf_result("isolated_at_scale", f)
-    return JpResult(lam ** -0.5, "exact", witness_field=f)
+        warnings.warn("J is infinite: isolated_at_scale", stacklevel=3)
+        return np.inf, V[:, 0]
+    return lam ** -0.5, V[:, 0]
 
 
 def _form(space, backend):
-    """The backend's l2_gradient_form as read-only CSR arrays
-    (indptr, indices, data) with sorted indices, each entry (x, y) divided
-    by sqrt(mu(x) mu(y)). Built on first use and memoised on the space, for
-    lp per scale float(h) and for a viewpoint per Viewpoint object; the
-    form depends on the measure, so with_measure starts afresh."""
+    """The backend's l2_gradient_form with each entry (x, y) divided by
+    sqrt(mu(x) mu(y)), read-only: dense up to DENSE_EIG_SIZE points (a
+    block is then one fancy-index gather for symmetric_eig's dense
+    solver), CSR with sorted indices above. Built on first use and memoised
+    on the space, for lp per scale float(h) and for a viewpoint per
+    Viewpoint object; the form depends on the measure, so with_measure
+    starts afresh."""
     key = backend.vp if backend.kind == "viewpoint" else float(backend.h)
-    out = space._forms.get(key)
-    if out is None:
+    Q = space._forms.get(key)
+    if Q is None:
         Q = l2_gradient_form(space, backend.h, backend.vp).tocsr()
         Q.sort_indices()
         root = np.sqrt(space.measure)
         rows = np.repeat(np.arange(space.n), np.diff(Q.indptr))
-        out = Q.indptr, Q.indices, Q.data * (1.0 / (root[rows] *
-                                                    root[Q.indices]))
-        for arr in out:
+        Q.data = Q.data * (1.0 / (root[rows] * root[Q.indices]))
+        arrays = Q.indptr, Q.indices, Q.data
+        if space.n <= DENSE_EIG_SIZE:
+            # assigned, not summed as by toarray: a stored -0.0 stays -0.0
+            Q = np.zeros((space.n, space.n))
+            Q[rows, arrays[1]] = arrays[2]
+            arrays = Q,
+        for arr in arrays:
             arr.flags.writeable = False
-        space._forms[key] = out
-    return out
+        space._forms[key] = Q
+    return Q
 
 
 def _jp1(space, backend, idx):
@@ -413,7 +415,7 @@ def _jp1(space, backend, idx):
         return JpResult(float(q[m]), "exact", witness_subset=sub)
     # candidate search: balls inside A around every point of A
     best, best_sub = -np.inf, None
-    radii = _radius_grid(space, idx)
+    radii = _radius_grid(space.dist_row(int(idx[0])))
     pw = backend.pair_weights(space)
     for x in idx:
         d = space.dist_row(int(x))
@@ -643,9 +645,8 @@ def _jp_descent(space, backend, idx, p, rng):
                     witness_field=best_f[r].copy())
 
 
-def _radius_grid(space, idx, cap=12):
-    x0 = int(idx[0])
-    d = space.dist_row(x0)
+def _radius_grid(d, cap=12):
+    """Up to cap of the row's finite positive distances, evenly spread."""
     vals = np.unique(d[np.isfinite(d)])
     vals = vals[vals > 0]
     if vals.size > cap:
@@ -671,21 +672,21 @@ def candidate_subsets(space, backend=None, max_candidates=1200):
     out = []
 
     def push(indices, label):
-        indices = np.asarray(indices, dtype=np.int64)
+        # every family member is a flatnonzero: sorted, distinct int64
         if indices.size == 0 or indices.size >= space.n:
             return
         key = indices.tobytes()
         if key in seen:
             return
         seen.add(key)
-        out.append((space.subset(indices), label))
+        out.append((Subset(space, indices,
+                           float(space.measure[indices].sum())), label))
 
-    # metric balls, strided centers
+    # metric balls, strided centers, one distance row each
     stride = max(1, space.n // 80)
-    centers = range(0, space.n, stride)
-    for x in centers:
+    for x in range(0, space.n, stride):
         d = space.dist_row(x)
-        for r in _radius_grid(space, np.array([x]), cap=10):
+        for r in _radius_grid(d, cap=10):
             push(np.flatnonzero(d <= r), f"ball({x},{r:g})")
 
     shape = space.meta.get("shape")
@@ -697,10 +698,10 @@ def candidate_subsets(space, backend=None, max_candidates=1200):
         sizes = [_strided_range(1, s) for s in shape]
         corners = [_strided_range(0, s - 1) for s in shape]
         count = 0
-        for corner in _product_grid(corners):
+        for corner in itertools.product(*corners):
             if count > max_candidates:
                 break
-            for size in _product_grid(sizes):
+            for size in itertools.product(*sizes):
                 if count > max_candidates:
                     break
                 lo = np.array(corner)
@@ -734,16 +735,6 @@ def _strided_range(lo, hi, cap=12):
         pick = np.unique(np.linspace(0, len(vals) - 1, cap).astype(int))
         vals = [vals[i] for i in pick]
     return vals
-
-
-def _product_grid(lists):
-    if len(lists) == 1:
-        for a in lists[0]:
-            yield (a,)
-        return
-    for a in lists[0]:
-        for rest in _product_grid(lists[1:]):
-            yield (a,) + rest
 
 
 # ----------------------------------------------------------------------
@@ -781,11 +772,12 @@ def isoperimetric_profile(space, backend, p, volume_grid,
                 # contributes its indicator ratio directly (no inner max)
                 q, is_inf = _indicator_ratio(space, backend, sub.indices, pw)
                 val = np.inf if is_inf else q
+            elif p == 2 and backend.kind != "sup":
+                # jp_subset's exact J_2 without its witness field
+                val = _j2_eig(space, backend, sub.indices)[0]
             else:
-                res = jp_subset(space, backend, sub.indices, p, rng=rng)
-                if np.isinf(res.value) and res.reason == "whole_space":
-                    continue
-                val = res.value
+                # no candidate is the whole space
+                val = jp_subset(space, backend, sub.indices, p, rng=rng).value
             masses.append(sub.measure)
             values.append(val)
             found.append((sub.indices, label))
@@ -897,8 +889,10 @@ def boundary_profile(space, h, family="all", t_grid=None):
         if family == "balls":
             fam = []
             for x in range(space.n):
-                for r in _radius_grid(space, np.array([x]), cap=10):
-                    fam.append(space.subset(space.ball(x, r)))
+                d = space.dist_row(x)
+                for r in _radius_grid(d, cap=10):
+                    b = np.flatnonzero(d <= r)
+                    fam.append(Subset(space, b, float(space.measure[b].sum())))
         else:
             fam = [a if hasattr(a, "indices") else space.subset(a)
                    for a in family]

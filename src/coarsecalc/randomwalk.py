@@ -496,8 +496,7 @@ def spectral_radius(kernel):
     (constants are fixed); the informative quantity is the Dirichlet
     compression to a proper subset, see dirichlet_spectral_radius.
     """
-    M = _sym_matrix(kernel)
-    return _rho_of(M)
+    return _rho_of(_sym_matrix(kernel))
 
 
 def dirichlet_spectral_radius(kernel, A):
@@ -506,20 +505,21 @@ def dirichlet_spectral_radius(kernel, A):
     The finite-truncation proxy for an infinite space's spectral radius:
     rho_A increases along exhaustions and converges to it from below.
     """
-    idx = A.indices if hasattr(A, "indices") else np.asarray(A, np.int64)
-    M = _sym_matrix(kernel)[idx][:, idx]
-    return _rho_of(M)
+    return _rho_of(_sym_matrix(kernel), A)
 
 
-def _rho_of(M):
+def _rho_of(M, A=None):
+    """(rho, residual) of M, or of M compressed to the subset A."""
+    if A is not None:
+        idx = A.indices if hasattr(A, "indices") else \
+            np.asarray(A, np.int64)
+        M = M[idx][:, idx]
     theta, _, residuals = symmetric_eig(M, "LM")
     return abs(float(theta[0])), float(residuals[0])
 
 
 def exhaustion_radii(kernel, subsets):
-    """rho_A along a family of subsets, in the given order."""
-    out = []
-    for a in subsets:
-        rho, _ = dirichlet_spectral_radius(kernel, a)
-        out.append(rho)
-    return out
+    """rho_A along a family of subsets, in the given order; the symmetric
+    matrix is built (and its symmetry checked) once for them all."""
+    M = _sym_matrix(kernel)
+    return [_rho_of(M, a)[0] for a in subsets]

@@ -139,19 +139,25 @@ class MetricMeasureSpace:
         """Build from a weighted undirected graph; the metric is the
         shortest-path distance. The graph must be connected (a disconnected
         graph does not define a finite metric)."""
-        rows, cols, vals = [], [], []
-        for e in edges:
-            i, j, w = int(e[0]), int(e[1]), float(e[2])
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
-            if i == j:
-                raise ValueError(f"self-loop at {i} not allowed")
-            if w <= 0:
-                raise ValueError(f"edge ({i},{j}) has nonpositive weight {w}")
-            rows += [i, j]
-            cols += [j, i]
-            vals += [w, w]
-        graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
+        e = np.asarray(edges, dtype=float).reshape(-1, 3)
+        i, j, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
+        # the first bad edge in input order is reported, by the first of
+        # these checks it fails
+        checks = ((i < 0) | (i >= n) | (j < 0) | (j >= n), i == j, w <= 0)
+        bad = np.logical_or.reduce(checks)
+        if bad.any():
+            k = int(np.argmax(bad))
+            a, b, wk = int(i[k]), int(j[k]), float(w[k])
+            if checks[0][k]:
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
+            if checks[1][k]:
+                raise ValueError(f"self-loop at {a} not allowed")
+            raise ValueError(f"edge ({a},{b}) has nonpositive weight {wk}")
+        # entries (i, j), (j, i) edge by edge, so repeated edges sum in
+        # input order
+        graph = csr_matrix((np.repeat(w, 2), (np.stack([i, j], 1).ravel(),
+                                              np.stack([j, i], 1).ravel())),
+                           shape=(n, n))
         ncomp, _ = connected_components(graph, directed=False)
         if ncomp != 1:
             raise ValueError(f"graph must be connected; found {ncomp} components")

@@ -71,22 +71,14 @@ def _tree_edges(root_degree, child_count, depth, max_points=MAX_POINTS):
     n = sum(sizes)
     if n > max_points:
         raise ValueError(f"tree would have {n} vertices (cap {max_points})")
-    edges = []
-    depths = np.zeros(n, dtype=np.int64)
+    # BFS numbering: the root's children are 1..root_degree, and every
+    # later vertex v >= 1 has children numbered in the order of v
+    depths = np.repeat(np.arange(depth + 1), sizes)
     parent = np.full(n, -1, dtype=np.int64)
-    nxt = 1
-    layer = [0]
-    for level in range(depth):
-        new_layer = []
-        for v in layer:
-            k = root_degree if v == 0 else child_count
-            for _ in range(k):
-                edges.append((v, nxt, 1.0))
-                depths[nxt] = level + 1
-                parent[nxt] = v
-                new_layer.append(nxt)
-                nxt += 1
-        layer = new_layer
+    parent[1:root_degree + 1] = 0
+    parent[root_degree + 1:] = 1 + np.arange(n - root_degree - 1) // \
+        child_count
+    edges = np.column_stack([parent[1:], np.arange(1, n), np.ones(n - 1)])
     return n, edges, depths, parent
 
 

@@ -349,8 +349,11 @@ def test_jp2_form_memo_isolation():
             _same_jp2(profiles.jp_subset(space, Backend.lp(h), idx, 2),
                       _jp2_oracle(space, h, idx))
     assert sorted(space._forms) == [1.0, 2.0]
-    assert space._forms[1.0][2].tobytes() != space._forms[2.0][2].tobytes()
-    for arr in space._forms[1.0] + space._forms[2.0]:
+    # up to DENSE_EIG_SIZE points each scale's form is one dense array
+    one, two = space._forms[1.0], space._forms[2.0]
+    assert one.shape == two.shape == (space.n, space.n)
+    assert one.tobytes() != two.tobytes()
+    for arr in (one, two):
         assert not arr.flags.writeable
 
 
@@ -658,11 +661,11 @@ def test_candidate_profile_evaluates_only_reportable_subsets(monkeypatch):
                                              2).value)
             for sub, label in profiles.candidate_subsets(space, backend)]
     assert len(scan) == 234
+    # every exact J_2, in jp_subset or in the profile loop, is one _j2_eig
     calls = []
-    jp_subset = profiles.jp_subset
-    monkeypatch.setattr(profiles, "jp_subset",
-                        lambda *a, **kw: calls.append(1) or jp_subset(*a,
-                                                                      **kw))
+    j2_eig = profiles._j2_eig
+    monkeypatch.setattr(profiles, "_j2_eig",
+                        lambda *a: calls.append(1) or j2_eig(*a))
     curve = profiles.isoperimetric_profile(space, backend, 2, grid)
     assert len(calls) == sum(sub.measure <= 4 for sub, _, _ in scan) == 85
     for i, v in enumerate(grid):
@@ -672,6 +675,97 @@ def test_candidate_profile_evaluates_only_reportable_subsets(monkeypatch):
         assert curve.values[i] == val
         assert curve.witnesses[i]["label"] == label
         assert np.array_equal(curve.witnesses[i]["indices"], sub.indices)
+
+
+def _candidate_j2_oracle(space, backend, grid):
+    """The candidate J_2 profile with one jp_subset call per candidate;
+    also the number of candidates it evaluates whose J_2 is infinite."""
+    top = max(grid)
+    scan = [(sub, label, profiles.jp_subset(space, backend, sub.indices,
+                                            2).value)
+            for sub, label in profiles.candidate_subsets(space, backend)
+            if sub.measure <= top]
+    values, witnesses = [], []
+    for v in grid:
+        fits = [c for c in scan if c[0].measure <= v]
+        if not fits:
+            values.append(np.nan)
+            witnesses.append(None)
+            continue
+        best = max(val for _, _, val in fits)
+        sub, label, val = next(c for c in fits if c[2] == best)
+        values.append(val)
+        witnesses.append({"indices": sub.indices, "label": label,
+                          "measure": sub.measure, "value": val})
+    return values, witnesses, sum(np.isinf(val) for _, _, val in scan)
+
+
+def _grid_backend(kind):
+    space = zoo.grid(2, 4)
+    if kind == "lp_weighted":
+        space = space.with_measure(
+            np.random.default_rng(3).uniform(0.5, 2.0, space.n))
+        return space, Backend.lp(1.0)
+    vp = lazy_srw(space, 1.0) if kind == "vp_symmetric" else \
+        standard_viewpoint(space, 1.0)
+    assert is_symmetric(vp).symmetric == (kind == "vp_symmetric")
+    return space, Backend.viewpoint(vp)
+
+
+CANDIDATE_J2_CASES = {
+    "lp_weighted": lambda: _grid_backend("lp_weighted"),
+    "vp_symmetric": lambda: _grid_backend("vp_symmetric"),
+    "vp_asymmetric": lambda: _grid_backend("vp_asymmetric"),
+    # above DENSE_EIG_SIZE the form stays CSR and blocks are sliced from it
+    "lp_csr": lambda: (zoo.grid(2, 17), Backend.lp(1.0)),
+    # points 1, 3 and 7 are isolated at 0.25
+    "lp_isolated": lambda: (zoo.random_geometric(10, 3), Backend.lp(0.25)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANDIDATE_J2_CASES))
+def test_candidate_j2_profile_matches_jp_subset_loop(case):
+    space, backend = CANDIDATE_J2_CASES[case]()
+    grid = [1.0, 2.0, 4.0, 6.0] if case == "lp_csr" else \
+        [1.0, 2.0, 4.0, 8.0, 12.0]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        want, want_wit, n_inf = _candidate_j2_oracle(space, backend, grid)
+        del seen[:]
+        curve = profiles.isoperimetric_profile(space, backend, 2, grid)
+    # the profile warns once per infinite candidate, as jp_subset does
+    assert sum("isolated_at_scale" in str(w.message) for w in seen) == n_inf
+    assert (n_inf > 0) == (case == "lp_isolated")
+    if case == "lp_csr":
+        assert space.n > calculus.DENSE_EIG_SIZE
+        assert not isinstance(space._forms[1.0], np.ndarray)
+        for arr in (space._forms[1.0].data, space._forms[1.0].indices):
+            assert not arr.flags.writeable
+    assert np.array(want).tobytes() == curve.values.tobytes()
+    for got, wit in zip(curve.witnesses, want_wit):
+        if wit is None:
+            assert got is None
+            continue
+        assert got.keys() == wit.keys()
+        assert got["indices"].tobytes() == wit["indices"].tobytes()
+        assert got["label"] == wit["label"]
+        assert np.float64(got["measure"]).tobytes() == \
+            np.float64(wit["measure"]).tobytes()
+        assert np.float64(got["value"]).tobytes() == \
+            np.float64(wit["value"]).tobytes()
+    if case == "lp_isolated":
+        assert np.isinf(curve.values).any()
+
+
+def test_candidate_subsets_read_one_distance_row_per_centre(monkeypatch):
+    # path(200): every second point is a centre; grid(2, 9): every point
+    for space in (zoo.path(200), zoo.grid(2, 9)):
+        rows = []
+        dist_row = space.dist_row
+        monkeypatch.setattr(space, "dist_row",
+                            lambda x, *a: rows.append(x) or dist_row(x, *a))
+        profiles.candidate_subsets(space)
+        assert rows == list(range(0, space.n, max(1, space.n // 80)))
 
 
 def test_isoperimetric_profile_monotone():
@@ -730,6 +824,45 @@ def test_boundary_profile_whole_space_family():
     I, I_down, I_up = profiles.boundary_profile(
         space, 1.0, family=[list(range(7))], t_grid=[3.0, 7.0])
     np.testing.assert_allclose(I_down.values, 0.0)
+
+
+def _ball_family_oracle(space):
+    """family="balls" built the old way: for each point, a ball query per
+    radius of at most 10 distinct positive distances from it."""
+    fam = []
+    for x in range(space.n):
+        d = space.dist_row(x)
+        vals = np.unique(d[np.isfinite(d)])
+        vals = vals[vals > 0]
+        if vals.size > 10:
+            vals = vals[np.linspace(0, vals.size - 1, 10).astype(int)]
+        fam += [space.subset(space.ball(x, r)) for r in vals]
+    return fam
+
+
+@pytest.mark.parametrize("make", [
+    lambda: zoo.regular_tree(3, 3),                     # graph
+    lambda: zoo.grid(2, 5, "l2"),                       # coords
+    lambda: zoo.scale_metric(zoo.path(14), 1.5),
+    lambda: zoo.random_geometric(16, 2).with_measure(
+        np.random.default_rng(1).uniform(0.5, 2.0, 16)),
+], ids=["tree", "grid_l2", "path_scaled", "geo_weighted"])
+def test_boundary_profile_ball_family_unchanged(make):
+    space = make()
+    got = profiles.boundary_profile(space, 1.0, family="balls")
+    want = profiles.boundary_profile(space, 1.0,
+                                     family=_ball_family_oracle(space))
+    for g, w in zip(got, want):
+        assert (g.kind, g.mode, g.meta["family"]) == \
+            (w.kind, w.mode, "balls")
+        assert g.values.tobytes() == w.values.tobytes()
+        for a, b in zip(g.witnesses, w.witnesses):
+            if b is None:
+                assert a is None
+                continue
+            assert a["indices"].tobytes() == b["indices"].tobytes()
+            assert (a["measure"], a["boundary"]) == \
+                (b["measure"], b["boundary"])
 
 
 # ---------------------------------------------------------------- fits

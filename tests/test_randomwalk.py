@@ -306,6 +306,18 @@ def test_dirichlet_radius_monotone_in_subset():
     assert inner < outer <= whole + 1e-12
 
 
+def test_exhaustion_radii_build_the_matrix_once(monkeypatch):
+    vp = lazy_srw(zoo.path(40), 1.0)
+    subsets = [list(range(20 - k, 20 + k)) for k in (3, 6, 12, 19)]
+    want = [dirichlet_spectral_radius(vp, a)[0] for a in subsets]
+    calls = []
+    build = type(vp).symmetric_matrix
+    monkeypatch.setattr(type(vp), "symmetric_matrix",
+                        lambda self: calls.append(1) or build(self))
+    assert exhaustion_radii(vp, subsets) == want
+    assert len(calls) == 1
+
+
 def test_exhaustion_radii_nondecreasing():
     vp = lazy_srw(zoo.path(40), 1.0)
     subsets = [list(range(20 - k, 20 + k)) for k in (3, 6, 12, 19)]

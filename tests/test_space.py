@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.sparse import csr_matrix
 
 import coarsecalc
 from coarsecalc import zoo
@@ -38,6 +39,39 @@ def test_from_dense_rejects_asymmetry_and_bad_measure():
     d = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
         MetricMeasureSpace.from_dense(d, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("edges,message", [
+    # each edge in input order meets the range, self-loop and weight checks
+    # in that order; the first edge failing any of them is named
+    ([(0, 1, 1.0), (1, 1, 1.0), (0, 5, 1.0)], r"self-loop at 1 not"),
+    ([(0, 1, -1.0), (0, 9, 1.0)], r"edge \(0,1\) has nonpositive weight -1.0"),
+    ([(1, 2, 1.0), (9, 9, -1.0), (2, 2, 1.0)],
+     r"edge \(9,9\) out of range for n=3"),
+    ([(0, -1, 2.0)], r"edge \(0,-1\) out of range"),
+    ([[0, 1, 1], [1, 2, 0]], r"edge \(1,2\) has nonpositive weight 0.0"),
+])
+def test_from_graph_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError, match=message):
+        MetricMeasureSpace.from_graph(3, edges, np.ones(3))
+
+
+def test_from_graph_matches_edge_by_edge_assembly():
+    # repeated edges (both orientations) sum in input order, as entries
+    # (i, j), (j, i) appended one edge at a time did
+    edges = [(0, 1, 0.1), (1, 2, 0.2), (0, 1, 0.7), (1, 0, 0.3), (2, 3, 1.5)]
+    rows, cols, vals = [], [], []
+    for i, j, w in edges:
+        rows += [i, j]
+        cols += [j, i]
+        vals += [w, w]
+    want = csr_matrix((vals, (rows, cols)), shape=(4, 4))
+    got = MetricMeasureSpace.from_graph(4, edges, np.ones(4))._graph
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.data, want.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    one = MetricMeasureSpace.from_graph(1, [], np.ones(1))
+    assert one.n == 1 and one._graph.nnz == 0
 
 
 @pytest.mark.parametrize("x,r,expected", [

@@ -48,6 +48,34 @@ def test_regular_tree_sizes(depth, size):
     assert zoo.regular_tree(3, depth).n == size
 
 
+def _tree_edges_oracle(root_degree, child_count, depth):
+    """Breadth-first numbering, one vertex at a time."""
+    edges, depths, parent = [], [0], [-1]
+    layer, nxt = [0], 1
+    for level in range(depth):
+        new_layer = []
+        for v in layer:
+            for _ in range(root_degree if v == 0 else child_count):
+                edges.append((v, nxt, 1.0))
+                depths.append(level + 1)
+                parent.append(v)
+                new_layer.append(nxt)
+                nxt += 1
+        layer = new_layer
+    return nxt, edges, depths, parent
+
+
+@pytest.mark.parametrize("args", [(3, 2, 4), (4, 3, 5), (2, 1, 3), (4, 3, 0),
+                                  (1, 1, 6)])
+def test_tree_edges_match_breadth_first_oracle(args):
+    n, edges, depths, parent = zoo._tree_edges(*args)
+    want = _tree_edges_oracle(*args)
+    assert n == want[0]
+    assert np.array_equal(edges, np.array(want[1]).reshape(-1, 3))
+    assert depths.tolist() == want[2] and parent.tolist() == want[3]
+    assert depths.dtype == parent.dtype == np.int64
+
+
 def test_tree_is_unit_edge_graph():
     t = zoo.regular_tree(4, 3)
     assert t.dist(0, 1) == pytest.approx(1.0)
