@@ -17,8 +17,8 @@ Modules
 -------
 space       finite metric measure spaces and set calculus at a scale
 zoo         deterministic benchmark space generators
-viewpoint   kernels at a scale: validation, symmetry, composition
-calculus    gradients, Laplacians, Dirichlet eigenvalues, co-area
+viewpoint   kernels at a scale: validation, symmetry, persistence
+calculus    gradients, Laplacians, eigensolves, co-area
 profiles    isoperimetric profiles, Sobolev/Nash verification, Cheeger
 randomwalk  kernel iteration, return-probability decay, gamma transform
 coarse      large-scale equivalence, discretization, pullback transfer

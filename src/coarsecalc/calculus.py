@@ -1,5 +1,5 @@
-"""Gradients at a scale, Laplacians, Dirichlet eigenvalues, energy identities,
-and the co-area sandwich.
+"""Gradients at a scale, Laplacians, the symmetric eigensolver, energy
+identities, and the co-area sandwich.
 
 Three gradient notions live here, all pointwise nonnegative fields:
 
@@ -15,9 +15,7 @@ for a symmetric viewpoint, direct expansion of the double sum gives
     sum_xy |f(y)-f(x)|^2 p_x(y) mu(x) mu(y) = 2 <(I-P)f, f>_mu,
 
 so ``energy`` asserts gradient_norm_sq == 2 * dirichlet and
-``p2_energy_identity`` asserts its lhs == 2 * rhs. The Dirichlet eigenvalue
-follows the Rayleigh-quotient definition literally and therefore equals
-2 * lambda_min(I - P restricted to the subset); both numbers are reported.
+``p2_energy_identity`` asserts its lhs == 2 * rhs.
 """
 
 from __future__ import annotations
@@ -118,45 +116,6 @@ def _row_max(indptr, vals):
     return out
 
 
-@dataclass(frozen=True)
-class FiberGradient:
-    """Differences f(x) - f(y) on the pairs {d(x, y) <= h}, stored per row.
-
-    Antisymmetric on its domain and zero on the diagonal; the row-wise
-    maximum of |values| is exactly grad_sup.
-    """
-
-    h: float
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-
-    def row(self, x):
-        sl = slice(self.indptr[x], self.indptr[x + 1])
-        return self.indices[sl], self.values[sl]
-
-    def sup_reduction(self):
-        return _row_max(self.indptr, np.abs(self.values))
-
-    def antisymmetry_defect(self):
-        """max over stored pairs of |value(x,y) + value(y,x)| (0 if exact)."""
-        n = self.indptr.size - 1
-        rows = np.repeat(np.arange(n), np.diff(self.indptr))
-        m = csr_matrix((self.values, (rows, self.indices)), shape=(n, n))
-        s = m + m.T
-        return float(np.abs(s.data).max()) if s.nnz else 0.0
-
-
-def fiber_gradient(space, f, h) -> FiberGradient:
-    """Materialize f(x) - f(y) over all pairs at distance <= h."""
-    if h < 0:
-        raise ValueError(f"scale must be >= 0, got {h}")
-    f = _check_field(space, f)
-    indptr, indices, _ = space.neighbourhoods(h)
-    return FiberGradient(float(h), indptr, indices,
-                         np.repeat(f, np.diff(indptr)) - f[indices])
-
-
 # ----------------------------------------------------------------------
 # Laplacians and spectra
 
@@ -228,41 +187,6 @@ def symmetric_eig(M, which, k=1):
             raise ArithmeticError(f"eigensolver residual {residuals[j]:g} on "
                                   f"{n} points exceeds {EIG_RESIDUAL_TOL:g}")
     return theta, V, residuals
-
-
-@dataclass(frozen=True)
-class DirichletResult:
-    """Rayleigh-quotient eigenvalue of a subset with its minimizer.
-
-    ``delta`` is the infimum of ||grad_{P,2} f||_2^2 / ||f||_2^2 over fields
-    supported in the subset; ``lambda_min`` is the smallest eigenvalue of
-    (I - P) restricted to the subset, and delta == 2 * lambda_min.
-    """
-
-    delta: float
-    lambda_min: float
-    field: np.ndarray
-
-
-def dirichlet_eigenvalue(vp, A) -> DirichletResult:
-    """Smallest Rayleigh quotient over fields supported in A, with minimizer.
-
-    Conjugating the transition matrix by sqrt(mu) gives the symmetric matrix
-    M[x,y] = p_x(y) sqrt(mu(x) mu(y)); on the subset, delta = 2 (1 - lambda_max(M_A)).
-    lambda_max comes from symmetric_eig, residual checked.
-    """
-    _require_symmetric(vp, "dirichlet_eigenvalue")
-    idx = A.indices if hasattr(A, "indices") else np.asarray(A, dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("subset must be nonempty")
-    M = vp.symmetric_matrix().tocsr()
-    theta, V, _ = symmetric_eig(M[idx][:, idx], "LA")
-    mu = vp.space.measure
-    f = np.zeros(vp.space.n)
-    f[idx] = V[:, 0] / np.sqrt(mu[idx])
-    f /= np.sqrt(np.sum(f * f * mu))
-    lam_min = 1.0 - float(theta[0])
-    return DirichletResult(2.0 * lam_min, lam_min, f)
 
 
 # ----------------------------------------------------------------------

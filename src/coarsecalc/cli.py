@@ -39,8 +39,8 @@ from jsonschema.exceptions import best_match
 from coarsecalc import acceptance, calculus, coarse, profiles, randomwalk, \
     viewpoint, zoo
 from coarsecalc.profiles import Backend, RateFunction
-from coarsecalc.space import (boundary, doubling_profile, geodesicity_report,
-                              load_space, save_space, thicken)
+from coarsecalc.space import (doubling_profile, geodesicity_report,
+                              load_space, save_space)
 
 try:
     from importlib.metadata import version as _pkg_version

@@ -117,17 +117,14 @@ class RateFunction:
 
     Kinds: ``power`` (coef * v^exponent), ``log_power``
     (coef * v^b * (1 + log(1 + v))^a), ``tabulated`` (monotone linear
-    interpolation, clamped to the end values outside the table). The
-    generalized inverse is inf{v : phi(v) >= r} (+inf when phi stays
-    below r, which is how boundedness surfaces in volume checks).
+    interpolation, clamped to the end values outside the table).
     """
 
-    def __init__(self, kind, fn, params, unbounded, sup_value=None):
+    def __init__(self, kind, fn, params, unbounded):
         self.kind = kind
         self._fn = fn
         self.params = params
         self.unbounded = unbounded
-        self.sup_value = sup_value
 
     @staticmethod
     def power(exponent, coef=1.0):
@@ -135,8 +132,7 @@ class RateFunction:
             raise ValueError("power rate needs exponent >= 0 and coef > 0")
         return RateFunction(
             "power", lambda v: coef * np.asarray(v, dtype=float) ** exponent,
-            {"exponent": exponent, "coef": coef}, exponent > 0,
-            None if exponent > 0 else coef)
+            {"exponent": exponent, "coef": coef}, exponent > 0)
 
     @staticmethod
     def log_power(log_exp, pow_exp, coef=1.0):
@@ -153,13 +149,18 @@ class RateFunction:
         unbounded = pow_exp > 0 or (pow_exp == 0 and log_exp > 0)
         return RateFunction("log_power", fn,
                             {"log_exp": log_exp, "pow_exp": pow_exp,
-                             "coef": coef}, unbounded,
-                            None if unbounded else float(probe[-1]))
+                             "coef": coef}, unbounded)
 
     @staticmethod
     def tabulated(args, values):
         args = np.asarray(args, dtype=float)
         values = np.asarray(values, dtype=float)
+        if args.ndim != 1 or args.size == 0 or values.shape != args.shape:
+            raise ValueError(f"tabulated rate needs nonempty args and values "
+                             f"of one length, got {args.size} and "
+                             f"{values.size}")
+        if not (np.isfinite(args).all() and np.isfinite(values).all()):
+            raise ValueError("tabulated rate must be finite")
         order = np.argsort(args)
         args, values = args[order], values[order]
         if np.any(values < 0):
@@ -172,50 +173,11 @@ class RateFunction:
             return np.interp(np.asarray(v, dtype=float), args, values)
 
         return RateFunction("tabulated", fn,
-                            {"args": args, "values": values}, False,
-                            float(values[-1]))
+                            {"args": args, "values": values}, False)
 
     def __call__(self, v):
         out = self._fn(v)
         return float(out) if np.isscalar(v) else out
-
-    def inverse(self, r):
-        """Generalized inverse inf{v : phi(v) >= r}; +inf when unattained."""
-        r = float(r)
-        if self.kind == "power":
-            e, c = self.params["exponent"], self.params["coef"]
-            if e == 0:
-                return 0.0 if c >= r else np.inf
-            return (r / c) ** (1.0 / e)
-        if self.kind == "tabulated":
-            args, values = self.params["args"], self.params["values"]
-            if r > values[-1]:
-                return np.inf
-            k = int(np.searchsorted(values, r, side="left"))
-            if k == 0:
-                return float(args[0]) if r <= values[0] else np.inf
-            # linear interpolation on the segment reaching r
-            v0, v1 = values[k - 1], values[k]
-            a0, a1 = args[k - 1], args[k]
-            if v1 == v0:
-                return float(a0)
-            return float(a0 + (r - v0) / (v1 - v0) * (a1 - a0))
-        # log_power: monotone bisection over a wide bracket
-        if not self.unbounded and self.sup_value is not None \
-                and r > self.sup_value:
-            return np.inf
-        lo, hi = 1e-300, 1.0
-        while self._fn(hi) < r and hi < 1e300:
-            hi *= 4.0
-        if self._fn(hi) < r:
-            return np.inf
-        for _ in range(200):
-            mid = np.sqrt(lo * hi)
-            if self._fn(mid) >= r:
-                hi = mid
-            else:
-                lo = mid
-        return float(hi)
 
 
 # ----------------------------------------------------------------------
@@ -1075,40 +1037,3 @@ def cheeger(space, h, family):
         if q < best:
             best, wit = q, a
     return float(best), wit
-
-
-@dataclass(frozen=True)
-class VolumeCheckReport:
-    status: str          # "pass" | "fail" | "phi_bounded"
-    worst_point: int
-    worst_radius: float
-    worst_margin: float
-    failures: list
-
-
-def sinf_volume_check(space, phi, radius_grid) -> VolumeCheckReport:
-    """Check the volume lower bound V(x, r) >= phi^{-1}(r) on a radius grid.
-
-    A bounded phi cannot support the sup-norm inequality at large radii;
-    that case returns a structured "phi_bounded" report instead of a
-    numeric failure.
-    """
-    radius_grid = sorted(float(r) for r in radius_grid)
-    needed = [phi.inverse(r) for r in radius_grid]
-    if any(np.isinf(v) for v in needed):
-        r_bad = radius_grid[int(np.argmax(np.isinf(needed)))]
-        return VolumeCheckReport("phi_bounded", -1, r_bad, -np.inf, [])
-    failures = []
-    worst = (np.inf, -1, np.nan)
-    for x in range(space.n):
-        d = space.dist_row(x)
-        for r, need in zip(radius_grid, needed):
-            v = float(space.measure[d <= r].sum())
-            margin = v - need
-            if margin < worst[0]:
-                worst = (margin, x, r)
-            if margin < 0:
-                failures.append({"x": x, "r": r, "volume": v,
-                                 "required": need})
-    status = "pass" if not failures else "fail"
-    return VolumeCheckReport(status, worst[1], worst[2], worst[0], failures)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -143,7 +143,8 @@ class MetricMeasureSpace:
         i, j, w = e[:, 0].astype(np.int64), e[:, 1].astype(np.int64), e[:, 2]
         # the first bad edge in input order is reported, by the first of
         # these checks it fails
-        checks = ((i < 0) | (i >= n) | (j < 0) | (j >= n), i == j, w <= 0)
+        checks = ((i < 0) | (i >= n) | (j < 0) | (j >= n), i == j, w <= 0,
+                  ~np.isfinite(w))
         bad = np.logical_or.reduce(checks)
         if bad.any():
             k = int(np.argmax(bad))
@@ -152,7 +153,9 @@ class MetricMeasureSpace:
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             if checks[1][k]:
                 raise ValueError(f"self-loop at {a} not allowed")
-            raise ValueError(f"edge ({a},{b}) has nonpositive weight {wk}")
+            if checks[2][k]:
+                raise ValueError(f"edge ({a},{b}) has nonpositive weight {wk}")
+            raise ValueError(f"edge ({a},{b}) has non-finite weight {wk}")
         # entries (i, j), (j, i) edge by edge, so repeated edges sum in
         # input order
         graph = csr_matrix((np.repeat(w, 2), (np.stack([i, j], 1).ravel(),
@@ -329,9 +332,6 @@ class MetricMeasureSpace:
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n):
             raise ValueError(f"subset indices out of range for N={self.n}")
         return Subset(self, idx, float(self.measure[idx].sum()))
-
-    def whole(self) -> "Subset":
-        return Subset(self, np.arange(self.n, dtype=np.int64), self.total_measure)
 
     # ------------------------------------------------------------------
 

@@ -18,21 +18,14 @@ Scalar fields are plain float arrays indexed by point.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
 
-from coarsecalc.space import doubling_profile
-
 STOCHASTIC_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
-
-# warn (never error) when composing over a space whose doubling constant at
-# the composed half-scale exceeds this
-DOUBLING_WARN_CAP = 64.0
 
 
 @dataclass(frozen=True)
@@ -68,8 +61,8 @@ class SymmetryReport:
 class Viewpoint:
     """A certified kernel at scale h on a fixed space.
 
-    Immutable after construction; ``apply`` and ``compose`` are pure, so
-    viewpoints can be shared freely across workers.
+    Immutable after construction; ``apply`` is pure, so viewpoints can be
+    shared freely across workers.
     """
 
     def __init__(self, space, h, dens, certificate, kind="custom"):
@@ -98,10 +91,6 @@ class Viewpoint:
         """Support indices and densities of row x."""
         sl = slice(self.dens.indptr[x], self.dens.indptr[x + 1])
         return self.dens.indices[sl], self.dens.data[sl]
-
-    def transition_matrix(self):
-        """Row-stochastic transition probabilities K[x, y] = p_x(y) mu(y)."""
-        return self.dens @ diags(self.space.measure)
 
     def symmetric_matrix(self):
         """M[x, y] = p_x(y) sqrt(mu(x) mu(y)).
@@ -221,70 +210,6 @@ def _assert_standard(space, vp):
         x = int(np.repeat(np.arange(space.n), counts)[np.argmax(off)])
         raise ValueError(f"symmetrize expects the standard viewpoint; "
                          f"row {x} is not uniform on its ball")
-
-
-def compose(P, Q) -> Viewpoint:
-    """Kernel of the two-step transition P-then-Q, certified at the largest
-    workable scale.
-
-    The product operator's density is R = D_P diag(mu) D_Q. Row sums and the
-    support bound survive automatically at any scale, so only the density
-    floor can fail; the scale is searched over the geometric grid
-    (h_P + h_Q) * 2^(-k/4), k = 1..16, and the largest passing value wins.
-    Raises if every candidate fails, carrying the closest witness.
-    """
-    if P.space is not Q.space:
-        raise ValueError("compose requires viewpoints on the same space "
-                         f"(got {P.space.name!r} and {Q.space.name!r})")
-    space = P.space
-    R = P.dens @ diags(space.measure) @ Q.dens
-    R.eliminate_zeros()
-    R = csr_matrix(R)
-
-    # z_x = distance from x to the nearest zero-density point; the floor
-    # axiom holds at h'' iff h'' < min_x z_x
-    zmin = np.inf
-    zwitness = (0, 0)
-    maxd = 0.0
-    pair_d = []
-    pair_v = []
-    for x in range(space.n):
-        sup = R.indices[R.indptr[x]:R.indptr[x + 1]]
-        vals = R.data[R.indptr[x]:R.indptr[x + 1]]
-        d = space.dist_row(x)
-        if sup.size:
-            maxd = max(maxd, float(d[sup].max()))
-        mask = np.ones(space.n, dtype=bool)
-        mask[sup] = False
-        if np.any(mask):
-            zx = d[mask].min()
-            if zx < zmin:
-                zmin = zx
-                zwitness = (x, int(np.flatnonzero(mask & (d == zx))[0]))
-        pair_d.append(d[sup])
-        pair_v.append(vals)
-    pair_d = np.concatenate(pair_d) if pair_d else np.array([])
-    pair_v = np.concatenate(pair_v) if pair_v else np.array([])
-
-    top = P.h + Q.h
-    for k in range(1, 17):
-        h2 = top * 2.0 ** (-k / 4.0)
-        if h2 < zmin:
-            keep = pair_d <= h2
-            c2 = float(pair_v[keep].min())
-            A2 = max(1.0, maxd / h2)
-            rep = doubling_profile(space, [h2 / 2.0])[0]
-            if rep.constant > DOUBLING_WARN_CAP:
-                warnings.warn(
-                    f"composing over a space with doubling constant "
-                    f"{rep.constant:g} at r={h2 / 2:g} (cap "
-                    f"{DOUBLING_WARN_CAP:g}); the certified floor may be "
-                    f"very weak", stacklevel=2)
-            return Viewpoint(space, h2, R, Certificate(A2, c2),
-                             kind="composed")
-    raise ValueError(
-        f"composition admits no certificate on the 16-scale grid below "
-        f"{top:g}: {Violation(zwitness[0], 'density floor', zwitness[1])}")
 
 
 def apply(vp, f):

@@ -1,4 +1,5 @@
-"""Gradients, energy identities, coarea, Dirichlet quotients, comparisons."""
+"""Gradients, Laplacians, eigensolves, energy identities, coarea,
+comparisons."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from coarsecalc import calculus, zoo
+from coarsecalc import calculus, profiles, zoo
 from coarsecalc.randomwalk import lazy_srw, pure_srw
 from coarsecalc.viewpoint import random_symmetric_viewpoint, standard_viewpoint
 
@@ -118,11 +119,15 @@ def test_laplacian_positive_against_field():
 
 
 def test_dirichlet_eigenvalue_monotone_in_domain():
+    # exact J_2 under a symmetric kernel is delta^(-1/2), delta the
+    # Dirichlet eigenvalue of the subset: a larger domain has the smaller
+    # delta, so the larger J_2
     vp = lazy_srw(zoo.path(20), 1.0)
-    small = calculus.dirichlet_eigenvalue(vp, list(range(5, 9)))
-    large = calculus.dirichlet_eigenvalue(vp, list(range(3, 15)))
-    assert 0 < large.delta < small.delta
-    assert small.delta == pytest.approx(2.0 * small.lambda_min, rel=1e-12)
+    backend = profiles.Backend.viewpoint(vp)
+    small = profiles.jp_subset(vp.space, backend, list(range(5, 9)), 2)
+    large = profiles.jp_subset(vp.space, backend, list(range(3, 15)), 2)
+    assert small.mode == large.mode == "exact"
+    assert 0 < small.value < large.value < np.inf
 
 
 def _walk_matrix(space):
@@ -219,15 +224,6 @@ def test_smoothing_report_bound():
     rep = calculus.smoothing_report(space, rng.standard_normal(space.n), 1.0)
     assert rep.holds
     assert rep.measured <= rep.bound + 1e-9
-
-
-def test_fiber_gradient_consistency():
-    space = zoo.path(9)
-    f = np.arange(9.0) ** 2
-    fg = calculus.fiber_gradient(space, f, 1.0)
-    assert fg.antisymmetry_defect() == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(fg.sup_reduction(),
-                               calculus.grad_sup(space, f, 1.0), atol=1e-12)
 
 
 # Per-point loops over kernel rows: the oracle for the CSR reductions in

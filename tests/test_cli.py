@@ -333,6 +333,65 @@ def test_gamma_of_zero_stretch_tabulated_rate_through_run(tmp_path):
                                  "phi": "tabulated"}
 
 
+@pytest.mark.parametrize("args,values,words", [
+    ([1, 2, 3], [1, 2], "got 3 and 2"),
+    ([1, 2], [1, 2, 3], "got 2 and 3"),
+    ([], [], "got 0 and 0"),
+    ([1, math.nan, 3], [1, 2, 3], "must be finite"),
+], ids=["short_values", "long_values", "empty", "nan_arg"])
+def test_malformed_tabulated_rate_exits_2(tmp_path, capsys, args, values,
+                                          words):
+    (tmp_path / "rate.json").write_text(json.dumps({"args": args,
+                                                    "values": values}))
+    out = tmp_path / "run"
+    rc = cli.run({"operations": [{"op": "gamma",
+                                  "phi": "tabulated:rate.json"}]},
+                 out_dir=str(out), base_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("config error at /operations/0/phi:")
+    assert words in err and "Traceback" not in err
+
+
+def test_nan_edge_weight_in_space_file_exits_2(tmp_path, capsys):
+    (tmp_path / "bad.json").write_text(
+        '{"points": 3, "measure": [1.0, 1.0, 1.0], "name": "bad", '
+        '"metric": {"type": "graph", '
+        '"edges": [[0, 1, NaN], [1, 2, 1.0]]}}')
+    rc = cli.run({"space": {"file": "bad.json"},
+                  "operations": [{"op": "cheeger"}]},
+                 out_dir=str(tmp_path / "run"), base_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("config error at /space:")
+    assert "edge (0,1) has non-finite weight nan" in err
+
+
+@pytest.mark.parametrize("p,backend", [(1, "sup:1"), (math.inf, "sup:1"),
+                                       (2, "lp:1")],
+                         ids=["p1_sup", "pinf_sup", "p2_lp"])
+def test_profile_in_balls_through_run(tmp_path, p, backend):
+    # p = 1, inf and p = 2 off the sup backend are exact on every ball
+    config = {"space": {"family": "path", "n": 9}, "operations": [
+        {"op": "profile", "p": p, "backend": backend, "radii": [1, 2, 3]}]}
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert cli.run(config, out_dir=str(out_a)) == 0
+    assert cli.run(config, out_dir=str(out_b)) == 0
+    with open(out_a / "00_profile.json") as fh:
+        art = json.load(fh)
+    kind, _, h = backend.partition(":")
+    curve = profiles.profile_in_balls(
+        zoo.path(9), getattr(profiles.Backend, kind)(float(h)), p, [1, 2, 3])
+    assert art["mode"] == curve.mode == "exact"
+    assert art["values"] == [float(v) for v in curve.values]
+    assert [w["indices"] for w in art["witnesses"].values()] == \
+        [w["indices"].tolist() for w in curve.witnesses]
+    names = sorted(q.name for q in out_a.iterdir())
+    assert names == sorted(q.name for q in out_b.iterdir())
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
 def test_kernel_errors_exit_2_before_the_out_dir(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")

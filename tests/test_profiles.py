@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -25,13 +24,6 @@ def test_power_rate_evaluation():
     assert phi(9.0) == pytest.approx(6.0)
 
 
-@given(st.floats(min_value=1e-3, max_value=1e3))
-def test_power_inverse_roundtrip(r):
-    phi = RateFunction.power(0.5, coef=2.0)
-    v = phi.inverse(r)
-    assert phi(v) == pytest.approx(r, rel=1e-9)
-
-
 def test_log_power_monotone():
     phi = RateFunction.log_power(1.0, 0.5)
     xs = np.linspace(2.0, 50.0, 25)
@@ -43,12 +35,6 @@ def test_tabulated_rate_and_inverse():
     phi = RateFunction.tabulated([1.0, 2.0, 4.0], [1.0, 3.0, 5.0])
     assert phi(2.0) == pytest.approx(3.0)
     assert phi(1.0) < phi(1.5) < phi(2.0)
-    assert phi.inverse(3.0) == pytest.approx(2.0)
-
-
-def test_bounded_rate_inverse_is_inf_past_sup():
-    phi = RateFunction.tabulated([1.0, 2.0], [1.0, 2.0])
-    assert np.isinf(phi.inverse(5.0))
 
 
 # ---------------------------------------------------------------- J_p
@@ -198,7 +184,8 @@ def test_jp2_matches_sliced_form_oracle(name, unit):
 
 def test_j2_matches_dirichlet_eigenvalue():
     # for a symmetric kernel the gradient form's quotient is the Dirichlet
-    # eigenvalue's, delta = 2 (1 - lambda_max(M_A))
+    # eigenvalue delta = 2 (1 - lambda_max(M_A)), M the kernel conjugated by
+    # sqrt(mu); the oracle is a plain eigvalsh of that block
     for name, (make, h) in sorted(JP2_SPACES.items()):
         for unit in (True, False):
             space = make()
@@ -208,10 +195,12 @@ def test_j2_matches_dirichlet_eigenvalue():
             for vp in (lazy_srw(space, h), random_symmetric_viewpoint(
                     space, h, np.random.default_rng(1))):
                 assert is_symmetric(vp).symmetric
+                M = vp.symmetric_matrix().toarray()
                 for idx in _jp2_subsets(space, h, np.random.default_rng(11)):
                     res = profiles.jp_subset(space, Backend.viewpoint(vp),
                                              idx, 2)
-                    delta = calculus.dirichlet_eigenvalue(vp, idx).delta
+                    lam = np.linalg.eigvalsh(M[np.ix_(idx, idx)])[-1]
+                    delta = 2.0 * (1.0 - lam)
                     assert res.mode == "exact"
                     assert res.value == pytest.approx(delta ** -0.5,
                                                       rel=1e-12, abs=0)
@@ -950,13 +939,3 @@ def test_cheeger_family_dominates_exact():
     val_f, _ = profiles.cheeger(space, 1.0, fam)
     val_e, _ = profiles.cheeger(space, 1.0, "all")
     assert val_f >= val_e - 1e-12
-
-
-def test_sinf_volume_check_statuses():
-    space = zoo.grid(2, 8)
-    ok = profiles.sinf_volume_check(space, RateFunction.power(2.0),
-                                    [1.0, 2.0])
-    assert ok.status in ("pass", "fail")
-    bounded = profiles.sinf_volume_check(
-        space, RateFunction.tabulated([1.0, 2.0], [1.0, 1.5]), [4.0])
-    assert bounded.status == "phi_bounded"

@@ -42,14 +42,18 @@ def test_from_dense_rejects_asymmetry_and_bad_measure():
 
 
 @pytest.mark.parametrize("edges,message", [
-    # each edge in input order meets the range, self-loop and weight checks
-    # in that order; the first edge failing any of them is named
+    # each edge in input order meets the range, self-loop, sign and
+    # finiteness checks in that order; the first edge failing any is named
     ([(0, 1, 1.0), (1, 1, 1.0), (0, 5, 1.0)], r"self-loop at 1 not"),
     ([(0, 1, -1.0), (0, 9, 1.0)], r"edge \(0,1\) has nonpositive weight -1.0"),
     ([(1, 2, 1.0), (9, 9, -1.0), (2, 2, 1.0)],
      r"edge \(9,9\) out of range for n=3"),
     ([(0, -1, 2.0)], r"edge \(0,-1\) out of range"),
     ([[0, 1, 1], [1, 2, 0]], r"edge \(1,2\) has nonpositive weight 0.0"),
+    ([(0, 1, 1.0), (1, 2, np.nan)], r"edge \(1,2\) has non-finite weight nan"),
+    ([(0, 1, np.inf), (1, 2, 1.0)], r"edge \(0,1\) has non-finite weight inf"),
+    ([(0, 1, np.nan), (1, 2, -1.0)],
+     r"edge \(0,1\) has non-finite weight nan"),
 ])
 def test_from_graph_names_the_first_bad_edge(edges, message):
     with pytest.raises(ValueError, match=message):

@@ -1,4 +1,4 @@
-"""Viewpoint construction, validation, symmetry, composition, persistence."""
+"""Viewpoint construction, validation, symmetry, smoothing, persistence."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from coarsecalc.viewpoint import (
     Viewpoint,
     Violation,
     apply,
-    compose,
     is_symmetric,
     load_viewpoint,
     random_symmetric_viewpoint,
@@ -28,9 +27,8 @@ def path6():
 
 def test_standard_viewpoint_rows_are_probabilities(path6):
     vp = standard_viewpoint(path6, 1.0)
-    P = vp.transition_matrix()
-    np.testing.assert_allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0,
-                               atol=1e-12)
+    # row x of the transition matrix is p_x(y) mu(y)
+    np.testing.assert_allclose(vp.dens @ path6.measure, 1.0, atol=1e-12)
     assert vp.certificate.A >= 1.0
     assert vp.certificate.c > 0.0
 
@@ -116,18 +114,6 @@ def test_symmetrize_refuses_a_row_not_uniform_on_its_ball(path6):
     vp = Viewpoint(path6, 1.0, csr_matrix(dens), Certificate(1.0, 0.25))
     with pytest.raises(ValueError, match="row 3 is not uniform on its ball"):
         symmetrize(path6, vp)
-
-
-def test_compose_is_matrix_product(path6):
-    vp = standard_viewpoint(path6, 1.0)
-    two = compose(vp, vp)
-    direct = vp.transition_matrix() @ vp.transition_matrix()
-    np.testing.assert_allclose(two.transition_matrix().toarray(),
-                               direct.toarray(), atol=1e-12)
-    # certified at the largest grid scale below h+h: 2 * 2^(-1/4)
-    assert two.h == pytest.approx(2.0 * 2.0 ** -0.25)
-    assert two.kind == "composed"
-    assert two.certificate.A * two.h >= 2.0 - 1e-12
 
 
 def test_apply_preserves_constants(path6):
