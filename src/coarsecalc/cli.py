@@ -29,7 +29,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
@@ -549,13 +549,8 @@ def _op_boundary_profile(ctx, op, tag):
 
 
 def _op_cheeger(ctx, op, tag):
-    space = ctx.need_space()
-    h = float(op["h"])
-    family = op["family"]
-    if isinstance(family, list):
-        family = [space.subset(np.asarray(s, dtype=np.int64))
-                  for s in family]
-    value, witness = profiles.cheeger(space, h, family)
+    value, witness = profiles.cheeger(ctx.need_space(), float(op["h"]),
+                                      op["family"])
     ctx.emit_json(f"{tag}.json",
                   {"value": value, "witness_indices": witness.indices,
                    "witness_measure": witness.measure},
@@ -734,12 +729,7 @@ def _op_pullback_transfer(ctx, op, tag):
     rep = coarse.pullback_transfer_report(
         space, target, F, cert, f_target, float(op["h"]),
         p=float(op["p"]), q=float(op["q"]))
-    ctx.emit_json(f"{tag}.json",
-                  {"status": rep.status, "c_l1": rep.c_l1,
-                   "C_l2": rep.C_l2, "C_l3": rep.C_l3,
-                   "h_prime": rep.h_prime, "u": rep.u,
-                   "detail": rep.detail},
-                  "pullback_transfer",
+    ctx.emit_json(f"{tag}.json", asdict(rep), "pullback_transfer",
                   "measured norm, gradient and support transfer constants")
     return rep.status == "ok"
 
@@ -795,8 +785,7 @@ def _op_rough_volume(ctx, op, tag):
     rep = coarse.rough_volume_check(
         space, target, F, space.subset(op["A"]),
         target.subset(op["A_target"]), float(op["u"]))
-    result = {"status": rep.status, "ratio": rep.ratio,
-              "bound": rep.bound, "holds": rep.holds, "u": rep.u}
+    result = asdict(rep)
     ctx.emit_json(f"{tag}.json", result, "rough_volume",
                   "volume comparability across the map at the scale")
     if rep.status == "skipped_no_containment":
@@ -812,12 +801,7 @@ def _op_scale_reduction(ctx, op, tag):
     rep = coarse.scale_reduction_check(
         space, float(op["b"]), float(op["h"]), fields,
         profile_radii=[float(r) for r in op["profile_radii"]])
-    ctx.emit_json(f"{tag}.json",
-                  {"status": rep.status, "best_C": rep.best_C,
-                   "per_field": rep.per_field,
-                   "profile_ratio": rep.profile_ratio,
-                   "geodesicity": rep.geodesicity},
-                  "scale_reduction",
+    ctx.emit_json(f"{tag}.json", asdict(rep), "scale_reduction",
                   "distribution bound reducing the scale to the step size")
     if rep.status == "ok":
         return True

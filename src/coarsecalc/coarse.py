@@ -203,25 +203,21 @@ def discretize(space, h) -> Discretization:
     """
     if h <= 0:
         raise ValueError(f"scale must be > 0, got {h}")
-    centers = []
-    for x in range(space.n):
-        if not centers:
-            centers.append(x)
-            continue
-        d = space.dist_row(x)
-        if min(d[c] for c in centers) > h:
-            centers.append(x)
+    # the next centre is the first point no centre covers yet, so one
+    # distance row per centre gives the net, the cells and the edges
+    centers, rows = [], []
+    covered = np.zeros(space.n, dtype=bool)
+    while not covered.all():
+        centers.append(int(np.argmin(covered)))
+        rows.append(space.dist_row(centers[-1]))
+        covered |= rows[-1] <= h
     centers = np.array(centers, dtype=np.int64)
-    rows = np.vstack([space.dist_row(int(c)) for c in centers])
+    rows = np.vstack(rows)
     assign = np.argmin(rows, axis=0)
     vmeas = np.zeros(centers.size)
     np.add.at(vmeas, assign, space.measure)
-
-    edges = []
-    for i in range(centers.size):
-        for j in range(i + 1, centers.size):
-            if rows[i, centers[j]] <= 2.0 * h:
-                edges.append((i, j, 1.0))
+    i, j = np.nonzero(np.triu(rows[:, centers] <= 2.0 * h, 1))
+    edges = np.column_stack([i, j, np.ones(i.size)])
     try:
         graph = MetricMeasureSpace.from_graph(
             centers.size, edges, vmeas, name=f"{space.name}|net_h={h:g}",

@@ -41,6 +41,7 @@ from coarsecalc.space import Subset, boundary as boundary_at_scale
 from coarsecalc.viewpoint import is_symmetric
 
 EXACT_ENUM_LIMIT = 18
+MAX_CANDIDATES = 1200
 DESCENT_RESTARTS = 8
 DESCENT_ITERS = 500
 DESCENT_TOL = 1e-8
@@ -363,51 +364,54 @@ def _form(space, backend):
 def _jp1(space, backend, idx):
     """Indicator-form J_1: max over B in A of mu(B)/denom(B)."""
     # jp_subset has answered A = X, so no B inside A is the whole space
+    fam = None
     if idx.size <= EXACT_ENUM_LIMIT:
         mu_b, den_b = _subset_tables(space, backend, idx)
         mu_b, den_b = mu_b[1:], den_b[1:]          # drop the empty set
         tol = 1e-12 * max(1.0, float(den_b.max(initial=0.0)))
-        cut_off = np.flatnonzero(den_b <= tol)
-        if cut_off.size:
-            sub = idx[_mask_indices(cut_off[0] + 1, idx.size)]
-            return _inf_result("isolated_at_scale", sub, as_field=False)
-        q = mu_b / den_b
-        m = int(np.argmax(q))
-        sub = idx[_mask_indices(m + 1, idx.size)]
-        return JpResult(float(q[m]), "exact", witness_subset=sub)
-    # candidate search: balls inside A around every point of A
-    best, best_sub = -np.inf, None
-    radii = _radius_grid(space.dist_row(int(idx[0])))
-    pw = backend.pair_weights(space)
-    for x in idx:
-        d = space.dist_row(int(x))
-        for r in radii:
-            b = np.flatnonzero(d <= r)
-            sub = np.intersect1d(b, idx, assume_unique=False)
-            if sub.size == 0:
-                continue
-            q, is_inf = _indicator_ratio(space, backend, sub, pw)
-            if is_inf:
-                return _inf_result("isolated_at_scale", sub, as_field=False)
-            if q > best:
-                best, best_sub = q, sub
-    return JpResult(float(best), "lower_bound", witness_subset=best_sub)
-
-
-def _indicator_ratio(space, backend, sub, pw):
-    """(mu(B)/denom(B), denom_is_zero) for a single subset; ``pw`` is the
-    cached backend.pair_weights(space) (None for the sup backend)."""
-    mu_b = float(space.measure[sub].sum())
-    if pw is None:
-        den = boundary_at_scale(space, sub, backend.scale).measure
     else:
-        ind = np.zeros(space.n)
-        ind[sub] = 1.0
+        # candidate search: balls inside A around every point of A
+        fam = []
+        radii = _radius_grid(space.dist_row(int(idx[0])))
+        for x in idx:
+            d = space.dist_row(int(x))
+            fam += [_subset(space, np.intersect1d(np.flatnonzero(d <= r), idx))
+                    for r in radii]
+        mu_b, den_b = _family_table(space, backend, fam)
+        tol = 1e-12 * np.maximum(1.0, mu_b)
+    q = _ratio(mu_b, den_b, tol)
+    if not q.size:                                 # no radius to search
+        return JpResult(-np.inf, "lower_bound")
+    cut_off = np.flatnonzero(np.isinf(q))
+    j = cut_off[0] if cut_off.size else int(np.argmax(q))
+    sub = idx[_mask_indices(j + 1, idx.size)] if fam is None else \
+        fam[j].indices
+    if cut_off.size:
+        return _inf_result("isolated_at_scale", sub, as_field=False)
+    return JpResult(float(q[j]), "exact" if fam is None else "lower_bound",
+                    witness_subset=sub)
+
+
+def _subset(space, idx):
+    """Sorted distinct indices as a Subset, measured."""
+    return Subset(space, idx, float(space.measure[idx].sum()))
+
+
+def _family_table(space, backend, family):
+    """_subset_tables' (mu_b, den_b) for a list of Subsets, in list order."""
+    pw = backend.pair_weights(space)
+    if pw is None:
+        den = [boundary_at_scale(space, b, backend.h).measure for b in family]
+    else:
         rows, cols, w = pw
-        den = float(np.sum(w * np.abs(ind[rows] - ind[cols])))
-    if den <= 1e-12 * max(1.0, mu_b):
-        return np.inf, True
-    return mu_b / den, False
+        den = [np.sum(w * (m[rows] != m[cols]))
+               for m in (b.mask() for b in family)]
+    return np.array([b.measure for b in family]), np.array(den, dtype=float)
+
+
+def _ratio(mu, den, tol):
+    """mu / den, and inf where den <= tol (a scalar or one per entry)."""
+    return np.divide(mu, den, out=np.full(mu.size, np.inf), where=den > tol)
 
 
 def _jp_inf(space, backend, idx):
@@ -620,11 +624,11 @@ def _radius_grid(d, cap=12):
 # candidate families
 
 
-def candidate_subsets(space, backend=None, max_candidates=1200):
+def candidate_subsets(space, backend=None):
     """Documented search family: metric balls everywhere; coordinate
     sub-boxes and their complements on grids (intervals and their
     complements on paths); sublevel sets of the second eigenfield for a
-    symmetric viewpoint backend.
+    symmetric viewpoint backend. At most MAX_CANDIDATES members.
 
     Complements matter: on a grid the complement of a small box can beat
     every box for boundary-to-volume ratios, and leaving them out makes the
@@ -641,15 +645,10 @@ def candidate_subsets(space, backend=None, max_candidates=1200):
         if key in seen:
             return
         seen.add(key)
-        out.append((Subset(space, indices,
-                           float(space.measure[indices].sum())), label))
+        out.append((_subset(space, indices), label))
 
-    # metric balls, strided centers, one distance row each
-    stride = max(1, space.n // 80)
-    for x in range(0, space.n, stride):
-        d = space.dist_row(x)
-        for r in _radius_grid(d, cap=10):
-            push(np.flatnonzero(d <= r), f"ball({x},{r:g})")
+    for ball in _balls(space, range(0, space.n, max(1, space.n // 80))):
+        push(*ball)
 
     shape = space.meta.get("shape")
     if shape is not None:
@@ -661,10 +660,10 @@ def candidate_subsets(space, backend=None, max_candidates=1200):
         corners = [_strided_range(0, s - 1) for s in shape]
         count = 0
         for corner in itertools.product(*corners):
-            if count > max_candidates:
+            if count > MAX_CANDIDATES:
                 break
             for size in itertools.product(*sizes):
-                if count > max_candidates:
+                if count > MAX_CANDIDATES:
                     break
                 lo = np.array(corner)
                 hi = lo + np.array(size)
@@ -687,7 +686,16 @@ def candidate_subsets(space, backend=None, max_candidates=1200):
             push(np.flatnonzero(g <= t), f"sublevel({t:.3g})")
             push(np.flatnonzero(g > t), f"suplevel({t:.3g})")
 
-    return out[:max_candidates]
+    return out[:MAX_CANDIDATES]
+
+
+def _balls(space, centers):
+    """(indices, label) of B(x, r) for each centre x and each r on the
+    _radius_grid (cap 10) of x's distance row, read once per centre."""
+    for x in centers:
+        d = space.dist_row(x)
+        for r in _radius_grid(d, cap=10):
+            yield np.flatnonzero(d <= r), f"ball({x},{r:g})"
 
 
 def _strided_range(lo, hi, cap=12):
@@ -704,8 +712,7 @@ def _strided_range(lo, hi, cap=12):
 
 
 def isoperimetric_profile(space, backend, p, volume_grid,
-                          strategy="candidates", rng=None,
-                          max_candidates=1200) -> ProfileCurve:
+                          strategy="candidates", rng=None) -> ProfileCurve:
     """j(v) = sup over subsets of measure <= v of J_p, sampled on a grid.
 
     ``exact`` enumerates every proper nonempty subset (at most
@@ -723,44 +730,57 @@ def isoperimetric_profile(space, backend, p, volume_grid,
         masses, values, mode = _exact_profile_entries(space, backend, p)
         found = None
     else:
-        masses, values, found = [], [], []
-        pw = backend.pair_weights(space) if p == 1 else None
         top = volume_grid.max(initial=-np.inf)
-        for sub, label in candidate_subsets(space, backend, max_candidates):
-            if sub.measure > top:
-                continue
-            if p == 1:
-                # the profile is itself a subset supremum, so each candidate
-                # contributes its indicator ratio directly (no inner max)
-                q, is_inf = _indicator_ratio(space, backend, sub.indices, pw)
-                val = np.inf if is_inf else q
-            elif p == 2 and backend.kind != "sup":
-                # jp_subset's exact J_2 without its witness field
-                val = _j2_eig(space, backend, sub.indices)[0]
-            else:
-                # no candidate is the whole space
-                val = jp_subset(space, backend, sub.indices, p, rng=rng).value
-            masses.append(sub.measure)
-            values.append(val)
-            found.append((sub.indices, label))
-        masses, values = np.array(masses), np.array(values)
+        fam, found = [], []
+        for sub, label in candidate_subsets(space, backend):
+            if sub.measure <= top:
+                fam.append(sub)
+                found.append((sub.indices, label))
+        if p == 1:
+            # the profile is itself a subset supremum, so each candidate
+            # contributes its indicator ratio directly (no inner max)
+            masses, den = _family_table(space, backend, fam)
+            values = _ratio(masses, den, 1e-12 * np.maximum(1.0, masses))
+        else:
+            masses = np.array([sub.measure for sub in fam])
+            values = np.empty(len(fam))
+            for i, sub in enumerate(fam):
+                if p == 2 and backend.kind != "sup":
+                    # jp_subset's exact J_2 without its witness field
+                    values[i] = _j2_eig(space, backend, sub.indices)[0]
+                else:
+                    # no candidate is the whole space
+                    values[i] = jp_subset(space, backend, sub.indices, p,
+                                          rng=rng).value
         mode = "lower_bound"
-    out = np.full(volume_grid.size, np.nan)
-    witnesses = [None] * volume_grid.size
-    rankable = values > -np.inf          # nan never wins a strict maximum
-    for i, v in enumerate(volume_grid):
-        ranked = np.where(rankable & (masses <= v), values, -np.inf)
-        if not np.any(ranked > -np.inf):
-            continue
-        j = int(np.argmax(ranked))
+
+    def pick(j):
         sub, label = found[j] if found is not None else \
             (_mask_indices(j + 1, space.n), "exhaustive")
-        out[i] = values[j]
-        witnesses[i] = {"indices": sub, "label": label,
-                        "measure": masses[j], "value": values[j]}
+        return {"indices": sub, "label": label, "measure": masses[j],
+                "value": values[j]}
+
+    out, witnesses = _first_best(volume_grid, masses, values, "below", pick)
     return ProfileCurve("j_p", volume_grid, out, mode, witnesses,
                         {"p": p, "backend": backend.describe(),
                          "strategy": strategy})
+
+
+def _first_best(grid, masses, values, side, pick):
+    """Per g in grid: the largest value of a member of mass <= g (side
+    "below") or the smallest of one of mass >= g ("above"), and pick(j) of
+    the first such member j in table order; NaN and None if none fits. A
+    NaN value, or an infinite one on the losing side, never wins."""
+    score = values if side == "below" else -values
+    rankable = score > -np.inf
+    out = np.full(grid.size, np.nan)
+    witnesses = [None] * grid.size
+    for i, g in enumerate(grid):
+        fits = rankable & (masses <= g if side == "below" else masses >= g)
+        if fits.any():
+            j = int(np.argmax(np.where(fits, score, -np.inf)))
+            out[i], witnesses[i] = values[j], pick(j)
+    return out, witnesses
 
 
 def _exact_profile_entries(space, backend, p):
@@ -770,9 +790,8 @@ def _exact_profile_entries(space, backend, p):
     mu_b, den_b = _subset_tables(space, backend, np.arange(space.n))
     modes = {"exact"}
     if p == 1:
-        tol = 1e-12 * max(1.0, float(den_b.max(initial=0.0)))
-        values = np.full(mu_b.size, np.inf)
-        np.divide(mu_b, den_b, out=values, where=den_b > tol)
+        values = _ratio(mu_b, den_b,
+                        1e-12 * max(1.0, float(den_b.max(initial=0.0))))
     else:
         values = np.empty(mu_b.size)
         with warnings.catch_warnings():
@@ -785,19 +804,16 @@ def _exact_profile_entries(space, backend, p):
     return mu_b[1:-1], values[1:-1], mode
 
 
-def profile_in_balls(space, backend, p, radius_grid, centers=None,
+def profile_in_balls(space, backend, p, radius_grid,
                      rng=None) -> ProfileCurve:
     """J restricted to balls: t -> max over centers of J_p(B(x, t)).
 
-    ``centers=None`` scans every point when N <= 400, else a stride-capped
-    subset (recorded in meta). Unlike subset profiles, the infinity
-    sentinel is kept: a ball that swallows the whole space genuinely has
-    J = inf and the curve should say so.
+    The centres are every point when N <= 400, else a stride-capped
+    subset (their number is recorded in meta). Unlike subset profiles, the
+    infinity sentinel is kept: a ball that swallows the whole space
+    genuinely has J = inf and the curve should say so.
     """
-    if centers is None:
-        stride = max(1, space.n // 400)
-        centers = list(range(0, space.n, stride))
-    centers = list(centers)
+    centers = range(0, space.n, max(1, space.n // 400))
     radius_grid = np.asarray(radius_grid, dtype=float)
     values = np.zeros(radius_grid.size)
     witnesses = [None] * radius_grid.size
@@ -805,12 +821,12 @@ def profile_in_balls(space, backend, p, radius_grid, centers=None,
     for i, t in enumerate(radius_grid):
         best, wit = -np.inf, None
         for x in centers:
-            ball = space.ball(int(x), t)
+            ball = space.ball(x, t)
             res = jp_subset(space, backend, ball, p, rng=rng)
             modes.add(res.mode)
             if res.value > best:
                 best = res.value
-                wit = {"center": int(x), "radius": float(t),
+                wit = {"center": x, "radius": float(t),
                        "indices": ball, "value": res.value,
                        "reason": res.reason}
             if np.isinf(best):
@@ -829,9 +845,9 @@ def boundary_profile(space, h, family="all", t_grid=None):
     I(t) = inf{mu(boundary_h A) : mu(A) >= t} over *proper nonempty*
     subsets (the whole space has empty boundary and would collapse I to 0).
     Exact by enumeration when family="all" (at most EXACT_ENUM_LIMIT
-    points, the first optimum in mask order is reported); for an explicit
-    family, I is the same infimum restricted to the family and is labeled
-    "upper_bound". I_down/I_up are the family-restricted lower/upper
+    points, the first optimum in mask order is reported); for "balls" or
+    an explicit family, I is the same infimum restricted to the family and
+    is labeled "upper_bound". I_down/I_up are the family-restricted lower/upper
     envelopes (inf of boundary above mass t / sup of boundary below mass t)
     and are exact statements about the family itself.
 
@@ -841,62 +857,43 @@ def boundary_profile(space, h, family="all", t_grid=None):
     if t_grid is None:
         t_grid = np.unique(np.cumsum(np.sort(space.measure)))
     t_grid = np.asarray(t_grid, dtype=float)
-    if family == "all":
-        subs = None
-        mu_b, den_b = _subset_tables(space, Backend.sup(h),
-                                     np.arange(space.n))
-        masses, bounds = mu_b[1:-1], den_b[1:-1]    # proper, from mask 1
-        mode_i = "exact"
-    else:
-        if family == "balls":
-            fam = []
-            for x in range(space.n):
-                d = space.dist_row(x)
-                for r in _radius_grid(d, cap=10):
-                    b = np.flatnonzero(d <= r)
-                    fam.append(Subset(space, b, float(space.measure[b].sum())))
-        else:
-            fam = [a if hasattr(a, "indices") else space.subset(a)
-                   for a in family]
-        fam = [a for a in fam if 0 < len(a)]
-        if not fam:
-            raise ValueError("boundary_profile needs a nonempty family of "
-                             "nonempty subsets")
-        subs = fam
-        masses = np.array([a.measure for a in fam])
-        bounds = np.array([boundary_at_scale(space, a, h).measure
-                           for a in fam])
-        mode_i = "upper_bound"
+    fam, masses, bounds = _boundary_table(space, h, family)
+    if fam is not None and not fam:
+        raise ValueError("boundary_profile needs a nonempty family of "
+                         "nonempty subsets")
 
-    def witness(j):
-        idx = _mask_indices(j + 1, space.n) if subs is None else \
-            subs[j].indices
+    def pick(j):
+        idx = _mask_indices(j + 1, space.n) if fam is None else \
+            fam[j].indices
         return {"indices": idx, "measure": masses[j], "boundary": bounds[j]}
 
-    I_vals = np.full(t_grid.size, np.nan)
-    low_vals = np.full(t_grid.size, np.nan)
-    up_vals = np.full(t_grid.size, np.nan)
-    I_wit = [None] * t_grid.size
-    low_wit = [None] * t_grid.size
-    up_wit = [None] * t_grid.size
-    for i, t in enumerate(t_grid):
-        ge = np.flatnonzero(masses >= t)
-        le = np.flatnonzero(masses <= t)
-        if ge.size:
-            j = ge[np.argmin(bounds[ge])]
-            I_vals[i] = bounds[j]
-            I_wit[i] = witness(j)
-            low_vals[i] = bounds[j]
-            low_wit[i] = I_wit[i]
-        if le.size:
-            j = le[np.argmax(bounds[le])]
-            up_vals[i] = bounds[j]
-            up_wit[i] = witness(j)
+    I_vals, I_wit = _first_best(t_grid, masses, bounds, "above", pick)
+    up_vals, up_wit = _first_best(t_grid, masses, bounds, "below", pick)
     fam_name = family if isinstance(family, str) else "provided"
     meta = {"h": h, "family": fam_name}
+    mode_i = "exact" if fam is None else "upper_bound"
     return (ProfileCurve("I", t_grid, I_vals, mode_i, I_wit, meta),
-            ProfileCurve("I_down", t_grid, low_vals, "exact", low_wit, meta),
+            ProfileCurve("I_down", t_grid, I_vals.copy(), "exact",
+                         list(I_wit), meta),
             ProfileCurve("I_up", t_grid, up_vals, "exact", up_wit, meta))
+
+
+def _boundary_table(space, h, family, top=np.inf):
+    """(members, masses, boundaries) of a family at scale h: for "all",
+    every proper subset in mask order from mask 1 (members None); else the
+    balls around every point ("balls") or an iterable of Subsets or index
+    arrays, as the Subsets with 0 < mu(A) <= top."""
+    backend = Backend.sup(h)
+    if isinstance(family, str) and family == "all":
+        mu_b, den_b = _subset_tables(space, backend, np.arange(space.n))
+        return None, mu_b[1:-1], den_b[1:-1]
+    if isinstance(family, str) and family == "balls":
+        fam = [_subset(space, b) for b, _ in _balls(space, range(space.n))]
+    else:
+        fam = [a if hasattr(a, "indices") else space.subset(a)
+               for a in family]
+    fam = [a for a in fam if 0 < a.measure <= top]
+    return (fam,) + _family_table(space, backend, fam)
 
 
 # ----------------------------------------------------------------------
@@ -1011,29 +1008,18 @@ def cheeger(space, h, family):
     """min over the family (restricted to mu(A) <= mu(X)/2) of
     mu(boundary_h A)/mu(A), with the witness subset.
 
-    family="all" enumerates every subset (at most EXACT_ENUM_LIMIT points)
-    and reports the first minimiser in mask order; otherwise pass an
-    iterable of subsets/index arrays.
+    family="all" enumerates every subset (at most EXACT_ENUM_LIMIT points);
+    "balls" or an iterable of subsets/index arrays is read as by
+    boundary_profile. The first minimiser in table order is reported.
     """
     half = space.total_measure / 2.0
-    if isinstance(family, str) and family == "all":
-        mu_b, den_b = _subset_tables(space, Backend.sup(h),
-                                     np.arange(space.n))
-        ok = (mu_b != 0) & (mu_b <= half)
-        if not ok.any():
-            raise ValueError("no subset satisfies mu(A) <= mu(X)/2")
-        ratio = np.full(mu_b.size, np.inf)
-        np.divide(den_b, mu_b, out=ratio, where=ok)
-        m = int(np.argmin(ratio))
-        return float(ratio[m]), space.subset(_mask_indices(m, space.n))
-    fam = [a if hasattr(a, "indices") else space.subset(a) for a in family]
-    fam = [a for a in fam if 0 < a.measure <= half]
-    if not fam:
-        raise ValueError("cheeger needs a nonempty family with "
-                         "mu(A) <= mu(X)/2")
-    best, wit = np.inf, None
-    for a in fam:
-        q = boundary_at_scale(space, a, h).measure / a.measure
-        if q < best:
-            best, wit = q, a
-    return float(best), wit
+    fam, mu, den = _boundary_table(space, h, family, top=half)
+    ok = mu <= half                 # all of an explicit family
+    if not ok.any():
+        raise ValueError("no subset satisfies mu(A) <= mu(X)/2"
+                         if fam is None else "cheeger needs a nonempty "
+                         "family with mu(A) <= mu(X)/2")
+    ratio = np.divide(den, mu, out=np.full(mu.size, np.inf), where=ok)
+    m = int(np.argmin(ratio))
+    return float(ratio[m]), (fam[m] if fam is not None else
+                             space.subset(_mask_indices(m + 1, space.n)))

@@ -94,7 +94,7 @@ class MetricMeasureSpace:
 
     @classmethod
     def from_dense(cls, dist, measure, name="space", check_triangle=None,
-                   meta=None, allow_inf=False):
+                   meta=None):
         """Build from an explicit distance matrix.
 
         Validates symmetry, exact zero diagonal, positivity off the diagonal
@@ -111,7 +111,7 @@ class MetricMeasureSpace:
         if np.any(np.isnan(dist)):
             i, j = np.argwhere(np.isnan(dist))[0]
             raise ValueError(f"distance is NaN at pair ({i}, {j})")
-        if not allow_inf and np.any(np.isinf(dist)):
+        if np.any(np.isinf(dist)):
             i, j = np.argwhere(np.isinf(dist))[0]
             raise ValueError(f"distance is infinite at pair ({i}, {j})")
         diag = np.diagonal(dist)

@@ -60,7 +60,7 @@ def path(n) -> MetricMeasureSpace:
     return grid(1, n, "l1")
 
 
-def _tree_edges(root_degree, child_count, depth, max_points=MAX_POINTS):
+def _tree_edges(root_degree, child_count, depth):
     """BFS-build a rooted tree: root has root_degree children, every later
     vertex child_count. Returns (n, edges, depths, parent_labels)."""
     sizes = [1]
@@ -69,8 +69,8 @@ def _tree_edges(root_degree, child_count, depth, max_points=MAX_POINTS):
         sizes.append(frontier)
         frontier *= child_count
     n = sum(sizes)
-    if n > max_points:
-        raise ValueError(f"tree would have {n} vertices (cap {max_points})")
+    if n > MAX_POINTS:
+        raise ValueError(f"tree would have {n} vertices (cap {MAX_POINTS})")
     # BFS numbering: the root's children are 1..root_degree, and every
     # later vertex v >= 1 has children numbered in the order of v
     depths = np.repeat(np.arange(depth + 1), sizes)

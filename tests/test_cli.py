@@ -718,6 +718,22 @@ def test_handler_error_becomes_a_witness(tmp_path):
         assert "99" in json.load(fh)["error"]
 
 
+def test_cheeger_without_admissible_member_exits_1_with_witness(tmp_path):
+    # on the 9-point path every member weighs more than mu(X)/2 = 4.5
+    out = tmp_path / "run"
+    rc = cli.run({"space": PATH9, "operations": [
+        {"op": "cheeger", "family": [list(range(7)), [8, 0, 2, 4, 6]]}]},
+        out_dir=str(out))
+    assert rc == 1
+    man = _manifest(out)
+    assert man["operations"] == [{"op": "cheeger", "outcome": "fail"}]
+    assert man["failures"] == [{"operation": "cheeger",
+                                "witness": "00_cheeger_witness.json"}]
+    with open(out / "00_cheeger_witness.json") as fh:
+        assert json.load(fh) == {"error": "cheeger needs a nonempty family "
+                                          "with mu(A) <= mu(X)/2"}
+
+
 @pytest.mark.parametrize("top,op", [
     ({}, {"op": "grad", "field": FIELD, "kind": "lp", "p": 3}),
     ({"kernel": LAZY}, {"op": "laplacian", "field": FIELD, "p": 3}),

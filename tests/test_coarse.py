@@ -44,6 +44,61 @@ def test_discretize_scaled_path_worked_example(scaled_path9):
         scaled_path9.total_measure)
 
 
+def _discretize_loop_oracle(space, h):
+    """The net, cells and edge list by the per-point rule: x joins when
+    d(x, c) > h for every earlier centre c, read from x's own row."""
+    centers = []
+    for x in range(space.n):
+        d = space.dist_row(x)
+        if not centers or min(d[c] for c in centers) > h:
+            centers.append(x)
+    rows = np.vstack([space.dist_row(c) for c in centers])
+    edges = [(i, j) for i in range(len(centers))
+             for j in range(i + 1, len(centers))
+             if rows[i, centers[j]] <= 2.0 * h]
+    return centers, np.argmin(rows, axis=0), edges
+
+
+@pytest.mark.parametrize("make", [
+    lambda: zoo.path(40),
+    lambda: zoo.grid(2, 9),
+    lambda: zoo.grid(2, 8, "l2"),
+    lambda: zoo.grid(2, 7, "linf"),
+    lambda: zoo.regular_tree(3, 4),
+    lambda: zoo.free_group_ball(2, 3),
+    lambda: zoo.heisenberg_ball(2),
+    lambda: zoo.random_geometric(80, 4),
+    lambda: zoo.scale_metric(zoo.grid(2, 6), 1.7),
+    lambda: zoo.scale_metric(zoo.regular_tree(3, 3), 0.7),
+    lambda: zoo.scale_metric(zoo.random_geometric(60, 1), 3.3),
+], ids=["path", "grid", "grid_l2", "grid_linf", "tree", "free_group",
+        "heisenberg", "rgg", "grid_scaled", "tree_scaled", "rgg_scaled"])
+def test_discretize_matches_per_point_oracle(make):
+    space = make()
+    reach = space.dist_row(0).max()
+    scales = [0.5, 1.0, 1.5, 2.0, 3.0] + \
+        [f * reach for f in (0.1, 0.15, 0.2, 0.3)]
+    checked = 0
+    for h in scales:
+        try:
+            disc = coarse.discretize(space, h)
+        except ValueError as exc:
+            assert "disconnected" in str(exc)
+            continue
+        except ArithmeticError as exc:
+            # a one-point net fails the certificate's distance axiom
+            assert "internal certificate failed" in str(exc)
+            continue
+        checked += 1
+        centers, assign, edges = _discretize_loop_oracle(space, h)
+        assert disc.centers.tolist() == centers
+        assert disc.assign.tolist() == assign.tolist()
+        g = disc.graph._graph.tocoo()
+        assert sorted((int(i), int(j)) for i, j in zip(g.row, g.col)
+                      if i < j) == edges
+    assert checked >= 3
+
+
 def test_discretize_rejects_disconnecting_scale():
     coords = np.array([[0.0], [1.0], [30.0], [31.0]])
     clusters = MetricMeasureSpace.from_coords(coords, np.ones(4))

@@ -1,5 +1,6 @@
 """Rate functions, J_p evaluation, profile curves, inequality fitting."""
 
+import linecache
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 from coarsecalc import calculus, profiles, zoo
 from coarsecalc.profiles import Backend, RateFunction
 from coarsecalc.randomwalk import lazy_srw
-from coarsecalc.space import boundary
+from coarsecalc.space import MetricMeasureSpace, boundary, chain_metric
 from coarsecalc.viewpoint import (
     is_symmetric, random_symmetric_viewpoint, standard_viewpoint)
 
@@ -666,12 +667,11 @@ def test_candidate_profile_evaluates_only_reportable_subsets(monkeypatch):
         assert np.array_equal(curve.witnesses[i]["indices"], sub.indices)
 
 
-def _candidate_j2_oracle(space, backend, grid):
-    """The candidate J_2 profile with one jp_subset call per candidate;
-    also the number of candidates it evaluates whose J_2 is infinite."""
+def _candidate_oracle(space, backend, grid, value):
+    """The candidate profile with one value(sub) call per candidate; also
+    the number of candidates it evaluates whose value is infinite."""
     top = max(grid)
-    scan = [(sub, label, profiles.jp_subset(space, backend, sub.indices,
-                                            2).value)
+    scan = [(sub, label, value(sub))
             for sub, label in profiles.candidate_subsets(space, backend)
             if sub.measure <= top]
     values, witnesses = [], []
@@ -719,7 +719,10 @@ def test_candidate_j2_profile_matches_jp_subset_loop(case):
         [1.0, 2.0, 4.0, 8.0, 12.0]
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        want, want_wit, n_inf = _candidate_j2_oracle(space, backend, grid)
+        want, want_wit, n_inf = _candidate_oracle(
+            space, backend, grid,
+            lambda sub: profiles.jp_subset(space, backend, sub.indices,
+                                           2).value)
         del seen[:]
         curve = profiles.isoperimetric_profile(space, backend, 2, grid)
     # the profile warns once per infinite candidate, as jp_subset does
@@ -730,20 +733,127 @@ def test_candidate_j2_profile_matches_jp_subset_loop(case):
         assert not isinstance(space._forms[1.0], np.ndarray)
         for arr in (space._forms[1.0].data, space._forms[1.0].indices):
             assert not arr.flags.writeable
+    _assert_same_curve(curve, want, want_wit)
+    if case == "lp_isolated":
+        assert np.isinf(curve.values).any()
+
+
+def _assert_same_curve(curve, want, want_wit):
+    """Values and witnesses equal bit for bit."""
     assert np.array(want).tobytes() == curve.values.tobytes()
+    assert len(curve.witnesses) == len(want_wit)
     for got, wit in zip(curve.witnesses, want_wit):
         if wit is None:
             assert got is None
             continue
         assert got.keys() == wit.keys()
-        assert got["indices"].tobytes() == wit["indices"].tobytes()
-        assert got["label"] == wit["label"]
-        assert np.float64(got["measure"]).tobytes() == \
-            np.float64(wit["measure"]).tobytes()
-        assert np.float64(got["value"]).tobytes() == \
-            np.float64(wit["value"]).tobytes()
-    if case == "lp_isolated":
-        assert np.isinf(curve.values).any()
+        for key, val in wit.items():
+            if isinstance(val, str):
+                assert got[key] == val
+            else:
+                assert np.asarray(got[key]).tobytes() == \
+                    np.asarray(val).tobytes()
+
+
+def _indicator_ratio_oracle(space, backend, sub):
+    """mu(B)/denom(B) of one subset, computed on its own: inf when the
+    denominator is at most 1e-12 max(1, mu(B))."""
+    mu_b = float(space.measure[sub].sum())
+    pw = backend.pair_weights(space)
+    if pw is None:
+        den = boundary(space, sub, backend.scale).measure
+    else:
+        ind = np.zeros(space.n)
+        ind[sub] = 1.0
+        rows, cols, w = pw
+        den = float(np.sum(w * np.abs(ind[rows] - ind[cols])))
+    return np.inf if den <= 1e-12 * max(1.0, mu_b) else mu_b / den
+
+
+CANDIDATE_J1_CASES = {
+    "sup": lambda: (zoo.grid(2, 5), Backend.sup(1.0)),
+    "sup_weighted": lambda: (zoo.grid(2, 5).with_measure(
+        np.random.default_rng(5).uniform(0.5, 2.0, 25)), Backend.sup(1.0)),
+    "lp_weighted": lambda: _grid_backend("lp_weighted"),
+    "vp_symmetric": lambda: _grid_backend("vp_symmetric"),
+    "vp_asymmetric": lambda: _grid_backend("vp_asymmetric"),
+    "sup_isolated": lambda: (zoo.random_geometric(10, 3), Backend.sup(0.25)),
+    "lp_isolated": lambda: (zoo.random_geometric(10, 3), Backend.lp(0.25)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CANDIDATE_J1_CASES))
+def test_candidate_j1_profile_matches_ratio_loop(case):
+    space, backend = CANDIDATE_J1_CASES[case]()
+    grid = [1.0, 2.0, 4.0, 8.0, 12.0]
+    want, want_wit, n_inf = _candidate_oracle(
+        space, backend, grid,
+        lambda sub: _indicator_ratio_oracle(space, backend, sub.indices))
+    curve = profiles.isoperimetric_profile(space, backend, 1, grid)
+    _assert_same_curve(curve, want, want_wit)
+    assert (n_inf > 0) == case.endswith("isolated")
+
+
+def _jp1_ball_search_oracle(space, backend, idx):
+    """J_1(A) by the ball search one subset at a time: (value, witness),
+    returning at the first infinite ratio."""
+    best, best_sub = -np.inf, None
+    radii = profiles._radius_grid(space.dist_row(int(idx[0])))
+    for x in idx:
+        d = space.dist_row(int(x))
+        for r in radii:
+            sub = np.intersect1d(np.flatnonzero(d <= r), idx)
+            q = _indicator_ratio_oracle(space, backend, sub)
+            if np.isinf(q):
+                return q, sub
+            if q > best:
+                best, best_sub = q, sub
+    return best, best_sub
+
+
+def _tailed_path():
+    """A 22-point path with point 22 hung off its end by an edge of
+    length 3, so at scale 1 point 22 sees nothing else; weighted."""
+    edges = [(i, i + 1, 1.0) for i in range(21)] + [(21, 22, 3.0)]
+    return MetricMeasureSpace.from_graph(
+        23, edges, np.random.default_rng(2).uniform(0.5, 2.0, 23))
+
+
+@pytest.mark.parametrize("kind", ["sup", "lp", "vp"])
+@pytest.mark.parametrize("idx", [np.arange(1, 23), np.arange(0, 21)],
+                         ids=["isolated", "connected"])
+def test_jp1_ball_search_matches_one_by_one_loop(kind, idx):
+    space = _tailed_path()
+    backend = Backend.viewpoint(lazy_srw(space, 1.0)) if kind == "vp" else \
+        getattr(Backend, kind)(1.0)
+    assert idx.size > profiles.EXACT_ENUM_LIMIT
+    value, sub = _jp1_ball_search_oracle(space, backend, idx)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        res = profiles.jp_subset(space, backend, idx, 1)
+    assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+    assert res.witness_subset.tobytes() == sub.tobytes()
+    isolated = 22 in idx
+    assert np.isinf(value) == isolated
+    assert (res.mode, res.reason) == (("exact", "isolated_at_scale")
+                                      if isolated else ("lower_bound", None))
+    # the sentinel's warning names jp_subset's call, as before
+    where = [(w.filename, linecache.getline(w.filename, w.lineno).strip())
+             for w in seen]
+    assert where == ([(profiles.__file__, "return _jp1(space, backend, idx)")]
+                     if isolated else [])
+
+
+def test_jp1_ball_search_without_radii_is_minus_inf():
+    # in the chain metric at b = 2 point 0 is alone, so its distance row
+    # has no finite positive entry and the search has no radius to try
+    edges = [(0, 1, 10.0)] + [(i, i + 1, 1.0) for i in range(1, 20)]
+    space = chain_metric(
+        MetricMeasureSpace.from_graph(21, edges, np.ones(21)), 2.0)
+    assert space.disconnected
+    res = profiles.jp_subset(space, Backend.sup(1.0), np.arange(20), 1)
+    assert (res.value, res.mode, res.witness_subset, res.reason) == \
+        (-np.inf, "lower_bound", None, None)
 
 
 def test_candidate_subsets_read_one_distance_row_per_centre(monkeypatch):
@@ -852,6 +962,83 @@ def test_boundary_profile_ball_family_unchanged(make):
             assert a["indices"].tobytes() == b["indices"].tobytes()
             assert (a["measure"], a["boundary"]) == \
                 (b["measure"], b["boundary"])
+
+
+def _boundary_loop_oracle(space, h, family):
+    """I and I_up over an explicit family by the per-subset boundary loop:
+    for each curve its values and witnesses."""
+    fam = [a if hasattr(a, "indices") else space.subset(a) for a in family]
+    fam = [a for a in fam if 0 < len(a)]
+    masses = np.array([a.measure for a in fam])
+    bounds = np.array([boundary(space, a, h).measure for a in fam])
+    t_grid = np.unique(np.cumsum(np.sort(space.measure)))
+    curves = {"I": ([], []), "I_up": ([], [])}
+    for t in t_grid:
+        ge = np.flatnonzero(masses >= t)
+        le = np.flatnonzero(masses <= t)
+        for kind, pick in (("I", ge[np.argmin(bounds[ge])] if ge.size
+                            else None),
+                           ("I_up", le[np.argmax(bounds[le])] if le.size
+                            else None)):
+            vals, wits = curves[kind]
+            vals.append(np.nan if pick is None else bounds[pick])
+            wits.append(None if pick is None else
+                        {"indices": fam[pick].indices,
+                         "measure": masses[pick], "boundary": bounds[pick]})
+    return curves
+
+
+def _cheeger_loop_oracle(space, h, family):
+    """(value, witness) by the per-subset loop over members with
+    0 < mu(A) <= mu(X)/2; the first strict minimum wins."""
+    half = space.total_measure / 2.0
+    best, wit = np.inf, None
+    for a in family:
+        a = a if hasattr(a, "indices") else space.subset(a)
+        if 0 < a.measure <= half:
+            q = boundary(space, a, h).measure / a.measure
+            if q < best:
+                best, wit = q, a
+    return best, wit
+
+
+FAMILY_SPACES = {
+    "grid": (lambda: zoo.grid(2, 5), 1.0),
+    "tree_weighted": (lambda: zoo.regular_tree(3, 3).with_measure(
+        np.random.default_rng(4).uniform(0.5, 2.0, 22)), 1.0),
+    "geo_weighted": (lambda: zoo.random_geometric(16, 2).with_measure(
+        np.random.default_rng(1).uniform(0.5, 2.0, 16)), 0.3),
+    "path_scaled": (lambda: zoo.scale_metric(zoo.path(14), 1.5), 2.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["balls", "subsets", "index_lists"])
+@pytest.mark.parametrize("name", sorted(FAMILY_SPACES))
+def test_boundary_profile_and_cheeger_match_subset_loops(name, kind):
+    make, h = FAMILY_SPACES[name]
+    space = make()
+    if kind == "balls":
+        family, members = "balls", _ball_family_oracle(space)
+    else:
+        members = [sub for sub, _ in profiles.candidate_subsets(
+            space, Backend.sup(h))] + [space.subset(np.arange(space.n))]
+        if kind == "index_lists":
+            # unsorted, repeated and empty members
+            members = [list(sub.indices[::-1]) + [int(sub.indices[0])]
+                       for sub in members] + [[]]
+        family = members
+    want = _boundary_loop_oracle(space, h, members)
+    I, I_down, I_up = profiles.boundary_profile(space, h, family=family)
+    for curve in (I, I_up):
+        _assert_same_curve(curve, *want[curve.kind])
+    _assert_same_curve(I_down, *want["I"])
+    assert (I.mode, I_down.mode, I_up.mode) == ("upper_bound", "exact",
+                                                "exact")
+    value, wit = profiles.cheeger(space, h, family)
+    want_value, want_wit = _cheeger_loop_oracle(space, h, members)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    assert wit.indices.tobytes() == want_wit.indices.tobytes()
+    assert wit.measure == want_wit.measure
 
 
 # ---------------------------------------------------------------- fits
