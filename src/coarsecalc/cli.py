@@ -958,6 +958,12 @@ OPS = {
 }
 
 
+# the subsets cheeger and boundary_profile range over
+_INDICES = {"type": "array", "items": {"type": "integer"}}
+_FAMILY_SCHEMA = {"anyOf": [{"enum": ["all", "balls"]},
+                            {"type": "array", "items": _INDICES}]}
+
+
 def _when(name, clause):
     return {"if": {"required": ["op"], "properties": {"op": {"const": name}}},
             "then": clause}
@@ -979,7 +985,8 @@ CONFIG_SCHEMA = {
             "items": {"type": "object",
                       "required": ["op"],
                       "properties": {"op": {"enum": sorted(OPS)},
-                                     "target": _SPACE_SCHEMA},
+                                     "target": _SPACE_SCHEMA,
+                                     "family": _FAMILY_SCHEMA},
                       "allOf": [_when(name, {"required": list(spec.needs)})
                                 for name, spec in OPS.items() if spec.needs]
                       # profile needs volumes unless it has radii

@@ -115,15 +115,14 @@ def certify_lse(space, target, F, r_grid=()) -> LseCertificate:
         raise ValueError(f"all-pairs certification capped at "
                          f"{PAIR_SCAN_LIMIT} points; sample the space first")
 
-    src_d, img_d = [], []
-    for x in range(space.n):
-        row = space.dist_row(x)
-        trow = target.dist_row(int(F[x]))
-        ys = np.arange(x + 1, space.n)
-        src_d.append(row[ys])
-        img_d.append(trow[F[ys]])
-    src_d = np.concatenate(src_d) if src_d else np.array([])
-    img_d = np.concatenate(img_d) if img_d else np.array([])
+    # the pairs x < y in row order, by blocks that fit both spaces' rows
+    parts = []
+    step = min(space.block_rows(), target.block_rows())
+    for xb in np.split(np.arange(space.n), np.arange(step, space.n, step)):
+        D, T = space.dist_rows(xb), target.dist_rows(F[xb])
+        i, y = np.nonzero(xb[:, None] < np.arange(space.n))
+        parts.append((D[i, y], T[i, F[y]]))
+    src_d, img_d = map(np.concatenate, zip(*parts))
 
     if src_d.size == 0:
         edges = np.array([0.0])
@@ -148,8 +147,7 @@ def certify_lse(space, target, F, r_grid=()) -> LseCertificate:
             np.where(np.isfinite(lo), lo, np.inf)[::-1])[::-1]
         rho_minus = np.where(np.isfinite(rho_minus), rho_minus, 0.0)
 
-    images = np.unique(F)
-    onto_C = float(target.min_dist_to(images).max())
+    onto_C = float(target.min_dist_to(np.unique(F)).max())
 
     C_r = {}
     for r in r_grid:
@@ -160,23 +158,13 @@ def certify_lse(space, target, F, r_grid=()) -> LseCertificate:
     violation = None
     if edges.size > 1 and rho_minus[-1] <= rho_minus[0]:
         far = int(np.argmax(src_d))
-        x, y = _pair_at(space.n, far)
+        # the pairs' (x, y) index arrays, in the same row order
+        x, y = (int(v[far]) for v in np.triu_indices(space.n, 1))
         violation = CoarseViolation(
             "a", f"image distances stay <= {rho_minus[-1]:g} while source "
                  f"distances reach {src_d[far]:g}", (x, y))
     return LseCertificate(F, edges, rho_minus, rho_plus, onto_C, C_r,
                           True, violation)
-
-
-def _pair_at(n, flat):
-    """Invert the upper-triangle flattening used by certify_lse."""
-    k = 0
-    for x in range(n):
-        block = n - 1 - x
-        if flat < k + block:
-            return x, x + 1 + (flat - k)
-        k += block
-    raise IndexError(flat)
 
 
 # ----------------------------------------------------------------------
@@ -355,13 +343,7 @@ def thicken_support(space, f, h, p=2) -> ThickeningResult:
     if norm_g >= 0.5 * norm_f:
         return _fallback_ball(space, h)
 
-    supp = f != 0
-    comp = np.flatnonzero(~supp)
-    if comp.size == 0:
-        dist_out = np.full(space.n, np.inf)
-    else:
-        dist_out = space.min_dist_to(comp)
-    keep = dist_out > h / 2.0
+    keep = space.min_dist_to(np.flatnonzero(f == 0)) > h / 2.0
     f_thin = np.where(keep, f, 0.0)
     kept_idx = np.flatnonzero(keep)
     if kept_idx.size == 0:
@@ -397,15 +379,17 @@ def thicken_support(space, f, h, p=2) -> ThickeningResult:
 
 
 def _fallback_ball(space, h):
+    # the nearest-first ball of mass closest to 1; the first centre wins
     best = None
-    for x in range(space.n):
-        order = np.argsort(space.dist_row(x), kind="stable")
-        csum = np.cumsum(space.measure[order])
-        k = int(np.argmin(np.abs(csum - 1.0)))
-        if best is None or abs(csum[k] - 1.0) < best[0]:
-            best = (abs(csum[k] - 1.0), x, order[:k + 1], csum[k])
+    for xb, D in space.dist_blocks():
+        order = np.argsort(D, axis=1, kind="stable")
+        csum = np.cumsum(space.measure[order], axis=1)
+        err = np.abs(csum - 1.0)
+        i = int(np.argmin(err.min(axis=1)))
+        k = int(np.argmin(err[i]))
+        if best is None or err[i, k] < best[0]:
+            best = (err[i, k], int(xb[i]), order[i, :k + 1], csum[i, k])
     _, x, idx, mass = best
-    idx = np.sort(idx)
     ball = space.subset(idx)
     field = ball.mask().astype(float)
     thick = thicken(space, ball, h / 2.0)

@@ -371,12 +371,9 @@ def _jp1(space, backend, idx):
         tol = 1e-12 * max(1.0, float(den_b.max(initial=0.0)))
     else:
         # candidate search: balls inside A around every point of A
-        fam = []
-        radii = _radius_grid(space.dist_row(int(idx[0])))
-        for x in idx:
-            d = space.dist_row(int(x))
-            fam += [_subset(space, np.intersect1d(np.flatnonzero(d <= r), idx))
-                    for r in radii]
+        radii = _radius_grid(space.dist_rows(idx[:1])[0])
+        fam = [_subset(space, np.intersect1d(np.flatnonzero(d <= r), idx))
+               for _, D in space.dist_blocks(idx) for d in D for r in radii]
         mu_b, den_b = _family_table(space, backend, fam)
         tol = 1e-12 * np.maximum(1.0, mu_b)
     q = _ratio(mu_b, den_b, tol)
@@ -691,11 +688,11 @@ def candidate_subsets(space, backend=None):
 
 def _balls(space, centers):
     """(indices, label) of B(x, r) for each centre x and each r on the
-    _radius_grid (cap 10) of x's distance row, read once per centre."""
-    for x in centers:
-        d = space.dist_row(x)
-        for r in _radius_grid(d, cap=10):
-            yield np.flatnonzero(d <= r), f"ball({x},{r:g})"
+    _radius_grid (cap 10) of x's distance row, read in blocks of rows."""
+    for xb, D in space.dist_blocks(centers):
+        for x, d in zip(xb, D):
+            for r in _radius_grid(d, cap=10):
+                yield np.flatnonzero(d <= r), f"ball({x},{r:g})"
 
 
 def _strided_range(lo, hi, cap=12):
@@ -889,6 +886,9 @@ def _boundary_table(space, h, family, top=np.inf):
         return None, mu_b[1:-1], den_b[1:-1]
     if isinstance(family, str) and family == "balls":
         fam = [_subset(space, b) for b, _ in _balls(space, range(space.n))]
+    elif isinstance(family, str):
+        raise ValueError(f"family must be \"all\", \"balls\" or a list of "
+                         f"index arrays, got {family!r}")
     else:
         fam = [a if hasattr(a, "indices") else space.subset(a)
                for a in family]

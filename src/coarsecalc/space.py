@@ -5,12 +5,14 @@ strictly positive weight per point. All geometry queries (balls, volumes,
 thickenings, boundaries, doubling diagnostics, chain metrics) go through
 :class:`MetricMeasureSpace`.
 
-The metric is held by one of three interchangeable providers:
+The metric is held by one of three interchangeable providers, and read
+through :meth:`MetricMeasureSpace.dist_rows` a block of rows at a time
+(loops over the points walk :meth:`MetricMeasureSpace.dist_blocks`):
 
 * ``dense``  -- an explicit N x N array (validated on construction);
 * ``graph``  -- a weighted undirected graph, distances are shortest paths
   computed on demand (always a metric, so no triangle check is needed);
-* ``coords`` -- points in R^k with an l1 / l2 / linf norm; single rows are
+* ``coords`` -- points in R^k with an l1 / l2 / linf norm; rows are
   computed on demand, whole-space balls come from one KD-tree query (never
   materializes N^2 floats).
 
@@ -49,6 +51,9 @@ TRIANGLE_CHECK_LIMIT = 300
 
 # Hard cap for materializing dense N x N distance matrices.
 DENSE_LIMIT = 6000
+
+# Float64 entries (8 MB) in one block of distance rows or coords differences.
+BLOCK_ENTRIES = 2 ** 20
 
 
 class MetricMeasureSpace:
@@ -196,22 +201,38 @@ class MetricMeasureSpace:
     # ------------------------------------------------------------------
     # distance queries
 
-    def dist_row(self, x, limit=None):
-        """Distances from point ``x`` to all points.
-
-        For graph-backed spaces ``limit`` truncates the Dijkstra sweep:
-        entries beyond ``limit`` come back as ``inf`` (cheap for small balls
-        on large spaces). Dense/coords providers ignore ``limit``.
-        """
-        if not 0 <= x < self.n:
-            raise IndexError(f"point index {x} out of range (N={self.n})")
+    def dist_rows(self, xs, limit=None):
+        """Distances from each point of ``xs`` to all points, one row each,
+        as a matrix row slice, one multi-source Dijkstra or a broadcast
+        norm. For graph-backed spaces entries beyond ``limit`` come back as
+        ``inf``; dense/coords providers ignore ``limit``."""
+        xs = np.asarray(xs, dtype=np.int64)
+        bad = xs[(xs < 0) | (xs >= self.n)]
+        if bad.size:
+            raise IndexError(f"point index {bad[0]} out of range (N={self.n})")
         if self._mode == "dense":
-            return self._dense[x]
+            return self._dense[xs]
         if self._mode == "graph":
-            lim = np.inf if limit is None else limit
-            return dijkstra(self._graph, directed=False, indices=x, limit=lim)
-        diff = self._coords - self._coords[x]
-        return _norm_rows(diff, self._p_norm)
+            return dijkstra(self._graph, directed=False, indices=xs,
+                            limit=np.inf if limit is None else limit)
+        return _norm_rows(self._coords - self._coords[xs, None], self._p_norm)
+
+    def dist_row(self, x, limit=None):
+        """Distances from point ``x``: one row of :meth:`dist_rows`."""
+        return self.dist_rows([x], limit)[0]
+
+    def block_rows(self):
+        """Rows per block: BLOCK_ENTRIES over N (times the coords axes)."""
+        k = self._coords.shape[1] if self._mode == "coords" else 1
+        return max(1, BLOCK_ENTRIES // (self.n * k))
+
+    def dist_blocks(self, xs=None, limit=None):
+        """Yield ``(block, dist_rows(block, limit))`` over consecutive
+        blocks of ``block_rows()`` points of ``xs`` (default: every point)."""
+        xs = np.arange(self.n) if xs is None else np.asarray(xs, np.int64)
+        step = self.block_rows()
+        for lo in range(0, xs.size, step):
+            yield xs[lo:lo + step], self.dist_rows(xs[lo:lo + step], limit)
 
     def dist(self, x, y):
         return float(self.dist_row(x)[y])
@@ -222,7 +243,7 @@ class MetricMeasureSpace:
             return self._dense
         if self.n > DENSE_LIMIT:
             raise ValueError(f"refusing to materialize {self.n}^2 distances")
-        return np.vstack([self.dist_row(x) for x in range(self.n)])
+        return np.vstack([D for _, D in self.dist_blocks()])
 
     # ------------------------------------------------------------------
     # balls and subsets
@@ -234,8 +255,7 @@ class MetricMeasureSpace:
         """
         if r < 0:
             raise ValueError(f"radius must be >= 0, got {r}")
-        row = self.dist_row(x, limit=r)
-        return np.flatnonzero(row <= r)
+        return np.flatnonzero(self.dist_row(x, limit=r) <= r)
 
     def volume(self, x, r):
         """Measure of the closed ball ``B(x, r)``."""
@@ -248,15 +268,17 @@ class MetricMeasureSpace:
         Row x holds the points of B(x, r) in index order, and ``dist`` holds
         d(x, y) beside each of them. Rows are never empty (x lies in its own
         ball). Membership and distances are bit-identical to :meth:`ball`
-        and :meth:`dist_row`. The triple is built on first use, memoised per
-        radius and read-only; callers that hand it to a structure that
+        and :meth:`dist_rows`. The triple is built on first use, memoised
+        per radius and read-only; callers that hand it to a structure that
         mutates in place must copy it.
 
-        Builders: coords spaces take every pair within r from one KD-tree
-        query and re-measure it with :meth:`dist_row`'s formula; graph
-        spaces read the adjacency while r is below twice the lightest
-        edge; dense spaces, and graph spaces at larger r, scan one
-        :meth:`dist_row` (a Dijkstra sweep limited to r) per point.
+        Builders: coords spaces re-measure the pairs of one KD-tree query
+        with :meth:`dist_rows`' formula; graph spaces read the adjacency
+        while r is below twice the lightest edge; other spaces take the
+        entries <= r of each block of :meth:`dist_blocks`. A graph row sums
+        path weights from its own point, so on non-dyadic weights d(x, y)
+        and d(y, x) can differ in the last bit and a tie with r fall in one
+        ball only; block reads keep this.
         """
         r = float(r)
         if r < 0:
@@ -271,7 +293,7 @@ class MetricMeasureSpace:
         pairs = None
         if self._mode == "coords":
             # one KD-tree query at a slightly inflated radius finds every
-            # candidate pair; re-measuring them with dist_row's formula makes
+            # candidate pair; re-measuring them with dist_rows' formula makes
             # ties at exactly r fall as they do row by row. Imported here:
             # scipy.spatial is slow to import and set-up rarely needs it.
             from scipy.spatial import cKDTree
@@ -298,18 +320,15 @@ class MetricMeasureSpace:
             dist = np.concatenate([np.zeros(self.n), pairs[2]])
             order = np.lexsort((cols, rows))
             cols, dist = cols[order].astype(np.int64), dist[order]
-            counts = np.bincount(rows, minlength=self.n)
         else:
-            balls, dists = [], []
-            for x in range(self.n):
-                row = self.dist_row(x, limit=r)
-                ball = np.flatnonzero(row <= r)
-                balls.append(ball)
-                dists.append(row[ball])
-            cols, dist = np.concatenate(balls), np.concatenate(dists)
-            counts = [b.size for b in balls]
+            # the entries <= r of each block of rows, in row order
+            parts = []
+            for xb, D in self.dist_blocks(limit=r):
+                i, j = np.nonzero(D <= r)
+                parts.append((xb[i], j, D[i, j]))
+            rows, cols, dist = map(np.concatenate, zip(*parts))
         indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
+        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
         for arr in (indptr, cols, dist):
             arr.flags.writeable = False
         return indptr, cols, dist
@@ -336,20 +355,17 @@ class MetricMeasureSpace:
     # ------------------------------------------------------------------
 
     def min_dist_to(self, targets):
-        """``d(x, targets)`` for every x, as one array.
-
-        Graph-backed spaces use a multi-source Dijkstra; others take the
-        running minimum over target rows.
+        """``d(x, targets)`` for every x, as one array (all ``inf`` for no
+        targets). Graph-backed spaces use a multi-source Dijkstra; others
+        take the running minimum over blocks of target rows.
         """
         targets = np.asarray(targets, dtype=np.int64)
-        if targets.size == 0:
-            return np.full(self.n, np.inf)
         if self._mode == "graph":
             return dijkstra(self._graph, directed=False, indices=targets,
                             min_only=True)
         best = np.full(self.n, np.inf)
-        for t in targets:
-            np.minimum(best, self.dist_row(int(t)), out=best)
+        for _, D in self.dist_blocks(targets):
+            np.minimum(best, D.min(axis=0), out=best)
         return best
 
     def __repr__(self):
@@ -359,10 +375,10 @@ class MetricMeasureSpace:
 
 def _norm_rows(diff, p_norm):
     if p_norm == 1:
-        return np.abs(diff).sum(axis=1)
+        return np.abs(diff).sum(axis=-1)
     if p_norm == 2:
-        return np.sqrt((diff * diff).sum(axis=1))
-    return np.abs(diff).max(axis=1)
+        return np.sqrt((diff * diff).sum(axis=-1))
+    return np.abs(diff).max(axis=-1)
 
 
 def _check_triangle(dist):
@@ -395,9 +411,7 @@ class Subset:
         return m
 
     def complement(self) -> "Subset":
-        return self.space.subset(np.setdiff1d(
-            np.arange(self.space.n, dtype=np.int64), self.indices,
-            assume_unique=True))
+        return self.space.subset(np.flatnonzero(~self.mask()))
 
     def __repr__(self):
         return f"Subset(n={len(self)}, measure={self.measure:g})"
@@ -497,13 +511,11 @@ def chain_metric(space, b):
     meta["chain"] = {"b": float(b)}
     name = f"{space.name}|chain_b={b:g}"
     if ncomp == 1:
-        out = MetricMeasureSpace(space.n, space.measure, name, "graph",
-                                 graph=g, meta=meta)
-        return out
-    dmat = dijkstra(g, directed=False)
-    out = MetricMeasureSpace(space.n, space.measure, name, "dense",
-                             dense=dmat, meta=meta, disconnected=True)
-    return out
+        return MetricMeasureSpace(space.n, space.measure, name, "graph",
+                                  graph=g, meta=meta)
+    return MetricMeasureSpace(space.n, space.measure, name, "dense",
+                              dense=dijkstra(g, directed=False), meta=meta,
+                              disconnected=True)
 
 
 def geodesicity_report(space, b_grid):
@@ -526,9 +538,7 @@ def geodesicity_report(space, b_grid):
         db = chained.dense_matrix()
         entry = {"b": float(b)}
         if chained.disconnected:
-            entry["status"] = "disconnected"
-            entry["mult"] = np.inf
-            entry["add"] = np.inf
+            entry.update(status="disconnected", mult=np.inf, add=np.inf)
         else:
             off = ~np.eye(space.n, dtype=bool)
             ratio = db[off] / np.maximum(d[off], b)

@@ -141,21 +141,19 @@ def validate(space, dens, h) -> Union[Certificate, Violation]:
     if abs(sums[worst] - 1.0) > STOCHASTIC_TOL:
         raise ValueError(f"row {worst} is not a probability density: "
                          f"integrates to {sums[worst]!r}")
-    A = 1.0
-    c = np.inf
-    for x in range(space.n):
-        sup, vals = dens.indices[dens.indptr[x]:dens.indptr[x + 1]], \
-            dens.data[dens.indptr[x]:dens.indptr[x + 1]]
-        d = space.dist_row(x)
-        if sup.size:
-            A = max(A, d[sup].max() / h)
-        ball = np.flatnonzero(d <= h)
-        in_sup = np.isin(ball, sup, assume_unique=True)
-        if not np.all(in_sup):
-            y = int(ball[~in_sup][0])
-            return Violation(x, "density floor", y)
-        lookup = np.isin(sup, ball, assume_unique=True)
-        c = min(c, vals[lookup].min())
+    A, c = 1.0, np.inf
+    for xb, D in space.dist_blocks():
+        K = dens[xb]
+        rows = np.repeat(np.arange(xb.size), np.diff(K.indptr))
+        d_sup = D[rows, K.indices]
+        A = max(A, d_sup.max(initial=0.0) / h)
+        # B(x, h) minus the support; the first point left is the witness
+        outside = D <= h
+        outside[rows, K.indices] = False
+        if outside.any():
+            i, y = np.argwhere(outside)[0]
+            return Violation(int(xb[i]), "density floor", int(y))
+        c = min(c, K.data[d_sup <= h].min())
     return Certificate(float(A), float(c))
 
 

@@ -718,6 +718,18 @@ def test_handler_error_becomes_a_witness(tmp_path):
         assert "99" in json.load(fh)["error"]
 
 
+@pytest.mark.parametrize("op", ["cheeger", "boundary_profile"])
+@pytest.mark.parametrize("family", ["ball", "foo"])
+def test_misspelt_family_exits_2_at_its_pointer(tmp_path, capsys, op, family):
+    rc = cli.run({"space": PATH9, "operations": [
+        {"op": "cheeger"}, {"op": op, "family": family}]},
+        out_dir=str(tmp_path / "run"))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("config error at /operations/1/family:")
+    assert repr(family) in err
+
+
 def test_cheeger_without_admissible_member_exits_1_with_witness(tmp_path):
     # on the 9-point path every member weighs more than mu(X)/2 = 4.5
     out = tmp_path / "run"

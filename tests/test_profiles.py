@@ -860,9 +860,9 @@ def test_candidate_subsets_read_one_distance_row_per_centre(monkeypatch):
     # path(200): every second point is a centre; grid(2, 9): every point
     for space in (zoo.path(200), zoo.grid(2, 9)):
         rows = []
-        dist_row = space.dist_row
-        monkeypatch.setattr(space, "dist_row",
-                            lambda x, *a: rows.append(x) or dist_row(x, *a))
+        dist_rows = space.dist_rows
+        monkeypatch.setattr(space, "dist_rows", lambda xs, *a: rows.extend(
+            np.asarray(xs).tolist()) or dist_rows(xs, *a))
         profiles.candidate_subsets(space)
         assert rows == list(range(0, space.n, max(1, space.n // 80)))
 
@@ -1117,6 +1117,16 @@ def test_cheeger_path_pinned():
     val, wit = profiles.cheeger(zoo.path(9), 1.0, "all")
     assert val == pytest.approx(0.5)
     assert wit.measure == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("family", ["ball", "foo"])
+def test_misspelt_family_names_the_accepted_forms(family):
+    space = zoo.path(9)
+    for call in (lambda: profiles.cheeger(space, 1.0, family),
+                 lambda: profiles.boundary_profile(space, 1.0, family)):
+        with pytest.raises(ValueError, match=f'"all", "balls" or a list of '
+                                             f"index arrays, got '{family}'"):
+            call()
 
 
 def test_cheeger_family_dominates_exact():

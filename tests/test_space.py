@@ -223,6 +223,11 @@ def _neighbourhood_cases():
         np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0],
                   [1.0, 0.0]]), np.ones(5), name="duplicates")
     big_rgg = zoo.random_geometric(300, seed=5)
+    # several blocks of rows: 1,457 points read 719 rows at a time
+    free6 = zoo.free_group_ball(2, 6)
+    big_dense = MetricMeasureSpace.from_dense(
+        zoo.scale_metric(free6, 0.3).dense_matrix(), np.ones(free6.n),
+        name="free6_dense")
     cases = [
         (zoo.grid(2, 4, "l1"), [0.0, 1.0, 2.0]),
         (l2, [0.0, 1.0, 2.0] + [r for r in _realised(l2, 5, 5)
@@ -244,6 +249,8 @@ def _neighbourhood_cases():
         (cube, [r for r in _realised(cube, 0, 3) if r != int(r)]),
         (dupes, [0.0, 1.0, 1.5]),
         (big_rgg, [0.0] + _realised(big_rgg, 17, 2) + [0.09]),
+        (free6, [3.0]),
+        (big_dense, [0.3, 0.9]),
     ]
     return [(space, r) for space, radii in cases for r in radii]
 
