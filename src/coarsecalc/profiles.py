@@ -16,6 +16,14 @@ are against the space measure. Exact values:
 * p = inf: chain in-radius, the maximal number of support-relation steps
   needed to leave A (a BFS; the optimizer is the step-count field itself).
 
+p = 2 on the sup backend is bracketed by weak duality through ball
+weights: any q with each q_x a probability on B(x, h) bounds the squared
+sup gradient from below by the q-weighted pair energy, so the smallest
+eigenvalue of that form on A gives an upper bound on J_2(A), and the sup
+quotient of its eigenfield a lower bound. Entropic mirror ascent on q
+closes the gap; the value is the lower end (``lower_bound``) and the
+result carries the upper end in ``upper``. It draws no random numbers.
+
 Everything else (other p, large subsets) is reported as a ``lower_bound``
 with the search family documented in the curve metadata. A nonzero field
 with vanishing gradient norm makes J infinite; that sentinel is returned
@@ -45,6 +53,10 @@ MAX_CANDIDATES = 1200
 DESCENT_RESTARTS = 8
 DESCENT_ITERS = 500
 DESCENT_TOL = 1e-8
+# the sup-backend J_2 dual stops when its ends meet within DUAL_GAP
+# (relative to the lower end) or after DUAL_ITERS ascent steps
+DUAL_GAP = 1e-6
+DUAL_ITERS = 300
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +202,9 @@ class JpResult:
     """J_p of one subset: value, mode (exact | lower_bound), optimizer.
 
     ``value`` may be numpy.inf; then ``reason`` says why ("whole_space" or
-    "isolated_at_scale") and the witness is the offending field.
+    "isolated_at_scale") and the witness is the offending field. ``upper``
+    is a certified upper bound on J_p(A) where one is known (the sup
+    backend at p = 2, and one-point subsets), else inf.
     """
 
     value: float
@@ -198,6 +212,7 @@ class JpResult:
     witness_field: Optional[np.ndarray] = None
     witness_subset: Optional[np.ndarray] = None
     reason: Optional[str] = None
+    upper: float = np.inf
 
 
 @dataclass
@@ -292,8 +307,9 @@ def jp_subset(space, backend, A, p, rng=None) -> JpResult:
         # J_p(X) = inf for all p; without this the descent path would
         # report a finite lower bound instead of the sentinel
         return _inf_result("whole_space", np.ones(space.n))
-    if p == 2 and backend.kind != "sup":
-        return _jp2(space, backend, idx)
+    if p == 2:
+        return _sup_j2(space, backend, idx) if backend.kind == "sup" else \
+            _jp2(space, backend, idx)
     if p == 1:
         return _jp1(space, backend, idx)
     if np.isinf(p):
@@ -301,8 +317,8 @@ def jp_subset(space, backend, A, p, rng=None) -> JpResult:
     return _jp_descent(space, backend, idx, p, rng)
 
 
-def _inf_result(reason, field_or_subset, as_field=True):
-    warnings.warn(f"J is infinite: {reason}", stacklevel=3)
+def _inf_result(reason, field_or_subset, as_field=True, stacklevel=3):
+    warnings.warn(f"J is infinite: {reason}", stacklevel=stacklevel)
     if as_field:
         return JpResult(np.inf, "exact", witness_field=field_or_subset,
                         reason=reason)
@@ -500,6 +516,105 @@ def _energy_grad(space, backend, p):
     return energy_grad
 
 
+def _settled(space, backend, idx, p):
+    """J_p(A) where no search is needed, else None: the sentinel when
+    points of A have no chain of relation pairs to the outside (they carry
+    a zero-energy field), and the exact value of a one-point A, whose field
+    space is one-dimensional."""
+    indptr, cols = backend.relation_rows(space)
+    rel = csr_matrix((np.ones(cols.size), cols, indptr),
+                     shape=(space.n, space.n))
+    comp = connected_components(rel, directed=False)[1]
+    outside = np.setdiff1d(np.arange(space.n), idx)
+    lost = idx[~np.isin(comp[idx], comp[outside])]
+    f = np.zeros(space.n)
+    if lost.size:
+        f[lost] = 1.0
+        # the warning names jp_subset's call, as the search's own would
+        return _inf_result("isolated_at_scale", f, stacklevel=4)
+    if idx.size == 1:
+        f[idx] = 1.0
+        e = _energy_grad(space, backend, p)(f[None])[0][0]
+        value = float((space.measure[idx[0]] / e) ** (1.0 / p))
+        return JpResult(value, "exact", witness_field=f, upper=value)
+    return None
+
+
+def _sup_j2(space, backend, idx):
+    """Sup-backend J_2(A) bracketed through ball weights q.
+
+    For each q_x a probability on B(x, h) without x,
+    |grad f|(x)^2 >= sum_y q_x(y) (f(y) - f(x))^2. So the smallest
+    eigenpair (theta, v), with residual r, of the pair form with weights
+    mu(x) q_x(y) on A (mu-normalised, as in _form) gives
+    J_2(A) <= (theta - r)^(-1/2), and the sup quotient of f = v/sqrt(mu)
+    on A is a lower end. theta is concave in q with supergradient
+    mu(x) (f(y) - f(x))^2, so q climbs from uniform by entropic mirror
+    steps of size 3/sqrt(k+1), scaled by the largest entry, until the best
+    ends meet within DUAL_GAP or DUAL_ITERS steps have run (Beck and
+    Teboulle 2003; the eigenvalue optimisation of Boyd, Diaconis and
+    Xiao's fastest mixing chain). The value is the best lower end and its
+    field the witness; the mode stays lower_bound."""
+    settled = _settled(space, backend, idx, 2)
+    if settled is not None:
+        return settled
+    n, k, mu = space.n, idx.size, space.measure
+    indptr, cols, _ = space.neighbourhoods(backend.h)
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    in_a = np.zeros(n, dtype=bool)
+    in_a[idx] = True
+    # the pairs (x, y != x) of every ball that meets A; each such ball has
+    # one, since _settled has answered the points of A that see nothing
+    meets = np.logical_or.reduceat(in_a[cols], indptr[:-1])
+    keep = meets[src] & (src != cols)
+    x, y = src[keep], cols[keep]
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    mu_x = mu[x]
+    # row p of G holds 1/sqrt(mu) at x_p and -1/sqrt(mu) at y_p for the
+    # ends in A, so G^T diag(w) G is the block on A of the pair form with
+    # weights w, mu-normalised as in _form; column k, every point outside
+    # A, is sliced off
+    root = np.sqrt(mu[idx])
+    pos = np.full(n, k)
+    pos[idx] = np.arange(k)
+    inv = np.r_[1.0 / root, 0.0]
+    at = np.arange(x.size)
+    G = csr_matrix((np.r_[inv[pos[x]], -inv[pos[y]]],
+                    (np.r_[at, at], np.r_[pos[x], pos[y]])),
+                   shape=(x.size, k + 1))[:, :k]
+    dense = k <= DENSE_EIG_SIZE
+    if dense:
+        G = G.toarray()
+    q = np.repeat(1.0 / counts, counts)
+    lower, upper, best = -np.inf, np.inf, None
+    for it in range(DUAL_ITERS):
+        w = mu_x * q
+        C = G.T @ (G * w[:, None] if dense else G.multiply(w[:, None]))
+        theta, V, res = symmetric_eig(C, "SA")
+        slack = float(theta[0] - res[0])
+        if slack > 0:
+            upper = min(upper, slack ** -0.5)
+        f = np.zeros(n)
+        f[idx] = V[:, 0] / root
+        d2 = (f[y] - f[x]) ** 2
+        # the squared sup gradient is zero off the balls that meet A
+        grad2 = np.maximum.reduceat(d2, starts)
+        quotient = float(np.sqrt(np.sum(mu[idx] * f[idx] ** 2) /
+                                 np.sum(mu_x[starts] * grad2)))
+        if quotient > lower:
+            lower, best = quotient, f
+        if upper - lower <= DUAL_GAP * lower:
+            break
+        s = mu_x * d2
+        q = q * np.exp((3.0 / np.sqrt(it + 1)) / s.max() * s)
+        q /= np.repeat(np.add.reduceat(q, starts), counts)
+    # reported as the gradient module computes the witness's quotient
+    value = lp_norm(space, best, 2) / lp_norm(
+        space, grad_sup(space, best, backend.h), 2)
+    return JpResult(value, "lower_bound", witness_field=best, upper=upper)
+
+
 def _jp_descent(space, backend, idx, p, rng):
     """Projected subgradient descent on the p-Rayleigh quotient; the
     reported J is a certified lower bound. A one-point A has a
@@ -514,25 +629,12 @@ def _jp_descent(space, backend, idx, p, rng):
     another: the best quotient by strict <, so the earliest restart and
     step win a tie, and a zero energy returns the field of the
     lowest-numbered restart that reaches it, at its first such step."""
-    # points of A that no chain of relation pairs links to the outside
-    # carry a zero-energy field
-    indptr, cols = backend.relation_rows(space)
-    rel = csr_matrix((np.ones(cols.size), cols, indptr),
-                     shape=(space.n, space.n))
-    comp = connected_components(rel, directed=False)[1]
-    outside = np.setdiff1d(np.arange(space.n), idx)
-    lost = idx[~np.isin(comp[idx], comp[outside])]
-    if lost.size:
-        f = np.zeros(space.n)
-        f[lost] = 1.0
-        return _inf_result("isolated_at_scale", f)
+    settled = _settled(space, backend, idx, p)
+    if settled is not None:
+        return settled
     mu = space.measure
+    outside = np.setdiff1d(np.arange(space.n), idx)
     energy_grad = _energy_grad(space, backend, p)
-    if idx.size == 1:
-        f = np.zeros(space.n)
-        f[idx] = 1.0
-        value = (mu[idx[0]] / energy_grad(f[None])[0][0]) ** (1.0 / p)
-        return JpResult(float(value), "exact", witness_field=f)
 
     def norms(F):
         # lp_norm row by row: an array ** 0.5 would take numpy's sqrt path
@@ -653,24 +755,25 @@ def candidate_subsets(space, backend=None):
         axes = [np.arange(s) for s in shape]
         coords = np.stack(np.meshgrid(*axes, indexing="ij"),
                           axis=-1).reshape(space.n, dims)
-        sizes = [_strided_range(1, s) for s in shape]
+        sizes = list(itertools.product(*[_strided_range(1, s)
+                                         for s in shape]))
         corners = [_strided_range(0, s - 1) for s in shape]
-        count = 0
+        # boxes that fit, in (corner, size) order, until the first past
+        # MAX_CANDIDATES / 2; each comes with its complement
+        left = MAX_CANDIDATES // 2 + 1
         for corner in itertools.product(*corners):
-            if count > MAX_CANDIDATES:
+            hi = np.array(corner) + np.array(sizes)
+            fits = np.flatnonzero(np.all(hi <= shape, axis=1))[:left]
+            # inside[b, x]: x lies in box fits[b], one axis at a time
+            inside = np.all(coords >= corner, axis=1)[None, :]
+            for a in range(dims):
+                inside = inside & (coords[:, a] < hi[fits, a][:, None])
+            for b, mask in zip(fits.tolist(), inside):
+                push(np.flatnonzero(mask), f"box({corner},{sizes[b]})")
+                push(np.flatnonzero(~mask), f"cobox({corner},{sizes[b]})")
+            left -= fits.size
+            if not left:
                 break
-            for size in itertools.product(*sizes):
-                if count > MAX_CANDIDATES:
-                    break
-                lo = np.array(corner)
-                hi = lo + np.array(size)
-                if np.any(hi > np.array(shape)):
-                    continue
-                inside = np.all((coords >= lo) & (coords < hi), axis=1)
-                idx = np.flatnonzero(inside)
-                push(idx, f"box({corner},{size})")
-                push(np.flatnonzero(~inside), f"cobox({corner},{size})")
-                count += 2
 
     if backend is not None and backend.kind == "viewpoint" and \
             is_symmetric(backend.vp).symmetric and space.n >= 3:
@@ -720,11 +823,13 @@ def isoperimetric_profile(space, backend, p, volume_grid,
     J is inf under every backend, so it would say nothing about proper
     subsets); a subset isolated at the scale keeps its infinite J, so the
     curve reads inf from the smallest volume that holds one. Each sample
-    reports the first best subset in enumeration (or family) order.
+    reports the first best subset in enumeration (or family) order; on the
+    sup backend at p = 2 its witness also carries the subset's ``upper`` end.
     """
     volume_grid = np.asarray(volume_grid, dtype=float)
     if strategy == "exact":
-        masses, values, mode = _exact_profile_entries(space, backend, p)
+        masses, values, uppers, mode = _exact_profile_entries(space, backend,
+                                                              p)
         found = None
     else:
         top = volume_grid.max(initial=-np.inf)
@@ -733,6 +838,7 @@ def isoperimetric_profile(space, backend, p, volume_grid,
             if sub.measure <= top:
                 fam.append(sub)
                 found.append((sub.indices, label))
+        uppers = np.full(len(fam), np.inf)
         if p == 1:
             # the profile is itself a subset supremum, so each candidate
             # contributes its indicator ratio directly (no inner max)
@@ -747,15 +853,18 @@ def isoperimetric_profile(space, backend, p, volume_grid,
                     values[i] = _j2_eig(space, backend, sub.indices)[0]
                 else:
                     # no candidate is the whole space
-                    values[i] = jp_subset(space, backend, sub.indices, p,
-                                          rng=rng).value
+                    res = jp_subset(space, backend, sub.indices, p, rng=rng)
+                    values[i], uppers[i] = res.value, res.upper
         mode = "lower_bound"
 
     def pick(j):
         sub, label = found[j] if found is not None else \
             (_mask_indices(j + 1, space.n), "exhaustive")
-        return {"indices": sub, "label": label, "measure": masses[j],
-                "value": values[j]}
+        wit = {"indices": sub, "label": label, "measure": masses[j],
+               "value": values[j]}
+        if backend.kind == "sup" and p == 2:
+            wit["upper"] = uppers[j]
+        return wit
 
     out, witnesses = _first_best(volume_grid, masses, values, "below", pick)
     return ProfileCurve("j_p", volume_grid, out, mode, witnesses,
@@ -781,11 +890,13 @@ def _first_best(grid, masses, values, side, pick):
 
 
 def _exact_profile_entries(space, backend, p):
-    """(masses, values, mode) of the proper nonempty subsets of the space,
-    in mask order from mask 1 (bit x selects point x); mode is "exact" when
-    every subset's J_p is, else "lower_bound"."""
+    """(masses, values, uppers, mode) of the proper nonempty subsets of the
+    space, in mask order from mask 1 (bit x selects point x); uppers are the
+    results' upper ends, and mode is "exact" when every subset's J_p is,
+    else "lower_bound"."""
     mu_b, den_b = _subset_tables(space, backend, np.arange(space.n))
     modes = {"exact"}
+    uppers = np.full(mu_b.size, np.inf)
     if p == 1:
         values = _ratio(mu_b, den_b,
                         1e-12 * max(1.0, float(den_b.max(initial=0.0))))
@@ -795,10 +906,10 @@ def _exact_profile_entries(space, backend, p):
             warnings.simplefilter("ignore")
             for m in range(1, mu_b.size - 1):
                 res = jp_subset(space, backend, _mask_indices(m, space.n), p)
-                values[m] = res.value
+                values[m], uppers[m] = res.value, res.upper
                 modes.add(res.mode)
     mode = "exact" if modes == {"exact"} else "lower_bound"
-    return mu_b[1:-1], values[1:-1], mode
+    return mu_b[1:-1], values[1:-1], uppers[1:-1], mode
 
 
 def profile_in_balls(space, backend, p, radius_grid,
@@ -808,7 +919,8 @@ def profile_in_balls(space, backend, p, radius_grid,
     The centres are every point when N <= 400, else a stride-capped
     subset (their number is recorded in meta). Unlike subset profiles, the
     infinity sentinel is kept: a ball that swallows the whole space
-    genuinely has J = inf and the curve should say so.
+    genuinely has J = inf and the curve should say so. On the sup backend
+    at p = 2 each witness also carries the ball's ``upper`` end.
     """
     centers = range(0, space.n, max(1, space.n // 400))
     radius_grid = np.asarray(radius_grid, dtype=float)
@@ -826,6 +938,8 @@ def profile_in_balls(space, backend, p, radius_grid,
                 wit = {"center": x, "radius": float(t),
                        "indices": ball, "value": res.value,
                        "reason": res.reason}
+                if backend.kind == "sup" and p == 2:
+                    wit["upper"] = res.upper
             if np.isinf(best):
                 break
         values[i] = best

@@ -296,6 +296,10 @@ def viewpoint_from_json(doc, space) -> Viewpoint:
         if sup.shape != vals.shape:
             raise ValueError(f"row {x}: support and density lengths differ")
         order = np.argsort(sup)
+        twice = np.flatnonzero(np.diff(sup[order]) == 0)
+        if twice.size:
+            raise ValueError(f"row {x}: support repeats point "
+                             f"{sup[order][twice[0]]}")
         indices.append(sup[order])
         data.append(vals[order])
         indptr[x + 1] = indptr[x] + sup.size

@@ -403,6 +403,9 @@ def test_kernel_errors_exit_2_before_the_out_dir(tmp_path, capsys):
     del rows[3]["density"]
     (tmp_path / "short_row.json").write_text(json.dumps({"h": 1,
                                                          "rows": rows}))
+    rows = [{"x": x, "support": [x], "density": [1.0]} for x in range(9)]
+    rows[0] = {"x": 0, "support": [0, 1, 1], "density": [0.5, 0.25, 0.25]}
+    (tmp_path / "repeat.json").write_text(json.dumps({"h": 1, "rows": rows}))
     out = tmp_path / "run"
     for kernel, pointer, words in [
             ({"kind": "file", "path": "missing.json"}, "/kernel/path",
@@ -413,7 +416,9 @@ def test_kernel_errors_exit_2_before_the_out_dir(tmp_path, capsys):
             ({"kind": "file", "path": "small.json"}, "/kernel/path",
              "kernel has 4 rows, space has 9"),
             ({"kind": "file", "path": "short_row.json"}, "/kernel/path",
-             "kernel row 3 is missing key 'density'")]:
+             "kernel row 3 is missing key 'density'"),
+            ({"kind": "file", "path": "repeat.json"}, "/kernel/path",
+             "row 0: support repeats point 1")]:
         rc = cli.run({"space": {"family": "path", "n": 9}, "kernel": kernel,
                       "operations": [{"op": "energy_check",
                                       "fields": [[1.0] * 9]}]},
@@ -467,11 +472,33 @@ def test_viewpoint_profile_through_run_reports_exact_witnesses(tmp_path):
         assert wit["value"] == res.value
 
 
+def test_readme_sup_profile_does_not_depend_on_the_seed(tmp_path):
+    # the README example's profile at its first volume: the sup backend at
+    # p = 2 draws no random numbers, and the descent that used to run
+    # there reported 1.03654
+    arts = []
+    for seed in (11, 12):
+        out = tmp_path / str(seed)
+        config = {"space": {"family": "grid", "d": 2, "L": 8}, "seed": seed,
+                  "operations": [{"op": "profile", "p": 2,
+                                  "backend": "sup:1", "volumes": [4]}]}
+        assert cli.run(config, out_dir=str(out)) == 0
+        arts.append([(out / f"00_profile.{ext}").read_bytes()
+                     for ext in ("json", "csv")])
+    assert arts[0] == arts[1]
+    curve = json.loads(arts[0][0])
+    assert curve["mode"] == "lower_bound"
+    assert curve["values"][0] >= 1.03654
+    wit = curve["witnesses"]["w0"]
+    assert wit["value"] == curve["values"][0]
+    assert wit["value"] <= wit["upper"] < math.inf
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_descent_profiles_through_run_are_reproducible(tmp_path):
-    # p = 2 on the sup backend and p = 3 on the lp backend both go through
-    # the descent; p = 3 draws its starts from the config's seed. Only
-    # candidates of measure at most 3 are descended
+    # p = 3 on the lp backend goes through the descent and draws its starts
+    # from the config's seed; p = 2 on the sup backend is bracketed and
+    # draws nothing. Only candidates of measure at most 3 are evaluated
     config = {"space": {"family": "grid", "L": 2}, "seed": 5,
               "operations": [
                   {"op": "profile", "p": 2, "backend": "sup:1",

@@ -85,10 +85,6 @@ def test_discretize_matches_per_point_oracle(make):
         except ValueError as exc:
             assert "disconnected" in str(exc)
             continue
-        except ArithmeticError as exc:
-            # a one-point net fails the certificate's distance axiom
-            assert "internal certificate failed" in str(exc)
-            continue
         checked += 1
         centers, assign, edges = _discretize_loop_oracle(space, h)
         assert disc.centers.tolist() == centers
@@ -97,6 +93,22 @@ def test_discretize_matches_per_point_oracle(make):
         assert sorted((int(i), int(j)) for i, j in zip(g.row, g.col)
                       if i < j) == edges
     assert checked >= 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: zoo.random_geometric(80, 4),
+    lambda: zoo.scale_metric(zoo.regular_tree(3, 3), 0.7),
+], ids=["rgg", "tree_scaled"])
+def test_discretize_to_one_point_passes_its_certificate(make):
+    # radius at most h: every point is within h of point 0, so the net is
+    # point 0 alone, carrying the whole measure
+    space = make()
+    disc = coarse.discretize(space, 3.0)
+    assert disc.centers.tolist() == [0]
+    assert disc.assign.tolist() == [0] * space.n
+    assert disc.graph.measure.tolist() == [space.total_measure]
+    assert disc.certificate.ok
+    assert disc.certificate.bin_edges[-1] <= 6.0
 
 
 def test_discretize_rejects_disconnecting_scale():

@@ -1,5 +1,6 @@
 """Rate functions, J_p evaluation, profile curves, inequality fitting."""
 
+import itertools
 import linecache
 import warnings
 
@@ -577,6 +578,74 @@ def test_descent_matches_sequential_oracle(name, monkeypatch):
                 _same_descent(space, backend, idx, p, seed=i)
 
 
+def _sup_quotient(space, h, f):
+    return calculus.lp_norm(space, f, 2) / calculus.lp_norm(
+        space, calculus.grad_sup(space, f, h), 2)
+
+
+@pytest.mark.parametrize("make,idx,want", [
+    (lambda: zoo.path(8), [2, 3, 4], np.sqrt(1.2)),
+    (lambda: zoo.grid(2, 3), [0, 1, 3], 1.0),
+], ids=["path8", "grid3"])
+def test_sup_j2_bracket_holds_the_known_value(make, idx, want):
+    space = make()
+    res = profiles.jp_subset(space, Backend.sup(1.0), idx, 2)
+    assert res.mode == "lower_bound"
+    assert res.value * (1 - 1e-9) <= want <= res.upper * (1 + 1e-9)
+    assert res.upper - res.value <= profiles.DUAL_GAP * res.value
+    assert _sup_quotient(space, 1.0, res.witness_field) == res.value
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "random_mu"])
+def test_sup_j2_bracket_on_every_subset_of_a_path(unit):
+    # the lp weights mu(y) / V(x, h) put at most mass 1 on B(x, h) minus x,
+    # so the exact lp J_2 bounds the sup J_2 from above
+    space = zoo.path(6)
+    if not unit:
+        space = space.with_measure(
+            np.random.default_rng(6).uniform(0.5, 2.0, space.n))
+    for m in range(1, (1 << space.n) - 1):
+        idx = profiles._mask_indices(m, space.n)
+        res = profiles.jp_subset(space, Backend.sup(1.0), idx, 2)
+        assert 0 < res.value <= res.upper < np.inf
+        quotient = _sup_quotient(space, 1.0, res.witness_field)
+        assert quotient == pytest.approx(res.value, rel=1e-12, abs=0)
+        lp = profiles.jp_subset(space, Backend.lp(1.0), idx, 2).value
+        assert res.value <= lp * (1 + 1e-12)
+
+
+def test_descent_stays_below_the_sup_j2_upper_end(monkeypatch):
+    # any field's sup quotient is a lower bound, however short the descent
+    monkeypatch.setattr(profiles, "DESCENT_ITERS", 60)
+    rng = np.random.default_rng(13)
+    for name in sorted(DESCENT_SPACES):
+        make, h = DESCENT_SPACES[name]
+        for unit in (True, False):
+            space = make()
+            if not unit:
+                space = space.with_measure(rng.uniform(0.5, 2.0, space.n))
+            for size in (2, space.n // 2):
+                idx = np.sort(rng.choice(space.n, size=size, replace=False))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    res = profiles.jp_subset(space, Backend.sup(h), idx, 2)
+                    low = profiles._jp_descent(space, Backend.sup(h), idx, 2,
+                                               0)
+                assert np.isinf(res.upper) == (res.reason is not None)
+                assert low.value <= res.upper * (1 + 1e-12)
+
+
+def test_sup_j2_reads_no_random_numbers():
+    space = zoo.grid(2, 4)
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    a = profiles.jp_subset(space, Backend.sup(1.0), [0, 1, 5, 6], 2, rng=rng)
+    b = profiles.jp_subset(space, Backend.sup(1.0), [0, 1, 5, 6], 2)
+    assert rng.bit_generator.state == state
+    assert (a.value, a.upper) == (b.value, b.upper)
+    assert a.witness_field.tobytes() == b.witness_field.tobytes()
+
+
 def test_p_below_2_warns_of_nothing():
     # every pair set holds (x, x), whose zero difference has no finite
     # power below 2
@@ -631,7 +700,8 @@ def test_exhaustive_enumeration_cap(call):
 
 
 def test_exact_profile_mode_follows_its_subsets():
-    # the sup backend descends every subset of two or more points at p = 2
+    # the sup backend brackets every subset of two or more points at p = 2
+    # and reports the lower end
     curve = profiles.isoperimetric_profile(zoo.path(5), Backend.sup(1.0), 2,
                                            [1.0, 2.0, 3.0], strategy="exact")
     assert curve.mode == "lower_bound"
@@ -856,6 +926,39 @@ def test_jp1_ball_search_without_radii_is_minus_inf():
         (-np.inf, "lower_bound", None, None)
 
 
+def _candidate_subsets_oracle(space):
+    """candidate_subsets without a backend, its boxes one at a time."""
+    seen, out = set(), []
+
+    def push(indices, label):
+        if 0 < indices.size < space.n and indices.tobytes() not in seen:
+            seen.add(indices.tobytes())
+            out.append((profiles._subset(space, indices), label))
+
+    for ball in profiles._balls(space, range(0, space.n,
+                                             max(1, space.n // 80))):
+        push(*ball)
+    shape = space.meta["shape"]
+    coords = np.stack(np.meshgrid(*[np.arange(s) for s in shape],
+                                  indexing="ij"), axis=-1).reshape(space.n, -1)
+    count = 0
+    for corner in itertools.product(*[profiles._strided_range(0, s - 1)
+                                      for s in shape]):
+        for size in itertools.product(*[profiles._strided_range(1, s)
+                                        for s in shape]):
+            if count > profiles.MAX_CANDIDATES:
+                return out[:profiles.MAX_CANDIDATES]
+            lo = np.array(corner)
+            hi = lo + np.array(size)
+            if np.any(hi > np.array(shape)):
+                continue
+            inside = np.all((coords >= lo) & (coords < hi), axis=1)
+            push(np.flatnonzero(inside), f"box({corner},{size})")
+            push(np.flatnonzero(~inside), f"cobox({corner},{size})")
+            count += 2
+    return out[:profiles.MAX_CANDIDATES]
+
+
 def test_candidate_subsets_read_one_distance_row_per_centre(monkeypatch):
     # path(200): every second point is a centre; grid(2, 9): every point
     for space in (zoo.path(200), zoo.grid(2, 9)):
@@ -865,6 +968,15 @@ def test_candidate_subsets_read_one_distance_row_per_centre(monkeypatch):
             np.asarray(xs).tolist()) or dist_rows(xs, *a))
         profiles.candidate_subsets(space)
         assert rows == list(range(0, space.n, max(1, space.n // 80)))
+    # the boxes, built a corner at a time, are the box-by-box family:
+    # members, order, labels, dedup and the MAX_CANDIDATES cut (grid(2, 8)
+    # and grid(3, 4) reach it)
+    for space in (zoo.grid(2, 5), zoo.grid(2, 8), zoo.grid(3, 4),
+                  zoo.path(16)):
+        got = profiles.candidate_subsets(space)
+        want = _candidate_subsets_oracle(space)
+        assert [(s.indices.tobytes(), label, s.measure) for s, label in got] \
+            == [(s.indices.tobytes(), label, s.measure) for s, label in want]
 
 
 def test_isoperimetric_profile_monotone():

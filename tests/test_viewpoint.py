@@ -17,6 +17,8 @@ from coarsecalc.viewpoint import (
     standard_viewpoint,
     symmetrize,
     validate,
+    viewpoint_from_json,
+    viewpoint_to_json,
 )
 
 
@@ -120,6 +122,16 @@ def test_apply_preserves_constants(path6):
     vp = standard_viewpoint(path6, 1.0)
     out = apply(vp, np.full(6, 3.25))
     np.testing.assert_allclose(out, 3.25, atol=1e-12)
+
+
+def test_kernel_file_with_a_repeated_support_point_is_rejected(path6):
+    # read as two densities, [0, 1, 1] certified c = 0.25 while the
+    # operator summed them to p_0(1) = 0.5
+    doc = viewpoint_to_json(standard_viewpoint(path6, 1.0))
+    doc["rows"][0] = {"x": 0, "support": [0, 1, 1],
+                      "density": [0.5, 0.25, 0.25]}
+    with pytest.raises(ValueError, match="row 0: support repeats point 1"):
+        viewpoint_from_json(doc, path6)
 
 
 def test_viewpoint_roundtrip(tmp_path, path6):
