@@ -201,11 +201,6 @@ def _first_stochastic(kernel, ops):
         for key, val in op.items():
             if isinstance(val, str) and val.startswith("random:"):
                 return f"/operations/{i}/{key}"
-        # profile descends from random starts when p is not 1, 2 or inf
-        p = op.get("p")
-        if op["op"] == "profile" and isinstance(p, (int, float)) \
-                and not math.isinf(p) and p not in (1, 2):
-            return f"/operations/{i}/p (descent restarts)"
     return None
 
 
@@ -296,11 +291,11 @@ def _build_kernel(spec, space, ctx):
                           str(exc)) from None
 
 
-def _read_json(ctx, relpath, pointer):
-    """The JSON document at relpath; one that cannot be read is a
+def _read_json(path, pointer):
+    """The JSON document at path; one that cannot be read is a
     ConfigError at pointer."""
     try:
-        with open(ctx.resolve(relpath)) as fh:
+        with open(path) as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(pointer, str(exc)) from None
@@ -316,7 +311,7 @@ def _fields(ctx, op, key, nonneg=False):
         out = [ctx.need_rng().standard_normal(n) for _ in range(k)]
     else:
         if isinstance(spec, str) and spec.startswith("file:"):
-            spec = _read_json(ctx, spec.split(":", 1)[1], pointer)
+            spec = _read_json(ctx.resolve(spec.split(":", 1)[1]), pointer)
         elif not isinstance(spec, list):
             raise ConfigError(pointer, f"bad field spec {spec!r}")
         rows = [spec] if spec and not isinstance(spec[0], list) else spec
@@ -334,7 +329,7 @@ def _phi(ctx, op):
             return getattr(RateFunction, kind)(
                 *[float(x) for x in rest.split(",")])
         if kind == "tabulated":
-            doc = _read_json(ctx, rest, pointer)
+            doc = _read_json(ctx.resolve(rest), pointer)
             return RateFunction.tabulated(doc["args"], doc["values"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(pointer, f"bad rate spec {spec!r}: {exc}") from None
@@ -382,8 +377,8 @@ def _target_map(ctx, op, certify=True):
                               "identity map needs equal point counts")
         F = np.arange(space.n)
     elif isinstance(spec, str) and spec.startswith("file:"):
-        F = np.asarray(_read_json(ctx, spec.split(":", 1)[1], pointer),
-                       dtype=np.int64)
+        F = np.asarray(_read_json(ctx.resolve(spec.split(":", 1)[1]),
+                                  pointer), dtype=np.int64)
     elif isinstance(spec, list):
         F = np.asarray(spec, dtype=np.int64)
     else:
@@ -510,12 +505,11 @@ def _op_profile(ctx, op, tag):
     p = float(op["p"])
     if "radii" in op:
         curve = profiles.profile_in_balls(space, b, p,
-                                          [float(r) for r in op["radii"]],
-                                          rng=ctx.rng)
+                                          [float(r) for r in op["radii"]])
     else:
         curve = profiles.isoperimetric_profile(
             space, b, p, [float(v) for v in op["volumes"]],
-            strategy=op["strategy"], rng=ctx.rng)
+            strategy=op["strategy"])
     rows, wits = [], {}
     for i, (a, v) in enumerate(zip(curve.args, curve.values)):
         wid = ""
@@ -1182,16 +1176,12 @@ def _cmd_zoo(args):
     if args.action == "generate":
         spec = {key: val for key, val in vars(args).items()
                 if val is not None and key not in ("command", "action", "out")}
-        try:
-            space = _build_space(spec, ".", "/space")
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
-            return 2
+        space = _build_space(spec, ".", "/space")
         save_space(space, args.out)
         print(f"{space.name}: {space.n} points, total measure "
               f"{space.total_measure:g} -> {args.out}")
         return 0
-    space = load_space(args.space)
+    space = _build_space({"file": args.space}, ".", "/space")
     print(f"{space.name}: {space.n} points, total measure "
           f"{space.total_measure:g}")
     for rep in doubling_profile(space, _floats(args.scales)):
@@ -1205,13 +1195,19 @@ def _cmd_zoo(args):
 
 
 def _cmd_viewpoint(args):
-    space = load_space(args.space)
-    if args.action == "check":
+    space = _build_space({"file": args.space}, ".", "/space")
+    if args.action in ("check", "symmetrize"):
         try:
             vp = viewpoint.load_viewpoint(args.vp, space)
+        except OSError as exc:
+            raise ConfigError("/kernel/path", str(exc)) from None
         except ValueError as exc:
+            if args.action == "symmetrize":
+                raise ConfigError("/kernel/path", str(exc)) from None
+            # check reports a readable file that holds no valid kernel
             print(f"invalid kernel: {exc}", file=sys.stderr)
             return 1
+    if args.action == "check":
         sym = viewpoint.is_symmetric(vp)
         cert = vp.certificate
         print(f"h={vp.h:g} kind={vp.kind} support_factor={cert.A:g} "
@@ -1221,8 +1217,7 @@ def _cmd_viewpoint(args):
               f"{sym.p_xy:.12g} vs {sym.p_yx:.12g}")
         return 0
     if args.action == "symmetrize":
-        vp_in = viewpoint.load_viewpoint(args.vp, space)
-        vp, new_space = viewpoint.symmetrize(space, vp_in)
+        vp, new_space = viewpoint.symmetrize(space, vp)
         if args.out_space:
             save_space(new_space, args.out_space)
     elif args.action == "standard":
@@ -1231,9 +1226,7 @@ def _cmd_viewpoint(args):
         vp = randomwalk.lazy_srw(space, args.h)
     else:
         if args.seed is None:
-            print("config error at /seed: random kernel needs --seed",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError("/seed", "random kernel needs --seed")
         vp = viewpoint.random_symmetric_viewpoint(
             space, args.h, np.random.default_rng(args.seed))
     viewpoint.save_viewpoint(vp, args.out)
@@ -1263,34 +1256,32 @@ def _one_shot_config(args):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "zoo":
-        return _cmd_zoo(args)
-    if args.command == "viewpoint":
-        return _cmd_viewpoint(args)
     base = "."
-    if args.command == "accept":
-        cfg = {"operations": [{"op": "accept"}]}
-        if args.criteria:
-            cfg["operations"][0]["criteria"] = _ints(args.criteria)
-    elif args.config:
-        base = Path(args.config).parent
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"config error at /: {exc}", file=sys.stderr)
-            return 2
-    elif args.action is None:
-        print(f"config error at /: {args.command} needs a subcommand or "
-              f"--config", file=sys.stderr)
+    try:
+        if args.command == "zoo":
+            return _cmd_zoo(args)
+        if args.command == "viewpoint":
+            return _cmd_viewpoint(args)
+        if args.command == "accept":
+            cfg = {"operations": [{"op": "accept"}]}
+            if args.criteria:
+                cfg["operations"][0]["criteria"] = _ints(args.criteria)
+        elif args.config:
+            base = Path(args.config).parent
+            cfg = _read_json(args.config, "/")
+        elif args.action is None:
+            raise ConfigError("/", f"{args.command} needs a subcommand or "
+                              f"--config")
+        else:
+            cfg = _one_shot_config(args)
+        if args.seed is not None:
+            cfg["seed"] = args.seed
+        if args.tol_overrides:
+            cfg.setdefault("tolerances", {}).update(
+                _read_json(args.tol_overrides, "/tolerances"))
+    except ConfigError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    else:
-        cfg = _one_shot_config(args)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.tol_overrides:
-        with open(args.tol_overrides) as fh:
-            cfg.setdefault("tolerances", {}).update(json.load(fh))
     return run(cfg, out_dir=args.out, base_dir=base)
 
 

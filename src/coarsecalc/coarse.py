@@ -561,8 +561,9 @@ def profile_transfer_band(space, target, F, cert, p, h,
     whose mask is all False asserts nothing.
 
     Profiles are computed with the averaged-gradient flavor, which has
-    closed evaluation at p in {1, 2}; the sup flavor would route p = 2
-    through iterative descent on every candidate subset.
+    closed evaluation at p in {1, 2}; at p = 2 the sup flavor would
+    bracket every candidate subset by an ascent of up to DUAL_ITERS
+    eigensolves in place of one.
     """
     if not cert.C_r:
         raise ValueError("certificate carries no volume constants; rerun "

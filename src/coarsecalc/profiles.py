@@ -24,11 +24,12 @@ quotient of its eigenfield a lower bound. Entropic mirror ascent on q
 closes the gap; the value is the lower end (``lower_bound``) and the
 result carries the upper end in ``upper``. It draws no random numbers.
 
-Everything else (other p, large subsets) is reported as a ``lower_bound``
-with the search family documented in the curve metadata. A nonzero field
-with vanishing gradient norm makes J infinite; that sentinel is returned
-(never a silent large float) with the reason, and it is the expected answer
-when A is the whole space or contains points isolated at the scale.
+Other p are searched by projected descent from fixed starts and reported
+as a ``lower_bound``; candidate curves document their search family in
+the curve metadata. J is infinite when A is the whole space or some points
+of A have no chain of relation pairs to the outside (a nonzero field with
+vanishing gradient); that sentinel is returned with its reason, never a
+silent large float, and it is decided before any search starts.
 """
 
 from __future__ import annotations
@@ -296,16 +297,16 @@ def _mask_indices(mask, n):
 # J_p of one subset
 
 
-def jp_subset(space, backend, A, p, rng=None) -> JpResult:
-    """J_p(A) with the exactness ladder described in the module docstring."""
+def jp_subset(space, backend, A, p) -> JpResult:
+    """J_p(A) with the exactness ladder described in the module docstring.
+    Every path is deterministic: the descent starts from fixed draws."""
     idx = A.indices if hasattr(A, "indices") else \
         np.asarray(A, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("subset must be nonempty")
     if idx.size == space.n:
         # the constant field has zero gradient under every backend, so
-        # J_p(X) = inf for all p; without this the descent path would
-        # report a finite lower bound instead of the sentinel
+        # J_p(X) = inf for all p, whichever path would compute it
         return _inf_result("whole_space", np.ones(space.n))
     if p == 2:
         return _sup_j2(space, backend, idx) if backend.kind == "sup" else \
@@ -314,7 +315,7 @@ def jp_subset(space, backend, A, p, rng=None) -> JpResult:
         return _jp1(space, backend, idx)
     if np.isinf(p):
         return _jp_inf(space, backend, idx)
-    return _jp_descent(space, backend, idx, p, rng)
+    return _jp_descent(space, backend, idx, p)
 
 
 def _inf_result(reason, field_or_subset, as_field=True, stacklevel=3):
@@ -615,20 +616,19 @@ def _sup_j2(space, backend, idx):
     return JpResult(value, "lower_bound", witness_field=best, upper=upper)
 
 
-def _jp_descent(space, backend, idx, p, rng):
+def _jp_descent(space, backend, idx, p):
     """Projected subgradient descent on the p-Rayleigh quotient; the
-    reported J is a certified lower bound. A one-point A has a
-    one-dimensional field space, so J_p({x}) is exact.
+    reported J is a certified lower bound. ``_settled`` answers first: an
+    infinite J and a one-point A never reach the search.
 
-    The DESCENT_RESTARTS random starts (one normal draw of shape (R, |A|))
-    advance together as the rows of one array, each for up to
-    DESCENT_ITERS steps, and each step's closing energy and subgradient
-    open the next step. A restart stops on its own: on a zero subgradient
-    or field, or after more than 20 steps that move its quotient by under
-    DESCENT_TOL. The result is that of running the restarts one after
-    another: the best quotient by strict <, so the earliest restart and
-    step win a tie, and a zero energy returns the field of the
-    lowest-numbered restart that reaches it, at its first such step."""
+    The DESCENT_RESTARTS starts are one fixed normal draw of shape
+    (R, |A|) from default_rng(0). They advance together as the rows of one
+    array, each for up to DESCENT_ITERS steps, and each step's closing
+    energy and subgradient open the next step. A restart stops on its own:
+    on a zero subgradient or field, or after more than 20 steps that move
+    its quotient by under DESCENT_TOL. The result is that of running the
+    restarts one after another: the best quotient by strict <, so the
+    earliest restart and step win a tie."""
     settled = _settled(space, backend, idx, p)
     if settled is not None:
         return settled
@@ -641,9 +641,7 @@ def _jp_descent(space, backend, idx, p, rng):
         s = np.sum(np.abs(F) ** p * mu, axis=1)
         return np.array([t ** (1.0 / p) for t in s])
 
-    rng = np.random.default_rng(0 if rng is None else rng)
-    drawn = rng.bit_generator.state
-    Z = rng.normal(size=(DESCENT_RESTARTS, idx.size))
+    Z = np.random.default_rng(0).normal(size=(DESCENT_RESTARTS, idx.size))
     # centred as a C-contiguous block: F[:, idx] comes back in F order,
     # whose row sums would not be a single field's
     Z -= np.average(Z, axis=1, weights=mu[idx])[:, None]
@@ -656,16 +654,8 @@ def _jp_descent(space, backend, idx, p, rng):
     best_f = np.zeros((DESCENT_RESTARTS, space.n))
     stall = np.zeros(ids.size, dtype=np.int64)
     last = np.full(ids.size, np.inf)
-    inf_f, inf_id = None, DESCENT_RESTARTS
     E, G = energy_grad(F)
     for it in range(DESCENT_ITERS):
-        zero = np.flatnonzero(E <= 1e-18)
-        if zero.size:
-            # restarts after the first to reach zero energy would not run
-            inf_f, inf_id = F[zero[0]].copy(), ids[zero[0]]
-            go = ids < inf_id
-            F, E, G, ids, stall, last = (
-                a[go] for a in (F, E, G, ids, stall, last))
         if not ids.size:
             break
         gn = p * mu * np.abs(F) ** (p - 1) * np.sign(F)
@@ -695,12 +685,6 @@ def _jp_descent(space, backend, idx, p, rng):
         if not go.all():
             F, E, G, ids, stall, last = (
                 a[go] for a in (F, E, G, ids, stall, last))
-    if inf_f is not None:
-        # leave rng where one-by-one restarts leave it: they never draw
-        # the starts after the one that returns
-        rng.bit_generator.state = drawn
-        rng.normal(size=(inf_id + 1, idx.size))
-        return _inf_result("isolated_at_scale", inf_f)
     r = int(np.argmin(best_q))
     if best_q[r] == np.inf:
         raise ValueError("descent failed to produce a nonzero field")
@@ -812,7 +796,7 @@ def _strided_range(lo, hi, cap=12):
 
 
 def isoperimetric_profile(space, backend, p, volume_grid,
-                          strategy="candidates", rng=None) -> ProfileCurve:
+                          strategy="candidates") -> ProfileCurve:
     """j(v) = sup over subsets of measure <= v of J_p, sampled on a grid.
 
     ``exact`` enumerates every proper nonempty subset (at most
@@ -853,7 +837,7 @@ def isoperimetric_profile(space, backend, p, volume_grid,
                     values[i] = _j2_eig(space, backend, sub.indices)[0]
                 else:
                     # no candidate is the whole space
-                    res = jp_subset(space, backend, sub.indices, p, rng=rng)
+                    res = jp_subset(space, backend, sub.indices, p)
                     values[i], uppers[i] = res.value, res.upper
         mode = "lower_bound"
 
@@ -912,8 +896,7 @@ def _exact_profile_entries(space, backend, p):
     return mu_b[1:-1], values[1:-1], uppers[1:-1], mode
 
 
-def profile_in_balls(space, backend, p, radius_grid,
-                     rng=None) -> ProfileCurve:
+def profile_in_balls(space, backend, p, radius_grid) -> ProfileCurve:
     """J restricted to balls: t -> max over centers of J_p(B(x, t)).
 
     The centres are every point when N <= 400, else a stride-capped
@@ -931,7 +914,7 @@ def profile_in_balls(space, backend, p, radius_grid,
         best, wit = -np.inf, None
         for x in centers:
             ball = space.ball(x, t)
-            res = jp_subset(space, backend, ball, p, rng=rng)
+            res = jp_subset(space, backend, ball, p)
             modes.add(res.mode)
             if res.value > best:
                 best = res.value

@@ -430,6 +430,74 @@ def test_kernel_errors_exit_2_before_the_out_dir(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("text,words", [
+    (None, "No such file"), ("{not json", "Expecting property name")],
+    ids=["missing", "not_json"])
+def test_unreadable_tol_overrides_exit_2_before_the_out_dir(run_dir, capsys,
+                                                           text, words):
+    argv = ["calc", "energy", "--space", "space.json", "--kernel",
+            "lazy_srw", "--h", "1", "--seed", "5", "--fields", "random:4",
+            "--tol-overrides", "tol.json"]
+    (run_dir / "tol.json").write_text('{"energy_rel": 1e-9}')
+    assert cli.main(argv + ["--out", "run"]) == 0
+    assert _manifest(run_dir / "run")["config"]["tolerances"] == \
+        {"energy_rel": 1e-9}
+    if text is None:
+        (run_dir / "tol.json").unlink()
+    else:
+        (run_dir / "tol.json").write_text(text)
+    capsys.readouterr()
+    assert cli.main(argv + ["--out", "bad_run"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at /tolerances:")
+    assert words in err and "Traceback" not in err
+    assert not (run_dir / "bad_run").exists()
+
+
+@pytest.mark.parametrize("argv,rc,pointer", [
+    (["zoo", "info", "--space", "nope.json"], 2, "/space"),
+    (["zoo", "info", "--space", "bad.json"], 2, "/space"),
+    (["viewpoint", "standard", "--space", "nope.json", "--h", "1"], 2,
+     "/space"),
+    (["viewpoint", "lazy", "--space", "nope.json", "--h", "1"], 2, "/space"),
+    (["viewpoint", "random", "--space", "nope.json", "--h", "1",
+      "--seed", "1"], 2, "/space"),
+    (["viewpoint", "symmetrize", "--space", "nope.json", "--vp", "vp.json"],
+     2, "/space"),
+    (["viewpoint", "check", "--space", "nope.json", "--vp", "vp.json"], 2,
+     "/space"),
+    (["viewpoint", "symmetrize", "--space", "space.json", "--vp",
+      "nope.json"], 2, "/kernel/path"),
+    (["viewpoint", "symmetrize", "--space", "space.json", "--vp",
+      "bad.json"], 2, "/kernel/path"),
+    (["viewpoint", "check", "--space", "space.json", "--vp", "nope.json"],
+     2, "/kernel/path"),
+    # a readable file that holds no kernel fails the check itself
+    (["viewpoint", "check", "--space", "space.json", "--vp", "bad.json"], 1,
+     None),
+], ids=["zoo_info_missing_space", "zoo_info_bad_space",
+        "standard_missing_space", "lazy_missing_space", "random_missing_space",
+        "symmetrize_missing_space", "check_missing_space",
+        "symmetrize_missing_vp", "symmetrize_bad_vp", "check_missing_vp",
+        "check_bad_vp"])
+def test_zoo_and_viewpoint_report_unreadable_files(run_dir, capsys, argv,
+                                                   rc, pointer):
+    (run_dir / "bad.json").write_text("{not json")
+    assert cli.main(["viewpoint", "lazy", "--space", "space.json", "--h",
+                     "1", "--out", "vp.json"]) == 0
+    capsys.readouterr()
+    out = [] if argv[0] == "zoo" or argv[1] == "check" else \
+        ["--out", "out.json"]
+    assert cli.main(argv + out) == rc
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and not (run_dir / "out.json").exists()
+    if pointer is None:
+        assert err.startswith("invalid kernel: Expecting property name")
+    else:
+        assert err.startswith(f"config error at {pointer}:")
+        assert ("nope.json" in err) or ("Expecting property name" in err)
+
+
 def test_config_error_mid_run_writes_the_manifest(tmp_path, capsys):
     out = tmp_path / "run"
     rc = cli.run({"space": {"family": "grid", "L": 3},
@@ -496,9 +564,9 @@ def test_readme_sup_profile_does_not_depend_on_the_seed(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_descent_profiles_through_run_are_reproducible(tmp_path):
-    # p = 3 on the lp backend goes through the descent and draws its starts
-    # from the config's seed; p = 2 on the sup backend is bracketed and
-    # draws nothing. Only candidates of measure at most 3 are evaluated
+    # p = 3 on the lp backend goes through the descent from fixed starts;
+    # p = 2 on the sup backend is bracketed. Neither reads the seed. Only
+    # candidates of measure at most 3 are evaluated
     config = {"space": {"family": "grid", "L": 2}, "seed": 5,
               "operations": [
                   {"op": "profile", "p": 2, "backend": "sup:1",
@@ -522,6 +590,23 @@ def test_descent_profiles_through_run_are_reproducible(tmp_path):
     assert names == sorted(p.name for p in out_b.iterdir())
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+    # the p = 3 op alone, without a seed and with seeds 5 and 6: the same
+    # artifacts, and manifests that differ only in the config they record
+    runs = []
+    for top in ({}, {"seed": 5}, {"seed": 6}):
+        out = tmp_path / f"p3_{len(runs)}"
+        assert cli.run({"space": config["space"], **top,
+                        "operations": config["operations"][1:]},
+                       out_dir=str(out)) == 0
+        runs.append(out)
+    for out in runs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["00_profile.csv", "00_profile.json", "manifest.json"]
+        for name in ("00_profile.csv", "00_profile.json"):
+            assert (out / name).read_bytes() == (runs[0] / name).read_bytes()
+        man, first = _manifest(out), _manifest(runs[0])
+        del man["config"], first["config"]
+        assert man == first
 
 
 # ----------------------------------------------------------------------
@@ -783,13 +868,16 @@ def test_deterministic_ops_at_p3_need_no_seed(tmp_path, top, op):
     assert cli.run(config, out_dir=str(tmp_path / "run")) == 0
 
 
-def test_profile_at_p3_needs_a_seed(run_dir, capsys):
+def test_profile_at_p3_needs_no_seed(run_dir, capsys):
+    # the descent behind a profile at p = 3 starts from fixed draws
     assert cli.main(["calc", "grad", "--space", "space.json", "--field",
                      "field.json", "--kind", "lp", "--p", "3",
                      "--out", "grad"]) == 0
     assert cli.main(["profile", "jp", "--space", "space.json", "--p", "3",
-                     "--backend", "lp:1", "--volumes", "2"]) == 2
-    assert "seed is mandatory: /operations/0/p" in capsys.readouterr().err
+                     "--backend", "lp:1", "--volumes", "2",
+                     "--out", "jp"]) == 0
+    assert "seed" not in capsys.readouterr().err
+    assert _manifest(run_dir / "jp")["passed"] is True
 
 
 @pytest.mark.parametrize("argv", [

@@ -225,7 +225,7 @@ def test_asymmetric_viewpoint_j2_is_exact(name, unit):
         res = profiles.jp_subset(space, backend, idx, 2)
         assert res.mode == "exact"
         # the descent's lower bound can land above it by rounding only
-        low = profiles._jp_descent(space, backend, idx, 2, 0)
+        low = profiles._jp_descent(space, backend, idx, 2)
         assert res.value >= low.value * (1 - 1e-12)
         f = res.witness_field
         quotient = calculus.lp_norm(space, f, 2) / calculus.lp_norm(
@@ -274,7 +274,7 @@ def test_isolated_point_sentinel_for_every_p(p):
     space = zoo.random_geometric(10, 3)
     A = np.array([0, 1, 2, 4, 5])
     with pytest.warns(UserWarning, match="isolated_at_scale"):
-        res = profiles.jp_subset(space, Backend.sup(0.25), A, p, rng=0)
+        res = profiles.jp_subset(space, Backend.sup(0.25), A, p)
     assert np.isinf(res.value)
     assert (res.mode, res.reason) == ("exact", "isolated_at_scale")
     if res.witness_field is not None:
@@ -290,7 +290,7 @@ def test_closed_component_sentinel_for_every_p(p):
     space = zoo.random_geometric(10, 3)
     A = np.array([0, 2, 4, 5])
     with pytest.warns(UserWarning, match="isolated_at_scale"):
-        res = profiles.jp_subset(space, Backend.sup(0.25), A, p, rng=0)
+        res = profiles.jp_subset(space, Backend.sup(0.25), A, p)
     assert np.isinf(res.value)
     assert (res.mode, res.reason) == ("exact", "isolated_at_scale")
     if res.witness_field is not None:
@@ -318,7 +318,7 @@ def test_descent_one_point_subset_is_exact(p, unit):
     assert np.array_equal(res.witness_field, f)
     # J_p is monotone in A
     assert res.value <= profiles.jp_subset(space, Backend.sup(1.0),
-                                           [5, 6], p, rng=0).value
+                                           [5, 6], p).value
 
 
 def test_jp2_form_memo_isolation():
@@ -465,8 +465,9 @@ def _energy_grad_1d_oracle(space, backend, p):
     return energy_grad
 
 
-def _jp_descent_oracle(space, backend, idx, p, rng):
-    """The descent with its restarts run one after another."""
+def _jp_descent_oracle(space, backend, idx, p):
+    """The descent with its restarts run one after another, from the same
+    fixed starts."""
     indptr, cols = backend.relation_rows(space)
     rel = csr_matrix((np.ones(cols.size), cols, indptr),
                      shape=(space.n, space.n))
@@ -484,7 +485,7 @@ def _jp_descent_oracle(space, backend, idx, p, rng):
         f[idx] = 1.0
         value = (mu[idx[0]] / energy_grad(f)[0]) ** (1.0 / p)
         return profiles.JpResult(float(value), "exact", witness_field=f)
-    rng = np.random.default_rng(0 if rng is None else rng)
+    rng = np.random.default_rng(0)
     best_q, best_f = np.inf, None
     for _ in range(profiles.DESCENT_RESTARTS):
         f = np.zeros(space.n)
@@ -497,8 +498,6 @@ def _jp_descent_oracle(space, backend, idx, p, rng):
         stall, last = 0, np.inf
         for it in range(profiles.DESCENT_ITERS):
             e, ge = energy_grad(f)
-            if e <= 1e-18:
-                return profiles._inf_result("isolated_at_scale", f.copy())
             gn = p * mu * np.abs(f) ** (p - 1) * np.sign(f)
             d = ge - e * gn
             d[outside] = 0.0
@@ -527,18 +526,15 @@ def _jp_descent_oracle(space, backend, idx, p, rng):
     return profiles.JpResult(float(value), "lower_bound", witness_field=best_f)
 
 
-def _same_descent(space, backend, idx, p, seed):
-    """Both descents from equal Generators: the same value, mode, reason
-    and witness bytes, and the Generators left in the same state."""
-    got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+def _same_descent(space, backend, idx, p):
+    """Both descents: the same value, mode, reason and witness bytes."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        got = profiles._jp_descent(space, backend, idx, p, got_rng)
-        want = _jp_descent_oracle(space, backend, idx, p, want_rng)
+        got = profiles._jp_descent(space, backend, idx, p)
+        want = _jp_descent_oracle(space, backend, idx, p)
     assert (got.value, got.mode, got.reason) == \
         (want.value, want.mode, want.reason)
     assert got.witness_field.tobytes() == want.witness_field.tobytes()
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
     return got
 
 
@@ -575,7 +571,7 @@ def test_descent_matches_sequential_oracle(name, monkeypatch):
             # subsets of 2 to N/2 points
             for size in {2, 2 + (i + 3 * unit) % (space.n // 2 - 1)}:
                 idx = np.sort(rng.choice(space.n, size=size, replace=False))
-                _same_descent(space, backend, idx, p, seed=i)
+                _same_descent(space, backend, idx, p)
 
 
 def _sup_quotient(space, h, f):
@@ -629,19 +625,20 @@ def test_descent_stays_below_the_sup_j2_upper_end(monkeypatch):
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     res = profiles.jp_subset(space, Backend.sup(h), idx, 2)
-                    low = profiles._jp_descent(space, Backend.sup(h), idx, 2,
-                                               0)
+                    low = profiles._jp_descent(space, Backend.sup(h), idx, 2)
                 assert np.isinf(res.upper) == (res.reason is not None)
                 assert low.value <= res.upper * (1 + 1e-12)
 
 
-def test_sup_j2_reads_no_random_numbers():
+def test_sup_j2_reads_no_random_numbers(monkeypatch):
     space = zoo.grid(2, 4)
-    rng = np.random.default_rng(3)
-    state = rng.bit_generator.state
-    a = profiles.jp_subset(space, Backend.sup(1.0), [0, 1, 5, 6], 2, rng=rng)
+    a = profiles.jp_subset(space, Backend.sup(1.0), [0, 1, 5, 6], 2)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("sup J_2 made a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
     b = profiles.jp_subset(space, Backend.sup(1.0), [0, 1, 5, 6], 2)
-    assert rng.bit_generator.state == state
     assert (a.value, a.upper) == (b.value, b.upper)
     assert a.witness_field.tobytes() == b.witness_field.tobytes()
 
@@ -666,23 +663,30 @@ def test_p_below_2_warns_of_nothing():
     (lambda: zoo.random_geometric(12, 5), Backend.lp(1.0), [1, 7], 1.5),
 ], ids=["path8_sup", "grid3_sup", "geo12_lp_mixed_exits"])
 def test_descent_full_length_matches_oracle(make, backend, idx, p):
-    _same_descent(make(), backend, np.array(idx), p, seed=0)
+    _same_descent(make(), backend, np.array(idx), p)
 
 
-def test_descent_zero_energy_exit_matches_oracle():
-    # measures spread over 60 decades let a restart reach e <= 1e-18; on
-    # seeds 40, 87 and 126 the first to get there is restart 2, 3 or 4,
-    # while the restarts before it go on
-    hits = 0
+def test_descent_on_spread_measures_is_a_finite_lower_bound():
+    # measures spread over 60 decades: from some starts a restart reaches
+    # an energy under 1e-18, which a zero-energy exit used to report as
+    # J = inf; yet every point of A is joined to the outside, so J is
+    # finite, and the fixed starts give lower bounds from 0.63 to 1.3e32
     for trial in (1, 40, 87, 126):
         rng = np.random.default_rng(trial)
         n = int(rng.integers(3, 8))
         space = zoo.path(n).with_measure(10.0 ** rng.uniform(-30, 30, n))
         idx = np.sort(rng.choice(n, int(rng.integers(2, n)), replace=False))
         for p in (1.5, 3):
-            res = _same_descent(space, Backend.lp(1.0), idx, p, seed=trial)
-            hits += res.reason == "isolated_at_scale"
-    assert hits >= 5
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = profiles.jp_subset(space, Backend.lp(1.0), idx, p)
+            assert (res.mode, res.reason) == ("lower_bound", None)
+            f = res.witness_field
+            quotient = calculus.lp_norm(space, f, p) / calculus.lp_norm(
+                space, calculus.grad_lp(space, f, 1.0, p), p)
+            assert res.value == pytest.approx(quotient, rel=1e-12, abs=0)
+            assert _same_descent(space, Backend.lp(1.0), idx, p).value == \
+                res.value
 
 
 @pytest.mark.parametrize("call", [
