@@ -28,9 +28,9 @@ from scipy.linalg.lapack import dsyevd
 from scipy.sparse import csr_matrix, diags, issparse
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from coarsecalc.space import doubling_profile
-from coarsecalc.viewpoint import apply as vp_apply
-from coarsecalc.viewpoint import is_symmetric
+from coarsecalc.space import boundary, doubling_profile
+from coarsecalc.viewpoint import apply as vp_apply, is_symmetric, \
+    standard_viewpoint
 
 EIG_RESIDUAL_TOL = 1e-10
 ENERGY_IDENTITY_RTOL = 1e-10
@@ -242,8 +242,6 @@ def coarea(space, f, h):
     (v_i - v_{i-1}) * mu(boundary_h {f >= v_i}), which is the exact integral
     of t -> mu(boundary_h {f >= t}) because f takes finitely many values.
     """
-    from coarsecalc.space import boundary
-
     f = _check_field(space, f)
     if np.any(f < 0):
         raise ValueError("coarea expects a nonnegative field")
@@ -320,8 +318,6 @@ def smoothing_report(space, f, h) -> SmoothingReport:
     Points where the rhs vanishes have lhs = 0 as well (f is constant on
     B(x, 2h) there) and are skipped.
     """
-    from coarsecalc.viewpoint import standard_viewpoint
-
     f = _check_field(space, f)
     vp = standard_viewpoint(space, h)
     lhs = grad_sup(space, vp_apply(vp, f), h)
@@ -334,15 +330,7 @@ def smoothing_report(space, f, h) -> SmoothingReport:
 
 
 # ----------------------------------------------------------------------
-# quadratic forms (used by the profile machinery for exact p=2 quotients)
-
-
-def _pair_form(rows, cols, w, n):
-    """Assemble Q with f^T Q f = sum w_k (f(rows_k) - f(cols_k))^2."""
-    data = np.concatenate([w, w, -w, -w])
-    r = np.concatenate([rows, cols, rows, cols])
-    c = np.concatenate([rows, cols, cols, rows])
-    return csr_matrix((data, (r, c)), shape=(n, n))
+# quadratic forms (exact J_2 and the walk's spectral radii read them)
 
 
 def gradient_pairs(space, h=None, vp=None):
@@ -369,4 +357,43 @@ def gradient_pairs(space, h=None, vp=None):
 def l2_gradient_form(space, h=None, vp=None):
     """Sparse Q with f^T Q f = ||grad f||_{2,mu}^2 exactly, on the pairs of
     gradient_pairs(space, h, vp); symmetric even when the kernel is not."""
-    return _pair_form(*gradient_pairs(space, h, vp), space.n)
+    rows, cols, w = gradient_pairs(space, h, vp)
+    data = np.concatenate([w, w, -w, -w])
+    r = np.concatenate([rows, cols, rows, cols])
+    c = np.concatenate([rows, cols, cols, rows])
+    return csr_matrix((data, (r, c)), shape=(space.n, space.n))
+
+
+def _form(space, h=None, vp=None):
+    """l2_gradient_form(space, h, vp) with each entry (x, y) divided by
+    sqrt(mu(x) mu(y)), read-only: dense up to DENSE_EIG_SIZE points, CSR
+    with sorted indices above. Memoised on first use: on the Viewpoint, so
+    it goes with the kernel, or on the space per lp scale float(h), so
+    with_measure starts afresh."""
+    if vp is not None and space is not vp.space:
+        raise ValueError("the viewpoint lives on another space")
+    Q = vp._form if vp is not None else space._forms.get(float(h))
+    if Q is None:
+        Q = l2_gradient_form(space, h, vp).tocsr()
+        Q.sort_indices()
+        root = np.sqrt(space.measure)
+        rows = np.repeat(np.arange(space.n), np.diff(Q.indptr))
+        Q.data = Q.data * (1.0 / (root[rows] * root[Q.indices]))
+        arrays = Q.indptr, Q.indices, Q.data
+        if space.n <= DENSE_EIG_SIZE:
+            # assigned, not summed as by toarray: a stored -0.0 stays -0.0
+            Q = np.zeros((space.n, space.n))
+            Q[rows, arrays[1]] = arrays[2]
+            arrays = Q,
+        for arr in arrays:
+            arr.flags.writeable = False
+        if vp is not None:
+            vp._form = Q
+        else:
+            space._forms[float(h)] = Q
+    return Q
+
+
+def _block(Q, idx):
+    """The block of a _form on the sorted indices idx, in one gather."""
+    return Q[idx][:, idx] if issparse(Q) else Q[idx[:, None], idx]

@@ -672,17 +672,16 @@ def _op_spectral_radius(ctx, op, tag):
     vp = ctx.need_kernel()
     space = ctx.need_space()
     if "radii" in op:
-        subsets = [space.subset(space.ball(int(op["center"]), float(r)))
-                   for r in op["radii"]]
-        rhos = randomwalk.exhaustion_radii(vp, subsets)
+        rhos = randomwalk.exhaustion_radii(vp, [
+            space.ball(int(op["center"]), float(r)) for r in op["radii"]])
         ctx.emit_csv(f"{tag}.csv", ["radius", "rho"],
                      list(zip([float(r) for r in op["radii"]], rhos)),
                      "spectral_radius",
                      "compressed spectral radii along a ball exhaustion")
         return None
     if "subset" in op:
-        rho, residual = randomwalk.dirichlet_spectral_radius(
-            vp, np.asarray(op["subset"], dtype=np.int64))
+        rho, residual = randomwalk.dirichlet_spectral_radius(vp,
+                                                             op["subset"])
     else:
         rho, residual = randomwalk.spectral_radius(vp)
     ctx.emit_json(f"{tag}.json", {"rho": rho, "residual": residual},

@@ -44,8 +44,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from coarsecalc.calculus import (
-    DENSE_EIG_SIZE, grad_lp, grad_sup, grad_viewpoint, gradient_pairs,
-    lp_norm, l2_gradient_form, symmetric_eig)
+    DENSE_EIG_SIZE, _block, _form, grad_lp, grad_sup, grad_viewpoint,
+    gradient_pairs, lp_norm, p2_energy_identity, symmetric_eig)
 from coarsecalc.space import Subset, boundary as boundary_at_scale
 from coarsecalc.viewpoint import is_symmetric
 
@@ -340,42 +340,13 @@ def _jp2(space, backend, idx):
 def _j2_eig(space, backend, idx):
     """(J_2(A), v) from the residual-checked smallest eigenpair (theta, v)
     of the form's block on A: theta ** -0.5, or inf (with its warning)."""
-    Q = _form(space, backend)
-    C = Q[idx[:, None], idx] if isinstance(Q, np.ndarray) else Q[idx][:, idx]
+    C = _block(_form(space, backend.h, backend.vp), idx)
     theta, V, _ = symmetric_eig(C, "SA")
     lam = float(theta[0])
     if lam <= 1e-14 * max(1.0, *C.diagonal().tolist()):
         warnings.warn("J is infinite: isolated_at_scale", stacklevel=3)
         return np.inf, V[:, 0]
     return lam ** -0.5, V[:, 0]
-
-
-def _form(space, backend):
-    """The backend's l2_gradient_form with each entry (x, y) divided by
-    sqrt(mu(x) mu(y)), read-only: dense up to DENSE_EIG_SIZE points (a
-    block is then one fancy-index gather for symmetric_eig's dense
-    solver), CSR with sorted indices above. Built on first use and memoised
-    on the space, for lp per scale float(h) and for a viewpoint per
-    Viewpoint object; the form depends on the measure, so with_measure
-    starts afresh."""
-    key = backend.vp if backend.kind == "viewpoint" else float(backend.h)
-    Q = space._forms.get(key)
-    if Q is None:
-        Q = l2_gradient_form(space, backend.h, backend.vp).tocsr()
-        Q.sort_indices()
-        root = np.sqrt(space.measure)
-        rows = np.repeat(np.arange(space.n), np.diff(Q.indptr))
-        Q.data = Q.data * (1.0 / (root[rows] * root[Q.indices]))
-        arrays = Q.indptr, Q.indices, Q.data
-        if space.n <= DENSE_EIG_SIZE:
-            # assigned, not summed as by toarray: a stored -0.0 stays -0.0
-            Q = np.zeros((space.n, space.n))
-            Q[rows, arrays[1]] = arrays[2]
-            arrays = Q,
-        for arr in arrays:
-            arr.flags.writeable = False
-        space._forms[key] = Q
-    return Q
 
 
 def _jp1(space, backend, idx):
@@ -761,6 +732,8 @@ def candidate_subsets(space, backend=None):
 
     if backend is not None and backend.kind == "viewpoint" and \
             is_symmetric(backend.vp).symmetric and space.n >= 3:
+        # not S from _form: the eigenvalue is repeated on grids, where S's
+        # last bits turn the eigenvector (0.58 on grid(2,4)) and the family
         _, V, _ = symmetric_eig(backend.vp.symmetric_matrix(), "LA", k=2)
         g = V[:, 0] / np.sqrt(space.measure)   # second eigenfield on L2(mu)
         levels = np.unique(g)
@@ -1074,8 +1047,6 @@ def nash_check(space, vp, phi, fields) -> NashReport:
     of mass; the two-step gradient norm is evaluated through the energy
     identity (2 (||f||_2^2 - ||Pf||_2^2)).
     """
-    from coarsecalc.calculus import p2_energy_identity
-
     fields = [np.asarray(f, dtype=float) for f in fields]
     norms = []
     for i, f in enumerate(fields):

@@ -19,7 +19,8 @@ spectral functions accept it.
 
 On-diagonal decay uses the symmetric-kernel identity
 p^{2n}_x(x) = sum_y (p^n_x(y))^2 mu(y), cross-checked against a direct
-2n-step iteration at the smallest grid point.
+2n-step iteration at the smallest grid point. Spectral radii read
+S = diag(m) - Q/2 from the gradient form Q that exact J_2 reads.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags
 
-from coarsecalc.calculus import _require_symmetric, symmetric_eig
-from coarsecalc.viewpoint import Certificate, Viewpoint
+from coarsecalc.calculus import (
+    _block, _form, _require_symmetric, lp_norm, symmetric_eig)
+from coarsecalc.space import _as_indices
+from coarsecalc.viewpoint import Certificate, Viewpoint, apply as vp_apply
 
 MASS_TOL = 1e-10
 ROUNDTRIP_RTOL = 1e-8
@@ -436,9 +439,6 @@ def nash_from_decay(space, vp, decay: DecayCurve, fields) -> NashFromDecayReport
     out for the tabulated range). The decay curve's regularity is
     summarized by max_n gamma(n)/gamma(2n) over tabulated doublings.
     """
-    from coarsecalc.calculus import lp_norm
-    from coarsecalc.viewpoint import apply as vp_apply
-
     _require_symmetric(vp, "nash_from_decay")
     mu = space.measure
     times = decay.times.astype(int)
@@ -482,44 +482,42 @@ def nash_from_decay(space, vp, decay: DecayCurve, fields) -> NashFromDecayReport
 # spectral radius
 
 
-def _sym_matrix(vp):
-    _require_symmetric(vp, "spectral radius")
-    return vp.symmetric_matrix().tocsr()
+def _radii(kernel, subsets):
+    """Yield (rho_A, residual) per A in subsets (None: the whole space):
+    the largest |theta| of S = diag(m) - Q/2 on A, with Q the kernel's
+    mu-normalised form (calculus._form, the one exact J_2 reads) and
+    m = dens @ mu. Q is symmetric whatever the kernel, hence the check."""
+    _require_symmetric(kernel, "spectral radius")
+    Q, m = _form(kernel.space, vp=kernel), kernel.dens @ kernel.space.measure
+    for A in subsets:
+        idx = None if A is None else _as_indices(kernel.space, A)
+        if idx is not None and not idx.size:
+            raise ValueError("subset must be nonempty")
+        C, d = (Q, m) if idx is None else (_block(Q, idx), m[idx])
+        S = (np.diag(d) if isinstance(C, np.ndarray) else diags(d)) - C / 2
+        theta, _, residuals = symmetric_eig(S, "LM")
+        yield abs(float(theta[0])), float(residuals[0])
 
 
 def spectral_radius(kernel):
-    """(rho, residual) of the self-adjoint operator on L2(mu): rho is the
-    largest |theta| symmetric_eig finds, and residual = ||M v - theta v||
-    bounds its distance to an eigenvalue of M.
-
-    On a full finite stochastic symmetric kernel this is exactly 1
-    (constants are fixed); the informative quantity is the Dirichlet
-    compression to a proper subset, see dirichlet_spectral_radius.
+    """(rho, residual) of the self-adjoint operator S on L2(mu) (see
+    _radii); residual = ||S v - theta v|| bounds the distance from rho to
+    an eigenvalue of S. A full finite stochastic symmetric kernel has
+    rho = 1 (constants are fixed); the informative quantity is the
+    Dirichlet compression to a proper subset, see dirichlet_spectral_radius.
     """
-    return _rho_of(_sym_matrix(kernel))
+    return next(_radii(kernel, [None]))
 
 
 def dirichlet_spectral_radius(kernel, A):
-    """(rho_A, residual): spectral radius of the kernel compressed to A.
-
-    The finite-truncation proxy for an infinite space's spectral radius:
-    rho_A increases along exhaustions and converges to it from below.
-    """
-    return _rho_of(_sym_matrix(kernel), A)
-
-
-def _rho_of(M, A=None):
-    """(rho, residual) of M, or of M compressed to the subset A."""
-    if A is not None:
-        idx = A.indices if hasattr(A, "indices") else \
-            np.asarray(A, np.int64)
-        M = M[idx][:, idx]
-    theta, _, residuals = symmetric_eig(M, "LM")
-    return abs(float(theta[0])), float(residuals[0])
+    """(rho_A, residual): spectral radius of the kernel compressed to the
+    nonempty subset A, read as space.subset reads indices. The finite
+    proxy for an infinite space's spectral radius: rho_A increases along
+    exhaustions and converges to it from below."""
+    return next(_radii(kernel, [A]))
 
 
 def exhaustion_radii(kernel, subsets):
-    """rho_A along a family of subsets, in the given order; the symmetric
-    matrix is built (and its symmetry checked) once for them all."""
-    M = _sym_matrix(kernel)
-    return [_rho_of(M, a)[0] for a in subsets]
+    """rho_A along a family of subsets, in the given order, all read from
+    the kernel's one form (its symmetry checked once for them all)."""
+    return [rho for rho, _ in _radii(kernel, subsets)]

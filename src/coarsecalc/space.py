@@ -62,9 +62,9 @@ class MetricMeasureSpace:
     Immutable after construction; all queries are read-only, so instances are
     safe to share across parallel workers. The only state added later is
     two memos of read-only arrays: :meth:`neighbourhoods` per radius, shared
-    by :meth:`with_measure`, and the gradient forms that exact J_2 in
-    ``profiles`` keeps, one per lp scale and one per viewpoint, which
-    depend on the measure and are not.
+    by :meth:`with_measure`, and the lp gradient forms ``calculus._form``
+    keeps per scale, which depend on the measure and are not. A
+    viewpoint's form is kept on the viewpoint, not here.
 
     Use the classmethods :meth:`from_dense`, :meth:`from_graph`,
     :meth:`from_coords` to construct, or :func:`load_space` to read the JSON
@@ -92,7 +92,7 @@ class MetricMeasureSpace:
         self._coords = coords
         self._p_norm = p_norm
         self._balls = {}   # radius -> neighbourhoods(radius)
-        self._forms = {}   # lp scale or Viewpoint -> profiles._form(...)
+        self._forms = {}   # lp scale h -> calculus._form(self, h)
 
     # ------------------------------------------------------------------
     # constructors
@@ -349,7 +349,9 @@ class MetricMeasureSpace:
         """Wrap indices as a :class:`Subset` (deduplicated, sorted, measured)."""
         idx = np.unique(np.asarray(indices, dtype=np.int64))
         if idx.size and (idx[0] < 0 or idx[-1] >= self.n):
-            raise ValueError(f"subset indices out of range for N={self.n}")
+            raw = np.asarray(indices, dtype=np.int64).ravel()
+            bad = raw[(raw < 0) | (raw >= self.n)][0]   # first as given
+            raise ValueError(f"subset index {bad} out of range (N={self.n})")
         return Subset(self, idx, float(self.measure[idx].sum()))
 
     # ------------------------------------------------------------------

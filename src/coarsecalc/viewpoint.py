@@ -61,8 +61,8 @@ class SymmetryReport:
 class Viewpoint:
     """A certified kernel at scale h on a fixed space.
 
-    Immutable after construction; ``apply`` is pure, so viewpoints can be
-    shared freely across workers.
+    Immutable after construction but for the form ``calculus._form``
+    memoises; ``apply`` is pure, so viewpoints can be shared across workers.
     """
 
     def __init__(self, space, h, dens, certificate, kind="custom"):
@@ -78,6 +78,7 @@ class Viewpoint:
         self.dens = dens
         self.certificate = certificate
         self.kind = kind
+        self._form = None   # calculus._form(space, vp=self)
 
     @property
     def A(self):

@@ -830,6 +830,38 @@ def test_handler_error_becomes_a_witness(tmp_path):
         assert "99" in json.load(fh)["error"]
 
 
+def _subset_radius(out, subset):
+    return cli.run({"space": PATH9, "kernel": LAZY, "operations": [
+        {"op": "spectral_radius", "subset": subset}]}, out_dir=str(out))
+
+
+@pytest.mark.parametrize("subset,same_as", [
+    ([3, 4, 4, 5], [3, 4, 5]), ([5, 3, 4], [3, 4, 5]), ([4, 4], [4])],
+    ids=["repeat", "unsorted", "repeat_only"])
+def test_spectral_radius_subset_is_read_as_a_set(tmp_path, subset, same_as):
+    # a repeated index once doubled a row of the block (rho 1.187 on a
+    # stochastic kernel); the subset is read as space.subset reads it
+    rhos = []
+    for name, sub in (("a", subset), ("b", same_as)):
+        assert _subset_radius(tmp_path / name, sub) == 0
+        with open(tmp_path / name / "00_spectral_radius.json") as fh:
+            rhos.append(json.load(fh)["rho"])
+    assert rhos[0] == rhos[1] < 1.0
+
+
+@pytest.mark.parametrize("subset,word", [
+    ([-1, 3], "subset index -1 out of range"),
+    ([3, 9, 12], "subset index 9 out of range"), ([], "nonempty")],
+    ids=["negative", "past_end", "empty"])
+def test_spectral_radius_bad_subset_is_a_witness(tmp_path, subset, word):
+    out = tmp_path / "run"
+    assert _subset_radius(out, subset) == 1
+    assert _manifest(out)["operations"] == [
+        {"op": "spectral_radius", "outcome": "fail"}]
+    with open(out / "00_spectral_radius_witness.json") as fh:
+        assert word in json.load(fh)["error"]
+
+
 @pytest.mark.parametrize("op", ["cheeger", "boundary_profile"])
 @pytest.mark.parametrize("family", ["ball", "foo"])
 def test_misspelt_family_exits_2_at_its_pointer(tmp_path, capsys, op, family):

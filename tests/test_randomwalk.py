@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
+from scipy.sparse import diags
 
-from coarsecalc import randomwalk, zoo
+from coarsecalc import calculus, randomwalk, zoo
 from coarsecalc.calculus import EIG_RESIDUAL_TOL
-from coarsecalc.profiles import RateFunction
+from coarsecalc.profiles import Backend, RateFunction, jp_subset
 from coarsecalc.randomwalk import (
     DecayCurve,
     dirichlet_spectral_radius,
@@ -19,7 +20,7 @@ from coarsecalc.randomwalk import (
     pure_srw,
     spectral_radius,
 )
-from coarsecalc.viewpoint import is_symmetric
+from coarsecalc.viewpoint import is_symmetric, standard_viewpoint
 
 
 def test_lazy_srw_is_symmetric_everywhere():
@@ -306,16 +307,88 @@ def test_dirichlet_radius_monotone_in_subset():
     assert inner < outer <= whole + 1e-12
 
 
-def test_exhaustion_radii_build_the_matrix_once(monkeypatch):
+def test_one_form_per_viewpoint(monkeypatch):
+    # the radii and exact viewpoint J_2 all read the kernel's one form
     vp = lazy_srw(zoo.path(40), 1.0)
     subsets = [list(range(20 - k, 20 + k)) for k in (3, 6, 12, 19)]
-    want = [dirichlet_spectral_radius(vp, a)[0] for a in subsets]
     calls = []
-    build = type(vp).symmetric_matrix
-    monkeypatch.setattr(type(vp), "symmetric_matrix",
-                        lambda self: calls.append(1) or build(self))
+    build = calculus.l2_gradient_form
+    monkeypatch.setattr(calculus, "l2_gradient_form",
+                        lambda *a, **k: calls.append(1) or build(*a, **k))
+    want = [dirichlet_spectral_radius(vp, a)[0] for a in subsets]
+    spectral_radius(vp)
     assert exhaustion_radii(vp, subsets) == want
+    jp_subset(vp.space, Backend.viewpoint(vp), subsets[0], 2)
     assert len(calls) == 1
+    assert vp.space._forms == {}
+
+
+def test_fresh_viewpoints_leave_no_form_on_the_space():
+    space = zoo.grid(2, 6)
+    for _ in range(5):
+        vp = lazy_srw(space, 1.0)
+        spectral_radius(vp)
+        jp_subset(space, Backend.viewpoint(vp), [0, 1, 6], 2)
+        assert vp._form is not None
+    assert space._forms == {}
+
+
+def test_form_of_a_viewpoint_on_another_space_is_refused():
+    # the form is memoised on the viewpoint, so it must be its own space's
+    vp = lazy_srw(zoo.path(9), 1.0)
+    moved = vp.space.with_measure(np.linspace(1.0, 2.0, 9))
+    with pytest.raises(ValueError, match="another space"):
+        jp_subset(moved, Backend.viewpoint(vp), [3, 4, 5], 2)
+    assert vp._form is None
+
+
+def _kernel_cases():
+    cases = []
+    for space in (zoo.grid(2, 8), zoo.regular_tree(3, 5),
+                  zoo.random_geometric(60, 3), zoo.grid(2, 20)):
+        mu = np.random.default_rng(1).uniform(0.5, 2.0, space.n)
+        cases += [pytest.param(space, None, id=f"lazy-{space.name}"),
+                  pytest.param(space.with_measure(mu), None,
+                               id=f"lazy-{space.name}-mu")]
+    for space in (zoo.grid(2, 8), zoo.grid(2, 12), zoo.grid(2, 20),
+                  zoo.regular_tree(4, 6)):
+        cases.append(pytest.param(space, 4, id=f"pure-{space.name}"))
+    return cases
+
+
+@pytest.mark.parametrize("space, degree", _kernel_cases())
+def test_radii_match_the_sliced_kernel_oracle(space, degree):
+    # S = diag(m) - Q/2 on A is diags(sqrt mu) @ dens @ diags(sqrt mu)
+    # compressed to A, whatever the row masses m
+    vp = lazy_srw(space, 1.0) if degree is None else \
+        pure_srw(space, ambient_degree=degree)
+    root = diags(np.sqrt(space.measure))
+    M = (root @ vp.dens @ root).tocsr()
+    subsets = [None, np.arange(0, space.n, 2),
+               np.arange(2 * space.n // 3)]
+    if space.n > calculus.DENSE_EIG_SIZE:
+        assert any(a is not None and a.size > calculus.DENSE_EIG_SIZE
+                   for a in subsets)
+    got = [spectral_radius(vp)] + \
+        [dirichlet_spectral_radius(vp, a) for a in subsets[1:]]
+    for a, (rho, residual) in zip(subsets, got):
+        block = M if a is None else M[a][:, a]
+        theta, _, _ = calculus.symmetric_eig(block, "LM")
+        assert abs(rho - abs(theta[0])) <= 1e-14
+        assert 0 <= residual <= EIG_RESIDUAL_TOL
+    assert exhaustion_radii(vp, subsets[1:]) == [r for r, _ in got[1:]]
+
+
+def test_spectral_radius_refuses_a_non_symmetric_kernel():
+    # the form is symmetric whatever the kernel, so only the check stands
+    # between a non-symmetric kernel and a wrong radius
+    vp = standard_viewpoint(zoo.path(9), 1.0)
+    assert not is_symmetric(vp).symmetric
+    for call in (lambda: spectral_radius(vp),
+                 lambda: dirichlet_spectral_radius(vp, [3, 4, 5]),
+                 lambda: exhaustion_radii(vp, [[3, 4, 5]])):
+        with pytest.raises(ValueError, match="symmetric viewpoint"):
+            call()
 
 
 def test_exhaustion_radii_nondecreasing():
