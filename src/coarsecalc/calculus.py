@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.blas import dgemv, dnrm2
 from scipy.linalg.lapack import dsyevd
 from scipy.sparse import csr_matrix, diags, issparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from coarsecalc.space import boundary, doubling_profile
 from coarsecalc.viewpoint import apply as vp_apply, is_symmetric, \
@@ -153,10 +153,11 @@ def symmetric_eig(M, which, k=1):
 
     Up to DENSE_EIG_SIZE points LAPACK dsyevd solves M whole (bitwise what
     np.linalg.eigh returns); above it ARPACK Lanczos runs to machine
-    precision from a fixed start, so reruns repeat. Each residual
-    ||M v - theta v|| bounds |lambda - theta| for an eigenvalue lambda of M
-    (Parlett, ch. 4); one above EIG_RESIDUAL_TOL * max(1, |theta|), or no
-    Lanczos convergence, raises ArithmeticError.
+    precision from a fixed start, so reruns repeat, and the zero matrix
+    gets dsyevd's answer. Each residual ||M v - theta v|| bounds
+    |lambda - theta| for an eigenvalue lambda of M (Parlett, ch. 4); one
+    above EIG_RESIDUAL_TOL * max(1, |theta|), or an ARPACK failure such as
+    no Lanczos convergence, raises ArithmeticError.
     """
     n = M.shape[0]
     if n <= DENSE_EIG_SIZE:
@@ -169,6 +170,12 @@ def symmetric_eig(M, which, k=1):
         else:
             pick = slice(n - k, n) if which == "LA" else slice(k)
         theta, V = w[pick], v[:, pick]
+    elif not abs(M).max():
+        # Lanczos cannot start on the zero matrix; answer as dsyevd does,
+        # theta 0 on the first ("SA") or last k unit vectors
+        theta, V = np.zeros(k), np.zeros((n, k))
+        V[np.arange(k) if which == "SA" else np.arange(n - k, n),
+          np.arange(k)] = 1.0
     else:
         v0 = np.ones(n) + np.linspace(0.0, 1e-3, n)
         try:
@@ -176,6 +183,9 @@ def symmetric_eig(M, which, k=1):
         except ArpackNoConvergence as exc:
             raise ArithmeticError(f"Lanczos did not converge on {n} "
                                   f"points: {exc}") from exc
+        except ArpackError as exc:
+            raise ArithmeticError(f"Lanczos failed on {n} points: "
+                                  f"{exc}") from exc
     residuals = np.empty(k)
     for j, t in enumerate(theta.tolist()):
         x = V[:, j]

@@ -96,27 +96,33 @@ def _write_csv(path, header, rows):
 # ----------------------------------------------------------------------
 # config schema and validation
 
-# a saved space {"file": PATH}, or a zoo family with its parameters
+# a zoo family with its parameters; `zoo generate` takes one flag for each,
+# in this order
+_ZOO_SCHEMA = {
+    "required": ["family"],
+    "properties": {
+        "family": {"enum": sorted(zoo.FAMILIES)},
+        "d": {"type": "integer", "minimum": 1},
+        "L": {"type": "integer", "minimum": 2},
+        "metric": {"enum": list(zoo.GRID_METRICS)},
+        "n": {"type": "integer", "minimum": 2},
+        "degree": {"type": "integer", "minimum": 3},
+        "depth": {"type": "integer", "minimum": 1},
+        "rank": {"type": "integer", "minimum": 1},
+        "radius": {"type": "integer", "minimum": 1},
+        "scale": {"type": "number", "exclusiveMinimum": 0},
+        "seed": {"type": "integer", "minimum": 0},
+    },
+    "additionalProperties": False,
+}
+
+# a saved space {"file": PATH}, or a zoo family
 _SPACE_SCHEMA = {
     "type": "object",
     "if": {"required": ["file"]},
     "then": {"properties": {"file": {"type": "string"}},
              "additionalProperties": False},
-    "else": {"required": ["family"],
-             "properties": {
-                 "family": {"enum": sorted(zoo.FAMILIES)},
-                 "d": {"type": "integer", "minimum": 1},
-                 "L": {"type": "integer", "minimum": 2},
-                 "metric": {"enum": list(zoo.GRID_METRICS)},
-                 "n": {"type": "integer", "minimum": 2},
-                 "degree": {"type": "integer", "minimum": 3},
-                 "depth": {"type": "integer", "minimum": 1},
-                 "rank": {"type": "integer", "minimum": 1},
-                 "radius": {"type": "integer", "minimum": 1},
-                 "seed": {"type": "integer", "minimum": 0},
-                 "scale": {"type": "number", "exclusiveMinimum": 0},
-             },
-             "additionalProperties": False},
+    "else": _ZOO_SCHEMA,
 }
 
 _KERNEL_SCHEMA = {
@@ -146,19 +152,20 @@ class ConfigError(Exception):
         super().__init__(f"config error at {self.pointer}: {message}")
 
 
-def _pointer(path):
-    return "/" + "/".join(str(p) for p in path)
+def _check(schema, doc, pointer=""):
+    """Raise ConfigError at the best-match violation of schema by doc, the
+    part of a config found at pointer."""
+    err = best_match(Draft202012Validator(schema).iter_errors(doc))
+    if err is not None:
+        path = "".join(f"/{p}" for p in err.absolute_path)
+        raise ConfigError(pointer + path, err.message)
 
 
 def validate_config(doc):
     """Raise ConfigError on the first (best-match) schema or semantic
     violation; the pointer names the offending element. Returns the
     operations with their defaults filled in."""
-    validator = Draft202012Validator(CONFIG_SCHEMA)
-    err = best_match(validator.iter_errors(doc))
-    if err is not None:
-        raise ConfigError(_pointer(err.absolute_path), err.message)
-
+    _check(CONFIG_SCHEMA, doc)
     kernel = doc.get("kernel")
     if kernel:
         if kernel["kind"] in ("standard", "lazy_srw", "random_symmetric") \
@@ -174,12 +181,7 @@ def validate_config(doc):
                 and "radii" not in op:
             raise ConfigError(f"/operations/{i}/center", "center needs radii")
         ops.append(_merged(OPS[op["op"]].defaults, op))
-
-    if "seed" not in doc:
-        culprit = _first_stochastic(kernel, ops)
-        if culprit is not None:
-            raise ConfigError("/seed",
-                              f"seed is mandatory: {culprit} is stochastic")
+    _check_seed(doc, ops)
     return ops
 
 
@@ -194,14 +196,19 @@ def _merged(base, over):
     return out
 
 
-def _first_stochastic(kernel, ops):
-    if kernel and kernel.get("kind") == "random_symmetric":
-        return "/kernel (random_symmetric)"
-    for i, op in enumerate(ops):
-        for key, val in op.items():
-            if isinstance(val, str) and val.startswith("random:"):
-                return f"/operations/{i}/{key}"
-    return None
+def _check_seed(doc, ops=()):
+    """A config without a seed may draw no randomness: no random_symmetric
+    kernel and no random field spec."""
+    if "seed" in doc:
+        return
+    culprits = [f"/operations/{i}/{key}" for i, op in enumerate(ops)
+                for key, val in op.items()
+                if isinstance(val, str) and val.startswith("random:")]
+    if doc.get("kernel", {}).get("kind") == "random_symmetric":
+        culprits.insert(0, "/kernel (random_symmetric)")
+    if culprits:
+        raise ConfigError("/seed",
+                          f"seed is mandatory: {culprits[0]} is stochastic")
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +223,11 @@ class RunContext:
     kernel: object = None
     rng: object = None
     tolerances: dict = dataclass_field(default_factory=dict)
-    op_pointer: str = "/operations"   # JSON pointer of the running operation
+    # the running operation: its JSON pointer, its name and its tag, the
+    # prefix of its artifacts' names
+    op_pointer: str = "/operations"
+    op: str = None
+    tag: str = None
     artifacts: list = dataclass_field(default_factory=list)
     failures: list = dataclass_field(default_factory=list)
 
@@ -236,25 +247,25 @@ class RunContext:
         return self.rng
 
     def resolve(self, relpath):
-        p = Path(relpath)
-        return p if p.is_absolute() else self.base / p
+        return self.base / relpath     # an absolute relpath stays as it is
 
-    def emit_json(self, name, obj, op, claim):
-        path = self.out / name
-        _write_json(path, obj)
-        self.artifacts.append({"path": name, "operation": op,
+    def emit(self, suffix, write, claim):
+        """Write the artifact <tag><suffix> by write(path) and list it."""
+        name = self.tag + suffix
+        write(self.out / name)
+        self.artifacts.append({"path": name, "operation": self.op,
                                "claim": claim})
 
-    def emit_csv(self, name, header, rows, op, claim):
-        path = self.out / name
-        _write_csv(path, header, rows)
-        self.artifacts.append({"path": name, "operation": op,
-                               "claim": claim})
+    def emit_json(self, obj, claim, part=""):
+        self.emit(f"{part}.json", lambda path: _write_json(path, obj), claim)
 
-    def fail(self, name, op, witness):
-        self.emit_json(name, witness, op,
-                       "witness for a failed assertion")
-        self.failures.append({"operation": op, "witness": name})
+    def emit_csv(self, header, rows, claim):
+        self.emit(".csv", lambda path: _write_csv(path, header, rows), claim)
+
+    def fail(self, witness):
+        self.emit_json(witness, "witness for a failed assertion", "_witness")
+        self.failures.append({"operation": self.op,
+                              "witness": f"{self.tag}_witness.json"})
 
 
 def _build_space(spec, base, pointer):
@@ -268,7 +279,7 @@ def _build_space(spec, base, pointer):
         raise ConfigError(pointer, str(exc)) from None
 
 
-def _build_kernel(spec, space, ctx):
+def _build_kernel(spec, space, base, rng):
     """The kernel a spec names. A file that cannot be read or does not
     hold a kernel of the space is a ConfigError at /kernel/path, a kernel
     the other parameters cannot build one at /kernel."""
@@ -283,9 +294,8 @@ def _build_kernel(spec, space, ctx):
                 space, ambient_degree=spec.get("ambient_degree"),
                 step=spec.get("step", 1.0))
         if kind == "random_symmetric":
-            return viewpoint.random_symmetric_viewpoint(space, spec["h"],
-                                                        ctx.need_rng())
-        return viewpoint.load_viewpoint(ctx.resolve(spec["path"]), space)
+            return viewpoint.random_symmetric_viewpoint(space, spec["h"], rng)
+        return viewpoint.load_viewpoint(Path(base) / spec["path"], space)
     except (OSError, ValueError) as exc:
         raise ConfigError("/kernel/path" if kind == "file" else "/kernel",
                           str(exc)) from None
@@ -306,9 +316,12 @@ def _fields(ctx, op, key, nonneg=False):
     array."""
     spec, pointer = op[key], f"{ctx.op_pointer}/{key}"
     if isinstance(spec, str) and spec.startswith("random:"):
+        k = spec.split(":", 1)[1]
+        if not k.isdecimal() or int(k) == 0:
+            raise ConfigError(pointer, f"bad field spec {spec!r}: N must be "
+                                       f"a positive integer")
         n = ctx.need_space().n
-        k = int(spec.split(":", 1)[1])
-        out = [ctx.need_rng().standard_normal(n) for _ in range(k)]
+        out = [ctx.need_rng().standard_normal(n) for _ in range(int(k))]
     else:
         if isinstance(spec, str) and spec.startswith("file:"):
             spec = _read_json(ctx.resolve(spec.split(":", 1)[1]), pointer)
@@ -394,7 +407,7 @@ def _target_map(ctx, op, certify=True):
 # None for purely informational output; OPS fills in the keys they read
 
 
-def _op_energy_check(ctx, op, tag):
+def _op_energy_check(ctx, op):
     vp = ctx.need_kernel()
     fields = _fields(ctx, op, "fields")
     tol = float(ctx.tolerances["energy_rel"])
@@ -407,20 +420,17 @@ def _op_energy_check(ctx, op, tag):
         rows.append((i, d, g, e1, lhs, rhs, e2))
         if max(e1, e2) > worst[0]:
             worst = (max(e1, e2), i)
-    ctx.emit_csv(f"{tag}.csv",
-                 ["field", "dirichlet", "grad_sq_half_x2", "rel_err_1",
+    ctx.emit_csv(["field", "dirichlet", "grad_sq_half_x2", "rel_err_1",
                   "two_step_lhs", "two_step_rhs", "rel_err_2"], rows,
-                 "energy_check",
                  "one- and two-step energy identities hold to tolerance")
     if worst[0] > tol:
-        ctx.fail(f"{tag}_witness.json", "energy_check",
-                 {"field_index": worst[1], "rel_error": worst[0],
+        ctx.fail({"field_index": worst[1], "rel_error": worst[0],
                   "field": fields[worst[1]]})
         return False
     return True
 
 
-def _op_coarea_check(ctx, op, tag):
+def _op_coarea_check(ctx, op):
     space = ctx.need_space()
     h = float(op["h"])
     fields = _fields(ctx, op, "fields", nonneg=True)
@@ -428,13 +438,12 @@ def _op_coarea_check(ctx, op, tag):
     for i, f in enumerate(fields):
         lo, mid, up = calculus.coarea(space, f, h)
         rows.append((i, lo, mid, up))
-    ctx.emit_csv(f"{tag}.csv", ["field", "half_total", "integral", "total"],
-                 rows, "coarea_check",
+    ctx.emit_csv(["field", "half_total", "integral", "total"], rows,
                  "threshold sums sandwich the gradient integral")
     return True
 
 
-def _op_gradient_sandwich(ctx, op, tag):
+def _op_gradient_sandwich(ctx, op):
     vp = ctx.need_kernel()
     fields = _fields(ctx, op, "fields")
     q, q2 = float(op["q"]), float(op["q2"])
@@ -445,21 +454,18 @@ def _op_gradient_sandwich(ctx, op, tag):
         if not rep.holds:
             bad = (i, f, rep)
             break
-    ctx.emit_json(f"{tag}.json",
-                  {"fields": len(fields), "q": q, "q2": q2,
+    ctx.emit_json({"fields": len(fields), "q": q, "q2": q2,
                    "violations": 0 if bad is None else 1},
-                  "gradient_sandwich",
                   "pointwise gradient chain holds across exponents")
     if bad is not None:
         i, f, rep = bad
-        ctx.fail(f"{tag}_witness.json", "gradient_sandwich",
-                 {"field_index": i, "field": f, "lower": rep.lower,
+        ctx.fail({"field_index": i, "field": f, "lower": rep.lower,
                   "vp_q": rep.vp_q, "vp_q2": rep.vp_q2, "upper": rep.upper})
         return False
     return True
 
 
-def _op_smoothing(ctx, op, tag):
+def _op_smoothing(ctx, op):
     space = ctx.need_space()
     h = float(op["h"])
     fields = _fields(ctx, op, "fields")
@@ -469,13 +475,12 @@ def _op_smoothing(ctx, op, tag):
         rep = calculus.smoothing_report(space, f, h)
         rows.append((i, rep.measured, rep.bound, rep.holds))
         holds = holds and rep.holds
-    ctx.emit_csv(f"{tag}.csv", ["field", "measured", "bound", "holds"],
-                 rows, "smoothing",
+    ctx.emit_csv(["field", "measured", "bound", "holds"], rows,
                  "averaging constant stays under the doubling bound")
     return holds
 
 
-def _op_grad(ctx, op, tag):
+def _op_grad(ctx, op):
     space = ctx.need_space()
     f = _fields(ctx, op, "field")[0]
     kind = op["kind"]
@@ -486,20 +491,19 @@ def _op_grad(ctx, op, tag):
         g = calculus.grad_lp(space, f, float(op["h"]), p)
     else:
         g = calculus.grad_sup(space, f, float(op["h"]))
-    ctx.emit_json(f"{tag}.json", g, "grad", "gradient field values")
+    ctx.emit_json(g, "gradient field values")
     return None
 
 
-def _op_laplacian(ctx, op, tag):
+def _op_laplacian(ctx, op):
     vp = ctx.need_kernel()
     f = _fields(ctx, op, "field")[0]
-    out = calculus.laplacian(vp, f, p=float(op["p"]))
-    ctx.emit_json(f"{tag}.json", out, "laplacian",
+    ctx.emit_json(calculus.laplacian(vp, f, p=float(op["p"])),
                   "scale Laplacian field values")
     return None
 
 
-def _op_profile(ctx, op, tag):
+def _op_profile(ctx, op):
     space = ctx.need_space()
     b = _backend(ctx, op)
     p = float(op["p"])
@@ -518,17 +522,15 @@ def _op_profile(ctx, op, tag):
             wits[wid] = curve.witnesses[i]
         rows.append((a, v, curve.mode, wid))
     claim = "isoperimetric profile samples with witnesses"
-    ctx.emit_csv(f"{tag}.csv", ["argument", "value", "mode", "witness"],
-                 rows, "profile", claim)
-    ctx.emit_json(f"{tag}.json",
-                  {"kind": curve.kind, "args": curve.args,
+    ctx.emit_csv(["argument", "value", "mode", "witness"], rows, claim)
+    ctx.emit_json({"kind": curve.kind, "args": curve.args,
                    "values": curve.values, "mode": curve.mode,
                    "meta": curve.meta, "witnesses": wits},
-                  "profile", claim + " (JSON form)")
+                  claim + " (JSON form)")
     return None
 
 
-def _op_boundary_profile(ctx, op, tag):
+def _op_boundary_profile(ctx, op):
     curves = profiles.boundary_profile(ctx.need_space(), float(op["h"]),
                                        family=op["family"],
                                        t_grid=op["t_grid"])
@@ -536,23 +538,21 @@ def _op_boundary_profile(ctx, op, tag):
     for curve in curves:
         for a, v in zip(curve.args, curve.values):
             rows.append((curve.kind, a, v, curve.mode))
-    ctx.emit_csv(f"{tag}.csv", ["curve", "mass", "value", "mode"], rows,
-                 "boundary_profile",
+    ctx.emit_csv(["curve", "mass", "value", "mode"], rows,
                  "boundary profiles over the mass grid")
     return None
 
 
-def _op_cheeger(ctx, op, tag):
+def _op_cheeger(ctx, op):
     value, witness = profiles.cheeger(ctx.need_space(), float(op["h"]),
                                       op["family"])
-    ctx.emit_json(f"{tag}.json",
-                  {"value": value, "witness_indices": witness.indices,
+    ctx.emit_json({"value": value, "witness_indices": witness.indices,
                    "witness_measure": witness.measure},
-                  "cheeger", "boundary-to-volume minimum and its witness")
+                  "boundary-to-volume minimum and its witness")
     return None
 
 
-def _op_sobolev_verify(ctx, op, tag):
+def _op_sobolev_verify(ctx, op):
     space = ctx.need_space()
     b = _backend(ctx, op)
     p = float(op["p"])
@@ -561,22 +561,19 @@ def _op_sobolev_verify(ctx, op, tag):
     rep = profiles.sobolev_verify(space, b, p, phi, fields)
     assert_c = op["assert_C"]
     passed = rep.passes and (assert_c is None or rep.C <= float(assert_c))
-    ctx.emit_json(f"{tag}.json",
-                  {"passes": rep.passes, "C": rep.C, "C_prime": rep.C_prime,
+    ctx.emit_json({"passes": rep.passes, "C": rep.C, "C_prime": rep.C_prime,
                    "asserted_C": assert_c, "worst_index": rep.worst_index,
                    "margins": rep.margins},
-                  "sobolev_verify",
                   "fitted norm-vs-gradient constant over the sample fields")
     if not passed:
-        ctx.fail(f"{tag}_witness.json", "sobolev_verify",
-                 {"worst_index": rep.worst_index,
+        ctx.fail({"worst_index": rep.worst_index,
                   "field": fields[rep.worst_index],
                   "fitted_C": rep.C, "asserted_C": assert_c,
                   "failures": rep.failures})
     return passed
 
 
-def _op_nash_check(ctx, op, tag):
+def _op_nash_check(ctx, op):
     space = ctx.need_space()
     vp = ctx.need_kernel()
     phi = _phi(ctx, op)
@@ -584,29 +581,26 @@ def _op_nash_check(ctx, op, tag):
     rep = profiles.nash_check(space, vp, phi, fields)
     assert_c = op["assert_C"]
     passed = rep.passes and (assert_c is None or rep.C <= float(assert_c))
-    ctx.emit_json(f"{tag}.json",
-                  {"passes": rep.passes, "C": rep.C,
+    ctx.emit_json({"passes": rep.passes, "C": rep.C,
                    "asserted_C": assert_c, "margins": rep.margins},
-                  "nash_check",
                   "fitted Nash constant over the sample fields")
     if not passed:
         worst = int(np.argmin(rep.margins))
-        ctx.fail(f"{tag}_witness.json", "nash_check",
-                 {"worst_index": worst, "field": fields[worst],
+        ctx.fail({"worst_index": worst, "field": fields[worst],
                   "fitted_C": rep.C, "asserted_C": assert_c})
     return passed
 
 
-def _op_decay(ctx, op, tag):
+def _op_decay(ctx, op):
     vp = ctx.need_kernel()
     curve = randomwalk.on_diagonal(vp, int(op["x"]), _steps(op["n"]))
-    ctx.emit_csv(f"{tag}.csv", ["n", "return_density"],
-                 list(zip(curve.times, curve.values)), "decay",
+    ctx.emit_csv(["n", "return_density"],
+                 list(zip(curve.times, curve.values)),
                  "even-step return densities at the chosen point")
     return None
 
 
-def _op_gamma(ctx, op, tag):
+def _op_gamma(ctx, op):
     phi = _phi(ctx, op)
     t = op["t"]
     if isinstance(t, list):
@@ -614,40 +608,35 @@ def _op_gamma(ctx, op, tag):
     else:
         ts = np.geomspace(float(t["min"]), float(t["max"]), int(t["count"]))
     gt = randomwalk.gamma_transform(phi, ts, v_min=op["v_min"])
-    ctx.emit_csv(f"{tag}.csv", ["t", "gamma"],
-                 list(zip(gt.t, gt.gamma)), "gamma",
+    ctx.emit_csv(["t", "gamma"], list(zip(gt.t, gt.gamma)),
                  "decay transform of the rate function")
-    ctx.emit_json(f"{tag}_meta.json",
-                  {"v_min": gt.v_min, "tail_estimate": gt.tail_estimate,
+    ctx.emit_json({"v_min": gt.v_min, "tail_estimate": gt.tail_estimate,
                    "phi": gt.phi_kind},
-                  "gamma", "transform cutoff and tail bookkeeping")
+                  "transform cutoff and tail bookkeeping", "_meta")
     return None
 
 
-def _op_decay_vs_profile(ctx, op, tag):
+def _op_decay_vs_profile(ctx, op):
     space = ctx.need_space()
     vp = ctx.need_kernel()
     phi = _phi(ctx, op)
     rep = randomwalk.decay_vs_profile(space, vp, phi, _steps(op["n"]),
                                       centers=op["centers"])
-    ctx.emit_json(f"{tag}.json",
-                  {"status": rep.status, "best_c": rep.best_c,
+    ctx.emit_json({"status": rep.status, "best_c": rep.best_c,
                    "slope_decay": rep.slope_decay,
                    "slope_gamma": rep.slope_gamma,
                    "kept_n": rep.kept_n, "meta": rep.meta},
-                  "decay_vs_profile",
                   "measured return decay against the rate transform")
     if rep.status == "skipped_bounded_phi":
         return None
     if rep.status != "ok":
-        ctx.fail(f"{tag}_witness.json", "decay_vs_profile",
-                 {"status": rep.status, "violating_n": rep.violating_n,
+        ctx.fail({"status": rep.status, "violating_n": rep.violating_n,
                   "decay": rep.decay})
         return False
     return True
 
 
-def _op_nash_from_decay(ctx, op, tag):
+def _op_nash_from_decay(ctx, op):
     space = ctx.need_space()
     vp = ctx.need_kernel()
     curve = randomwalk.on_diagonal(vp, int(op["x"]), _steps(op["n"]))
@@ -655,28 +644,24 @@ def _op_nash_from_decay(ctx, op, tag):
     rep = randomwalk.nash_from_decay(space, vp, curve, fields)
     rows = [(e.index, e.skipped, e.n_star, e.constant, e.margin, e.passed)
             for e in rep.entries]
-    ctx.emit_csv(f"{tag}.csv",
-                 ["field", "skipped", "n_star", "constant", "margin",
-                  "passed"], rows, "nash_from_decay",
+    ctx.emit_csv(["field", "skipped", "n_star", "constant", "margin",
+                  "passed"], rows,
                  "per-field functional bounds induced by the decay curve")
     if not rep.passes:
         bad = [e.index for e in rep.entries if not (e.skipped or e.passed)]
-        ctx.fail(f"{tag}_witness.json", "nash_from_decay",
-                 {"failing_fields": bad,
-                  "fields": [fields[i] for i in bad]})
+        ctx.fail({"failing_fields": bad, "fields": [fields[i] for i in bad]})
         return False
     return True
 
 
-def _op_spectral_radius(ctx, op, tag):
+def _op_spectral_radius(ctx, op):
     vp = ctx.need_kernel()
     space = ctx.need_space()
     if "radii" in op:
         rhos = randomwalk.exhaustion_radii(vp, [
             space.ball(int(op["center"]), float(r)) for r in op["radii"]])
-        ctx.emit_csv(f"{tag}.csv", ["radius", "rho"],
+        ctx.emit_csv(["radius", "rho"],
                      list(zip([float(r) for r in op["radii"]], rhos)),
-                     "spectral_radius",
                      "compressed spectral radii along a ball exhaustion")
         return None
     if "subset" in op:
@@ -684,50 +669,46 @@ def _op_spectral_radius(ctx, op, tag):
                                                              op["subset"])
     else:
         rho, residual = randomwalk.spectral_radius(vp)
-    ctx.emit_json(f"{tag}.json", {"rho": rho, "residual": residual},
-                  "spectral_radius", "spectral radius and its eigen residual")
+    ctx.emit_json({"rho": rho, "residual": residual},
+                  "spectral radius and its eigen residual")
     return None
 
 
-def _op_certify(ctx, op, tag):
+def _op_certify(ctx, op):
     _, _, _, cert = _target_map(ctx, op)
-    ctx.emit_json(f"{tag}.json", cert.to_dict(), "certify",
+    ctx.emit_json(cert.to_dict(),
                   "distortion envelopes and volume constants for the map")
     if not cert.ok:
-        ctx.fail(f"{tag}_witness.json", "certify",
-                 {"axiom": cert.violation.axiom,
+        ctx.fail({"axiom": cert.violation.axiom,
                   "detail": cert.violation.detail,
                   "witness": cert.violation.witness})
         return False
     return True
 
 
-def _op_discretize(ctx, op, tag):
-    space = ctx.need_space()
-    disc = coarse.discretize(space, float(op["h"]))
-    save_space(disc.graph, ctx.out / f"{tag}_net.json")
-    ctx.artifacts.append({"path": f"{tag}_net.json", "operation":
-                          "discretize", "claim": "net space at the scale"})
-    ctx.emit_json(f"{tag}_assign.json",
-                  {"centers": disc.centers, "assign": disc.assign},
-                  "discretize", "net centers and the projection map")
-    ctx.emit_json(f"{tag}_certificate.json", disc.certificate.to_dict(),
-                  "discretize", "round-trip certificate for the net")
+def _op_discretize(ctx, op):
+    disc = coarse.discretize(ctx.need_space(), float(op["h"]))
+    ctx.emit("_net.json", lambda path: save_space(disc.graph, path),
+             "net space at the scale")
+    ctx.emit_json({"centers": disc.centers, "assign": disc.assign},
+                  "net centers and the projection map", "_assign")
+    ctx.emit_json(disc.certificate.to_dict(),
+                  "round-trip certificate for the net", "_certificate")
     return disc.certificate.ok
 
 
-def _op_pullback_transfer(ctx, op, tag):
+def _op_pullback_transfer(ctx, op):
     space, target, F, cert = _target_map(ctx, op)
     f_target = _fields(ctx, op, "field")[0]
     rep = coarse.pullback_transfer_report(
         space, target, F, cert, f_target, float(op["h"]),
         p=float(op["p"]), q=float(op["q"]))
-    ctx.emit_json(f"{tag}.json", asdict(rep), "pullback_transfer",
+    ctx.emit_json(asdict(rep),
                   "measured norm, gradient and support transfer constants")
     return rep.status == "ok"
 
 
-def _op_transfer_band(ctx, op, tag):
+def _op_transfer_band(ctx, op):
     # the band reads the certificate's volume constants, which certify_lse
     # measures only over a radius grid
     if not op.get("radii"):
@@ -735,66 +716,59 @@ def _op_transfer_band(ctx, op, tag):
                           "transfer_band needs a nonempty radii grid")
     space, target, F, cert = _target_map(ctx, op)
     if not cert.ok:
-        ctx.fail(f"{tag}_witness.json", "transfer_band",
-                 {"axiom": cert.violation.axiom,
+        ctx.fail({"axiom": cert.violation.axiom,
                   "detail": cert.violation.detail})
         return False
     band = coarse.profile_transfer_band(
         space, target, F, cert, p=float(op["p"]), h=float(op["h"]),
         v_grid=op["volumes"])
-    ctx.emit_json(f"{tag}.json",
-                  {"within_band": band.within_band, "K": band.K,
+    ctx.emit_json({"within_band": band.within_band, "K": band.K,
                    "K_prime": band.K_prime, "volumes": band.volumes,
                    "ratios": band.ratios, "scales": band.scales,
                    "in_range": band.in_range},
-                  "transfer_band",
                   "profile ratios against the certificate-derived band "
                   "(asserted on the in-range volumes)")
     if not band.within_band:
-        ctx.fail(f"{tag}_witness.json", "transfer_band",
-                 {"ratios": band.ratios, "K_prime": band.K_prime,
+        ctx.fail({"ratios": band.ratios, "K_prime": band.K_prime,
                   "in_range": band.in_range})
         return False
     return True
 
 
-def _op_thicken_support(ctx, op, tag):
+def _op_thicken_support(ctx, op):
     space = ctx.need_space()
     f = _fields(ctx, op, "field")[0]
     res = coarse.thicken_support(space, f, float(op["h"]), p=float(op["p"]))
-    ctx.emit_json(f"{tag}.json",
-                  {"status": res.status,
+    ctx.emit_json({"status": res.status,
                    "thick_support": res.thick_support.indices,
                    "measure_inflation": res.measure_inflation,
                    "gradient_ratio": res.gradient_ratio,
                    "detail": res.detail, "field": res.field},
-                  "thicken_support",
                   "support fattening with norm and gradient guarantees")
     return None
 
 
-def _op_rough_volume(ctx, op, tag):
+def _op_rough_volume(ctx, op):
     space, target, F, _ = _target_map(ctx, op, certify=False)
     rep = coarse.rough_volume_check(
         space, target, F, space.subset(op["A"]),
         target.subset(op["A_target"]), float(op["u"]))
     result = asdict(rep)
-    ctx.emit_json(f"{tag}.json", result, "rough_volume",
-                  "volume comparability across the map at the scale")
+    ctx.emit_json(result, "volume comparability across the map at the scale")
     if rep.status == "skipped_no_containment":
         return None
     if not rep.holds:
-        ctx.fail(f"{tag}_witness.json", "rough_volume", result)
+        ctx.fail(result)
     return bool(rep.holds)
 
 
-def _op_scale_reduction(ctx, op, tag):
+def _op_scale_reduction(ctx, op):
     space = ctx.need_space()
     fields = _fields(ctx, op, "fields")
     rep = coarse.scale_reduction_check(
         space, float(op["b"]), float(op["h"]), fields,
         profile_radii=[float(r) for r in op["profile_radii"]])
-    ctx.emit_json(f"{tag}.json", asdict(rep), "scale_reduction",
+    ctx.emit_json(asdict(rep),
                   "distribution bound reducing the scale to the step size")
     if rep.status == "ok":
         return True
@@ -803,22 +777,20 @@ def _op_scale_reduction(ctx, op, tag):
     return False
 
 
-def _op_accept(ctx, op, tag):
+def _op_accept(ctx, op):
     results = acceptance.run_all(op["criteria"])
     table = acceptance.as_table(results)
-    ctx.emit_json(f"{tag}.json", table, "accept",
-                  "acceptance criteria with sub-checks and timings")
-    ctx.emit_csv(f"{tag}.csv", ["id", "passed", "runtime_s", "title"],
+    ctx.emit_json(table, "acceptance criteria with sub-checks and timings")
+    ctx.emit_csv(["id", "passed", "runtime_s", "title"],
                  [(r.cid, r.passed, round(r.runtime_s, 3), r.title)
-                  for r in results], "accept", "acceptance summary table")
+                  for r in results], "acceptance summary table")
     for r in results:
         print(r.line())
         if r.discrepancy:
             print(f"    note: {r.discrepancy}")
     if not table["passed"]:
         bad = [r.cid for r in results if not r.passed]
-        ctx.fail(f"{tag}_witness.json", "accept",
-                 {"failing_criteria": bad,
+        ctx.fail({"failing_criteria": bad,
                   "checks": {str(r.cid): r.checks for r in results
                              if not r.passed}})
         return False
@@ -971,7 +943,9 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer", "minimum": 0},
         "out": {"type": "string"},
         "tolerances": {"type": "object",
-                       "additionalProperties": {"type": "number"}},
+                       "properties": {key: {"type": "number"}
+                                      for key in TOLERANCES},
+                       "additionalProperties": False},
         "operations": {
             "type": "array",
             "minItems": 1,
@@ -1018,7 +992,7 @@ def run(config, out_dir=None, base_dir=".") -> int:
             ctx.space = _build_space(config["space"], ctx.base, "/space")
         if "kernel" in config:
             ctx.kernel = _build_kernel(config["kernel"], ctx.need_space(),
-                                       ctx)
+                                       ctx.base, ctx.rng)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -1027,23 +1001,23 @@ def run(config, out_dir=None, base_dir=".") -> int:
     statuses = []
     for i, op in enumerate(ops):
         name = op["op"]
-        tag = f"{i:02d}_{name}"
-        ctx.op_pointer = f"/operations/{i}"
+        ctx.op_pointer, ctx.op, ctx.tag = \
+            f"/operations/{i}", name, f"{i:02d}_{name}"
         try:
-            outcome = OPS[name].handler(ctx, op, tag)
+            outcome = OPS[name].handler(ctx, op)
         except ConfigError as exc:
             print(exc, file=sys.stderr)
             _write_manifest(out, config, statuses, ctx, False, {
                 "pointer": exc.pointer, "message": exc.message})
             return 2
         except Exception as exc:
-            print(f"{tag}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            ctx.fail(f"{tag}_witness.json", name, {"error": str(exc)})
+            print(f"{ctx.tag}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            ctx.fail({"error": str(exc)})
             outcome = False
         statuses.append((name, outcome))
         label = "info" if outcome is None else \
             ("ok" if outcome else "FAIL")
-        print(f"{tag}: {label}")
+        print(f"{ctx.tag}: {label}")
 
     all_passed = all(s is None or s for _, s in statuses)
     _write_manifest(out, config, statuses, ctx, all_passed)
@@ -1100,6 +1074,15 @@ _COMMANDS = {"calc": "gradients, energies, coarea",
              "coarse": "equivalence certification and transfer"}
 
 
+# the argparse type of a flag filling a schema property of that type
+_FLAG_TYPES = {"integer": int, "number": float}
+
+# the kernel kind each viewpoint action builds
+_VIEWPOINT_KINDS = {"standard": "standard", "lazy": "lazy_srw",
+                    "random": "random_symmetric", "symmetrize": "file",
+                    "check": "file"}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="coarsecalc",
@@ -1110,17 +1093,12 @@ def build_parser():
     z = sub.add_parser("zoo", help="generate and inspect spaces")
     zs = z.add_subparsers(dest="action", required=True)
     zg = zs.add_parser("generate")
-    zg.add_argument("--family", required=True, choices=sorted(zoo.FAMILIES))
-    zg.add_argument("--d", type=int, default=None)
-    zg.add_argument("--L", type=int, default=None)
-    zg.add_argument("--metric", default=None, choices=zoo.GRID_METRICS)
-    zg.add_argument("--n", type=int, default=None)
-    zg.add_argument("--degree", type=int, default=None)
-    zg.add_argument("--depth", type=int, default=None)
-    zg.add_argument("--rank", type=int, default=None)
-    zg.add_argument("--radius", type=int, default=None)
-    zg.add_argument("--scale", type=float, default=None)
-    zg.add_argument("--seed", type=int, default=None)
+    # the schema checks the values, so an enum is only shown as choices
+    for key, prop in _ZOO_SCHEMA["properties"].items():
+        zg.add_argument(f"--{key}", type=_FLAG_TYPES.get(prop.get("type")),
+                        required=key in _ZOO_SCHEMA["required"],
+                        metavar="{%s}" % ",".join(prop["enum"])
+                        if "enum" in prop else None)
     zg.add_argument("--out", required=True)
     zi = zs.add_parser("info")
     zi.add_argument("--space", required=True)
@@ -1173,8 +1151,9 @@ def build_parser():
 
 def _cmd_zoo(args):
     if args.action == "generate":
-        spec = {key: val for key, val in vars(args).items()
-                if val is not None and key not in ("command", "action", "out")}
+        spec = {key: getattr(args, key) for key in _ZOO_SCHEMA["properties"]
+                if getattr(args, key) is not None}
+        _check(_SPACE_SCHEMA, spec, "/space")
         space = _build_space(spec, ".", "/space")
         save_space(space, args.out)
         print(f"{space.name}: {space.n} points, total measure "
@@ -1194,23 +1173,29 @@ def _cmd_zoo(args):
 
 
 def _cmd_viewpoint(args):
+    kind = _VIEWPOINT_KINDS[args.action]
+    spec = {"kind": kind, "path": args.vp} if kind == "file" else \
+        {"kind": kind, "h": args.h}
+    doc = {"kernel": spec}
+    if getattr(args, "seed", None) is not None:
+        doc["seed"] = args.seed
+    _check(_KERNEL_SCHEMA, spec, "/kernel")
+    _check_seed(doc)
     space = _build_space({"file": args.space}, ".", "/space")
-    if args.action in ("check", "symmetrize"):
-        try:
-            vp = viewpoint.load_viewpoint(args.vp, space)
-        except OSError as exc:
-            raise ConfigError("/kernel/path", str(exc)) from None
-        except ValueError as exc:
-            if args.action == "symmetrize":
-                raise ConfigError("/kernel/path", str(exc)) from None
-            # check reports a readable file that holds no valid kernel
-            print(f"invalid kernel: {exc}", file=sys.stderr)
-            return 1
+    try:
+        vp = _build_kernel(spec, space, ".",
+                           np.random.default_rng(doc.get("seed")))
+    except ConfigError as exc:
+        # check reports a readable file that holds no valid kernel
+        if args.action != "check" or \
+                not isinstance(exc.__context__, ValueError):
+            raise
+        print(f"invalid kernel: {exc.message}", file=sys.stderr)
+        return 1
     if args.action == "check":
         sym = viewpoint.is_symmetric(vp)
-        cert = vp.certificate
-        print(f"h={vp.h:g} kind={vp.kind} support_factor={cert.A:g} "
-              f"floor={cert.c:g}")
+        print(f"h={vp.h:g} kind={vp.kind} support_factor={vp.A:g} "
+              f"floor={vp.c:g}")
         print("symmetric" if sym.symmetric else
               f"asymmetric at ({sym.x},{sym.y}): "
               f"{sym.p_xy:.12g} vs {sym.p_yx:.12g}")
@@ -1219,15 +1204,6 @@ def _cmd_viewpoint(args):
         vp, new_space = viewpoint.symmetrize(space, vp)
         if args.out_space:
             save_space(new_space, args.out_space)
-    elif args.action == "standard":
-        vp = viewpoint.standard_viewpoint(space, args.h)
-    elif args.action == "lazy":
-        vp = randomwalk.lazy_srw(space, args.h)
-    else:
-        if args.seed is None:
-            raise ConfigError("/seed", "random kernel needs --seed")
-        vp = viewpoint.random_symmetric_viewpoint(
-            space, args.h, np.random.default_rng(args.seed))
     viewpoint.save_viewpoint(vp, args.out)
     print(f"kernel -> {args.out}")
     return 0

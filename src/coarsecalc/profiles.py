@@ -299,11 +299,15 @@ def _mask_indices(mask, n):
 
 def jp_subset(space, backend, A, p) -> JpResult:
     """J_p(A) with the exactness ladder described in the module docstring.
-    Every path is deterministic: the descent starts from fixed draws."""
+    A is read as a set, as space.subset reads it. Every path is
+    deterministic: the descent starts from fixed draws."""
     idx = A.indices if hasattr(A, "indices") else \
         np.asarray(A, dtype=np.int64)
     if idx.size == 0:
         raise ValueError("subset must be nonempty")
+    # profile loops pass sorted distinct in-range indices: one comparison
+    if not (np.all(idx[1:] > idx[:-1]) and 0 <= idx[0] and idx[-1] < space.n):
+        idx = space.subset(idx).indices
     if idx.size == space.n:
         # the constant field has zero gradient under every backend, so
         # J_p(X) = inf for all p, whichever path would compute it

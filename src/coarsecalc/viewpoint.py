@@ -104,8 +104,10 @@ class Viewpoint:
         return diags(root) @ self.dens @ diags(root)
 
     def __repr__(self):
-        return (f"Viewpoint(h={self.h:g}, kind={self.kind!r}, A={self.A:g}, "
-                f"c={self.c:g}, space={self.space.name!r})")
+        cert = "" if self.certificate is None else \
+            f"A={self.A:g}, c={self.c:g}, "
+        return (f"Viewpoint(h={self.h:g}, kind={self.kind!r}, {cert}"
+                f"space={self.space.name!r})")
 
 
 def standard_viewpoint(space, h) -> Viewpoint:

@@ -945,3 +945,79 @@ def test_boundary_profile_balls_is_the_library_family(tmp_path):
     assert [r.split(",") for r in rows] == [
         [c.kind, repr(float(a)), repr(float(v)), c.mode]
         for c in curves for a, v in zip(c.args, c.values)]
+
+
+@pytest.mark.parametrize("spec", ["random:abc", "random:0", "random:-2",
+                                  "random:", "random:1.5"])
+def test_random_field_count_must_be_a_positive_integer(tmp_path, capsys,
+                                                       spec):
+    out = tmp_path / "run"
+    rc = cli.run({"space": PATH9, "seed": 3, "operations": [
+        {"op": "cheeger"}, {"op": "smoothing", "fields": spec}]},
+        out_dir=str(out))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("config error at /operations/1/fields:")
+    assert repr(spec) in err and "positive integer" in err
+    assert _manifest(out)["operations"] == [{"op": "cheeger",
+                                             "outcome": "info"}]
+
+
+@pytest.mark.parametrize("action,kind", [
+    ("standard", "standard"), ("lazy", "lazy_srw"),
+    ("random", "random_symmetric")])
+@pytest.mark.parametrize("h,seed", [(-1.0, 3), (0.0, 3), (1.0, None)],
+                         ids=["h_negative", "h_zero", "no_seed"])
+def test_viewpoint_actions_exit_as_a_config_kernel(run_dir, capsys, action,
+                                                   kind, h, seed):
+    argv = ["viewpoint", action, "--space", "space.json", "--h", str(h),
+            "--out", "vp.json"]
+    config = {"space": {"file": "space.json"}, "kernel": {"kind": kind,
+                                                          "h": h},
+              "operations": [{"op": "cheeger"}]}
+    if seed is not None:
+        argv += ["--seed", str(seed)]
+        config["seed"] = seed
+    rc = cli.main(argv)
+    shot = capsys.readouterr().err
+    assert cli.run(config, out_dir="run") == rc
+    assert capsys.readouterr().err == shot
+    if h <= 0:
+        assert rc == 2 and shot.startswith("config error at /kernel/h:")
+    elif action == "random":
+        assert rc == 2 and shot.startswith("config error at /seed:")
+    else:
+        assert rc == 0 and (run_dir / "vp.json").is_file()
+    assert (rc == 0) == (run_dir / "vp.json").exists()
+
+
+@pytest.mark.parametrize("route", ["config", "tol_overrides"])
+def test_unknown_tolerance_key_exits_2_at_tolerances(run_dir, capsys,
+                                                      route):
+    tolerances = {"sandwich_slak": 1e-9}
+    if route == "config":
+        rc = cli.run({"space": PATH9, "tolerances": tolerances,
+                      "operations": [{"op": "cheeger"}]}, out_dir="run")
+    else:
+        (run_dir / "tol.json").write_text(json.dumps(tolerances))
+        rc = cli.main(["profile", "cheeger", "--space", "space.json",
+                       "--tol-overrides", "tol.json", "--out", "run"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("config error at /tolerances:")
+    assert "'sandwich_slak'" in err and not (run_dir / "run").exists()
+
+
+def test_known_tolerance_keys_are_read(tmp_path):
+    # the sandwich holds exactly on these fields; a negative slack
+    # makes every comparison fail
+    config = {"space": PATH9, "kernel": LAZY, "seed": 3, "operations": [
+        {"op": "energy_check", "fields": "random:3"},
+        {"op": "gradient_sandwich", "fields": "random:3"}]}
+    for slack, rc in ((1e-9, 0), (-1.0, 1)):
+        config["tolerances"] = {"energy_rel": 1e-9, "sandwich_slack": slack}
+        out = tmp_path / f"run{rc}"
+        assert cli.run(config, out_dir=str(out)) == rc
+        man = _manifest(out)
+        assert man["config"]["tolerances"] == config["tolerances"]
+        assert [o["outcome"] for o in man["operations"]] == \
+            ["pass", "pass" if rc == 0 else "fail"]

@@ -52,6 +52,19 @@ def test_j1_single_points_on_path(idx, expected):
     assert res.mode == "exact"
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_jp_subset_reads_a_as_a_set(p):
+    # a repeated index once gathered its row twice: a zero eigenvalue, and
+    # J = inf read as exact
+    space, b = zoo.path(9), Backend.lp(1.0)
+    want = profiles.jp_subset(space, b, [3, 4, 5], p).value
+    assert want == pytest.approx(2.25 if p == 1 else 1.6002, rel=1e-4)
+    for idx in ([3, 4, 4, 5], [5, 4, 3]):
+        assert profiles.jp_subset(space, b, idx, p).value == want
+    with pytest.raises(ValueError, match="subset index 9 out of range"):
+        profiles.jp_subset(space, b, [3, 9], p)
+
+
 def test_jp_whole_space_sentinel():
     space = zoo.path(6)
     with pytest.warns(UserWarning, match="whole_space"):

@@ -379,6 +379,16 @@ def test_radii_match_the_sliced_kernel_oracle(space, degree):
     assert exhaustion_radii(vp, subsets[1:]) == [r for r, _ in got[1:]]
 
 
+def test_radius_of_a_block_with_no_edge_above_the_dense_size():
+    # the leaves of a tree: a zero block, which Lanczos cannot start on
+    space = zoo.regular_tree(4, 6)
+    vp = pure_srw(space, ambient_degree=4)
+    for m in (200, 300):
+        assert (m > calculus.DENSE_EIG_SIZE) == (m == 300)
+        A = list(range(space.n - m, space.n))
+        assert dirichlet_spectral_radius(vp, A) == (0.0, 0.0)
+
+
 def test_spectral_radius_refuses_a_non_symmetric_kernel():
     # the form is symmetric whatever the kernel, so only the check stands
     # between a non-symmetric kernel and a wrong radius

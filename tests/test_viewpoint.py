@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 
-from coarsecalc import zoo
+from coarsecalc import randomwalk, zoo
 from coarsecalc.viewpoint import (
     Certificate,
     Viewpoint,
@@ -142,3 +142,11 @@ def test_viewpoint_roundtrip(tmp_path, path6):
     np.testing.assert_allclose(back.dens.toarray(), vp.dens.toarray(),
                                atol=1e-15)
     assert back.h == vp.h
+
+
+def test_repr_prints_the_certificate_only_when_there_is_one(path6):
+    assert repr(randomwalk.pure_srw(path6)) == \
+        "Viewpoint(h=1, kind='pure_srw', space='grid_1d_L6_l1')"
+    assert repr(standard_viewpoint(path6, 1.0)) == \
+        "Viewpoint(h=1, kind='standard', A=1, c=0.333333, " \
+        "space='grid_1d_L6_l1')"

@@ -207,6 +207,30 @@ def test_generate_errors(tmp_path, capsys):
         zoo.generate({"family": "hyperbolic_plane"})
 
 
+# BAD_SPECS, then specs only the schema's bounds reject
+PARITY_SPECS = [spec for spec, _ in BAD_SPECS] + [
+    {"family": "path", "n": 1},
+    {"family": "regular_tree", "degree": 3, "depth": 0},
+    {"family": "grid", "L": 1},
+    # a flag's value is a float, so the config's is one too
+    {"family": "grid", "L": 3, "scale": -2.0},
+]
+
+
+@pytest.mark.parametrize("spec", PARITY_SPECS,
+                         ids=[f"{s['family']}{i}" for i, s in
+                              enumerate(PARITY_SPECS)])
+def test_zoo_generate_exits_at_the_config_pointer(spec, tmp_path, capsys):
+    rc = _exit_code(_zoo_generate_argv(spec, tmp_path / "x.json"))
+    shot = capsys.readouterr().err
+    assert cli.run({"space": spec, "operations": [{"op": "cheeger"}]},
+                   out_dir=str(tmp_path / "run")) == rc == 2
+    assert capsys.readouterr().err == shot
+    assert shot.startswith("config error at /space") and \
+        len(shot.splitlines()) == 1
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_point_count_guard():
     with pytest.raises(ValueError):
         zoo.free_group_ball(2, 40)
