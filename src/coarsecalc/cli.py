@@ -504,23 +504,16 @@ def _op_laplacian(ctx, op):
 
 
 def _op_profile(ctx, op):
-    space = ctx.need_space()
-    b = _backend(ctx, op)
-    p = float(op["p"])
+    space, b, p = ctx.need_space(), _backend(ctx, op), float(op["p"])
     if "radii" in op:
-        curve = profiles.profile_in_balls(space, b, p,
-                                          [float(r) for r in op["radii"]])
+        curve = profiles.profile_in_balls(space, b, p, op["radii"])
     else:
-        curve = profiles.isoperimetric_profile(
-            space, b, p, [float(v) for v in op["volumes"]],
-            strategy=op["strategy"])
-    rows, wits = [], {}
-    for i, (a, v) in enumerate(zip(curve.args, curve.values)):
-        wid = ""
-        if i < len(curve.witnesses) and curve.witnesses[i] is not None:
-            wid = f"w{i}"
-            wits[wid] = curve.witnesses[i]
-        rows.append((a, v, curve.mode, wid))
+        curve = profiles.isoperimetric_profile(space, b, p, op["volumes"],
+                                               strategy=op["strategy"])
+    wits = {f"w{i}": w for i, w in enumerate(curve.witnesses)
+            if w is not None}
+    rows = [(a, v, curve.mode, "" if w is None else f"w{i}") for i, (a, v, w)
+            in enumerate(zip(curve.args, curve.values, curve.witnesses))]
     claim = "isoperimetric profile samples with witnesses"
     ctx.emit_csv(["argument", "value", "mode", "witness"], rows, claim)
     ctx.emit_json({"kind": curve.kind, "args": curve.args,
@@ -927,6 +920,14 @@ OPS = {
 _INDICES = {"type": "array", "items": {"type": "integer"}}
 _FAMILY_SCHEMA = {"anyOf": [{"enum": ["all", "balls"]},
                             {"type": "array", "items": _INDICES}]}
+# keys several operations share; J_p is defined for 1 <= p <= inf ("inf")
+_OP_KEYS = {"target": _SPACE_SCHEMA, "family": _FAMILY_SCHEMA,
+            "p": {"anyOf": [{"type": "number", "minimum": 1},
+                            {"const": "inf"}]},
+            "strategy": {"enum": ["candidates", "exact"]},
+            "volumes": {"type": "array", "items": {"type": "number"}},
+            "radii": {"type": "array",
+                      "items": {"type": "number", "minimum": 0}}}
 
 
 def _when(name, clause):
@@ -952,8 +953,7 @@ CONFIG_SCHEMA = {
             "items": {"type": "object",
                       "required": ["op"],
                       "properties": {"op": {"enum": sorted(OPS)},
-                                     "target": _SPACE_SCHEMA,
-                                     "family": _FAMILY_SCHEMA},
+                                     **_OP_KEYS},
                       "allOf": [_when(name, {"required": list(spec.needs)})
                                 for name, spec in OPS.items() if spec.needs]
                       # profile needs volumes unless it has radii

@@ -301,6 +301,7 @@ def jp_subset(space, backend, A, p) -> JpResult:
     """J_p(A) with the exactness ladder described in the module docstring.
     A is read as a set, as space.subset reads it. Every path is
     deterministic: the descent starts from fixed draws."""
+    _check_p(p)
     idx = A.indices if hasattr(A, "indices") else \
         np.asarray(A, dtype=np.int64)
     if idx.size == 0:
@@ -320,6 +321,25 @@ def jp_subset(space, backend, A, p) -> JpResult:
     if np.isinf(p):
         return _jp_inf(space, backend, idx)
     return _jp_descent(space, backend, idx, p)
+
+
+def _check_p(p):
+    if not p >= 1:
+        raise ValueError(f"J_p is defined for p in [1, inf], got p = {p}")
+
+
+def _sweep(space, backend, p, members):
+    """(value, upper, mode, reason) of J_p on each member (sorted distinct
+    indices) in order, as jp_subset reports and warns; an exact J_2 under
+    pair weights skips the witness field."""
+    for idx in members:
+        if p == 2 and backend.kind != "sup" and idx.size < space.n:
+            value = _j2_eig(space, backend, idx)[0]
+            yield (value, np.inf, "exact",
+                   "isolated_at_scale" if value == np.inf else None)
+        else:
+            res = jp_subset(space, backend, idx, p)
+            yield res.value, res.upper, res.mode, res.reason
 
 
 def _inf_result(reason, field_or_subset, as_field=True, stacklevel=3):
@@ -776,51 +796,50 @@ def isoperimetric_profile(space, backend, p, volume_grid,
                           strategy="candidates") -> ProfileCurve:
     """j(v) = sup over subsets of measure <= v of J_p, sampled on a grid.
 
-    ``exact`` enumerates every proper nonempty subset (at most
-    EXACT_ENUM_LIMIT points) and is labelled exact when every subset's J_p
-    is; ``candidates`` scans the members of the documented family with
-    measure at most max(volume_grid), the only ones a sample can report,
-    and flags the curve as a lower bound. The whole space is left out (its
-    J is inf under every backend, so it would say nothing about proper
-    subsets); a subset isolated at the scale keeps its infinite J, so the
-    curve reads inf from the smallest volume that holds one. Each sample
-    reports the first best subset in enumeration (or family) order; on the
-    sup backend at p = 2 its witness also carries the subset's ``upper`` end.
+    ``exact`` enumerates the proper nonempty subsets (at most
+    EXACT_ENUM_LIMIT points), labelled exact when every J_p it evaluates
+    is; ``candidates`` scans the documented family, a lower bound. Only
+    members of measure at most max(volume_grid) are evaluated, since no
+    sample can report the others: at p = 1 by their indicator ratios (the
+    profile is itself a subset supremum), else as jp_subset evaluates and
+    warns. The whole space is left out (its J is inf under every backend);
+    an isolated subset keeps its infinite J, so the curve reads inf from
+    the smallest volume that holds one. Each sample reports the first best
+    member in table order, on the sup backend at p = 2 with its upper end.
     """
+    _check_p(p)
+    if strategy not in ("candidates", "exact"):
+        raise ValueError(f"strategy must be \"candidates\" or \"exact\", "
+                         f"got {strategy!r}")
     volume_grid = np.asarray(volume_grid, dtype=float)
+    top = np.fmax.reduce(volume_grid, initial=-np.inf)  # NaN sets no cut
     if strategy == "exact":
-        masses, values, uppers, mode = _exact_profile_entries(space, backend,
-                                                              p)
-        found = None
-    else:
-        top = volume_grid.max(initial=-np.inf)
-        fam, found = [], []
-        for sub, label in candidate_subsets(space, backend):
-            if sub.measure <= top:
-                fam.append(sub)
-                found.append((sub.indices, label))
-        uppers = np.full(len(fam), np.inf)
+        mu_b, den_b = _subset_tables(space, backend, np.arange(space.n))
+        masks = np.flatnonzero(mu_b[1:-1] <= top) + 1
+        masses, fam = mu_b[masks], None
+        members = (_mask_indices(m, space.n) for m in masks)
         if p == 1:
-            # the profile is itself a subset supremum, so each candidate
-            # contributes its indicator ratio directly (no inner max)
-            masses, den = _family_table(space, backend, fam)
+            values = _ratio(masses, den_b[masks],
+                            1e-12 * max(1.0, float(den_b.max(initial=0.0))))
+    else:
+        fam = [(sub, label) for sub, label in candidate_subsets(space, backend)
+               if sub.measure <= top]
+        masses = np.array([sub.measure for sub, _ in fam])
+        members = (sub.indices for sub, _ in fam)
+        if p == 1:
+            den = _family_table(space, backend, [sub for sub, _ in fam])[1]
             values = _ratio(masses, den, 1e-12 * np.maximum(1.0, masses))
-        else:
-            masses = np.array([sub.measure for sub in fam])
-            values = np.empty(len(fam))
-            for i, sub in enumerate(fam):
-                if p == 2 and backend.kind != "sup":
-                    # jp_subset's exact J_2 without its witness field
-                    values[i] = _j2_eig(space, backend, sub.indices)[0]
-                else:
-                    # no candidate is the whole space
-                    res = jp_subset(space, backend, sub.indices, p)
-                    values[i], uppers[i] = res.value, res.upper
-        mode = "lower_bound"
+    uppers, modes = np.full(masses.size, np.inf), {"exact"}
+    if p != 1:
+        rows = list(_sweep(space, backend, p, members))
+        values, uppers = (np.array([r[k] for r in rows], dtype=float)
+                          for k in (0, 1))
+        modes = {r[2] for r in rows}
+    mode = "exact" if fam is None and modes <= {"exact"} else "lower_bound"
 
     def pick(j):
-        sub, label = found[j] if found is not None else \
-            (_mask_indices(j + 1, space.n), "exhaustive")
+        sub, label = (_mask_indices(masks[j], space.n), "exhaustive") \
+            if fam is None else (fam[j][0].indices, fam[j][1])
         wit = {"indices": sub, "label": label, "measure": masses[j],
                "value": values[j]}
         if backend.kind == "sup" and p == 2:
@@ -850,38 +869,18 @@ def _first_best(grid, masses, values, side, pick):
     return out, witnesses
 
 
-def _exact_profile_entries(space, backend, p):
-    """(masses, values, uppers, mode) of the proper nonempty subsets of the
-    space, in mask order from mask 1 (bit x selects point x); uppers are the
-    results' upper ends, and mode is "exact" when every subset's J_p is,
-    else "lower_bound"."""
-    mu_b, den_b = _subset_tables(space, backend, np.arange(space.n))
-    modes = {"exact"}
-    uppers = np.full(mu_b.size, np.inf)
-    if p == 1:
-        values = _ratio(mu_b, den_b,
-                        1e-12 * max(1.0, float(den_b.max(initial=0.0))))
-    else:
-        values = np.empty(mu_b.size)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for m in range(1, mu_b.size - 1):
-                res = jp_subset(space, backend, _mask_indices(m, space.n), p)
-                values[m], uppers[m] = res.value, res.upper
-                modes.add(res.mode)
-    mode = "exact" if modes == {"exact"} else "lower_bound"
-    return mu_b[1:-1], values[1:-1], uppers[1:-1], mode
-
-
 def profile_in_balls(space, backend, p, radius_grid) -> ProfileCurve:
     """J restricted to balls: t -> max over centers of J_p(B(x, t)).
 
     The centres are every point when N <= 400, else a stride-capped
-    subset (their number is recorded in meta). Unlike subset profiles, the
-    infinity sentinel is kept: a ball that swallows the whole space
-    genuinely has J = inf and the curve should say so. On the sup backend
-    at p = 2 each witness also carries the ball's ``upper`` end.
+    subset (their number is recorded in meta). Each radius sweeps its balls
+    in centre order and reports the first strictly best. Unlike subset
+    profiles, the infinity sentinel is kept: a ball that swallows the whole
+    space genuinely has J = inf and the curve should say so; the radius
+    stops at its first infinite ball. On the sup backend at p = 2 each
+    witness also carries the ball's ``upper`` end.
     """
+    _check_p(p)
     centers = range(0, space.n, max(1, space.n // 400))
     radius_grid = np.asarray(radius_grid, dtype=float)
     values = np.zeros(radius_grid.size)
@@ -889,17 +888,17 @@ def profile_in_balls(space, backend, p, radius_grid) -> ProfileCurve:
     modes = set()
     for i, t in enumerate(radius_grid):
         best, wit = -np.inf, None
-        for x in centers:
-            ball = space.ball(x, t)
-            res = jp_subset(space, backend, ball, p)
-            modes.add(res.mode)
-            if res.value > best:
-                best = res.value
-                wit = {"center": x, "radius": float(t),
-                       "indices": ball, "value": res.value,
-                       "reason": res.reason}
+        # each ball is built once, when the sweep reaches its centre
+        balls, members = itertools.tee(space.ball(x, t) for x in centers)
+        for x, ball, (value, upper, mode, reason) in zip(
+                centers, balls, _sweep(space, backend, p, members)):
+            modes.add(mode)
+            if value > best:
+                best = value
+                wit = {"center": x, "radius": float(t), "indices": ball,
+                       "value": value, "reason": reason}
                 if backend.kind == "sup" and p == 2:
-                    wit["upper"] = res.upper
+                    wit["upper"] = upper
             if np.isinf(best):
                 break
         values[i] = best

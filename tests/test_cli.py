@@ -817,6 +817,42 @@ def test_bad_spec_exits_2_with_pointer_and_manifest(tmp_path, capsys, op,
     assert man["config_error"]["pointer"] == pointer
 
 
+@pytest.mark.parametrize("op,pointer", [
+    ({"op": "profile", "strategy": "exat", "volumes": [2]}, "/strategy"),
+    ({"op": "profile", "volumes": "24"}, "/volumes"),
+    ({"op": "transfer_band", "target": PATH9, "radii": [1],
+      "volumes": [2, "4"]}, "/volumes/1"),
+    ({"op": "profile", "radii": [-1]}, "/radii/0"),
+    ({"op": "spectral_radius", "center": 0, "radii": [1, -1]}, "/radii/1"),
+    ({"op": "certify", "target": PATH9, "radii": "12"}, "/radii"),
+    ({"op": "pullback_transfer", "target": PATH9, "field": FIELD,
+      "radii": [-0.5]}, "/radii/0"),
+    ({"op": "profile", "p": 0, "volumes": [2]}, "/p"),
+    ({"op": "profile", "p": 0.5, "radii": [1]}, "/p"),
+    ({"op": "profile", "p": "abc", "volumes": [2]}, "/p"),
+    ({"op": "grad", "field": FIELD, "kind": "lp", "p": -1}, "/p"),
+    ({"op": "laplacian", "field": FIELD, "p": "Infinity"}, "/p"),
+], ids=["strategy", "volumes_string", "volumes_item", "radii_negative",
+        "rho_radii", "certify_radii", "pullback_radii", "p_zero", "p_half",
+        "p_word", "grad_p", "laplacian_p"])
+def test_bad_profile_key_exits_2_at_its_pointer(tmp_path, capsys, op,
+                                               pointer):
+    out = tmp_path / "run"
+    rc = cli.run({"space": PATH9, "kernel": LAZY,
+                  "operations": [{"op": "cheeger"}, op]}, out_dir=str(out))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith(f"config error at /operations/1{pointer}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("p", [1, 1.5, math.inf, "inf"])
+def test_profile_p_from_one_to_inf_runs(tmp_path, p):
+    assert cli.run({"space": PATH9, "operations": [
+        {"op": "profile", "p": p, "backend": "lp:1", "radii": [1]}]},
+        out_dir=str(tmp_path / "run")) == 0
+
+
 def test_handler_error_becomes_a_witness(tmp_path):
     out = tmp_path / "run"
     rc = cli.run({"space": PATH9, "kernel": LAZY, "operations": [

@@ -65,6 +65,26 @@ def test_jp_subset_reads_a_as_a_set(p):
         profiles.jp_subset(space, b, [3, 9], p)
 
 
+@pytest.mark.parametrize("p", [0.5, 0, -1, np.nan])
+@pytest.mark.parametrize("call", [
+    lambda s, p: profiles.jp_subset(s, Backend.lp(1.0), [3, 4, 5], p),
+    lambda s, p: profiles.isoperimetric_profile(s, Backend.lp(1.0), p, [2]),
+    lambda s, p: profiles.isoperimetric_profile(s, Backend.sup(1.0), p, [2],
+                                                strategy="exact"),
+    lambda s, p: profiles.profile_in_balls(s, Backend.sup(1.0), p, [1]),
+], ids=["jp_subset", "candidates", "exact", "balls"])
+def test_p_below_one_is_refused(call, p):
+    # J_p is defined for 1 <= p <= inf; p = 0.5 once returned 2.18
+    with pytest.raises(ValueError, match=r"p in \[1, inf\]"):
+        call(zoo.path(9), p)
+
+
+def test_unknown_strategy_is_refused():
+    with pytest.raises(ValueError, match='"candidates" or "exact"'):
+        profiles.isoperimetric_profile(zoo.path(9), Backend.sup(1.0), 1, [2],
+                                       strategy="exhaustive")
+
+
 def test_jp_whole_space_sentinel():
     space = zoo.path(6)
     with pytest.warns(UserWarning, match="whole_space"):
@@ -728,6 +748,200 @@ def test_exact_profile_mode_follows_its_subsets():
     curve = profiles.isoperimetric_profile(space, Backend.viewpoint(vp), 2,
                                            [1.0, 2.0, 3.0], strategy="exact")
     assert curve.mode == "exact"
+    # only one-point subsets fit a grid of [1.0], and each is exact
+    curve = profiles.isoperimetric_profile(zoo.path(5), Backend.sup(1.0), 2,
+                                           [1.0], strategy="exact")
+    assert curve.mode == "exact"
+
+
+@pytest.mark.parametrize("p,counted", [(np.inf, "jp_subset"),
+                                       (2, "_j2_eig")])
+def test_exact_profile_evaluates_only_reportable_subsets(monkeypatch, p,
+                                                         counted):
+    space = zoo.grid(2, 3).with_measure(
+        np.random.default_rng(4).uniform(0.5, 2.0, 9))
+    backend = Backend.sup(1.0) if counted == "jp_subset" else Backend.lp(1.0)
+    grid = [1.5, 3.0]
+    masses = [space.measure[profiles._mask_indices(m, space.n)].sum()
+              for m in range(1, 2 ** space.n - 1)]
+    seen = []
+    original = getattr(profiles, counted)
+
+    def record(space_, backend_, idx, *rest):
+        seen.append(float(space.measure[idx].sum()))
+        return original(space_, backend_, idx, *rest)
+
+    monkeypatch.setattr(profiles, counted, record)
+    curve = profiles.isoperimetric_profile(space, backend, p, grid,
+                                           strategy="exact")
+    assert len(seen) == sum(m <= 3.0 for m in masses) < len(masses) // 4
+    assert max(seen) <= 3.0
+    assert np.isfinite(curve.values).all()
+
+
+def _old_exhaustive_profile(space, backend, p, grid):
+    """isoperimetric_profile(strategy="exact") as it ran before the sweep:
+    J_p of every proper subset in mask order, all warnings ignored; also
+    the mode it reported and the mode of the subsets of measure at most
+    max(grid)."""
+    n = space.n
+    mu_b, den_b = profiles._subset_tables(space, backend, np.arange(n))
+    modes, top_modes = {"exact"}, {"exact"}
+    uppers = np.full(mu_b.size, np.inf)
+    if p == 1:
+        values = profiles._ratio(
+            mu_b, den_b, 1e-12 * max(1.0, float(den_b.max(initial=0.0))))
+    else:
+        values = np.empty(mu_b.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for m in range(1, mu_b.size - 1):
+                res = profiles.jp_subset(space, backend,
+                                         profiles._mask_indices(m, n), p)
+                values[m], uppers[m] = res.value, res.upper
+                modes.add(res.mode)
+                if mu_b[m] <= max(grid):
+                    top_modes.add(res.mode)
+    found = [(profiles._mask_indices(m, n), "exhaustive")
+             for m in range(1, mu_b.size - 1)]
+    want = _old_envelope(backend, p, grid, found, mu_b[1:-1],
+                         values[1:-1], uppers[1:-1])
+    return want + tuple("exact" if m == {"exact"} else "lower_bound"
+                        for m in (modes, top_modes))
+
+
+def _old_candidate_profile(space, backend, p, grid):
+    """The candidate branch of isoperimetric_profile before the sweep."""
+    fam, found = [], []
+    for sub, label in profiles.candidate_subsets(space, backend):
+        if sub.measure <= max(grid):
+            fam.append(sub)
+            found.append((sub.indices, label))
+    uppers = np.full(len(fam), np.inf)
+    if p == 1:
+        masses, den = profiles._family_table(space, backend, fam)
+        values = profiles._ratio(masses, den,
+                                 1e-12 * np.maximum(1.0, masses))
+    else:
+        masses = np.array([sub.measure for sub in fam])
+        values = np.empty(len(fam))
+        for i, sub in enumerate(fam):
+            if p == 2 and backend.kind != "sup":
+                values[i] = profiles._j2_eig(space, backend, sub.indices)[0]
+            else:
+                res = profiles.jp_subset(space, backend, sub.indices, p)
+                values[i], uppers[i] = res.value, res.upper
+    return _old_envelope(backend, p, grid, found, masses, values, uppers)
+
+
+def _old_envelope(backend, p, grid, found, masses, values, uppers):
+    """Per grid point the largest value of a member of mass <= g (a NaN
+    or -inf never wins), the first in table order, with its witness."""
+    out, wits = [], []
+    for g in grid:
+        fits = [j for j in range(len(found))
+                if masses[j] <= g and values[j] > -np.inf]
+        if not fits:
+            out.append(np.nan)
+            wits.append(None)
+            continue
+        j = max(fits, key=lambda j: values[j])      # the first maximum
+        sub, label = found[j]
+        wit = {"indices": sub, "label": label, "measure": masses[j],
+               "value": values[j]}
+        if backend.kind == "sup" and p == 2:
+            wit["upper"] = uppers[j]
+        out.append(values[j])
+        wits.append(wit)
+    return out, wits
+
+
+def _old_ball_profile(space, backend, p, radius_grid):
+    """profile_in_balls before the sweep: (values, witnesses, mode, number
+    of infinite balls evaluated)."""
+    centers = range(0, space.n, max(1, space.n // 400))
+    values, witnesses, modes, n_inf = [], [], set(), 0
+    for t in np.asarray(radius_grid, dtype=float):
+        best, wit = -np.inf, None
+        for x in centers:
+            ball = space.ball(x, t)
+            res = profiles.jp_subset(space, backend, ball, p)
+            modes.add(res.mode)
+            n_inf += bool(np.isinf(res.value))
+            if res.value > best:
+                best = res.value
+                wit = {"center": x, "radius": float(t),
+                       "indices": ball, "value": res.value,
+                       "reason": res.reason}
+                if backend.kind == "sup" and p == 2:
+                    wit["upper"] = res.upper
+            if np.isinf(best):
+                break
+        values.append(best)
+        witnesses.append(wit)
+    return (values, witnesses,
+            "exact" if modes <= {"exact"} else "lower_bound", n_inf)
+
+
+def _sweep_case(case):
+    if case == "lp_isolated":
+        # points 1, 3 and 7 are isolated at 0.25
+        return zoo.random_geometric(10, 3), Backend.lp(0.25)
+    space = zoo.path(5)
+    if case == "lp":
+        return space.with_measure(
+            np.random.default_rng(6).uniform(0.5, 2.0, 5)), Backend.lp(1.0)
+    if case == "vp":
+        return space, Backend.viewpoint(lazy_srw(space, 1.0))
+    return space, Backend.sup(1.0)
+
+
+def _warnings_of(call):
+    """call()'s result and the number of 'J is infinite' warnings."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        out = call()
+    return out, sum("J is infinite" in str(w.message) for w in seen)
+
+
+@pytest.mark.parametrize("case,p,route", [
+    (case, p, route) for case in ["sup", "lp", "vp", "lp_isolated"]
+    for p in [1, 2, 3, np.inf] for route in ["exact", "candidates", "balls"]
+    # the old loop would descend on all 1,022 subsets, about 10 s
+    if (case, p, route) != ("lp_isolated", 3, "exact")])
+def test_profile_sweep_matches_the_three_old_loops(case, p, route):
+    space, backend = _sweep_case(case)
+    grid = [1.0, 2.0, 3.5, 4.0]
+    if route == "balls":
+        diameter = max(space.dist_row(x).max() for x in range(space.n))
+        radii = [0.0, 1.0, 0.5 * diameter, diameter + 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want, want_wit, mode, n_inf = _old_ball_profile(
+                space, backend, p, radii)
+        curve, warned = _warnings_of(lambda: profiles.profile_in_balls(
+            space, backend, p, radii))
+        assert curve.mode == mode and warned == n_inf > 0
+        _assert_same_curve(curve, want, want_wit)
+        return
+    if route == "exact":
+        want, want_wit, old_mode, mode = _old_exhaustive_profile(
+            space, backend, p, grid)
+        # the one mode change the sweep may make: a curve whose reportable
+        # subsets are all exact is exact
+        assert mode == old_mode or (old_mode, mode) == ("lower_bound",
+                                                        "exact")
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want, want_wit = _old_candidate_profile(space, backend, p, grid)
+        mode = "lower_bound"
+    curve, warned = _warnings_of(lambda: profiles.isoperimetric_profile(
+        space, backend, p, grid, strategy=route))
+    assert curve.mode == mode
+    _assert_same_curve(curve, want, want_wit)
+    # only the sweep warns: at p = 1 every value is read from a table
+    assert (warned > 0) == (p != 1 and case == "lp_isolated")
 
 
 def test_candidate_profile_evaluates_only_reportable_subsets(monkeypatch):
@@ -1011,6 +1225,18 @@ def test_candidates_equal_exact_on_small_path():
     exact = profiles.isoperimetric_profile(space, Backend.sup(1.0), 1, v,
                                            strategy="exact")
     np.testing.assert_allclose(cand.values, exact.values, atol=1e-12)
+
+
+@pytest.mark.parametrize("strategy", ["candidates", "exact"])
+def test_nan_volume_leaves_the_other_samples(strategy):
+    # the mass cut reads the largest volume that is a number
+    b = Backend.sup(1.0)
+    want = profiles.isoperimetric_profile(zoo.path(5), b, 1, [2.0],
+                                          strategy=strategy)
+    curve = profiles.isoperimetric_profile(zoo.path(5), b, 1,
+                                           [2.0, np.nan], strategy=strategy)
+    assert curve.values[0] == want.values[0] == 1.0
+    assert np.isnan(curve.values[1]) and curve.witnesses[1] is None
 
 
 def test_profile_in_balls_monotone_and_saturates():
