@@ -626,22 +626,7 @@ def run_all(cids=None):
 
 
 def as_table(results):
-    """JSON-ready summary of a run."""
-    def clean(v):
-        if isinstance(v, dict):
-            return {str(k): clean(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        if isinstance(v, np.ndarray):
-            return [clean(x) for x in v.tolist()]
-        if isinstance(v, (np.floating, float)):
-            return float(v)
-        if isinstance(v, (np.integer, int)):
-            return int(v)
-        if isinstance(v, (np.bool_, bool)):
-            return bool(v)
-        return v
-
+    """Summary of a run, for the CLI's JSON writer to convert."""
     return {
         "passed": all(r.passed for r in results),
         "criteria": [{
@@ -650,8 +635,8 @@ def as_table(results):
             "passed": r.passed,
             "runtime_s": round(r.runtime_s, 3),
             "budget_s": r.budget_s,
-            "checks": clean(r.checks),
-            "details": clean(r.details),
+            "checks": r.checks,
+            "details": r.details,
             **({"discrepancy": r.discrepancy} if r.discrepancy else {}),
         } for r in results],
     }

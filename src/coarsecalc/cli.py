@@ -154,11 +154,23 @@ class ConfigError(Exception):
 
 def _check(schema, doc, pointer=""):
     """Raise ConfigError at the best-match violation of schema by doc, the
-    part of a config found at pointer."""
+    part of a config found at pointer, or else at doc's first NaN: NaN
+    passes every numeric rule of a schema, since it compares false."""
     err = best_match(Draft202012Validator(schema).iter_errors(doc))
     if err is not None:
         path = "".join(f"/{p}" for p in err.absolute_path)
         raise ConfigError(pointer + path, err.message)
+    _refuse_nan(doc, pointer)
+
+
+def _refuse_nan(doc, pointer):
+    """Raise ConfigError at doc's first NaN, depth first."""
+    if isinstance(doc, float) and math.isnan(doc):
+        raise ConfigError(pointer, "NaN is not a valid number")
+    if isinstance(doc, (dict, list)):
+        for key, val in (doc.items() if isinstance(doc, dict)
+                         else enumerate(doc)):
+            _refuse_nan(val, f"{pointer}/{key}")
 
 
 def validate_config(doc):
@@ -484,14 +496,10 @@ def _op_grad(ctx, op):
     space = ctx.need_space()
     f = _fields(ctx, op, "field")[0]
     kind = op["kind"]
-    p = float(op["p"])
-    if kind == "viewpoint":
-        g = calculus.grad_viewpoint(ctx.need_kernel(), f, p)
-    elif kind == "lp":
-        g = calculus.grad_lp(space, f, float(op["h"]), p)
-    else:
-        g = calculus.grad_sup(space, f, float(op["h"]))
-    ctx.emit_json(g, "gradient field values")
+    backend = Backend.viewpoint(ctx.need_kernel()) if kind == "viewpoint" \
+        else getattr(Backend, kind)(op["h"])
+    ctx.emit_json(backend.gradient(space, f, float(op["p"])),
+                  "gradient field values")
     return None
 
 

@@ -24,8 +24,10 @@ from typing import Optional
 import numpy as np
 
 from coarsecalc.calculus import grad_sup, lp_norm
-from coarsecalc.space import (MetricMeasureSpace, Subset, geodesicity_report,
-                              thicken)
+from coarsecalc.profiles import (Backend, _thin, isoperimetric_profile,
+                                 profile_in_balls)
+from coarsecalc.space import (MetricMeasureSpace, Subset, doubling_profile,
+                              geodesicity_report, thicken)
 
 PAIR_SCAN_LIMIT = 4096
 MAX_BINS = 64
@@ -229,6 +231,18 @@ def discretize(space, h) -> Discretization:
 # pullback and the transfer lemmas
 
 
+def _levels(vals, cap):
+    """The sampled thresholds of a field: its distinct positive values,
+    thinned evenly to cap."""
+    return _thin(np.unique(vals[vals > 0]), cap)
+
+
+def _level_masses(mu, g, levels, above=np.greater):
+    """mu({g > t}) for each level t, or mu({g >= t}) with above =
+    np.greater_equal: one masked sum per level."""
+    return np.array([mu[above(g, t)].sum() for t in levels])
+
+
 def pullback(space, f_target, F, h):
     """psi_h(x) = sup over the closed ball B(x,h) of |f(F(y))|."""
     g = np.abs(np.asarray(f_target, dtype=float)[np.asarray(F, np.int64)])
@@ -261,18 +275,12 @@ def pullback_transfer_report(space, target, F, cert, f_target, h,
     psi = pullback(space, f_target, F, h)
     mu, mu_t = space.measure, target.measure
 
-    lhs_vals = psi ** p
+    # every threshold is a value of |f|^p, so no denominator is 0
     rhs_vals = np.abs(f_target) ** p
-    ts = np.unique(rhs_vals[rhs_vals > 0])
-    if ts.size > 32:
-        ts = ts[np.linspace(0, ts.size - 1, 32).astype(int)]
-    c_l1 = np.inf
-    for t in ts:
-        den = mu_t[rhs_vals >= t].sum()
-        if den > 0:
-            c_l1 = min(c_l1, mu[lhs_vals >= t].sum() / den)
-    if not np.isfinite(c_l1):
-        c_l1 = 1.0   # f vanished; nothing to bound
+    ts = _levels(rhs_vals, 32)
+    c_l1 = (_level_masses(mu, psi ** p, ts, np.greater_equal)
+            / _level_masses(mu_t, rhs_vals, ts, np.greater_equal)).min() \
+        if ts.size else 1.0   # f vanished; nothing to bound
 
     h_prime = 2.0 * cert.rho_plus_at(h)
     status = "ok"
@@ -282,21 +290,16 @@ def pullback_transfer_report(space, target, F, cert, f_target, h,
         g_f = grad_sup(target, f_target, h_prime) ** q
     else:
         g_f = np.zeros(target.n)
-    ts = np.unique(g_psi[g_psi > 0])
-    if ts.size > 32:
-        ts = ts[np.linspace(0, ts.size - 1, 32).astype(int)]
-    C_l2 = 1.0
-    for t in ts:
-        lhs = mu[g_psi > t].sum()
-        rhs = mu_t[g_f > t / 2.0].sum()
-        if lhs == 0:
-            continue
-        if rhs == 0:
-            status = "unbounded"
-            detail["l2_threshold"] = float(t)
-            C_l2 = np.inf
-            break
-        C_l2 = max(C_l2, lhs / rhs)
+    ts = _levels(g_psi, 32)
+    lhs = _level_masses(mu, g_psi, ts)
+    rhs = _level_masses(mu_t, g_f, ts / 2.0)
+    seen = lhs > 0
+    if np.any(seen & (rhs == 0)):
+        status = "unbounded"
+        detail["l2_threshold"] = float(ts[np.argmax(seen & (rhs == 0))])
+        C_l2 = np.inf
+    else:
+        C_l2 = (lhs[seen] / rhs[seen]).max(initial=1.0)
 
     u = cert.rho_plus_at(h)
     supp_t = np.flatnonzero(f_target != 0)
@@ -417,7 +420,6 @@ class RoughVolumeReport:
 
 
 def _doubling_bound(space, u):
-    from coarsecalc.space import doubling_profile
     cs = doubling_profile(space, [u, 2.0 * u, 4.0 * u])
     return float(np.prod([c.constant for c in cs]))
 
@@ -485,33 +487,17 @@ def scale_reduction_check(space, b, h, fields,
                                     None, geo)
     mu = space.measure
     per_field = []
-    worst = 1.0
-    feasible = True
     for f in fields:
         f = np.asarray(f, dtype=float)
         g_h = grad_sup(space, f, h)
         g_2b = grad_sup(space, f, 2.0 * b)
-        ts = np.unique(g_h[g_h > 0])
-        if ts.size > 48:
-            ts = ts[np.linspace(0, ts.size - 1, 48).astype(int)]
-        best = None
-        for C in CONSTANT_GRID:
-            ok = True
-            for t in ts:
-                if mu[g_h > t].sum() > C * mu[g_2b > t / C].sum():
-                    ok = False
-                    break
-            if ok:
-                best = C
-                break
-        per_field.append(best)
-        if best is None:
-            feasible = False
-        else:
-            worst = max(worst, best)
+        ts = _levels(g_h, 48)
+        lhs = _level_masses(mu, g_h, ts)
+        # the first constant that holds at every threshold
+        per_field.append(next((C for C in CONSTANT_GRID if not np.any(
+            lhs > C * _level_masses(mu, g_2b, ts / C))), None))
     ratio = None
     if profile_radii:
-        from coarsecalc.profiles import Backend, profile_in_balls
         ph = profile_in_balls(space, Backend.sup(h), 2,
                               list(profile_radii))
         p2b = profile_in_balls(space, Backend.sup(2.0 * b), 2,
@@ -521,10 +507,11 @@ def scale_reduction_check(space, b, h, fields,
         if keep.any():
             r = ph.values[keep] / p2b.values[keep]
             ratio = (float(r.min()), float(r.max()))
-    if not feasible:
+    if None in per_field:
         return ScaleReductionReport("no_constant", None, per_field, ratio,
                                     geo)
-    return ScaleReductionReport("ok", float(worst), per_field, ratio, geo)
+    return ScaleReductionReport("ok", float(max(per_field, default=1.0)),
+                                per_field, ratio, geo)
 
 
 # ----------------------------------------------------------------------
@@ -571,7 +558,6 @@ def profile_transfer_band(space, target, F, cert, p, h,
     if not cert.ok:
         raise ValueError(f"cannot transfer along a violated certificate: "
                          f"{cert.violation}")
-    from coarsecalc.profiles import Backend, isoperimetric_profile
 
     K = int(math.ceil(max(cert.C_r.values())))
     h_prime = 2.0 * cert.rho_plus_at(h)

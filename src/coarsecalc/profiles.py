@@ -689,13 +689,18 @@ def _jp_descent(space, backend, idx, p):
                     witness_field=best_f[r].copy())
 
 
+def _thin(vals, cap):
+    """cap entries of vals evenly spread from first to last, or all of
+    them when there are no more than cap."""
+    if vals.size > cap:
+        return vals[np.linspace(0, vals.size - 1, cap).astype(int)]
+    return vals
+
+
 def _radius_grid(d, cap=12):
     """Up to cap of the row's finite positive distances, evenly spread."""
     vals = np.unique(d[np.isfinite(d)])
-    vals = vals[vals > 0]
-    if vals.size > cap:
-        vals = vals[np.linspace(0, vals.size - 1, cap).astype(int)]
-    return vals
+    return _thin(vals[vals > 0], cap)
 
 
 # ----------------------------------------------------------------------
@@ -760,10 +765,7 @@ def candidate_subsets(space, backend=None):
         # last bits turn the eigenvector (0.58 on grid(2,4)) and the family
         _, V, _ = symmetric_eig(backend.vp.symmetric_matrix(), "LA", k=2)
         g = V[:, 0] / np.sqrt(space.measure)   # second eigenfield on L2(mu)
-        levels = np.unique(g)
-        if levels.size > 32:
-            levels = levels[np.linspace(0, levels.size - 1, 32).astype(int)]
-        for t in levels:
+        for t in _thin(np.unique(g), 32):
             push(np.flatnonzero(g <= t), f"sublevel({t:.3g})")
             push(np.flatnonzero(g > t), f"suplevel({t:.3g})")
 
@@ -780,12 +782,8 @@ def _balls(space, centers):
 
 
 def _strided_range(lo, hi, cap=12):
-    """Integers lo..hi inclusive, thinned to about cap values."""
-    vals = list(range(lo, hi + 1))
-    if len(vals) > cap:
-        pick = np.unique(np.linspace(0, len(vals) - 1, cap).astype(int))
-        vals = [vals[i] for i in pick]
-    return vals
+    """Integers lo..hi inclusive, thinned to cap values."""
+    return _thin(np.arange(lo, hi + 1), cap).tolist()
 
 
 # ----------------------------------------------------------------------

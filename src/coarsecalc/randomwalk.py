@@ -138,16 +138,16 @@ def on_diagonal(vp, x, n_grid) -> DecayCurve:
     if not n_grid or n_grid[0] < 0:
         raise ValueError("need a nonempty grid of steps >= 0")
     mu = vp.space.measure
-    dens = iterate(vp, x, n_grid[-1] if n_grid else 0)
+    n0 = n_grid[0]
+    dens = iterate(vp, x, max(n_grid[-1], 2 * n0))
     vals = np.array([float(np.sum(dens[n] ** 2 * mu)) for n in n_grid])
     if np.any(vals <= 0):
         raise ArithmeticError("return density vanished; kernel degenerate")
     if np.any(np.diff(vals) > 1e-12 * vals[:-1]):
         k = int(np.argmax(np.diff(vals) > 1e-12 * vals[:-1]))
         raise ArithmeticError(f"even-step decay not monotone at n={n_grid[k]}")
-    # independent cross-check at the smallest grid point
-    n0 = n_grid[0]
-    direct = iterate(vp, x, 2 * n0)[2 * n0, x]
+    # cross-check at n0 against the walk's own return density at 2 n0
+    direct = dens[2 * n0, x]
     if abs(direct - vals[0]) > 1e-10 * max(direct, vals[0], 1e-300):
         raise ArithmeticError(
             f"squared-density identity broke at n={n0}: {vals[0]!r} vs "

@@ -192,7 +192,7 @@ def random_geometric(n, seed) -> MetricMeasureSpace:
 def scale_metric(space, factor) -> MetricMeasureSpace:
     """Same point set and measure with every distance multiplied by factor."""
     factor = float(factor)
-    if factor <= 0:
+    if not factor > 0:
         raise ValueError(f"scale factor must be > 0, got {factor}")
     name = f"{space.name}*{factor:g}"
     meta = dict(space.meta)

@@ -3,9 +3,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from coarsecalc import calculus, cli, profiles, randomwalk, viewpoint, zoo
+from coarsecalc import (acceptance, calculus, cli, profiles, randomwalk,
+                        viewpoint, zoo)
 
 
 def _gen_space(tmp_path, name="space.json", family="path", **kw):
@@ -162,6 +164,24 @@ def test_accept_subcommand_runs_selected_criterion(tmp_path, capsys):
     with open(out / "00_accept.json") as fh:
         table = json.load(fh)
     assert table["passed"] is True
+
+
+def test_accept_table_writes_booleans_as_json_booleans(tmp_path,
+                                                       monkeypatch):
+    result = acceptance.CriterionResult(
+        3, "stub", True, 0.5, None,
+        {"plain": True, "numpy": np.bool_(True)},
+        {"flag": False, "count": 3, "ratio": np.float64(np.inf)})
+    monkeypatch.setattr(acceptance, "run_all", lambda cids: [result])
+    out = tmp_path / "run"
+    assert cli.run({"operations": [{"op": "accept", "criteria": [3]}]},
+                   out_dir=str(out)) == 0
+    with open(out / "00_accept.json") as fh:
+        row, = json.load(fh)["criteria"]
+    assert row["checks"] == {"plain": True, "numpy": True}
+    assert all(v is True for v in row["checks"].values())
+    assert row["details"] == {"flag": False, "count": 3, "ratio": "inf"}
+    assert row["details"]["flag"] is False
 
 
 def test_config_route_artifacts_are_reproducible(tmp_path):
@@ -784,6 +804,21 @@ def test_every_operation_has_a_run_case():
     assert sorted(RUN_CASES) == sorted(cli.OPS)
 
 
+@pytest.mark.parametrize("kind", ["sup", "lp", "viewpoint"])
+def test_grad_run_writes_the_library_gradient(tmp_path, kind):
+    out = tmp_path / "run"
+    assert cli.run({"space": PATH9, "kernel": LAZY, "operations": [
+        {"op": "grad", "field": FIELD, "kind": kind, "h": 2.0, "p": 3}]},
+        out_dir=str(out)) == 0
+    space, f = zoo.path(9), np.array(FIELD)
+    want = {"sup": lambda: calculus.grad_sup(space, f, 2.0),
+            "lp": lambda: calculus.grad_lp(space, f, 2.0, 3.0),
+            "viewpoint": lambda: calculus.grad_viewpoint(
+                randomwalk.lazy_srw(space, 1.0), f, 3.0)}[kind]()
+    with open(out / "00_grad.json") as fh:
+        assert json.load(fh) == want.tolist()
+
+
 @pytest.mark.parametrize("op,pointer,words", [
     ({"op": "energy_check", "fields": "file:nope.json"},
      "/operations/0/fields", "nope.json"),
@@ -832,9 +867,15 @@ def test_bad_spec_exits_2_with_pointer_and_manifest(tmp_path, capsys, op,
     ({"op": "profile", "p": "abc", "volumes": [2]}, "/p"),
     ({"op": "grad", "field": FIELD, "kind": "lp", "p": -1}, "/p"),
     ({"op": "laplacian", "field": FIELD, "p": "Infinity"}, "/p"),
+    ({"op": "profile", "p": math.nan, "volumes": [2]}, "/p"),
+    ({"op": "profile", "radii": [1, math.nan]}, "/radii/1"),
+    ({"op": "profile", "volumes": [math.nan]}, "/volumes/0"),
+    ({"op": "grad", "field": FIELD, "kind": "lp", "h": math.nan}, "/h"),
+    ({"op": "grad", "field": [0.0, math.nan], "kind": "lp"}, "/field/1"),
 ], ids=["strategy", "volumes_string", "volumes_item", "radii_negative",
         "rho_radii", "certify_radii", "pullback_radii", "p_zero", "p_half",
-        "p_word", "grad_p", "laplacian_p"])
+        "p_word", "grad_p", "laplacian_p", "p_nan", "radii_nan",
+        "volumes_nan", "grad_h_nan", "field_nan"])
 def test_bad_profile_key_exits_2_at_its_pointer(tmp_path, capsys, op,
                                                pointer):
     out = tmp_path / "run"
@@ -1002,8 +1043,9 @@ def test_random_field_count_must_be_a_positive_integer(tmp_path, capsys,
 @pytest.mark.parametrize("action,kind", [
     ("standard", "standard"), ("lazy", "lazy_srw"),
     ("random", "random_symmetric")])
-@pytest.mark.parametrize("h,seed", [(-1.0, 3), (0.0, 3), (1.0, None)],
-                         ids=["h_negative", "h_zero", "no_seed"])
+@pytest.mark.parametrize("h,seed", [(-1.0, 3), (0.0, 3), (math.nan, 3),
+                                   (1.0, None)],
+                         ids=["h_negative", "h_zero", "h_nan", "no_seed"])
 def test_viewpoint_actions_exit_as_a_config_kernel(run_dir, capsys, action,
                                                    kind, h, seed):
     argv = ["viewpoint", action, "--space", "space.json", "--h", str(h),
@@ -1018,7 +1060,7 @@ def test_viewpoint_actions_exit_as_a_config_kernel(run_dir, capsys, action,
     shot = capsys.readouterr().err
     assert cli.run(config, out_dir="run") == rc
     assert capsys.readouterr().err == shot
-    if h <= 0:
+    if not h > 0:
         assert rc == 2 and shot.startswith("config error at /kernel/h:")
     elif action == "random":
         assert rc == 2 and shot.startswith("config error at /seed:")

@@ -220,3 +220,184 @@ def test_transfer_band_requires_volume_constants():
     with pytest.raises(ValueError, match="volume constants"):
         coarse.profile_transfer_band(space, space, np.arange(12), cert,
                                      p=2, h=1.0)
+
+
+# ----------------------------------------------------------------------
+# the level-mass rule against the threshold loops it replaced
+
+
+def _l1_l2_loop_oracle(space, target, F, cert, f_target, h, p, q):
+    """(c_l1, C_l2, status, detail) by one threshold at a time."""
+    mu, mu_t = space.measure, target.measure
+    psi = coarse.pullback(space, f_target, F, h)
+    lhs_vals = psi ** p
+    rhs_vals = np.abs(f_target) ** p
+    ts = np.unique(rhs_vals[rhs_vals > 0])
+    if ts.size > 32:
+        ts = ts[np.linspace(0, ts.size - 1, 32).astype(int)]
+    c_l1 = np.inf
+    for t in ts:
+        den = mu_t[rhs_vals >= t].sum()
+        if den > 0:
+            c_l1 = min(c_l1, mu[lhs_vals >= t].sum() / den)
+    if not np.isfinite(c_l1):
+        c_l1 = 1.0
+
+    h_prime = 2.0 * cert.rho_plus_at(h)
+    status, detail = "ok", {}
+    g_psi = coarse.grad_sup(space, psi, h) ** q
+    g_f = coarse.grad_sup(target, f_target, h_prime) ** q if h_prime > 0 \
+        else np.zeros(target.n)
+    ts = np.unique(g_psi[g_psi > 0])
+    if ts.size > 32:
+        ts = ts[np.linspace(0, ts.size - 1, 32).astype(int)]
+    C_l2 = 1.0
+    for t in ts:
+        lhs = mu[g_psi > t].sum()
+        rhs = mu_t[g_f > t / 2.0].sum()
+        if lhs == 0:
+            continue
+        if rhs == 0:
+            status = "unbounded"
+            detail["l2_threshold"] = float(t)
+            C_l2 = np.inf
+            break
+        C_l2 = max(C_l2, lhs / rhs)
+    return float(c_l1), float(C_l2), status, detail
+
+
+def _scale_reduction_loop_oracle(space, b, h, fields):
+    """(status, best_C, per_field) by one constant and threshold at a
+    time."""
+    mu = space.measure
+    per_field, worst, feasible = [], 1.0, True
+    for f in fields:
+        g_h = coarse.grad_sup(space, f, h)
+        g_2b = coarse.grad_sup(space, f, 2.0 * b)
+        ts = np.unique(g_h[g_h > 0])
+        if ts.size > 48:
+            ts = ts[np.linspace(0, ts.size - 1, 48).astype(int)]
+        best = None
+        for C in coarse.CONSTANT_GRID:
+            ok = True
+            for t in ts:
+                if mu[g_h > t].sum() > C * mu[g_2b > t / C].sum():
+                    ok = False
+                    break
+            if ok:
+                best = C
+                break
+        per_field.append(best)
+        if best is None:
+            feasible = False
+        else:
+            worst = max(worst, best)
+    if not feasible:
+        return "no_constant", None, per_field
+    return "ok", float(worst), per_field
+
+
+def _transfer_pairs():
+    """(space, target, F, cert, h) for the benchmark's three shapes (an l1
+    grid onto its linf grid, an l2 grid and a stretched path onto their
+    nets) and a weighted path onto itself, long enough that both lemmas
+    thin their thresholds."""
+    out = []
+    X, Y = zoo.grid(2, 5, "l1"), zoo.grid(2, 5, "linf")
+    ident = np.arange(X.n)
+    out.append((X, Y, ident, coarse.certify_lse(X, Y, ident, (2.0, 4.0)),
+                1.0))
+    for src, h in ((zoo.grid(2, 5, "l2"), 1.25),
+                   (zoo.scale_metric(zoo.path(9), 2.0), 2.0)):
+        disc = coarse.discretize(src, h)
+        out.append((src, disc.graph, disc.assign, disc.certificate, h))
+    W = zoo.path(120).with_measure(
+        np.random.default_rng(4).uniform(0.5, 2.0, 120))
+    W2 = W.with_measure(W.measure)   # the same space, a second object
+    ident = np.arange(W.n)
+    out.append((W, W2, ident, coarse.certify_lse(W, W2, ident, (1.0, 2.0)),
+                1.0))
+    return out
+
+
+def _target_fields(n, seed):
+    rng = np.random.default_rng(seed)
+    ind = np.zeros(n)
+    ind[: max(1, n // 3)] = 1.0
+    return [rng.standard_normal(n), rng.uniform(0, 1, n) ** 3,
+            rng.integers(-2, 3, n).astype(float), ind,
+            np.where(rng.uniform(0, 1, n) < 0.5, 0.0, rng.exponential(1, n)),
+            np.zeros(n)]
+
+
+def _assert_same_transfer(space, target, F, cert, f, h, p, q):
+    rep = coarse.pullback_transfer_report(space, target, F, cert, f, h,
+                                          p=p, q=q)
+    got = (rep.c_l1, rep.C_l2, rep.status, rep.detail)
+    assert repr(got) == repr(_l1_l2_loop_oracle(space, target, F, cert, f,
+                                                h, p, q))
+    return rep
+
+
+def test_pullback_lemmas_match_threshold_loops():
+    statuses = set()
+    for k, (space, target, F, cert, h) in enumerate(_transfer_pairs()):
+        for f in _target_fields(target.n, k):
+            for p, q in ((2, 2), (1, 2), (3, 1)):
+                rep = _assert_same_transfer(space, target, F, cert, f, h,
+                                            p, q)
+                statuses.add(rep.status)
+        # a vanished field bounds nothing
+        rep = coarse.pullback_transfer_report(space, target, F, cert,
+                                              np.zeros(target.n), h)
+        assert (rep.c_l1, rep.C_l2) == (1.0, 1.0)
+    assert statuses == {"ok"}
+
+
+@pytest.mark.parametrize("factor", [0.0, 0.05, 0.5])
+def test_pullback_gradient_ceiling_shrunk_target_matches_loop(monkeypatch,
+                                                              factor):
+    # the target's gradient shrunk by factor: at 0 and 0.05 L2 stops at
+    # its first threshold whose target mass is 0 on every pair; at 0.5
+    # some ceilings stay finite above 1
+    grad_sup = coarse.grad_sup
+    ceilings = []
+    for k, (space, target, F, cert, h) in enumerate(_transfer_pairs()):
+        monkeypatch.setattr(coarse, "grad_sup", lambda s, f, r: (
+            factor if s is target else 1.0) * grad_sup(s, f, r))
+        reps = [_assert_same_transfer(space, target, F, cert, f, h, 2, 2)
+                for f in _target_fields(target.n, k)]
+        assert factor == 0.5 or any(r.status == "unbounded" for r in reps)
+        ceilings += [r.C_l2 for r in reps]
+    if factor == 0.5:
+        assert any(1.0 < c < np.inf for c in ceilings)
+
+
+# path(60) and grid(2, 9) have more than 48 thresholds
+SCALE_CASES = {
+    "path60": (zoo.path(60), 1.0, 3.0),
+    "grid2_6": (zoo.grid(2, 6), 1.0, 2.5),
+    "grid2_9": (zoo.grid(2, 9), 1.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_CASES))
+@pytest.mark.parametrize("factor", [None, 0.0, 0.3])
+def test_scale_reduction_matches_threshold_loop(monkeypatch, case, factor):
+    # factor shrinks the 2b gradient: 0 leaves no constant on the grid
+    space, b, h = SCALE_CASES[case]
+    if factor is not None:
+        grad_sup = coarse.grad_sup
+        monkeypatch.setattr(coarse, "grad_sup", lambda s, f, r: (
+            factor if r == 2.0 * b else 1.0) * grad_sup(s, f, r))
+    rng = np.random.default_rng(7)
+    fields = [rng.standard_normal(space.n), np.sin(np.arange(space.n)),
+              rng.integers(0, 4, space.n).astype(float),
+              rng.uniform(0, 1, space.n) ** 4, np.zeros(space.n),
+              # on grid(2, 9) its constant moves if the cap of 48 does
+              np.random.default_rng(29).exponential(1, space.n)]
+    rep = coarse.scale_reduction_check(space, b, h, fields)
+    want = _scale_reduction_loop_oracle(space, b, h, fields)
+    assert repr((rep.status, rep.best_C, rep.per_field)) == repr(want)
+    if factor == 0.0:
+        assert rep.status == "no_constant"

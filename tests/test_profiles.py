@@ -1210,6 +1210,63 @@ def test_candidate_subsets_read_one_distance_row_per_centre(monkeypatch):
             == [(s.indices.tobytes(), label, s.measure) for s, label in want]
 
 
+def _radius_grid_oracle(d, cap=12):
+    vals = np.unique(d[np.isfinite(d)])
+    vals = vals[vals > 0]
+    if vals.size > cap:
+        vals = vals[np.linspace(0, vals.size - 1, cap).astype(int)]
+    return vals
+
+
+def _strided_range_oracle(lo, hi, cap=12):
+    vals = list(range(lo, hi + 1))
+    if len(vals) > cap:
+        pick = np.unique(np.linspace(0, len(vals) - 1, cap).astype(int))
+        vals = [vals[i] for i in pick]
+    return vals
+
+
+def _levels_oracle(levels, cap):
+    # the eigenfield levels' own thinning, as candidate_subsets had it
+    if levels.size > cap:
+        levels = levels[np.linspace(0, levels.size - 1, cap).astype(int)]
+    return levels
+
+
+def test_thinned_grids_match_their_inline_copies():
+    for n in range(1, 200):
+        got = profiles._strided_range(3, n + 2)
+        assert got == _strided_range_oracle(3, n + 2)
+        assert all(type(v) is int for v in got)
+    rng = np.random.default_rng(0)
+    for d in (rng.integers(0, 40, 300).astype(float),
+              np.append(rng.uniform(0, 5, 50), [np.inf, 0.0]),
+              np.array([0.0, np.inf]), np.zeros(0)):
+        for cap in (1, 2, 10, 12):
+            assert profiles._radius_grid(d, cap).tobytes() == \
+                _radius_grid_oracle(d, cap).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["sup", "lp", "vp"])
+@pytest.mark.parametrize("make", [
+    lambda: zoo.grid(2, 5), lambda: zoo.grid(2, 17), lambda: zoo.grid(3, 4),
+    lambda: zoo.path(40), lambda: zoo.random_geometric(60, 1)],
+    ids=["grid2_5", "grid2_17", "grid3_4", "path40", "rgg60"])
+def test_candidate_family_matches_inline_thinning(monkeypatch, make, kind):
+    # members, labels and order as with the ball radii, box strides and
+    # eigenfield levels each thinned by its own copy of the rule
+    space = make()
+    backend = Backend.viewpoint(lazy_srw(space, 1.0)) if kind == "vp" else \
+        getattr(Backend, kind)(1.0)
+    got = profiles.candidate_subsets(space, backend)
+    monkeypatch.setattr(profiles, "_radius_grid", _radius_grid_oracle)
+    monkeypatch.setattr(profiles, "_strided_range", _strided_range_oracle)
+    monkeypatch.setattr(profiles, "_thin", _levels_oracle)
+    want = profiles.candidate_subsets(space, backend)
+    assert [(s.indices.tobytes(), label) for s, label in got] == \
+        [(s.indices.tobytes(), label) for s, label in want]
+
+
 def test_isoperimetric_profile_monotone():
     space = zoo.path(12)
     curve = profiles.isoperimetric_profile(space, Backend.sup(1.0), 1,

@@ -63,6 +63,30 @@ def test_on_diagonal_pinned_first_step():
     assert np.all(np.diff(curve.values) <= 1e-15)
 
 
+@pytest.mark.parametrize("steps,walk", [([1, 2, 3], 3), ([3, 4], 6),
+                                        ([0, 5], 5)])
+def test_on_diagonal_walks_once(monkeypatch, steps, walk):
+    # one walk reaches both the grid's end and the cross-check's 2 n0
+    vp = lazy_srw(zoo.grid(2, 3), 1.0)
+    calls = []
+    monkeypatch.setattr(randomwalk, "iterate", lambda vp, x, n: (
+        calls.append(n) or iterate(vp, x, n)))
+    curve = on_diagonal(vp, 4, steps)
+    assert calls == [walk]
+    dens = iterate(vp, 4, walk)
+    assert curve.values.tolist() == [
+        float(np.sum(dens[n] ** 2 * vp.space.measure)) for n in steps]
+
+    # the cross-check reads the walk's row 2 n0
+    def bent(vp, x, n):
+        out = iterate(vp, x, n)
+        out[2 * steps[0], x] *= 1.01
+        return out
+    monkeypatch.setattr(randomwalk, "iterate", bent)
+    with pytest.raises(ArithmeticError, match="squared-density identity"):
+        on_diagonal(vp, 4, steps)
+
+
 def test_on_diagonal_requires_symmetry():
     space = zoo.path(5).with_measure(np.array([2.0, 1, 1, 1, 1]))
     from coarsecalc.viewpoint import standard_viewpoint

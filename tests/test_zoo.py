@@ -104,6 +104,9 @@ def test_scale_metric():
     s = zoo.scale_metric(zoo.path(5), 2.0)
     assert s.dist(0, 4) == pytest.approx(8.0)
     np.testing.assert_allclose(s.measure, 1.0)
+    for factor in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="scale factor must be > 0"):
+            zoo.scale_metric(zoo.path(5), factor)
 
 
 def test_generate_dispatch():
@@ -214,6 +217,8 @@ PARITY_SPECS = [spec for spec, _ in BAD_SPECS] + [
     {"family": "grid", "L": 1},
     # a flag's value is a float, so the config's is one too
     {"family": "grid", "L": 3, "scale": -2.0},
+    # NaN passes the schema's bound, and is refused after it
+    {"family": "path", "n": 5, "scale": float("nan")},
 ]
 
 
