@@ -189,6 +189,7 @@ def validate_config(doc):
 
     ops = []
     for i, op in enumerate(doc["operations"]):
+        _check(_OP_SCHEMAS[op["op"]], op, f"/operations/{i}")
         if op["op"] == "spectral_radius" and "center" in op \
                 and "radii" not in op:
             raise ConfigError(f"/operations/{i}/center", "center needs radii")
@@ -313,35 +314,42 @@ def _build_kernel(spec, space, base, rng):
                           str(exc)) from None
 
 
-def _read_json(path, pointer):
-    """The JSON document at path; one that cannot be read is a
-    ConfigError at pointer."""
+def _read_json(path, pointer, schema=None):
+    """The JSON document at path; one that cannot be read, or that fails
+    the schema of the key naming it, is a ConfigError at pointer."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ConfigError(pointer, str(exc)) from None
+    if schema is not None:
+        _check(schema, doc, pointer)
+    return doc
 
 
-def _fields(ctx, op, key, nonneg=False):
+def _fields(ctx, op, key, space=None):
     """Field list op[key] names: 'random:N', 'file:path', or an inline
-    array."""
+    array, on space (the run's space by default)."""
     spec, pointer = op[key], f"{ctx.op_pointer}/{key}"
+    n = (space or ctx.need_space()).n
     if isinstance(spec, str) and spec.startswith("random:"):
         k = spec.split(":", 1)[1]
         if not k.isdecimal() or int(k) == 0:
             raise ConfigError(pointer, f"bad field spec {spec!r}: N must be "
                                        f"a positive integer")
-        n = ctx.need_space().n
         out = [ctx.need_rng().standard_normal(n) for _ in range(int(k))]
     else:
         if isinstance(spec, str) and spec.startswith("file:"):
-            spec = _read_json(ctx.resolve(spec.split(":", 1)[1]), pointer)
+            spec = _read_json(ctx.resolve(spec.split(":", 1)[1]), pointer,
+                              _FIELD_VALUES)
         elif not isinstance(spec, list):
             raise ConfigError(pointer, f"bad field spec {spec!r}")
         rows = [spec] if spec and not isinstance(spec[0], list) else spec
         out = [np.asarray(row, dtype=float) for row in rows]
-    return [np.abs(f) for f in out] if nonneg else out
+        if any(f.shape != (n,) for f in out):
+            raise ConfigError(pointer, f"a field needs one value for each "
+                                       f"of the {n} points")
+    return out
 
 
 def _phi(ctx, op):
@@ -351,8 +359,7 @@ def _phi(ctx, op):
     kind, _, rest = str(spec).partition(":")
     try:
         if kind in ("power", "log_power"):
-            return getattr(RateFunction, kind)(
-                *[float(x) for x in rest.split(",")])
+            return getattr(RateFunction, kind)(*_spec_numbers(rest))
         if kind == "tabulated":
             doc = _read_json(ctx.resolve(rest), pointer)
             return RateFunction.tabulated(doc["args"], doc["values"])
@@ -368,7 +375,11 @@ def _backend(ctx, op):
     kind, _, rest = str(spec).partition(":")
     try:
         if kind in ("sup", "lp"):
-            return getattr(Backend, kind)(float(rest))
+            h, = _spec_numbers(rest)
+            if h < 0 or kind == "lp" and h == 0:
+                raise ValueError(f"the {kind} scale must be "
+                                 f"{'>= 0' if kind == 'sup' else '> 0'}")
+            return getattr(Backend, kind)(h)
         if kind == "vp":
             if rest:
                 vp = viewpoint.load_viewpoint(ctx.resolve(rest),
@@ -380,6 +391,15 @@ def _backend(ctx, op):
         raise ConfigError(pointer,
                           f"bad backend spec {spec!r}: {exc}") from None
     raise ConfigError(pointer, f"bad backend spec {spec!r}")
+
+
+def _spec_numbers(text):
+    """The comma-separated numbers of a spec; a non-finite one is a
+    ValueError, since NaN passes every bound a rate or backend sets."""
+    nums = [float(x) for x in text.split(",")]
+    if not all(map(math.isfinite, nums)):
+        raise ValueError("numbers must be finite")
+    return nums
 
 
 def _steps(spec):
@@ -396,16 +416,20 @@ def _target_map(ctx, op, certify=True):
     space = ctx.need_space()
     target = _build_space(op["target"], ctx.base, f"{ctx.op_pointer}/target")
     spec, pointer = op["map"], f"{ctx.op_pointer}/map"
+    if isinstance(spec, str) and spec.startswith("file:"):
+        spec = _read_json(ctx.resolve(spec.split(":", 1)[1]), pointer,
+                          _INDICES)
     if spec == "identity":
         if space.n != target.n:
             raise ConfigError(pointer,
                               "identity map needs equal point counts")
         F = np.arange(space.n)
-    elif isinstance(spec, str) and spec.startswith("file:"):
-        F = np.asarray(_read_json(ctx.resolve(spec.split(":", 1)[1]),
-                                  pointer), dtype=np.int64)
     elif isinstance(spec, list):
         F = np.asarray(spec, dtype=np.int64)
+        if F.shape != (space.n,) or F.min() < 0 or F.max() >= target.n:
+            raise ConfigError(pointer, f"a map needs one of the target's "
+                                       f"{target.n} points for each of the "
+                                       f"{space.n} points")
     else:
         raise ConfigError(pointer, f"bad map spec {spec!r}")
     cert = coarse.certify_lse(space, target, F,
@@ -445,7 +469,7 @@ def _op_energy_check(ctx, op):
 def _op_coarea_check(ctx, op):
     space = ctx.need_space()
     h = float(op["h"])
-    fields = _fields(ctx, op, "fields", nonneg=True)
+    fields = [np.abs(f) for f in _fields(ctx, op, "fields")]
     rows = []
     for i, f in enumerate(fields):
         lo, mid, up = calculus.coarea(space, f, h)
@@ -513,7 +537,7 @@ def _op_laplacian(ctx, op):
 
 def _op_profile(ctx, op):
     space, b, p = ctx.need_space(), _backend(ctx, op), float(op["p"])
-    if "radii" in op:
+    if op["radii"] is not None:
         curve = profiles.profile_in_balls(space, b, p, op["radii"])
     else:
         curve = profiles.isoperimetric_profile(space, b, p, op["volumes"],
@@ -658,14 +682,14 @@ def _op_nash_from_decay(ctx, op):
 def _op_spectral_radius(ctx, op):
     vp = ctx.need_kernel()
     space = ctx.need_space()
-    if "radii" in op:
+    if op["radii"] is not None:
         rhos = randomwalk.exhaustion_radii(vp, [
             space.ball(int(op["center"]), float(r)) for r in op["radii"]])
         ctx.emit_csv(["radius", "rho"],
                      list(zip([float(r) for r in op["radii"]], rhos)),
                      "compressed spectral radii along a ball exhaustion")
         return None
-    if "subset" in op:
+    if op["subset"] is not None:
         rho, residual = randomwalk.dirichlet_spectral_radius(vp,
                                                              op["subset"])
     else:
@@ -700,7 +724,7 @@ def _op_discretize(ctx, op):
 
 def _op_pullback_transfer(ctx, op):
     space, target, F, cert = _target_map(ctx, op)
-    f_target = _fields(ctx, op, "field")[0]
+    f_target = _fields(ctx, op, "field", space=target)[0]
     rep = coarse.pullback_transfer_report(
         space, target, F, cert, f_target, float(op["h"]),
         p=float(op["p"]), q=float(op["q"]))
@@ -712,7 +736,7 @@ def _op_pullback_transfer(ctx, op):
 def _op_transfer_band(ctx, op):
     # the band reads the certificate's volume constants, which certify_lse
     # measures only over a radius grid
-    if not op.get("radii"):
+    if not op["radii"]:
         raise ConfigError(f"{ctx.op_pointer}/radii",
                           "transfer_band needs a nonempty radii grid")
     space, target, F, cert = _target_map(ctx, op)
@@ -817,7 +841,9 @@ def _ints(text):
 class Op:
     """One operation: its handler, the keys it cannot run without, the
     values of the keys it may leave out and, for a one-shot action, the
-    command, the action word and the flags that fill its keys."""
+    command, the action word and the flags that fill its keys. Its needs
+    and defaults are all the keys it takes: a default of None marks a key
+    read only when given."""
     handler: object
     needs: tuple = ()
     defaults: dict = dataclass_field(default_factory=dict)
@@ -857,7 +883,8 @@ OPS = {
                             (_FIELDS, ("--q", "q", None, _FLOAT),
                              ("--q2", "q2", None, _FLOAT))),
     "profile": Op(_op_profile, (),
-                  {"backend": "sup:1", "p": 2, "strategy": "candidates"},
+                  {"backend": "sup:1", "p": 2, "strategy": "candidates",
+                   "volumes": None, "radii": None},
                   "profile", "jp",
                   (_P, ("--backend", "backend", None, {}),
                    ("--volumes", "volumes", _floats, _REQUIRED))),
@@ -890,7 +917,8 @@ OPS = {
                            "walk", "compare",
                            (("--phi", "phi", None, _REQUIRED), _N_MAX,
                             ("--centers", "centers", _ints, {}))),
-    "spectral_radius": Op(_op_spectral_radius, (), {"center": 0},
+    "spectral_radius": Op(_op_spectral_radius, (),
+                          {"center": 0, "radii": None, "subset": None},
                           "walk", "rho",
                           (("--center", "center", None, _INT),
                            ("--radii", "radii", _floats, {}))),
@@ -903,7 +931,7 @@ OPS = {
                           (_FIELD, _P, _H)),
     "transfer_band": Op(_op_transfer_band, ("target",),
                         {"map": "identity", "p": 2, "h": 1.0,
-                         "volumes": None},
+                         "volumes": None, "radii": None},
                         "coarse", "band",
                         _TARGET + (_P, ("--volumes", "volumes", _floats, {}),
                                    _H)),
@@ -928,20 +956,46 @@ OPS = {
 _INDICES = {"type": "array", "items": {"type": "integer"}}
 _FAMILY_SCHEMA = {"anyOf": [{"enum": ["all", "balls"]},
                             {"type": "array", "items": _INDICES}]}
-# keys several operations share; J_p is defined for 1 <= p <= inf ("inf")
+# one field or a list of fields, inline or in the file a field spec names
+_FIELD_VALUES = {"type": "array", "items": {"type": ["number", "array"],
+                                            "items": {"type": "number"}}}
+_NUMBER, _POINT = {"type": "number"}, {"type": "integer", "minimum": 0}
+# J_p is defined for 1 <= p <= inf ("inf")
+_EXPONENT = {"anyOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]}
+# the types of the keys operations take; a key not named here takes any
+# value
 _OP_KEYS = {"target": _SPACE_SCHEMA, "family": _FAMILY_SCHEMA,
-            "p": {"anyOf": [{"type": "number", "minimum": 1},
-                            {"const": "inf"}]},
+            "p": _EXPONENT, "q": _EXPONENT, "q2": _EXPONENT,
+            "h": _NUMBER, "b": _NUMBER, "u": _NUMBER,
+            "x": _POINT, "center": _POINT,
             "strategy": {"enum": ["candidates", "exact"]},
-            "volumes": {"type": "array", "items": {"type": "number"}},
+            "volumes": {"type": "array", "items": _NUMBER},
             "radii": {"type": "array",
-                      "items": {"type": "number", "minimum": 0}}}
+                      "items": {"type": "number", "minimum": 0}},
+            "field": {"anyOf": [{"type": "string"}, _FIELD_VALUES]},
+            "fields": {"anyOf": [{"type": "string"}, _FIELD_VALUES]},
+            "map": {"anyOf": [{"type": "string"}, _INDICES]},
+            # walk steps, rate arguments: a list, or a range to expand
+            "n": {"type": ["array", "object"], "items": {"type": "integer"},
+                  "properties": dict.fromkeys(("start", "max", "step"),
+                                              {"type": "integer"}),
+                  "additionalProperties": False},
+            "t": {"type": ["array", "object"], "items": _NUMBER,
+                  "properties": {"min": _NUMBER, "max": _NUMBER,
+                                 "count": {"type": "integer", "minimum": 1}},
+                  "additionalProperties": False},
+            "criteria": {"anyOf": [_INDICES, {"type": "null"}]}}
 
-
-def _when(name, clause):
-    return {"if": {"required": ["op"], "properties": {"op": {"const": name}}},
-            "then": clause}
-
+# each operation takes its op, its needs and its defaults, and no other key
+_OP_SCHEMAS = {name: {"required": list(spec.needs),
+                      "properties": {"op": {"const": name},
+                                     **{key: _OP_KEYS.get(key, {}) for key
+                                        in (*spec.needs, *spec.defaults)}},
+                      "additionalProperties": False}
+               for name, spec in OPS.items()}
+# profile needs volumes unless it has radii
+_OP_SCHEMAS["profile"].update({"if": {"not": {"required": ["radii"]}},
+                               "then": {"required": ["volumes"]}})
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -960,14 +1014,7 @@ CONFIG_SCHEMA = {
             "minItems": 1,
             "items": {"type": "object",
                       "required": ["op"],
-                      "properties": {"op": {"enum": sorted(OPS)},
-                                     **_OP_KEYS},
-                      "allOf": [_when(name, {"required": list(spec.needs)})
-                                for name, spec in OPS.items() if spec.needs]
-                      # profile needs volumes unless it has radii
-                      + [_when("profile", {
-                          "if": {"not": {"required": ["radii"]}},
-                          "then": {"required": ["volumes"]}})]},
+                      "properties": {"op": {"enum": sorted(OPS)}}},
         },
     },
     "additionalProperties": False,
@@ -1167,10 +1214,16 @@ def _cmd_zoo(args):
         print(f"{space.name}: {space.n} points, total measure "
               f"{space.total_measure:g} -> {args.out}")
         return 0
+    flags = {"scales": _floats(args.scales)}
+    if args.b is not None:
+        flags["b"] = args.b
+    positive = {"type": "number", "exclusiveMinimum": 0}
+    _check({"properties": {"scales": {"items": positive}, "b": positive}},
+           flags)
     space = _build_space({"file": args.space}, ".", "/space")
     print(f"{space.name}: {space.n} points, total measure "
           f"{space.total_measure:g}")
-    for rep in doubling_profile(space, _floats(args.scales)):
+    for rep in doubling_profile(space, flags["scales"]):
         print(f"  doubling at r={rep.r:g}: C={rep.constant:.6g} "
               f"(worst point {rep.worst_point})")
     if args.b is not None:
@@ -1261,7 +1314,8 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         if args.tol_overrides:
             cfg.setdefault("tolerances", {}).update(
-                _read_json(args.tol_overrides, "/tolerances"))
+                _read_json(args.tol_overrides, "/tolerances",
+                           CONFIG_SCHEMA["properties"]["tolerances"]))
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2

@@ -136,6 +136,13 @@ def validate(space, dens, h) -> Union[Certificate, Violation]:
     """
     dens = csr_matrix(dens)
     dens.eliminate_zeros()
+    # NaN passes both the sign and the row-sum tests below
+    finite = np.isfinite(dens.data)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        row = int(np.searchsorted(dens.indptr, bad, side="right")) - 1
+        raise ValueError(f"row {row} has a non-finite density "
+                         f"{dens.data[bad]}")
     if np.any(dens.data < 0):
         bad = int(np.argmax(dens.data < 0))
         raise ValueError(f"kernel has a negative density {dens.data[bad]}")

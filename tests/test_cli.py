@@ -40,6 +40,45 @@ def test_zoo_info_reports_doubling(tmp_path, capsys):
     assert "b-geodesic" in out
 
 
+@pytest.mark.parametrize("flags,pointer", [
+    (["--scales", "nan"], "/scales/0"), (["--scales", "-1"], "/scales/0"),
+    (["--scales", "1,0"], "/scales/1"), (["--scales", "1", "--b", "nan"],
+                                         "/b"),
+    (["--b", "-1"], "/b")],
+    ids=["scale_nan", "scale_negative", "scale_zero", "b_nan", "b_negative"])
+def test_zoo_info_checks_its_flags(tmp_path, capsys, flags, pointer):
+    sp = _gen_space(tmp_path, family="path", n=5)
+    capsys.readouterr()
+    assert cli.main(["zoo", "info", "--space", str(sp)] + flags) == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith(f"config error at {pointer}:")
+    assert cap.out == ""
+
+
+def test_kernel_with_a_nan_density_is_refused(tmp_path, capsys):
+    # NaN once passed the sign and row-sum tests: the kernel loaded with
+    # floor c = inf
+    sp = _gen_space(tmp_path, family="path", n=5)
+    vp = tmp_path / "vp.json"
+    assert cli.main(["viewpoint", "lazy", "--space", str(sp), "--h", "1",
+                     "--out", str(vp)]) == 0
+    doc = json.loads(vp.read_text())
+    doc["rows"][2]["density"][0] = math.nan
+    vp.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(["viewpoint", "check", "--space", str(sp),
+                     "--vp", str(vp)]) == 1
+    message = "row 2 has a non-finite density nan"
+    assert capsys.readouterr().err == f"invalid kernel: {message}\n"
+    out = tmp_path / "run"
+    assert cli.run({"space": {"file": str(sp)},
+                    "kernel": {"kind": "file", "path": str(vp)},
+                    "operations": [{"op": "decay"}]}, out_dir=str(out)) == 2
+    assert capsys.readouterr().err == \
+        f"config error at /kernel/path: {message}\n"
+    assert not out.exists()
+
+
 def test_viewpoint_build_then_check(tmp_path, capsys):
     sp = _gen_space(tmp_path, family="grid", d=2, L=3)
     vp = tmp_path / "vp.json"
@@ -804,6 +843,24 @@ def test_every_operation_has_a_run_case():
     assert sorted(RUN_CASES) == sorted(cli.OPS)
 
 
+@pytest.mark.parametrize("name", sorted(RUN_CASES))
+def test_every_operation_refuses_a_misspelt_key(tmp_path, capsys, name):
+    # the passing case with one of the operation's keys misspelt, which
+    # was once dropped for its default
+    top, op, _ = RUN_CASES[name]
+    spec = cli.OPS[name]
+    key = (*spec.needs, *spec.defaults)[0]
+    typo = key + key[-1]
+    out = tmp_path / "run"
+    rc = cli.run(dict(top, operations=[dict(op, op=name, **{typo: 1})]),
+                 out_dir=str(out))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("config error at /operations/0: ")
+    assert f"{typo!r} was unexpected" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["sup", "lp", "viewpoint"])
 def test_grad_run_writes_the_library_gradient(tmp_path, kind):
     out = tmp_path / "run"
@@ -836,9 +893,24 @@ def test_grad_run_writes_the_library_gradient(tmp_path, kind):
      "nonempty radii"),
     ({"op": "transfer_band", "target": PATH9, "radii": []},
      "/operations/0/radii", "nonempty radii"),
+    ({"op": "profile", "backend": "sup:nan", "volumes": [2]},
+     "/operations/0/backend", "'sup:nan': numbers must be finite"),
+    ({"op": "profile", "backend": "sup:-1", "volumes": [2]},
+     "/operations/0/backend", "'sup:-1': the sup scale must be >= 0"),
+    ({"op": "profile", "backend": "lp:inf", "volumes": [2]},
+     "/operations/0/backend", "'lp:inf': numbers must be finite"),
+    ({"op": "profile", "backend": "lp:-1", "volumes": [2]},
+     "/operations/0/backend", "'lp:-1': the lp scale must be > 0"),
+    ({"op": "profile", "backend": "lp:0", "volumes": [2]},
+     "/operations/0/backend", "'lp:0': the lp scale must be > 0"),
+    ({"op": "gamma", "phi": "power:nan"}, "/operations/0/phi",
+     "'power:nan': numbers must be finite"),
+    ({"op": "gamma", "phi": "log_power:1,inf"}, "/operations/0/phi",
+     "'log_power:1,inf': numbers must be finite"),
 ], ids=["fields_file", "map_file", "phi_file", "phi_number", "phi_kind",
         "backend_number", "backend_file", "band_no_radii",
-        "band_empty_radii"])
+        "band_empty_radii", "sup_nan", "sup_negative", "lp_inf",
+        "lp_negative", "lp_zero", "power_nan", "log_power_inf"])
 def test_bad_spec_exits_2_with_pointer_and_manifest(tmp_path, capsys, op,
                                                    pointer, words):
     out = tmp_path / "run"
@@ -849,6 +921,56 @@ def test_bad_spec_exits_2_with_pointer_and_manifest(tmp_path, capsys, op,
     assert err.startswith(f"config error at {pointer}:") and words in err
     man = _manifest(out)
     assert man["passed"] is False and man["operations"] == []
+    assert man["config_error"]["pointer"] == pointer
+
+
+# a file a key names holds what the key could hold inline, and both must
+# fit the space: the operation, the file's text (None: no file), and where
+# and how the run stops
+PATH4 = {"family": "path", "n": 4}
+
+
+@pytest.mark.parametrize("op,text,pointer,words", [
+    ({"op": "grad", "field": "file:data.json"},
+     "[0, NaN, 1, 2, 3, 4, 5, 6, 7]", "/field/1", "NaN is not a valid"),
+    ({"op": "energy_check", "fields": "file:data.json"}, '["0"]',
+     "/fields/0", "'0' is not of type 'number', 'array'"),
+    ({"op": "grad", "field": "file:data.json"}, "[0, 1, 2]", "/field",
+     "each of the 9 points"),
+    ({"op": "grad", "field": [0, 1, 2]}, None, "/field",
+     "each of the 9 points"),
+    ({"op": "energy_check", "fields": [FIELD, [1.0]]}, None, "/fields",
+     "each of the 9 points"),
+    ({"op": "pullback_transfer", "target": PATH4,
+      "map": [0, 0, 1, 1, 2, 2, 3, 3, 3], "field": FIELD}, None, "/field",
+     "each of the 4 points"),
+    ({"op": "certify", "target": PATH9, "map": "file:data.json"},
+     "[0, 1.5, 2, 3, 4, 5, 6, 7, 8]", "/map/1", "1.5 is not of type"),
+    ({"op": "certify", "target": PATH9, "map": "file:data.json"},
+     '"identity"', "/map", "'identity' is not of type 'array'"),
+    ({"op": "certify", "target": PATH9, "map": "file:data.json"},
+     "[0, 1, 2, 3, 4, 5, 6, 7, 9]", "/map", "target's 9 points"),
+    ({"op": "rough_volume", "target": PATH4, "A": [1], "A_target": [1],
+      "u": 1.0, "map": [0, 0, 1, 1, 2, 2, 3, 3, -1]}, None, "/map",
+     "target's 4 points"),
+    ({"op": "certify", "target": PATH9, "map": [0, 1, 2]}, None, "/map",
+     "each of the 9 points"),
+], ids=["field_nan", "fields_word", "field_file_short", "field_short",
+        "fields_one_short", "pullback_field_on_target", "map_fraction",
+        "map_identity_word", "map_past_end", "map_negative", "map_short"])
+def test_named_file_is_checked_like_its_inline_value(tmp_path, capsys, op,
+                                                     text, pointer, words):
+    if text is not None:
+        (tmp_path / "data.json").write_text(text)
+    out = tmp_path / "run"
+    rc = cli.run({"space": PATH9, "kernel": LAZY, "operations": [
+        {"op": "cheeger"}, op]}, out_dir=str(out), base_dir=str(tmp_path))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    pointer = f"/operations/1{pointer}"
+    assert err.startswith(f"config error at {pointer}:") and words in err
+    man = _manifest(out)
+    assert man["operations"] == [{"op": "cheeger", "outcome": "info"}]
     assert man["config_error"]["pointer"] == pointer
 
 
@@ -872,10 +994,35 @@ def test_bad_spec_exits_2_with_pointer_and_manifest(tmp_path, capsys, op,
     ({"op": "profile", "volumes": [math.nan]}, "/volumes/0"),
     ({"op": "grad", "field": FIELD, "kind": "lp", "h": math.nan}, "/h"),
     ({"op": "grad", "field": [0.0, math.nan], "kind": "lp"}, "/field/1"),
+    ({"op": "decay", "n": {"max": 8, "stpe": 2}}, "/n"),
+    ({"op": "decay", "n": [2, 4.5]}, "/n/1"),
+    ({"op": "nash_from_decay", "n": "64"}, "/n"),
+    ({"op": "gamma", "phi": "power:1", "t": {"min": 1, "count": 0}},
+     "/t/count"),
+    ({"op": "gamma", "phi": "power:1", "t": {"min": 1, "cnt": 5}}, "/t"),
+    ({"op": "gamma", "phi": "power:1", "t": [1, "2"]}, "/t/1"),
+    ({"op": "decay", "x": 0.5}, "/x"),
+    ({"op": "decay", "x": -1}, "/x"),
+    ({"op": "spectral_radius", "center": 1.5, "radii": [1]}, "/center"),
+    ({"op": "cheeger", "h": "abc"}, "/h"),
+    ({"op": "scale_reduction", "b": "1", "h": 2.0}, "/b"),
+    ({"op": "rough_volume", "target": PATH9, "A": [3], "A_target": [4],
+      "u": None}, "/u"),
+    ({"op": "gradient_sandwich", "q": 0.5}, "/q"),
+    ({"op": "gradient_sandwich", "q2": "abc"}, "/q2"),
+    ({"op": "accept", "criteria": [1.5]}, "/criteria/0"),
+    ({"op": "accept", "criteria": "1,4"}, "/criteria"),
+    ({"op": "certify", "target": PATH9, "map": [0, 1.5, 2, 3, 4, 5, 6, 7,
+                                                8]}, "/map/1"),
+    ({"op": "grad", "field": ["0", 1.0], "kind": "lp"}, "/field/0"),
 ], ids=["strategy", "volumes_string", "volumes_item", "radii_negative",
         "rho_radii", "certify_radii", "pullback_radii", "p_zero", "p_half",
         "p_word", "grad_p", "laplacian_p", "p_nan", "radii_nan",
-        "volumes_nan", "grad_h_nan", "field_nan"])
+        "volumes_nan", "grad_h_nan", "field_nan", "n_misspelt", "n_item",
+        "n_string", "t_count_zero", "t_misspelt", "t_item", "x_fraction",
+        "x_negative", "center_fraction", "h_word", "b_string", "u_null",
+        "q_half", "q2_word", "criteria_item", "criteria_string",
+        "map_fraction", "field_string"])
 def test_bad_profile_key_exits_2_at_its_pointer(tmp_path, capsys, op,
                                                pointer):
     out = tmp_path / "run"

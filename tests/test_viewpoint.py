@@ -50,6 +50,15 @@ def test_validate_raises_on_negative_density(path6):
         validate(path6, csr_matrix(dens), 1.0)
 
 
+def test_validate_raises_on_nan_density(path6):
+    # NaN compares false with 0 and sums to NaN, which no tolerance flags
+    vp = standard_viewpoint(path6, 1.0)
+    dens = vp.dens.toarray()
+    dens[3, 2] = np.nan
+    with pytest.raises(ValueError, match="row 3 has a non-finite density"):
+        validate(path6, csr_matrix(dens), 1.0)
+
+
 def test_validate_raises_on_mass_defect(path6):
     vp = standard_viewpoint(path6, 1.0)
     dens = vp.dens.toarray() * 0.9
