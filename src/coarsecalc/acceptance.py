@@ -24,7 +24,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from coarsecalc import calculus, coarse, profiles, randomwalk, viewpoint, zoo
 from coarsecalc.profiles import Backend, RateFunction
-from coarsecalc.space import boundary as boundary_at_scale
+from coarsecalc.space import boundary_measures
 
 # ----------------------------------------------------------------------
 # frozen reference values
@@ -359,20 +359,18 @@ def criterion_6():
     # --- Cheeger trends: tree balls stay expander-like, boxes do not
     tree = zoo.regular_tree(4, 8)
     fam = [tree.subset(tree.ball(0, k)) for k in range(1, 8)]
-    tree_ratios = [boundary_at_scale(tree, a, 1.0).measure / a.measure
-                   for a in fam]
+    tree_ratios = (boundary_measures(tree, (a.mask() for a in fam), 1.0)
+                   / [a.measure for a in fam]).tolist()
     checks["tree_cheeger_floor"] = min(tree_ratios) >= 0.5
     details["tree_cheeger_min"] = min(tree_ratios)
 
     box = zoo.grid(2, 64)
     coords = box.meta["coords"]
-    vols, ratios = [], []
-    for side in (4, 8, 16, 32):
-        off = (64 - side) // 2
-        inside = np.all((coords >= off) & (coords < off + side), axis=1)
-        sub = box.subset(np.flatnonzero(inside))
-        vols.append(sub.measure)
-        ratios.append(boundary_at_scale(box, sub, 1.0).measure / sub.measure)
+    # the centred boxes of side 4, 8, 16 and 32
+    inside = [np.all((coords >= (64 - s) // 2) & (coords < (64 + s) // 2),
+                     axis=1) for s in (4, 8, 16, 32)]
+    vols = [box.subset(np.flatnonzero(m)).measure for m in inside]
+    ratios = (boundary_measures(box, inside, 1.0) / vols).tolist()
     box_slope = _loglog_slope(vols, ratios)
     checks["box_cheeger_slope"] = abs(box_slope + 0.5) <= 0.15
     checks["box_cheeger_to_zero"] = ratios[-1] < ratios[0]

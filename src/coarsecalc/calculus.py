@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dsyevd
 from scipy.sparse import csr_matrix, diags, issparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
-from coarsecalc.space import boundary, doubling_profile
+from coarsecalc.space import boundary_measures, doubling_profile
 from coarsecalc.viewpoint import apply as vp_apply, is_symmetric, \
     standard_viewpoint
 
@@ -251,6 +251,7 @@ def coarea(space, f, h):
     T = sum over consecutive distinct values v_{i-1} < v_i of f of
     (v_i - v_{i-1}) * mu(boundary_h {f >= v_i}), which is the exact integral
     of t -> mu(boundary_h {f >= t}) because f takes finitely many values.
+    The level sets go through ``space.boundaries`` together.
     """
     f = _check_field(space, f)
     if np.any(f < 0):
@@ -258,9 +259,9 @@ def coarea(space, f, h):
     mid = float(np.sum(grad_sup(space, f, h) * space.measure))
     vals = np.unique(f)
     T = 0.0
-    for i in range(1, vals.size):
-        level = np.flatnonzero(f >= vals[i])
-        T += (vals[i] - vals[i - 1]) * boundary(space, level, h).measure
+    levels = (f >= v for v in vals[1:])
+    for step, b in zip(np.diff(vals), boundary_measures(space, levels, h)):
+        T += step * b
     lower, upper = T / 2.0, T
     tol = 1e-12 * max(1.0, upper)
     if not (lower <= mid + tol and mid <= upper + tol):

@@ -830,11 +830,19 @@ def _op_accept(ctx, op):
 
 
 def _floats(text):
-    return [float(x) for x in text.split(",") if x]
+    return [_number(float, x) for x in text.split(",") if x]
 
 
 def _ints(text):
-    return [int(x) for x in text.split(",") if x]
+    return [_number(int, x) for x in text.split(",") if x]
+
+
+def _number(kind, text):
+    """text as a kind, or as given for the schema to refuse at its key."""
+    try:
+        return kind(text)
+    except ValueError:
+        return text
 
 
 @dataclass(frozen=True)
@@ -864,13 +872,14 @@ _TARGET = (("--target", "target", lambda path: {"file": path}, _REQUIRED),
             lambda path: path if path == "identity" else f"file:{path}", {}),
            ("--radii", "radii", _floats, {}))
 _N_MAX = ("--n-max", "n", lambda n: {"max": n}, _INT)
+# the gradients grad reads, one per Backend kind
+_BACKEND_KINDS = ["sup", "lp", "viewpoint"]
 
 # in the order the one-shot actions are listed in --help
 OPS = {
     "grad": Op(_op_grad, ("field",), {"kind": "sup", "p": 2, "h": 1.0},
                "calc", "grad",
-               (("--kind", "kind", None,
-                 {"choices": ["sup", "lp", "viewpoint"]}), _P,
+               (("--kind", "kind", None, {"choices": _BACKEND_KINDS}), _P,
                 _FIELD, _H)),
     "energy_check": Op(_op_energy_check, (), {"fields": "random:20"},
                        "calc", "energy", (_FIELDS,)),
@@ -960,6 +969,7 @@ _FAMILY_SCHEMA = {"anyOf": [{"enum": ["all", "balls"]},
 _FIELD_VALUES = {"type": "array", "items": {"type": ["number", "array"],
                                             "items": {"type": "number"}}}
 _NUMBER, _POINT = {"type": "number"}, {"type": "integer", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 # J_p is defined for 1 <= p <= inf ("inf")
 _EXPONENT = {"anyOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]}
 # the types of the keys operations take; a key not named here takes any
@@ -968,6 +978,8 @@ _OP_KEYS = {"target": _SPACE_SCHEMA, "family": _FAMILY_SCHEMA,
             "p": _EXPONENT, "q": _EXPONENT, "q2": _EXPONENT,
             "h": _NUMBER, "b": _NUMBER, "u": _NUMBER,
             "x": _POINT, "center": _POINT,
+            "centers": {"type": "array", "items": _POINT},
+            "kind": {"enum": _BACKEND_KINDS},
             "strategy": {"enum": ["candidates", "exact"]},
             "volumes": {"type": "array", "items": _NUMBER},
             "radii": {"type": "array",
@@ -977,11 +989,13 @@ _OP_KEYS = {"target": _SPACE_SCHEMA, "family": _FAMILY_SCHEMA,
             "map": {"anyOf": [{"type": "string"}, _INDICES]},
             # walk steps, rate arguments: a list, or a range to expand
             "n": {"type": ["array", "object"], "items": {"type": "integer"},
-                  "properties": dict.fromkeys(("start", "max", "step"),
-                                              {"type": "integer"}),
+                  "properties": {"start": {"type": "integer"},
+                                 "max": {"type": "integer"},
+                                 "step": {"type": "integer", "minimum": 1}},
                   "additionalProperties": False},
+            # a geometric grid of rate arguments has positive ends
             "t": {"type": ["array", "object"], "items": _NUMBER,
-                  "properties": {"min": _NUMBER, "max": _NUMBER,
+                  "properties": {"min": _POSITIVE, "max": _POSITIVE,
                                  "count": {"type": "integer", "minimum": 1}},
                   "additionalProperties": False},
             "criteria": {"anyOf": [_INDICES, {"type": "null"}]}}
@@ -1217,8 +1231,7 @@ def _cmd_zoo(args):
     flags = {"scales": _floats(args.scales)}
     if args.b is not None:
         flags["b"] = args.b
-    positive = {"type": "number", "exclusiveMinimum": 0}
-    _check({"properties": {"scales": {"items": positive}, "b": positive}},
+    _check({"properties": {"scales": {"items": _POSITIVE}, "b": _POSITIVE}},
            flags)
     space = _build_space({"file": args.space}, ".", "/space")
     print(f"{space.name}: {space.n} points, total measure "
@@ -1304,7 +1317,7 @@ def main(argv=None) -> int:
                 cfg["operations"][0]["criteria"] = _ints(args.criteria)
         elif args.config:
             base = Path(args.config).parent
-            cfg = _read_json(args.config, "/")
+            cfg = _read_json(args.config, "/", {"type": "object"})
         elif args.action is None:
             raise ConfigError("/", f"{args.command} needs a subcommand or "
                               f"--config")

@@ -46,7 +46,7 @@ from scipy.sparse.csgraph import connected_components
 from coarsecalc.calculus import (
     DENSE_EIG_SIZE, _block, _form, grad_lp, grad_sup, grad_viewpoint,
     gradient_pairs, lp_norm, p2_energy_identity, symmetric_eig)
-from coarsecalc.space import Subset, boundary as boundary_at_scale
+from coarsecalc.space import Subset, boundary_measures
 from coarsecalc.viewpoint import is_symmetric
 
 EXACT_ENUM_LIMIT = 18
@@ -289,6 +289,21 @@ def _subset_tables(space, backend, idx):
     return mu_b, den_b
 
 
+def _space_tables(space, backend):
+    """_subset_tables over the whole space. Under the sup and lp backends
+    the tables are kept on the space per (kind, h), read-only; a
+    viewpoint's are built on each call."""
+    if backend.kind == "viewpoint":
+        return _subset_tables(space, backend, np.arange(space.n))
+    key = (backend.kind, float(backend.h))
+    if key not in space._tables:
+        tables = _subset_tables(space, backend, np.arange(space.n))
+        for arr in tables:
+            arr.flags.writeable = False
+        space._tables[key] = tables
+    return space._tables[key]
+
+
 def _mask_indices(mask, n):
     return np.flatnonzero((mask >> np.arange(n)) & 1)
 
@@ -409,12 +424,12 @@ def _subset(space, idx):
 def _family_table(space, backend, family):
     """_subset_tables' (mu_b, den_b) for a list of Subsets, in list order."""
     pw = backend.pair_weights(space)
+    masks = (b.mask() for b in family)
     if pw is None:
-        den = [boundary_at_scale(space, b, backend.h).measure for b in family]
+        den = boundary_measures(space, masks, backend.h)
     else:
         rows, cols, w = pw
-        den = [np.sum(w * (m[rows] != m[cols]))
-               for m in (b.mask() for b in family)]
+        den = [np.sum(w * (m[rows] != m[cols])) for m in masks]
     return np.array([b.measure for b in family]), np.array(den, dtype=float)
 
 
@@ -812,7 +827,7 @@ def isoperimetric_profile(space, backend, p, volume_grid,
     volume_grid = np.asarray(volume_grid, dtype=float)
     top = np.fmax.reduce(volume_grid, initial=-np.inf)  # NaN sets no cut
     if strategy == "exact":
-        mu_b, den_b = _subset_tables(space, backend, np.arange(space.n))
+        mu_b, den_b = _space_tables(space, backend)
         masks = np.flatnonzero(mu_b[1:-1] <= top) + 1
         masses, fam = mu_b[masks], None
         members = (_mask_indices(m, space.n) for m in masks)
@@ -953,7 +968,7 @@ def _boundary_table(space, h, family, top=np.inf):
     arrays, as the Subsets with 0 < mu(A) <= top."""
     backend = Backend.sup(h)
     if isinstance(family, str) and family == "all":
-        mu_b, den_b = _subset_tables(space, backend, np.arange(space.n))
+        mu_b, den_b = _space_tables(space, backend)
         return None, mu_b[1:-1], den_b[1:-1]
     if isinstance(family, str) and family == "balls":
         fam = [_subset(space, b) for b, _ in _balls(space, range(space.n))]

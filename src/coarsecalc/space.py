@@ -37,12 +37,13 @@ Conventions
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 # Triangle-inequality validation is O(N^3): on by default up to this size,
@@ -61,10 +62,12 @@ class MetricMeasureSpace:
 
     Immutable after construction; all queries are read-only, so instances are
     safe to share across parallel workers. The only state added later is
-    two memos of read-only arrays: :meth:`neighbourhoods` per radius, shared
-    by :meth:`with_measure`, and the lp gradient forms ``calculus._form``
-    keeps per scale, which depend on the measure and are not. A
-    viewpoint's form is kept on the viewpoint, not here.
+    three memos of read-only arrays: :meth:`neighbourhoods` per radius,
+    shared by :meth:`with_measure`; the lp gradient forms
+    ``calculus._form`` keeps per scale; and the exhaustive subset tables
+    ``profiles._space_tables`` keeps per backend kind and scale. The last
+    two depend on the measure and are not shared. A viewpoint's form is
+    kept on the viewpoint, and its tables are not kept.
 
     Use the classmethods :meth:`from_dense`, :meth:`from_graph`,
     :meth:`from_coords` to construct, or :func:`load_space` to read the JSON
@@ -93,6 +96,7 @@ class MetricMeasureSpace:
         self._p_norm = p_norm
         self._balls = {}   # radius -> neighbourhoods(radius)
         self._forms = {}   # lp scale h -> calculus._form(self, h)
+        self._tables = {}  # (kind, h) -> profiles._space_tables(self, ...)
 
     # ------------------------------------------------------------------
     # constructors
@@ -190,7 +194,7 @@ class MetricMeasureSpace:
 
     def with_measure(self, measure, name=None):
         """Copy of this space with a different measure (same metric, same
-        neighbourhood memo, no form memo)."""
+        neighbourhood memo, no form or table memo)."""
         out = MetricMeasureSpace(
             self.n, measure, name or self.name, self._mode, dense=self._dense,
             graph=self._graph, coords=self._coords, p_norm=self._p_norm,
@@ -451,13 +455,37 @@ def thicken(space, A, h):
 
 
 def boundary(space, A, h):
-    """Boundary at scale h: ``[A]_h & [A^c]_h`` (complement inside the space)."""
+    """Boundary at scale h: ``[A]_h & [A^c]_h`` (complement inside the
+    space), one row of :func:`boundaries`."""
     if h < 0:
         raise ValueError(f"scale must be >= 0, got {h}")
     mask = np.zeros(space.n, dtype=bool)
     mask[_as_indices(space, A)] = True
-    both = _reach(space, mask, h) & _reach(space, ~mask, h)
-    return space.subset(np.flatnonzero(both))
+    return space.subset(np.flatnonzero(next(boundaries(space, [mask], h))))
+
+
+def boundaries(space, masks, h):
+    """Yield the mask of ``boundary(A, h)`` for each set mask A (N bools)
+    of ``masks``, in order, reading neighbourhoods(h) once per chunk of
+    BLOCK_ENTRIES / N sets. The exact count of a in A with y in B(a, h)
+    puts y in [A]_h when it is positive and in [A^c]_h when it is below
+    the number of balls that hold y."""
+    indptr, indices, _ = space.neighbourhoods(h)
+    # column x of rel is B(x, h)
+    rel = csc_matrix((np.ones(indices.size), indices, indptr),
+                     shape=(space.n, space.n))
+    deg = np.bincount(indices, minlength=space.n)[:, None]
+    masks, step = iter(masks), max(1, BLOCK_ENTRIES // space.n)
+    while block := list(itertools.islice(masks, step)):
+        count = rel @ np.array(block, dtype=float).T
+        yield from ((count > 0) & (count < deg)).T
+
+
+def boundary_measures(space, masks, h):
+    """mu(boundary(A, h)) for each set mask A of :func:`boundaries`, each
+    summed over its sorted boundary points as a Subset's measure is."""
+    return np.array([space.measure[np.flatnonzero(b)].sum()
+                     for b in boundaries(space, masks, h)], dtype=float)
 
 
 @dataclass(frozen=True)

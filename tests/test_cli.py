@@ -513,6 +513,41 @@ def test_unreadable_tol_overrides_exit_2_before_the_out_dir(run_dir, capsys,
     assert not (run_dir / "bad_run").exists()
 
 
+@pytest.mark.parametrize("argv,pointer", [
+    (["profile", "jp", "--space", "space.json", "--volumes", "a,b"],
+     "/operations/0/volumes/"),
+    (["walk", "rho", "--space", "space.json", "--kernel", "pure_srw",
+      "--radii", "1,x"], "/operations/0/radii/1"),
+    (["walk", "compare", "--space", "space.json", "--kernel", "lazy_srw",
+      "--h", "1", "--phi", "power:1", "--centers", "2.5"],
+     "/operations/0/centers/0"),
+    (["accept", "--criteria", "1,x"], "/operations/0/criteria/1"),
+    (["zoo", "info", "--space", "space.json", "--scales", "abc"],
+     "/scales/0"),
+], ids=["volumes", "radii", "centers", "criteria", "scales"])
+def test_comma_list_flags_exit_2_at_their_key(run_dir, capsys, argv,
+                                              pointer):
+    capsys.readouterr()
+    out = [] if argv[0] == "zoo" else ["--out", "run"]
+    assert cli.main(argv + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error at {pointer}")
+    assert "is not of type" in err
+    assert not (run_dir / "run").exists()
+
+
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]],
+                         ids=["no_seed", "seed"])
+def test_config_that_is_no_object_exits_2_at_the_root(run_dir, capsys,
+                                                      seed):
+    (run_dir / "lst.json").write_text("[1]")
+    assert cli.main(["calc", "--config", "lst.json", "--out", "run"]
+                    + seed) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error at /: [1] is not of type 'object'")
+    assert not (run_dir / "run").exists()
+
+
 @pytest.mark.parametrize("argv,rc,pointer", [
     (["zoo", "info", "--space", "nope.json"], 2, "/space"),
     (["zoo", "info", "--space", "bad.json"], 2, "/space"),
@@ -1015,6 +1050,9 @@ def test_named_file_is_checked_like_its_inline_value(tmp_path, capsys, op,
     ({"op": "certify", "target": PATH9, "map": [0, 1.5, 2, 3, 4, 5, 6, 7,
                                                 8]}, "/map/1"),
     ({"op": "grad", "field": ["0", 1.0], "kind": "lp"}, "/field/0"),
+    ({"op": "decay", "n": {"step": 0}}, "/n/step"),
+    ({"op": "gamma", "phi": "power:1", "t": {"min": 0}}, "/t/min"),
+    ({"op": "grad", "field": FIELD, "kind": "foo"}, "/kind"),
 ], ids=["strategy", "volumes_string", "volumes_item", "radii_negative",
         "rho_radii", "certify_radii", "pullback_radii", "p_zero", "p_half",
         "p_word", "grad_p", "laplacian_p", "p_nan", "radii_nan",
@@ -1022,7 +1060,8 @@ def test_named_file_is_checked_like_its_inline_value(tmp_path, capsys, op,
         "n_string", "t_count_zero", "t_misspelt", "t_item", "x_fraction",
         "x_negative", "center_fraction", "h_word", "b_string", "u_null",
         "q_half", "q2_word", "criteria_item", "criteria_string",
-        "map_fraction", "field_string"])
+        "map_fraction", "field_string", "n_step_zero", "t_min_zero",
+        "grad_kind"])
 def test_bad_profile_key_exits_2_at_its_pointer(tmp_path, capsys, op,
                                                pointer):
     out = tmp_path / "run"

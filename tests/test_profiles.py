@@ -10,6 +10,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from coarsecalc import calculus, profiles, zoo
+from coarsecalc import space as space_mod
 from coarsecalc.profiles import Backend, RateFunction
 from coarsecalc.randomwalk import lazy_srw
 from coarsecalc.space import MetricMeasureSpace, boundary, chain_metric
@@ -1451,6 +1452,144 @@ def test_boundary_profile_and_cheeger_match_subset_loops(name, kind):
     assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
     assert wit.indices.tobytes() == want_wit.indices.tobytes()
     assert wit.measure == want_wit.measure
+
+
+def _boundary_set_oracle(space, idx, h):
+    """boundary(A, h) the per-set way: the union of A's rows of
+    neighbourhoods(h) meets the union of its complement's, as a Subset."""
+    indptr, indices, _ = space.neighbourhoods(h)
+
+    def reach(mask):
+        out = np.zeros(space.n, dtype=bool)
+        out[indices[np.repeat(mask, np.diff(indptr))]] = True
+        return out
+
+    mask = np.zeros(space.n, dtype=bool)
+    mask[idx] = True
+    return space.subset(np.flatnonzero(reach(mask) & reach(~mask)))
+
+
+def _asymmetric_graph():
+    """(space, h): a weighted graph whose non-dyadic edge weights make
+    d(x, y) and d(y, x) differ in the last bit, at a tie h = d(x, y) where
+    y is in B(x, h) but x is not in B(y, h)."""
+    rng = np.random.default_rng(0)
+    n = 24
+    edges = [[i, i + 1, rng.uniform(0.1, 1.0)] for i in range(n - 1)]
+    edges += [[int(a), int(b), rng.uniform(0.1, 1.0)]
+              for a, b in rng.integers(0, n, (30, 2)) if a != b]
+    space = MetricMeasureSpace.from_graph(n, edges, rng.uniform(0.5, 2, n))
+    D = space.dense_matrix()
+    x, y = np.argwhere(D < D.T)[0]
+    h = float(D[x, y])
+    indptr, indices, _ = space.neighbourhoods(h)
+    rel = csr_matrix((np.ones(indices.size), indices, indptr),
+                     shape=(space.n, space.n))
+    assert (rel != rel.T).nnz
+    return space, h
+
+
+# name -> () -> (space, h)
+READER_SPACES = {name: lambda make=make, h=h: (make(), h)
+                 for name, (make, h) in FAMILY_SPACES.items()}
+READER_SPACES["graph_asymmetric"] = _asymmetric_graph
+
+
+@pytest.mark.parametrize("name", sorted(READER_SPACES))
+def test_boundary_reader_matches_per_set_boundary(name, monkeypatch):
+    space, h = READER_SPACES[name]()
+    rng = np.random.default_rng(5)
+    family = [sub for sub, _ in profiles.candidate_subsets(
+        space, Backend.sup(h))] + [space.subset([]),
+                                   space.subset(np.arange(space.n))]
+    family += [space.subset(np.flatnonzero(rng.random(space.n) < q))
+               for q in (0.2, 0.5, 0.8)]
+    masks = np.array([sub.mask() for sub in family])
+    want = [_boundary_set_oracle(space, sub.indices, h) for sub in family]
+    want_bytes = np.array([w.measure for w in want]).tobytes()
+    # three sets a chunk, so the family spans many chunks
+    monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 3 * space.n)
+    assert len(family) > 3
+    rows = list(space_mod.boundaries(space, masks, h))
+    assert len(rows) == len(family)
+    for row, w in zip(rows, want):
+        assert np.flatnonzero(row).tobytes() == w.indices.tobytes()
+    assert space_mod.boundary_measures(space, masks, h).tobytes() == \
+        want_bytes
+    assert profiles._family_table(space, Backend.sup(h), family)[1] \
+        .tobytes() == want_bytes
+    for sub, w in zip(family, want):
+        got = boundary(space, sub.indices, h)
+        assert got.indices.tobytes() == w.indices.tobytes()
+        assert np.float64(got.measure).tobytes() == \
+            np.float64(w.measure).tobytes()
+    assert space_mod.boundary_measures(space, masks[:0], h).shape == (0,)
+
+
+def _coarea_loop_oracle(space, f, h):
+    """(T/2, T) by the per-level threshold loop."""
+    vals = np.unique(f)
+    T = 0.0
+    for i in range(1, vals.size):
+        level = np.flatnonzero(f >= vals[i])
+        T += (vals[i] - vals[i - 1]) * \
+            _boundary_set_oracle(space, level, h).measure
+    return T / 2.0, T
+
+
+@pytest.mark.parametrize("name", sorted(READER_SPACES))
+def test_coarea_matches_the_threshold_loop_bitwise(name, monkeypatch):
+    space, h = READER_SPACES[name]()
+    monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 4 * space.n)
+    rng = np.random.default_rng(2)
+    fields = [rng.random(space.n), rng.integers(0, 4, space.n) * 0.3,
+              np.zeros(space.n), np.ones(space.n),
+              (rng.random(space.n) < 0.4).astype(float)]
+    for f in fields:
+        lower, _, upper = calculus.coarea(space, f, h)
+        want = _coarea_loop_oracle(space, f, h)
+        assert np.float64(lower).tobytes() == np.float64(want[0]).tobytes()
+        assert np.float64(upper).tobytes() == np.float64(want[1]).tobytes()
+
+
+def test_exhaustive_tables_are_kept_per_space_and_scale(monkeypatch):
+    space = zoo.path(9).with_measure(
+        np.random.default_rng(7).uniform(0.5, 2.0, 9))
+    builds = []
+    real = profiles._subset_tables
+
+    def counted(space, backend, idx):
+        builds.append((backend.kind, idx.size))
+        return real(space, backend, idx)
+
+    monkeypatch.setattr(profiles, "_subset_tables", counted)
+    sup = Backend.sup(1.0)
+    first = profiles.cheeger(space, 1.0, "all")
+    profiles.boundary_profile(space, 1.0)
+    profiles.isoperimetric_profile(space, sup, 1, [2.0, 4.0], "exact")
+    assert builds == [("sup", 9)]
+    assert profiles.cheeger(space, 1.0, "all")[0] == first[0]
+    profiles.isoperimetric_profile(space, Backend.lp(1.0), 1, [2.0], "exact")
+    profiles.cheeger(space, 2.0, "all")
+    assert builds == [("sup", 9), ("lp", 9), ("sup", 9)]
+    assert sorted(space._tables) == [("lp", 1.0), ("sup", 1.0), ("sup", 2.0)]
+    for table in space._tables.values():
+        for arr in table:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+    # the tables depend on the measure, so a new measure starts none
+    other = space.with_measure(np.ones(9))
+    assert other._tables == {} and other._balls is space._balls
+    profiles.cheeger(other, 1.0, "all")
+    assert len(builds) == 4
+    # proper-subset and viewpoint tables are built on every call
+    profiles.jp_subset(space, sup, [1, 2, 3], 1)
+    profiles.jp_subset(space, sup, [1, 2, 3], 1)
+    vp = Backend.viewpoint(standard_viewpoint(space, 1.0))
+    for _ in range(2):
+        profiles.isoperimetric_profile(space, vp, 1, [2.0], "exact")
+    assert builds[4:] == [("sup", 3)] * 2 + [("viewpoint", 9)] * 2
 
 
 # ---------------------------------------------------------------- fits
