@@ -961,15 +961,16 @@ OPS = {
 }
 
 
-# the subsets cheeger and boundary_profile range over
+# point indices, range-checked against the space as the operation runs
 _INDICES = {"type": "array", "items": {"type": "integer"}}
 _FAMILY_SCHEMA = {"anyOf": [{"enum": ["all", "balls"]},
                             {"type": "array", "items": _INDICES}]}
 # one field or a list of fields, inline or in the file a field spec names
 _FIELD_VALUES = {"type": "array", "items": {"type": ["number", "array"],
                                             "items": {"type": "number"}}}
-_NUMBER, _POINT = {"type": "number"}, {"type": "integer", "minimum": 0}
+_NUMBER, _NATURAL = {"type": "number"}, {"type": "integer", "minimum": 0}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_RADII = {"type": "array", "items": {"type": "number", "minimum": 0}}
 # J_p is defined for 1 <= p <= inf ("inf")
 _EXPONENT = {"anyOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]}
 # the types of the keys operations take; a key not named here takes any
@@ -977,24 +978,30 @@ _EXPONENT = {"anyOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]}
 _OP_KEYS = {"target": _SPACE_SCHEMA, "family": _FAMILY_SCHEMA,
             "p": _EXPONENT, "q": _EXPONENT, "q2": _EXPONENT,
             "h": _NUMBER, "b": _NUMBER, "u": _NUMBER,
-            "x": _POINT, "center": _POINT,
-            "centers": {"type": "array", "items": _POINT},
+            "x": _NATURAL, "center": _NATURAL,
+            "centers": {"type": "array", "items": _NATURAL, "minItems": 1},
+            "subset": {"anyOf": [_INDICES, {"type": "null"}]},
+            "A": _INDICES, "A_target": _INDICES,
             "kind": {"enum": _BACKEND_KINDS},
             "strategy": {"enum": ["candidates", "exact"]},
             "volumes": {"type": "array", "items": _NUMBER},
-            "radii": {"type": "array",
-                      "items": {"type": "number", "minimum": 0}},
+            "radii": _RADII, "profile_radii": _RADII,
+            "t_grid": {"type": ["array", "null"], "items": _NUMBER},
+            "assert_C": {"type": ["number", "null"]},
+            "v_min": {"type": ["number", "null"], "exclusiveMinimum": 0},
             "field": {"anyOf": [{"type": "string"}, _FIELD_VALUES]},
             "fields": {"anyOf": [{"type": "string"}, _FIELD_VALUES]},
             "map": {"anyOf": [{"type": "string"}, _INDICES]},
             # walk steps, rate arguments: a list, or a range to expand
-            "n": {"type": ["array", "object"], "items": {"type": "integer"},
-                  "properties": {"start": {"type": "integer"},
+            "n": {"type": ["array", "object"], "items": _NATURAL,
+                  "minItems": 1,
+                  "properties": {"start": _NATURAL,
                                  "max": {"type": "integer"},
                                  "step": {"type": "integer", "minimum": 1}},
                   "additionalProperties": False},
             # a geometric grid of rate arguments has positive ends
-            "t": {"type": ["array", "object"], "items": _NUMBER,
+            "t": {"type": ["array", "object"], "items": _POSITIVE,
+                  "minItems": 1,
                   "properties": {"min": _POSITIVE, "max": _POSITIVE,
                                  "count": {"type": "integer", "minimum": 1}},
                   "additionalProperties": False},

@@ -13,8 +13,8 @@ are against the space measure. Exact values:
   smallest generalized eigenvalue of the gradient form (J_2 = lambda^-1/2);
 * p = 1: indicator form, max over subsets B of A of mu(B) / (boundary or
   cut weight of B), enumerated exactly up to EXACT_ENUM_LIMIT points;
-* p = inf: chain in-radius, the maximal number of support-relation steps
-  needed to leave A (a BFS; the optimizer is the step-count field itself).
+* p = inf: chain in-radius, the most relation steps, read both ways, needed
+  to leave A (the optimizer is the step-count field itself).
 
 p = 2 on the sup backend is bracketed by weak duality through ball
 weights: any q with each q_x a probability on B(x, h) bounds the squared
@@ -268,9 +268,11 @@ def _subset_tables(space, backend, idx):
     else:
         rows, cols, w = pw
         wsym = csr_matrix((w, (rows, cols)), shape=(n, n))
-        wsym = wsym + wsym.T
-        w_a = wsym[idx][:, idx].toarray()
-        rowsum = wsym[idx].toarray().sum(axis=1)
+        wsym = (wsym + wsym.T)[idx].toarray()
+        # the cut of B sums nonnegative terms: each point's weight to the
+        # outside of A, and from B to A - B (self pairs never cross)
+        out = np.delete(wsym, idx, axis=1).sum(axis=1)
+        w_a = wsym[:, idx] * (1.0 - np.eye(k))
     total, chunk = 1 << k, 1 << 14
     mu_b = np.empty(total)
     den_b = np.empty(total)
@@ -284,8 +286,8 @@ def _subset_tables(space, backend, idx):
             seen = masks @ rel.T
             den_b[s:e] = ((seen > 0) & (seen < deg)) @ mu_near
         else:
-            den_b[s:e] = masks @ rowsum - np.einsum("ij,ij->i", masks @ w_a,
-                                                    masks)
+            den_b[s:e] = masks @ out + np.einsum("ij,ij->i", masks @ w_a,
+                                                 1 - masks)
     return mu_b, den_b
 
 
@@ -395,22 +397,19 @@ def _jp1(space, backend, idx):
     if idx.size <= EXACT_ENUM_LIMIT:
         mu_b, den_b = _subset_tables(space, backend, idx)
         mu_b, den_b = mu_b[1:], den_b[1:]          # drop the empty set
-        tol = 1e-12 * max(1.0, float(den_b.max(initial=0.0)))
     else:
         # candidate search: balls inside A around every point of A
         radii = _radius_grid(space.dist_rows(idx[:1])[0])
         fam = [_subset(space, np.intersect1d(np.flatnonzero(d <= r), idx))
                for _, D in space.dist_blocks(idx) for d in D for r in radii]
         mu_b, den_b = _family_table(space, backend, fam)
-        tol = 1e-12 * np.maximum(1.0, mu_b)
-    q = _ratio(mu_b, den_b, tol)
+    q = _ratio(mu_b, den_b)
     if not q.size:                                 # no radius to search
         return JpResult(-np.inf, "lower_bound")
-    cut_off = np.flatnonzero(np.isinf(q))
-    j = cut_off[0] if cut_off.size else int(np.argmax(q))
+    j = int(np.argmax(q))                          # the first inf if any
     sub = idx[_mask_indices(j + 1, idx.size)] if fam is None else \
         fam[j].indices
-    if cut_off.size:
+    if np.isinf(q[j]):
         return _inf_result("isolated_at_scale", sub, as_field=False)
     return JpResult(float(q[j]), "exact" if fam is None else "lower_bound",
                     witness_subset=sub)
@@ -433,38 +432,31 @@ def _family_table(space, backend, family):
     return np.array([b.measure for b in family]), np.array(den, dtype=float)
 
 
-def _ratio(mu, den, tol):
-    """mu / den, and inf where den <= tol (a scalar or one per entry)."""
-    return np.divide(mu, den, out=np.full(mu.size, np.inf), where=den > tol)
+def _ratio(mu, den):
+    """mu / den, and inf where den == 0: no pair crosses the cut."""
+    return np.divide(mu, den, out=np.full(mu.size, np.inf), where=den != 0)
 
 
 def _jp_inf(space, backend, idx):
-    """Exact J_inf: the chain in-radius of A under the support relation."""
+    """Exact J_inf: the chain in-radius of A under the support relation
+    read both ways, since |f(y) - f(x)| binds a pair from either end."""
     indptr, cols = backend.relation_rows(space)
-    if backend.kind == "viewpoint" and not is_symmetric(backend.vp).symmetric:
-        raise ValueError("exact J_inf needs a symmetric support relation; "
-                         "the viewpoint is not symmetric")
-    in_a = np.zeros(space.n, dtype=bool)
-    in_a[idx] = True
-    k = np.full(space.n, -1, dtype=np.int64)
-    k[~in_a] = 0
-    frontier = np.flatnonzero(~in_a)   # nonempty: jp_subset caught A = X
+    rows = np.repeat(np.arange(space.n), np.diff(indptr))
+    heads, tails = np.r_[rows, cols], np.r_[cols, rows]   # x -> y and back
+    # k: steps to the outside, 0 there and inf until reached
+    k = np.zeros(space.n)
+    k[idx] = np.inf
+    front = k == 0                     # nonempty: jp_subset caught A = X
     step = 0
-    while frontier.size:
+    while front.any():
         step += 1
-        front = np.zeros(space.n, dtype=bool)
-        front[frontier] = True
-        reached = cols[np.repeat(front, np.diff(indptr))]
-        frontier = np.unique(reached[k[reached] < 0])
-        k[frontier] = step
-    if np.any(k[idx] < 0):
-        lost = idx[k[idx] < 0]
-        f = np.zeros(space.n)
-        f[lost] = 1.0
-        return _inf_result("isolated_at_scale", f)
-    value = float(k[idx].max())
-    f = np.where(in_a, k.astype(float), 0.0)
-    return JpResult(value, "exact", witness_field=f)
+        hit = np.zeros(space.n, dtype=bool)
+        hit[tails[front[heads]]] = True
+        front = hit & np.isinf(k)
+        k[front] = step
+    if np.isinf(k).any():
+        return _inf_result("isolated_at_scale", np.isinf(k) * 1.0)
+    return JpResult(float(k.max()), "exact", witness_field=k)
 
 
 def _energy_grad(space, backend, p):
@@ -829,11 +821,8 @@ def isoperimetric_profile(space, backend, p, volume_grid,
     if strategy == "exact":
         mu_b, den_b = _space_tables(space, backend)
         masks = np.flatnonzero(mu_b[1:-1] <= top) + 1
-        masses, fam = mu_b[masks], None
+        masses, den, fam = mu_b[masks], den_b[masks], None
         members = (_mask_indices(m, space.n) for m in masks)
-        if p == 1:
-            values = _ratio(masses, den_b[masks],
-                            1e-12 * max(1.0, float(den_b.max(initial=0.0))))
     else:
         fam = [(sub, label) for sub, label in candidate_subsets(space, backend)
                if sub.measure <= top]
@@ -841,9 +830,10 @@ def isoperimetric_profile(space, backend, p, volume_grid,
         members = (sub.indices for sub, _ in fam)
         if p == 1:
             den = _family_table(space, backend, [sub for sub, _ in fam])[1]
-            values = _ratio(masses, den, 1e-12 * np.maximum(1.0, masses))
     uppers, modes = np.full(masses.size, np.inf), {"exact"}
-    if p != 1:
+    if p == 1:
+        values = _ratio(masses, den)
+    else:
         rows = list(_sweep(space, backend, p, members))
         values, uppers = (np.array([r[k] for r in rows], dtype=float)
                           for k in (0, 1))

@@ -168,7 +168,8 @@ def validate(space, dens, h) -> Union[Certificate, Violation]:
 
 
 def is_symmetric(vp) -> SymmetryReport:
-    """True iff max_{x,y} |p_x(y) - p_y(x)| <= 1e-12, with the worst pair."""
+    """True iff max_{x,y} |p_x(y) - p_y(x)| <= 1e-12 times the largest
+    density (a test free of mu's unit), with the worst pair."""
     diff = (vp.dens - vp.dens.T).tocoo()
     if diff.nnz == 0:
         p = vp.dens[0, 0]
@@ -176,7 +177,8 @@ def is_symmetric(vp) -> SymmetryReport:
     k = int(np.argmax(np.abs(diff.data)))
     x, y = int(diff.row[k]), int(diff.col[k])
     gap = abs(diff.data[k])
-    return SymmetryReport(gap <= SYMMETRY_TOL, x, y, float(gap),
+    return SymmetryReport(gap <= SYMMETRY_TOL * np.abs(vp.dens.data).max(),
+                          x, y, float(gap),
                           float(vp.dens[x, y]), float(vp.dens[y, x]))
 
 

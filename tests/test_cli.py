@@ -1053,6 +1053,25 @@ def test_named_file_is_checked_like_its_inline_value(tmp_path, capsys, op,
     ({"op": "decay", "n": {"step": 0}}, "/n/step"),
     ({"op": "gamma", "phi": "power:1", "t": {"min": 0}}, "/t/min"),
     ({"op": "grad", "field": FIELD, "kind": "foo"}, "/kind"),
+    ({"op": "spectral_radius", "subset": [1.5, 2]}, "/subset/0"),
+    ({"op": "spectral_radius", "subset": "abc"}, "/subset"),
+    ({"op": "rough_volume", "target": PATH9, "A": [1.5], "A_target": [4],
+      "u": 1.0}, "/A/0"),
+    ({"op": "rough_volume", "target": PATH9, "A": [3], "A_target": ["x"],
+      "u": 1.0}, "/A_target/0"),
+    ({"op": "scale_reduction", "b": 1, "h": 2.0, "profile_radii": ["a"]},
+     "/profile_radii/0"),
+    ({"op": "boundary_profile", "t_grid": ["x"]}, "/t_grid/0"),
+    ({"op": "sobolev_verify", "phi": "power:0.5", "assert_C": "abc"},
+     "/assert_C"),
+    ({"op": "gamma", "phi": "power:1", "v_min": -1}, "/v_min"),
+    ({"op": "gamma", "phi": "power:1", "t": [0, 1]}, "/t/0"),
+    ({"op": "gamma", "phi": "power:1", "t": []}, "/t"),
+    ({"op": "decay", "n": []}, "/n"),
+    ({"op": "decay", "n": [-2, 3]}, "/n/0"),
+    ({"op": "decay", "n": {"start": -3, "max": 4}}, "/n/start"),
+    ({"op": "decay_vs_profile", "phi": "power:1", "centers": []},
+     "/centers"),
 ], ids=["strategy", "volumes_string", "volumes_item", "radii_negative",
         "rho_radii", "certify_radii", "pullback_radii", "p_zero", "p_half",
         "p_word", "grad_p", "laplacian_p", "p_nan", "radii_nan",
@@ -1061,7 +1080,10 @@ def test_named_file_is_checked_like_its_inline_value(tmp_path, capsys, op,
         "x_negative", "center_fraction", "h_word", "b_string", "u_null",
         "q_half", "q2_word", "criteria_item", "criteria_string",
         "map_fraction", "field_string", "n_step_zero", "t_min_zero",
-        "grad_kind"])
+        "grad_kind", "subset_fraction", "subset_string", "A_fraction",
+        "A_target_string", "profile_radii_string", "t_grid_string",
+        "assert_C_string", "v_min_negative", "t_zero", "t_empty", "n_empty",
+        "n_negative", "n_start_negative", "centers_empty"])
 def test_bad_profile_key_exits_2_at_its_pointer(tmp_path, capsys, op,
                                                pointer):
     out = tmp_path / "run"

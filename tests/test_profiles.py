@@ -15,7 +15,7 @@ from coarsecalc.profiles import Backend, RateFunction
 from coarsecalc.randomwalk import lazy_srw
 from coarsecalc.space import MetricMeasureSpace, boundary, chain_metric
 from coarsecalc.viewpoint import (
-    is_symmetric, random_symmetric_viewpoint, standard_viewpoint)
+    Viewpoint, is_symmetric, random_symmetric_viewpoint, standard_viewpoint)
 
 
 # ---------------------------------------------------------------- rates
@@ -149,6 +149,48 @@ def test_subset_tables_match_brute_force(name, unit):
                     assert den_b[m] == pytest.approx(den, rel=1e-12, abs=0)
                 else:
                     assert abs(den_b[m]) <= tol
+
+
+def _spread_path(trial):
+    """path(n) with mu = 10^U(-30, 30), n from 3 to 7, and a proper subset
+    A of at least two points, drawn from default_rng(trial)."""
+    rng = np.random.default_rng(trial)
+    n = int(rng.integers(3, 8))
+    space = zoo.path(n).with_measure(10.0 ** rng.uniform(-30, 30, n))
+    return space, np.sort(rng.choice(n, int(rng.integers(2, n)),
+                                     replace=False))
+
+
+@pytest.mark.parametrize("kind", ["lp", "viewpoint"])
+def test_cuts_on_spread_measures_sum_positive_terms(kind):
+    # measures spread over 60 decades once made a cut formula with a
+    # subtraction go negative, or read 0 though pairs cross: J_1 = inf on
+    # subsets _settled leaves alone (trials 1, 40, 87 and 126 among them)
+    for trial in (1, 40, 87, 126, *range(200, 230)):
+        space, A = _spread_path(trial)
+        for h in (1.0, 2.0):
+            backend = Backend.lp(h) if kind == "lp" else \
+                Backend.viewpoint(standard_viewpoint(space, h))
+            rows, cols, w = backend.pair_weights(space)
+            for idx in (np.arange(space.n), A):
+                mu_b, den_b = profiles._subset_tables(space, backend, idx)
+                assert np.all(den_b >= 0)
+                ind = np.zeros((mu_b.size, space.n), dtype=bool)
+                ind[:, idx] = (np.arange(mu_b.size)[:, None] >>
+                               np.arange(idx.size)) & 1
+                want = np.sum(w * (ind[:, rows] != ind[:, cols]), axis=1)
+                np.testing.assert_allclose(den_b, want, rtol=1e-12, atol=0)
+            mu_b, den_b = profiles._space_tables(space, backend)
+            for m in range(1, mu_b.size - 1):
+                sub = profiles._mask_indices(m, space.n)
+                if profiles._settled(space, backend, sub, 1) is None:
+                    assert den_b[m] > 0
+            for b in (backend, Backend.sup(h)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    res = profiles.jp_subset(space, b, A, 1)
+                assert (res.mode, res.reason) == ("exact", None)
+                assert 0 < res.value < np.inf
 
 
 # ------------------------------------------------- exact J_2 and descent
@@ -723,6 +765,81 @@ def test_descent_on_spread_measures_is_a_finite_lower_bound():
                 res.value
 
 
+# the p = 1 and p = inf paths, each as (side of the grid, call on the
+# space, its backend and the unit of measure); J is a ratio of two
+# mu-weighted norms over a relation read from distances at the scale
+UNIT_PATHS = {
+    "exhaustive_profile": (4, lambda s, b, c: profiles.isoperimetric_profile(
+        s, b, 1, c * np.array([1.0, 2.0, 4.0, 8.0]),
+        strategy="exact").values),
+    "candidate_profile": (5, lambda s, b, c: profiles.isoperimetric_profile(
+        s, b, 1, c * np.array([1.0, 2.0, 4.0, 8.0, 12.0])).values),
+    "jp1_enumerated": (5, lambda s, b, c: profiles.jp_subset(
+        s, b, [0, 1, 5, 6, 7, 12], 1).value),
+    "jp1_ball_search": (5, lambda s, b, c: profiles.jp_subset(
+        s, b, np.arange(20), 1).value),
+    "jp_inf": (5, lambda s, b, c: profiles.jp_subset(
+        s, b, [0, 1, 5, 6, 7, 12], np.inf).value),
+}
+
+
+@pytest.mark.parametrize("scaled", ["measure", "distance"])
+@pytest.mark.parametrize("kind", ["sup", "lp", "viewpoint"])
+@pytest.mark.parametrize("path", sorted(UNIT_PATHS))
+def test_exact_paths_do_not_depend_on_units(path, kind, scaled):
+    # mu times 2^k, or distances and h times 2^k, is exact in floating
+    # point, so every value must come out in the same bits
+    side, call = UNIT_PATHS[path]
+    got = []
+    for k in (-60, -30, 0, 30, 60):
+        c = 2.0 ** k
+        space = zoo.grid(2, side)
+        mu = np.random.default_rng(0).uniform(0.5, 2.0, space.n)
+        if scaled == "measure":
+            space, h, unit = space.with_measure(mu * c), 1.0, c
+        else:
+            space, h, unit = zoo.scale_metric(space, c).with_measure(mu), \
+                c, 1.0
+        backend = {"sup": Backend.sup, "lp": Backend.lp}[kind](h) \
+            if kind != "viewpoint" else \
+            Backend.viewpoint(standard_viewpoint(space, h))
+        got.append(np.asarray(call(space, backend, unit), dtype=float))
+    assert np.all(np.isfinite(got[2]))
+    for vals in got:
+        assert vals.tobytes() == got[2].tobytes()
+
+
+def test_jp_inf_of_the_standard_viewpoint_is_the_lp_one():
+    space = zoo.grid(2, 4).with_measure(
+        np.random.default_rng(4).uniform(0.5, 2.0, 16))
+    vp = standard_viewpoint(space, 1.0)
+    assert not is_symmetric(vp).symmetric
+    for A in ([5, 6], [0, 1, 4, 5], [5, 6, 9, 10], list(range(12))):
+        got = profiles.jp_subset(space, Backend.viewpoint(vp), A, np.inf)
+        want = profiles.jp_subset(space, Backend.lp(1.0), A, np.inf)
+        assert (got.value, got.mode) == (want.value, want.mode)
+        assert got.witness_field.tobytes() == want.witness_field.tobytes()
+
+
+def test_jp_inf_reads_a_one_way_relation_both_ways():
+    # row x holds x and x + 1 only: by rows alone point 1 takes 4 steps to
+    # leave A = {1, 2, 3, 4} (at 5), against them it takes 1 (to 0)
+    space = zoo.path(6)
+    dens = np.zeros((6, 6))
+    for x in range(5):
+        dens[x, x:x + 2] = 0.5
+    dens[5, 5] = 1.0
+    vp = Viewpoint(space, 1.0, dens, None)
+    res = profiles.jp_subset(space, Backend.viewpoint(vp), [1, 2, 3, 4],
+                             np.inf)
+    assert (res.value, res.mode) == (2.0, "exact")
+    np.testing.assert_array_equal(res.witness_field, [0, 1, 2, 2, 1, 0])
+    f = res.witness_field
+    quotient = calculus.lp_norm(space, f, np.inf) / calculus.lp_norm(
+        space, calculus.grad_viewpoint(vp, f, np.inf), np.inf)
+    assert quotient == res.value
+
+
 @pytest.mark.parametrize("call", [
     lambda s: profiles.isoperimetric_profile(s, Backend.sup(1.0), 1, [1.0],
                                              strategy="exact"),
@@ -790,8 +907,7 @@ def _old_exhaustive_profile(space, backend, p, grid):
     modes, top_modes = {"exact"}, {"exact"}
     uppers = np.full(mu_b.size, np.inf)
     if p == 1:
-        values = profiles._ratio(
-            mu_b, den_b, 1e-12 * max(1.0, float(den_b.max(initial=0.0))))
+        values = profiles._ratio(mu_b, den_b)
     else:
         values = np.empty(mu_b.size)
         with warnings.catch_warnings():
@@ -821,8 +937,7 @@ def _old_candidate_profile(space, backend, p, grid):
     uppers = np.full(len(fam), np.inf)
     if p == 1:
         masses, den = profiles._family_table(space, backend, fam)
-        values = profiles._ratio(masses, den,
-                                 1e-12 * np.maximum(1.0, masses))
+        values = profiles._ratio(masses, den)
     else:
         masses = np.array([sub.measure for sub in fam])
         values = np.empty(len(fam))
@@ -1059,7 +1174,7 @@ def _assert_same_curve(curve, want, want_wit):
 
 def _indicator_ratio_oracle(space, backend, sub):
     """mu(B)/denom(B) of one subset, computed on its own: inf when the
-    denominator is at most 1e-12 max(1, mu(B))."""
+    denominator is 0."""
     mu_b = float(space.measure[sub].sum())
     pw = backend.pair_weights(space)
     if pw is None:
@@ -1069,7 +1184,7 @@ def _indicator_ratio_oracle(space, backend, sub):
         ind[sub] = 1.0
         rows, cols, w = pw
         den = float(np.sum(w * np.abs(ind[rows] - ind[cols])))
-    return np.inf if den <= 1e-12 * max(1.0, mu_b) else mu_b / den
+    return np.inf if den == 0 else mu_b / den
 
 
 CANDIDATE_J1_CASES = {

@@ -97,6 +97,17 @@ def test_standard_not_symmetric_on_nonuniform_measure():
     assert rep.gap > 0
 
 
+def test_symmetry_verdict_does_not_depend_on_the_unit_of_mu():
+    # densities scale as 1 / (unit of mu): at mu * 2^60 every gap of the
+    # standard kernel was below an absolute 1e-12
+    mu = np.random.default_rng(0).uniform(0.5, 2.0, 16)
+    for k in (-60, 0, 60):
+        space = zoo.grid(2, 4).with_measure(mu * 2.0 ** k)
+        vp = standard_viewpoint(space, 1.0)
+        assert not is_symmetric(vp).symmetric
+        assert is_symmetric(symmetrize(space, vp)[0]).symmetric
+
+
 def test_random_symmetric_viewpoint_is_symmetric():
     space = zoo.random_geometric(25, seed=2)
     vp = random_symmetric_viewpoint(space, 0.3, np.random.default_rng(5))
