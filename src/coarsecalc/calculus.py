@@ -1,5 +1,5 @@
-"""Gradients at a scale, Laplacians, the symmetric eigensolver, energy
-identities, and the co-area sandwich.
+"""Gradients at a scale, Laplacians, the symmetric eigensolver and its
+Cholesky certificate, energy identities, and the co-area sandwich.
 
 Three gradient notions live here, all pointwise nonnegative fields:
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dgemv, dnrm2
-from scipy.linalg.lapack import dsyevd
+from scipy.linalg.lapack import dpotrf, dsyevd
 from scipy.sparse import csr_matrix, diags, issparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
@@ -197,6 +197,22 @@ def symmetric_eig(M, which, k=1):
             raise ArithmeticError(f"eigensolver residual {residuals[j]:g} on "
                                   f"{n} points exceeds {EIG_RESIDUAL_TOL:g}")
     return theta, V, residuals
+
+
+def above(C, s):
+    """True when every eigenvalue of the dense positive semidefinite C, and
+    every eigenvalue dsyevd computes for it, is certified above s: C minus
+    (s + 4 (k + 1)^2 eps trace(C)) I factors by Cholesky (LAPACK dpotrf),
+    so by Sylvester's law of inertia it has no eigenvalue <= 0. The margin
+    is above Cholesky's backward error, about (k + 1) eps trace(C), and
+    dsyevd's, a small multiple of eps ||C||_2 <= eps trace(C). False
+    certifies nothing; s = inf gives False.
+    """
+    k = C.shape[0]
+    shifted = C.copy()
+    shifted.flat[::k + 1] -= s + 4 * (k + 1) ** 2 * np.finfo(float).eps \
+        * np.trace(C)
+    return dpotrf(shifted, lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
 # ----------------------------------------------------------------------

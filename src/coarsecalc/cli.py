@@ -193,7 +193,11 @@ def validate_config(doc):
         if op["op"] == "spectral_radius" and "center" in op \
                 and "radii" not in op:
             raise ConfigError(f"/operations/{i}/center", "center needs radii")
-        ops.append(_merged(OPS[op["op"]].defaults, op))
+        merged = _merged(OPS[op["op"]].defaults, op)
+        if isinstance(merged.get("n"), dict) and not _steps(merged["n"]):
+            raise ConfigError(f"/operations/{i}/n",
+                              f"the range of steps {merged['n']} is empty")
+        ops.append(merged)
     _check_seed(doc, ops)
     return ops
 

@@ -40,11 +40,11 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components
 
 from coarsecalc.calculus import (
-    DENSE_EIG_SIZE, _block, _form, grad_lp, grad_sup, grad_viewpoint,
+    DENSE_EIG_SIZE, _block, _form, above, grad_lp, grad_sup, grad_viewpoint,
     gradient_pairs, lp_norm, p2_energy_identity, symmetric_eig)
 from coarsecalc.space import Subset, boundary_measures
 from coarsecalc.viewpoint import is_symmetric
@@ -345,18 +345,33 @@ def _check_p(p):
         raise ValueError(f"J_p is defined for p in [1, inf], got p = {p}")
 
 
-def _sweep(space, backend, p, members):
+def _sweep(space, backend, p, members, ranks):
     """(value, upper, mode, reason) of J_p on each member (sorted distinct
     indices) in order, as jp_subset reports and warns; an exact J_2 under
-    pair weights skips the witness field."""
-    for idx in members:
+    pair weights skips the witness field.
+
+    ranks[j] is the place, on the sorted grid, of the first sample that
+    can report member j (a ball profile has one place per radius). Each
+    sample reports its first strictly best member, so member j can only
+    be reported if its J beats its bar, the best value so far at its
+    place (the best only grows along the grid). A pair-weight J_2 member
+    whose block certifies J < bar (_j2_eig's cut) is therefore not solved:
+    it comes out as (nan, inf, "exact", None), and NaN never wins. Every
+    other member runs as it would alone, so curves, witnesses and warnings
+    do not move.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    best = np.full(ranks.max(initial=-1) + 1, -np.inf)
+    for idx, r in zip(members, ranks.tolist()):
         if p == 2 and backend.kind != "sup" and idx.size < space.n:
-            value = _j2_eig(space, backend, idx)[0]
-            yield (value, np.inf, "exact",
+            value = _j2_eig(space, backend, idx, best[r])[0]
+            row = (value, np.inf, "exact",
                    "isolated_at_scale" if value == np.inf else None)
         else:
             res = jp_subset(space, backend, idx, p)
-            yield res.value, res.upper, res.mode, res.reason
+            row = res.value, res.upper, res.mode, res.reason
+        best[r:] = np.fmax(best[r:], row[0])
+        yield row
 
 
 def _inf_result(reason, field_or_subset, as_field=True, stacklevel=3):
@@ -378,13 +393,27 @@ def _jp2(space, backend, idx):
                     reason="isolated_at_scale" if np.isinf(value) else None)
 
 
-def _j2_eig(space, backend, idx):
+def _j2_eig(space, backend, idx, bar=np.inf):
     """(J_2(A), v) from the residual-checked smallest eigenpair (theta, v)
-    of the form's block on A: theta ** -0.5, or inf (with its warning)."""
+    of the form's block on A: theta ** -0.5, or inf (with its warning).
+
+    The cut: given a finite bar > 0, a block of at most DENSE_EIG_SIZE
+    points is first tested with calculus.above against
+    s = bar^-2 (1 + 1e-12) + the isolation floor. If it passes, dsyevd's
+    theta would exceed s, so J_2(A) would come out finite and below bar:
+    (nan, None) is returned unsolved. An isolated A never passes: its
+    smallest eigenvalue is at or below the floor, which s exceeds.
+    """
     C = _block(_form(space, backend.h, backend.vp), idx)
+    floor = 1e-14 * max(1.0, *C.diagonal().tolist())
+    if 0 < bar < np.inf and idx.size <= DENSE_EIG_SIZE:
+        C = C.toarray() if issparse(C) else C       # as symmetric_eig would
+        bar = float(bar)                # bar^-2 overflows to inf, not raises
+        if above(C, (1 + 1e-12) / bar / bar + floor):
+            return np.nan, None
     theta, V, _ = symmetric_eig(C, "SA")
     lam = float(theta[0])
-    if lam <= 1e-14 * max(1.0, *C.diagonal().tolist()):
+    if lam <= floor:
         warnings.warn("J is infinite: isolated_at_scale", stacklevel=3)
         return np.inf, V[:, 0]
     return lam ** -0.5, V[:, 0]
@@ -834,7 +863,8 @@ def isoperimetric_profile(space, backend, p, volume_grid,
     if p == 1:
         values = _ratio(masses, den)
     else:
-        rows = list(_sweep(space, backend, p, members))
+        rows = list(_sweep(space, backend, p, members,
+                           np.searchsorted(np.sort(volume_grid), masses)))
         values, uppers = (np.array([r[k] for r in rows], dtype=float)
                           for k in (0, 1))
         modes = {r[2] for r in rows}
@@ -894,7 +924,8 @@ def profile_in_balls(space, backend, p, radius_grid) -> ProfileCurve:
         # each ball is built once, when the sweep reaches its centre
         balls, members = itertools.tee(space.ball(x, t) for x in centers)
         for x, ball, (value, upper, mode, reason) in zip(
-                centers, balls, _sweep(space, backend, p, members)):
+                centers, balls, _sweep(space, backend, p, members,
+                                       np.zeros(len(centers)))):
             modes.add(mode)
             if value > best:
                 best = value

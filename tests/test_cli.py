@@ -1070,6 +1070,8 @@ def test_named_file_is_checked_like_its_inline_value(tmp_path, capsys, op,
     ({"op": "decay", "n": []}, "/n"),
     ({"op": "decay", "n": [-2, 3]}, "/n/0"),
     ({"op": "decay", "n": {"start": -3, "max": 4}}, "/n/start"),
+    ({"op": "decay", "n": {"start": 5, "max": 2}}, "/n"),
+    ({"op": "decay", "n": {"max": -1}}, "/n"),
     ({"op": "decay_vs_profile", "phi": "power:1", "centers": []},
      "/centers"),
 ], ids=["strategy", "volumes_string", "volumes_item", "radii_negative",
@@ -1083,7 +1085,8 @@ def test_named_file_is_checked_like_its_inline_value(tmp_path, capsys, op,
         "grad_kind", "subset_fraction", "subset_string", "A_fraction",
         "A_target_string", "profile_radii_string", "t_grid_string",
         "assert_C_string", "v_min_negative", "t_zero", "t_empty", "n_empty",
-        "n_negative", "n_start_negative", "centers_empty"])
+        "n_negative", "n_start_negative", "n_max_below_start",
+        "n_max_negative", "centers_empty"])
 def test_bad_profile_key_exits_2_at_its_pointer(tmp_path, capsys, op,
                                                pointer):
     out = tmp_path / "run"

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -1068,13 +1069,23 @@ def test_candidate_profile_evaluates_only_reportable_subsets(monkeypatch):
                                              2).value)
             for sub, label in profiles.candidate_subsets(space, backend)]
     assert len(scan) == 234
-    # every exact J_2, in jp_subset or in the profile loop, is one _j2_eig
-    calls = []
-    j2_eig = profiles._j2_eig
-    monkeypatch.setattr(profiles, "_j2_eig",
-                        lambda *a: calls.append(1) or j2_eig(*a))
+    # each candidate that fits the grid is either solved (one eigensolve)
+    # or certified below its bar by the cut, never both
+    solved, certified = [], []
+    eig, above = profiles.symmetric_eig, profiles.above
+
+    def certify(*args):
+        ok = above(*args)
+        certified.append(ok)
+        return ok
+
+    monkeypatch.setattr(profiles, "symmetric_eig",
+                        lambda *a: solved.append(1) or eig(*a))
+    monkeypatch.setattr(profiles, "above", certify)
     curve = profiles.isoperimetric_profile(space, backend, 2, grid)
-    assert len(calls) == sum(sub.measure <= 4 for sub, _, _ in scan) == 85
+    assert len(solved) + sum(certified) == 85
+    assert sum(sub.measure <= 4 for sub, _, _ in scan) == 85
+    assert 0 < sum(certified) < 85
     for i, v in enumerate(grid):
         fits = [c for c in scan if c[0].measure <= v]
         best = max(val for _, _, val in fits)
@@ -1082,6 +1093,117 @@ def test_candidate_profile_evaluates_only_reportable_subsets(monkeypatch):
         assert curve.values[i] == val
         assert curve.witnesses[i]["label"] == label
         assert np.array_equal(curve.witnesses[i]["indices"], sub.indices)
+
+
+def _uncut_sweep(space, backend, p, members, ranks):
+    """profiles._sweep before the cut: every member is solved."""
+    for idx in members:
+        if p == 2 and backend.kind != "sup" and idx.size < space.n:
+            value = profiles._j2_eig(space, backend, idx)[0]
+            yield (value, np.inf, "exact",
+                   "isolated_at_scale" if value == np.inf else None)
+        else:
+            res = profiles.jp_subset(space, backend, idx, p)
+            yield res.value, res.upper, res.mode, res.reason
+
+
+def _cut_case(kind, weighted, route):
+    if kind == "lp_isolated":
+        # points 1, 3 and 7 are isolated at 0.25
+        space, h = zoo.random_geometric(10, 3), 0.25
+    else:
+        space, h = zoo.grid(2, 3 if route == "exact" else 4), 1.0
+    if weighted:
+        space = space.with_measure(
+            10.0 ** np.random.default_rng(8).uniform(-1, 1, space.n))
+    if kind in ("lp", "lp_isolated"):
+        return space, Backend.lp(h)
+    make = standard_viewpoint if kind == "standard" else lazy_srw
+    return space, Backend.viewpoint(make(space, h))
+
+
+@pytest.mark.parametrize("kind", ["lp", "standard", "lazy_srw",
+                                  "lp_isolated"])
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("route", ["candidates", "exact", "balls"])
+def test_cut_sweep_matches_the_uncut_sweep(monkeypatch, kind, weighted,
+                                           route):
+    space, backend = _cut_case(kind, weighted, route)
+    # NaN and unsorted entries; the largest reaches past half the space
+    grid = np.array([np.nan, 3.0, 1.5, 6.0, 2.0, np.nan, 4.0]) * \
+        space.total_measure / space.n
+    radii = [2.0, 0.5, 1.0, 3.0]
+
+    def run():
+        if route == "balls":
+            return profiles.profile_in_balls(space, backend, 2, radii)
+        return profiles.isoperimetric_profile(space, backend, 2, grid,
+                                              strategy=route)
+
+    certified, above = [], profiles.above
+
+    def certify(*args):
+        certified.append(above(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(profiles, "above", certify)
+    curve, warned = _warnings_of(run)
+    monkeypatch.setattr(profiles, "_sweep", _uncut_sweep)
+    want, want_warned = _warnings_of(run)
+    assert curve.mode == want.mode
+    assert warned == want_warned
+    assert (warned > 0) == (kind == "lp_isolated")
+    # the cut fired: the curves compared come from different work
+    assert any(certified) or kind == "lp_isolated"
+    _assert_same_curve(curve, want.values, want.witnesses)
+
+
+def test_cut_skips_most_candidates_of_the_transfer_grid(monkeypatch):
+    space, backend = zoo.grid(2, 5, "l1"), Backend.lp(1.0)
+    grid = [4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
+    members = sum(sub.measure <= max(grid) for sub, _ in
+                  profiles.candidate_subsets(space, backend))
+    solved = []
+    eig = profiles.symmetric_eig
+    monkeypatch.setattr(profiles, "symmetric_eig",
+                        lambda *a: solved.append(1) or eig(*a))
+    profiles.isoperimetric_profile(space, backend, 2, grid)
+    assert len(solved) < 0.25 * members
+
+
+@given(st.integers(0, 4), st.sampled_from(["lp", "standard", "lazy_srw"]),
+       st.sampled_from([0.25, 1.0, 2.0]), st.integers(0, 2 ** 32 - 1))
+def test_cut_certificate_skips_only_members_below_their_bar(which, kind, h,
+                                                            seed):
+    rng = np.random.default_rng(seed)
+    space = [zoo.path(7), zoo.grid(2, 3), zoo.grid(2, 4, "linf"),
+             zoo.regular_tree(3, 2), zoo.random_geometric(12, 5)][which]
+    space = space.with_measure(10.0 ** rng.uniform(-6, 6, space.n))
+    backend = Backend.lp(h) if kind == "lp" else Backend.viewpoint(
+        (standard_viewpoint if kind == "standard" else lazy_srw)(space, h))
+    idx = np.flatnonzero(rng.random(space.n) < rng.uniform(0.1, 0.9))
+    if not 0 < idx.size < space.n:
+        idx = np.array([int(rng.integers(space.n))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value = profiles._j2_eig(space, backend, idx)[0]
+        bars = [1e-300, 1e-6, 1.0, 1e6, 1e300]
+        if np.isfinite(value):
+            near = [value]
+            for step in (np.inf, -np.inf):
+                b = value
+                for _ in range(4):
+                    b = np.nextafter(b, step)
+                    near.append(b)
+            bars += near + [value * 1e-3, value * 1e3]
+        for bar in bars:
+            got = profiles._j2_eig(space, backend, idx, bar)[0]
+            if np.isnan(got):
+                # skipped: finite (so not isolated) and below the bar
+                assert value < bar, (value, bar)
+            else:
+                # a member that runs, runs unchanged
+                assert got == value or (np.isinf(got) and np.isinf(value))
 
 
 def _candidate_oracle(space, backend, grid, value):
