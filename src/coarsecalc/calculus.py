@@ -146,18 +146,34 @@ def _require_symmetric(vp, who):
                          f"({rep.x},{rep.y}) differs by {rep.gap:g}")
 
 
+def _offdiag_nonnegative(M):
+    """True when no off-diagonal entry of M is negative; the diagonal is
+    not read, as it may round below zero where it should be zero."""
+    if issparse(M):
+        M = M.tocoo()
+        return bool(np.all(M.data[M.row != M.col] >= 0))
+    return bool(np.all((M >= 0) | np.eye(M.shape[0], dtype=bool)))
+
+
 def symmetric_eig(M, which, k=1):
     """(theta, V, residuals): the k eigenpairs of the symmetric matrix M
-    (dense or sparse) that are largest ("LA"), smallest ("SA") or largest in
-    |theta| ("LM"), theta ascending.
+    (dense or sparse) that are largest ("LA") or smallest ("SA"), theta
+    ascending.
 
     Up to DENSE_EIG_SIZE points LAPACK dsyevd solves M whole (bitwise what
     np.linalg.eigh returns); above it ARPACK Lanczos runs to machine
-    precision from a fixed start, so reruns repeat, and the zero matrix
-    gets dsyevd's answer. Each residual ||M v - theta v|| bounds
-    |lambda - theta| for an eigenvalue lambda of M (Parlett, ch. 4); one
-    above EIG_RESIDUAL_TOL * max(1, |theta|), or an ARPACK failure such as
-    no Lanczos convergence, raises ArithmeticError.
+    precision from a fixed start, and restarts after a breakdown from a
+    fixed seed, so reruns repeat; the zero matrix gets dsyevd's answer.
+    The start is the ones vector for the top eigenpair ("LA", k = 1) of a
+    matrix with no negative off-diagonal entry: lambda_max then has a
+    nonnegative eigenvector (Perron-Frobenius, after a diagonal shift),
+    which a positive start meets with weight at least n^-1/2, and on a
+    symmetric space Lanczos stays in the small invariant subspace that
+    holds it. Every other request starts from a slight ramp. Each
+    residual ||M v - theta v|| bounds |lambda - theta| for an eigenvalue
+    lambda of M (Parlett, ch. 4); one above EIG_RESIDUAL_TOL *
+    max(1, |theta|), or an ARPACK failure such as no Lanczos convergence,
+    raises ArithmeticError.
     """
     n = M.shape[0]
     if n <= DENSE_EIG_SIZE:
@@ -165,10 +181,7 @@ def symmetric_eig(M, which, k=1):
         w, v, info = dsyevd(dense, compute_v=1, lower=1)
         if info != 0:
             raise ArithmeticError(f"dsyevd failed (info = {info})")
-        if which == "LM":
-            pick = np.sort(np.argsort(np.abs(w), kind="stable")[n - k:])
-        else:
-            pick = slice(n - k, n) if which == "LA" else slice(k)
+        pick = slice(n - k, n) if which == "LA" else slice(k)
         theta, V = w[pick], v[:, pick]
     elif not abs(M).max():
         # Lanczos cannot start on the zero matrix; answer as dsyevd does,
@@ -177,9 +190,11 @@ def symmetric_eig(M, which, k=1):
         V[np.arange(k) if which == "SA" else np.arange(n - k, n),
           np.arange(k)] = 1.0
     else:
-        v0 = np.ones(n) + np.linspace(0.0, 1e-3, n)
+        v0 = np.ones(n)
+        if not (which == "LA" and k == 1 and _offdiag_nonnegative(M)):
+            v0 += np.linspace(0.0, 1e-3, n)
         try:
-            theta, V = eigsh(M, k=k, which=which, tol=0, v0=v0)
+            theta, V = eigsh(M, k=k, which=which, tol=0, v0=v0, rng=0)
         except ArpackNoConvergence as exc:
             raise ArithmeticError(f"Lanczos did not converge on {n} "
                                   f"points: {exc}") from exc

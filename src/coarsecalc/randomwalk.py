@@ -484,10 +484,18 @@ def nash_from_decay(space, vp, decay: DecayCurve, fields) -> NashFromDecayReport
 
 def _radii(kernel, subsets):
     """Yield (rho_A, residual) per A in subsets (None: the whole space):
-    the largest |theta| of S = diag(m) - Q/2 on A, with Q the kernel's
+    the largest eigenvalue of S = diag(m) - Q/2 on A, with Q the kernel's
     mu-normalised form (calculus._form, the one exact J_2 reads) and
-    m = dens @ mu. Q is symmetric whatever the kernel, hence the check."""
+    m = dens @ mu. S is p(x, y) sqrt(mu(x) mu(y)) entrywise, up to
+    rounding, so for a kernel with no negative density S >= 0 and its
+    largest eigenvalue is its spectral radius (Perron-Frobenius); its
+    absolute value is taken, as on a block with no edge rounding can
+    leave it a hair below 0. Q is symmetric whatever the kernel, hence
+    the checks."""
     _require_symmetric(kernel, "spectral radius")
+    if (kernel.dens.data < 0).any():
+        raise ValueError("spectral radius requires nonnegative densities; "
+                         f"the smallest is {kernel.dens.data.min():g}")
     Q, m = _form(kernel.space, vp=kernel), kernel.dens @ kernel.space.measure
     for A in subsets:
         idx = None if A is None else _as_indices(kernel.space, A)
@@ -495,7 +503,7 @@ def _radii(kernel, subsets):
             raise ValueError("subset must be nonempty")
         C, d = (Q, m) if idx is None else (_block(Q, idx), m[idx])
         S = (np.diag(d) if isinstance(C, np.ndarray) else diags(d)) - C / 2
-        theta, _, residuals = symmetric_eig(S, "LM")
+        theta, _, residuals = symmetric_eig(S, "LA")
         yield abs(float(theta[0])), float(residuals[0])
 
 

@@ -5,8 +5,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.sparse import diags
+from scipy.sparse.linalg import eigsh
 
-from coarsecalc import calculus, randomwalk, zoo
+from coarsecalc import calculus, profiles, randomwalk, zoo
+from coarsecalc.acceptance import TREE_RADIAL_RHO
 from coarsecalc.calculus import EIG_RESIDUAL_TOL
 from coarsecalc.profiles import Backend, RateFunction, jp_subset
 from coarsecalc.randomwalk import (
@@ -20,7 +22,8 @@ from coarsecalc.randomwalk import (
     pure_srw,
     spectral_radius,
 )
-from coarsecalc.viewpoint import is_symmetric, standard_viewpoint
+from coarsecalc.viewpoint import Viewpoint, is_symmetric, \
+    standard_viewpoint
 
 
 def test_lazy_srw_is_symmetric_everywhere():
@@ -396,9 +399,8 @@ def test_radii_match_the_sliced_kernel_oracle(space, degree):
     got = [spectral_radius(vp)] + \
         [dirichlet_spectral_radius(vp, a) for a in subsets[1:]]
     for a, (rho, residual) in zip(subsets, got):
-        block = M if a is None else M[a][:, a]
-        theta, _, _ = calculus.symmetric_eig(block, "LM")
-        assert abs(rho - abs(theta[0])) <= 1e-14
+        block = (M if a is None else M[a][:, a]).toarray()
+        assert abs(rho - np.abs(np.linalg.eigvalsh(block)).max()) <= 1e-14
         assert 0 <= residual <= EIG_RESIDUAL_TOL
     assert exhaustion_radii(vp, subsets[1:]) == [r for r, _ in got[1:]]
 
@@ -423,6 +425,142 @@ def test_spectral_radius_refuses_a_non_symmetric_kernel():
                  lambda: exhaustion_radii(vp, [[3, 4, 5]])):
         with pytest.raises(ValueError, match="symmetric viewpoint"):
             call()
+
+
+def test_spectral_radius_refuses_a_negative_density():
+    # such a kernel is no walk, and the largest eigenvalue of S need not
+    # be its spectral radius; Viewpoint itself accepts it
+    space = zoo.path(6)
+    dens = lazy_srw(space, 1.0).dens.toarray()
+    dens[2, 3] = dens[3, 2] = -0.1
+    vp = Viewpoint(space, 1.0, dens, None)
+    assert is_symmetric(vp).symmetric
+    for call in (lambda: spectral_radius(vp),
+                 lambda: dirichlet_spectral_radius(vp, [1, 2, 3]),
+                 lambda: exhaustion_radii(vp, [[1, 2, 3]])):
+        with pytest.raises(ValueError, match="nonnegative densities"):
+            call()
+
+
+def _two_balls():
+    # a reducible S with a repeated top eigenvalue: two disjoint l1 balls
+    # of grid(2,32), mirror images of each other, joined by no edge
+    space = zoo.grid(2, 32)
+    A = np.union1d(space.ball(8 * 32 + 8, 11.0),
+                   space.ball(23 * 32 + 23, 11.0))
+    return pure_srw(space, ambient_degree=4), A
+
+
+def _lazy_mu():
+    space = zoo.grid(2, 20)
+    mu = np.random.default_rng(5).uniform(0.5, 2.0, space.n)
+    return lazy_srw(space.with_measure(mu), 1.0), np.arange(300)
+
+
+# (name, () -> (kernel, subset or None)): pure walks on tree balls and
+# boxes, lazy walks on a random geometric graph and under a weighted mu,
+# a pure walk whose computed diagonal of S rounds below zero, and a
+# reducible S, on both sides of DENSE_EIG_SIZE
+PERRON_CASES = {
+    **{f"tree{d}": (lambda d=d: (pure_srw(zoo.regular_tree(4, d),
+                                          ambient_degree=4), None))
+       for d in (4, 5, 6, 7)},
+    **{f"box{L}": (lambda L=L: (pure_srw(zoo.grid(2, L), ambient_degree=4),
+                                None))
+       for L in (8, 16, 17, 24, 32)},
+    "lazy_rgg": lambda: (lazy_srw(zoo.random_geometric(600, 4), 0.08),
+                         np.arange(0, 600, 2)),
+    "rounding_diag": lambda: (pure_srw(zoo.random_geometric(600, 1),
+                                       step=0.1), None),
+    "lazy_mu": _lazy_mu,
+    "two_balls": _two_balls,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERRON_CASES))
+def test_radius_is_the_perron_root(name, monkeypatch):
+    # rho is the top eigenvalue of S >= 0: it is max |eigenvalue| of the
+    # block and lies in the Collatz-Wielandt bracket [min S1, max S1]
+    vp, A = PERRON_CASES[name]()
+    starts = []
+    monkeypatch.setattr(calculus, "eigsh", lambda *a, **k: starts.append(
+        k["v0"]) or eigsh(*a, **k))
+    rho, residual = spectral_radius(vp) if A is None else \
+        dirichlet_spectral_radius(vp, A)
+    root = diags(np.sqrt(vp.space.measure))
+    M = (root @ vp.dens @ root).tocsr()
+    block = M if A is None else M[A][:, A]
+    tol = 1e-12 * max(1.0, rho)
+    if block.shape[0] > 1500:
+        # the tree of depth 7: its top eigenvector is radial, and the
+        # pinned value comes from the radial tridiagonal
+        assert abs(rho - TREE_RADIAL_RHO[7]) <= tol
+    else:
+        assert abs(rho - np.abs(np.linalg.eigvalsh(block.toarray())).max()) \
+            <= tol
+    rows = np.asarray(block.sum(axis=1)).ravel()
+    assert rows.min() - tol <= rho <= rows.max() + tol
+    assert 0 <= residual <= EIG_RESIDUAL_TOL
+    if name == "rounding_diag":
+        S = diags(vp.dens @ vp.space.measure) - \
+            calculus._form(vp.space, vp=vp) / 2
+        assert (S.diagonal() < 0).sum() > 100
+    if block.shape[0] > calculus.DENSE_EIG_SIZE:
+        assert len(starts) == 1 and np.all(starts[0] == 1.0)
+    else:
+        assert starts == []
+
+
+def test_only_the_top_pair_of_a_nonnegative_matrix_starts_from_ones(
+        monkeypatch):
+    # exact J_2 ("SA") blocks and the candidate eigenfield ("LA", k = 2)
+    # keep the ramp start, so their outputs stay bit for bit
+    starts = []
+    monkeypatch.setattr(calculus, "eigsh", lambda *a, **k: starts.append(
+        k["v0"]) or eigsh(*a, **k))
+    space = zoo.grid(2, 20)
+    vp = lazy_srw(space, 1.0)
+    jp_subset(space, Backend.lp(1.0), np.arange(300), 2)
+    jp_subset(space, Backend.viewpoint(vp), np.arange(300), 2)
+    profiles.candidate_subsets(space, Backend.viewpoint(vp))
+    spectral_radius(vp)
+    assert [v.size for v in starts] == [300, 300, 400, 400]
+    assert all(np.array_equal(v, np.ones(v.size) + np.linspace(
+        0.0, 1e-3, v.size)) for v in starts[:3])
+    assert np.all(starts[3] == 1.0)
+
+
+def test_radius_reruns_repeat_after_a_lanczos_breakdown():
+    # on the tree's last 400 points S = 0.8 I: the ones start spans an
+    # invariant subspace at once, and ARPACK restarts from its generator
+    tree = zoo.regular_tree(4, 6)
+    lazy = lazy_srw(tree, 1.0)
+    big = zoo.regular_tree(4, 8)
+    pure = pure_srw(big, ambient_degree=4)
+    balls = [big.ball(0, float(k)) for k in (5, 6, 7)]
+    box = lazy_srw(zoo.grid(2, 20), 1.0)
+    rng = np.random.default_rng(3)
+
+    def scalar():
+        # unseeded Lanczos runs in between must not reach the radii
+        eigsh(diags(rng.uniform(size=500)), k=1, which="LA")
+        return dirichlet_spectral_radius(lazy, np.arange(tree.n - 400,
+                                                         tree.n))
+
+    def radii():
+        got = [scalar()]
+        eigsh(diags(rng.uniform(size=500)), k=1, which="LA")
+        got += [dirichlet_spectral_radius(pure, b) for b in balls]
+        got.append(spectral_radius(box))
+        return np.array(got)
+
+    first = radii()
+    assert first[0, 0] == pytest.approx(0.8, abs=1e-15)
+    for _ in range(2):
+        assert radii().tobytes() == first.tobytes()
+    # the restart's draw shows on the scalar block, so ask it often
+    for _ in range(40):
+        assert np.array(scalar()).tobytes() == first[0].tobytes()
 
 
 def test_exhaustion_radii_nondecreasing():
