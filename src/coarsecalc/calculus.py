@@ -46,6 +46,18 @@ def _check_field(space, f):
     return f
 
 
+def _check_finite(space, f):
+    """_check_field that also refuses NaN and +-inf, naming the first such
+    point: a NaN makes every tolerance test False, so an identity check
+    would pass on it and a sandwich would fail."""
+    f = _check_field(space, f)
+    finite = np.isfinite(f)
+    if not finite.all():
+        x = int(np.argmin(finite))
+        raise ValueError(f"field has a non-finite value {f[x]} at point {x}")
+    return f
+
+
 def lp_norm(space, f, p):
     """||f||_p with respect to the space measure; p may be inf."""
     if p < 1:
@@ -238,7 +250,7 @@ def energy(vp, f):
     """(<(I-P)f, f>_mu, ||grad_{P,2} f||_2^2); asserts the second equals
     twice the first (to 1e-10 relative)."""
     _require_symmetric(vp, "energy")
-    f = _check_field(vp.space, f)
+    f = _check_finite(vp.space, f)
     mu = vp.space.measure
     dirichlet = float(np.sum((f - vp_apply(vp, f)) * f * mu))
     g = grad_viewpoint(vp, f, 2)
@@ -255,12 +267,14 @@ def p2_energy_identity(vp, f):
     """(||grad_{P^2,2} f||_2^2, ||f||_2^2 - ||Pf||_2^2); asserts lhs == 2*rhs.
 
     The two-step kernel is the density product D diag(mu) D; no certificate
-    is needed for the identity, only the density matrix.
+    is needed for the identity, only the density matrix. The product is
+    built on the first call and kept on the viewpoint (``_two_step``), so
+    checking k fields builds it once.
     """
     _require_symmetric(vp, "p2_energy_identity")
-    f = _check_field(vp.space, f)
+    f = _check_finite(vp.space, f)
     mu = vp.space.measure
-    dens2 = csr_matrix(vp.dens @ diags(mu) @ vp.dens)
+    dens2 = _two_step(vp)
     dev = _row_deviation(dens2, f)
     lhs = float(mu @ _row_integral(dens2, dev * dev, mu))
     pf = vp_apply(vp, f)
@@ -284,7 +298,7 @@ def coarea(space, f, h):
     of t -> mu(boundary_h {f >= t}) because f takes finitely many values.
     The level sets go through ``space.boundaries`` together.
     """
-    f = _check_field(space, f)
+    f = _check_finite(space, f)
     if np.any(f < 0):
         raise ValueError("coarea expects a nonnegative field")
     mid = float(np.sum(grad_sup(space, f, h) * space.measure))
@@ -325,7 +339,7 @@ def sandwich_report(vp, f, q, q2, slack=1e-12) -> SandwichReport:
     if q > q2:
         raise ValueError(f"need q <= q2, got {q} > {q2}")
     space = vp.space
-    f = _check_field(space, f)
+    f = _check_finite(space, f)
     V = space.volumes(vp.h)
     if np.isinf(q):
         kappa = np.ones(space.n)
@@ -434,6 +448,17 @@ def _form(space, h=None, vp=None):
         else:
             space._forms[float(h)] = Q
     return Q
+
+
+def _two_step(vp):
+    """The two-step density D diag(mu) D of the viewpoint, CSR with
+    read-only arrays, built on first use and kept on the Viewpoint."""
+    if vp._two_step is None:
+        dens2 = csr_matrix(vp.dens @ diags(vp.space.measure) @ vp.dens)
+        for arr in (dens2.data, dens2.indices, dens2.indptr):
+            arr.flags.writeable = False
+        vp._two_step = dens2
+    return vp._two_step
 
 
 def _block(Q, idx):

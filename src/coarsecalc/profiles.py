@@ -1082,7 +1082,8 @@ def nash_check(space, vp, phi, fields) -> NashReport:
     The rate argument ||f||_1^2 / ||f||_2^2 is volume-like (it equals
     mu(A) for an indicator of A), which matches phi's role as a function
     of mass; the two-step gradient norm is evaluated through the energy
-    identity (2 (||f||_2^2 - ||Pf||_2^2)).
+    identity (2 (||f||_2^2 - ||Pf||_2^2)), which refuses a field with a
+    NaN or infinite value.
     """
     fields = [np.asarray(f, dtype=float) for f in fields]
     norms = []

@@ -61,8 +61,13 @@ class SymmetryReport:
 class Viewpoint:
     """A certified kernel at scale h on a fixed space.
 
-    Immutable after construction but for the form ``calculus._form``
-    memoises; ``apply`` is pure, so viewpoints can be shared across workers.
+    Immutable after construction but for its memos, which depend on the
+    kernel alone and are built on first use: the form ``calculus._form``
+    keeps, the two-step density of ``calculus._two_step`` and the
+    ``is_symmetric`` verdict. Builders return new viewpoints, which start
+    with none; a deep copy carries them with the densities they were
+    computed from. ``apply`` is pure, so viewpoints can be shared across
+    workers.
     """
 
     def __init__(self, space, h, dens, certificate, kind="custom"):
@@ -78,7 +83,9 @@ class Viewpoint:
         self.dens = dens
         self.certificate = certificate
         self.kind = kind
-        self._form = None   # calculus._form(space, vp=self)
+        self._form = None       # calculus._form(space, vp=self)
+        self._two_step = None   # calculus._two_step(self)
+        self._symmetry = None   # is_symmetric(self)
 
     @property
     def A(self):
@@ -169,7 +176,17 @@ def validate(space, dens, h) -> Union[Certificate, Violation]:
 
 def is_symmetric(vp) -> SymmetryReport:
     """True iff max_{x,y} |p_x(y) - p_y(x)| <= 1e-12 times the largest
-    density (a test free of mu's unit), with the worst pair."""
+    density (a test free of mu's unit), with the worst pair.
+
+    The report depends on the densities alone, so it is built once per
+    viewpoint and kept on it; every later call returns the same report.
+    """
+    if vp._symmetry is None:
+        vp._symmetry = _symmetry_report(vp)
+    return vp._symmetry
+
+
+def _symmetry_report(vp) -> SymmetryReport:
     diff = (vp.dens - vp.dens.T).tocoo()
     if diff.nnz == 0:
         p = vp.dens[0, 0]

@@ -1,13 +1,15 @@
 """Gradients, Laplacians, eigensolves, energy identities, coarea,
 comparisons."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from coarsecalc import calculus, profiles, zoo
+from coarsecalc import calculus, profiles, randomwalk, viewpoint, zoo
 from coarsecalc.randomwalk import lazy_srw, pure_srw
 from coarsecalc.viewpoint import random_symmetric_viewpoint, standard_viewpoint
 
@@ -286,3 +288,166 @@ def test_kernel_reductions_match_row_loops(make, h, measure):
         if calculus.is_symmetric(vp).symmetric:
             assert _close(calculus.p2_energy_identity(vp, f)[0],
                           _loop_two_step_lhs(vp, f)), vp.kind
+
+
+# ----------------------------------------------------------------------
+# the memos on a Viewpoint: the symmetry verdict and the two-step kernel
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_symmetry_report_is_built_once_per_viewpoint(monkeypatch):
+    builds = _count_calls(monkeypatch, viewpoint, "_symmetry_report")
+    space = zoo.path(12)
+    vp = lazy_srw(space, 1.0)
+    f = np.random.default_rng(3).standard_normal(space.n)
+    for _ in range(3):
+        calculus.energy(vp, f)
+        calculus.p2_energy_identity(vp, f)
+    randomwalk.on_diagonal(vp, 0, [1, 2, 4])
+    randomwalk.spectral_radius(vp)
+    assert calculus.is_symmetric(vp) is vp._symmetry
+    assert len(builds) == 1
+    calculus.energy(lazy_srw(space, 1.0), f)   # a new kernel, a new report
+    assert len(builds) == 2
+
+
+def test_two_step_kernel_is_built_once_and_read_only(monkeypatch):
+    products = _count_calls(monkeypatch, calculus, "diags")
+    rng = np.random.default_rng(5)
+    space = zoo.grid(2, 5)
+    vp = random_symmetric_viewpoint(space, 1.0, rng)
+    assert vp._two_step is None
+    for _ in range(6):
+        calculus.p2_energy_identity(vp, rng.standard_normal(space.n))
+    assert len(products) == 1
+    dens2 = vp._two_step
+    assert calculus._two_step(vp) is dens2
+    mu = space.measure
+    np.testing.assert_array_equal(
+        dens2.toarray(), csr_matrix(vp.dens @ diags(mu) @ vp.dens).toarray())
+    for arr in (dens2.data, dens2.indices, dens2.indptr):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
+
+
+def test_builders_start_with_empty_memos_and_deep_copies_keep_them():
+    space = zoo.path(8).with_measure(np.linspace(1.0, 2.0, 8))
+    std = standard_viewpoint(space, 1.0)
+    assert not calculus.is_symmetric(std).symmetric
+    sym, _ = viewpoint.symmetrize(space, std)
+    rng = np.random.default_rng(0)
+    first = random_symmetric_viewpoint(space, 1.0, rng)
+    f = rng.standard_normal(space.n)
+    calculus.p2_energy_identity(first, f)
+    randomwalk.spectral_radius(first)
+    second = random_symmetric_viewpoint(space, 1.0, rng)
+    for vp in (sym, second):
+        assert (vp._symmetry, vp._two_step, vp._form) == (None, None, None)
+    copied = copy.deepcopy(first)
+    assert copied._symmetry == first._symmetry
+    np.testing.assert_array_equal(copied._two_step.toarray(),
+                                  first._two_step.toarray())
+    np.testing.assert_array_equal(copied._form, first._form)
+    assert calculus.p2_energy_identity(copied, f) == \
+        calculus.p2_energy_identity(first, f)
+
+
+def test_an_asymmetric_viewpoint_raises_the_same_witness_on_every_call():
+    space = zoo.path(5).with_measure(np.array([1.0, 3, 1, 1, 1]))
+    std = standard_viewpoint(space, 1.0)
+    vp = viewpoint.Viewpoint(space, 1.0, std.dens, std.certificate)
+    rep = viewpoint._symmetry_report(vp)
+    witness = (f"requires a symmetric viewpoint; worst pair "
+               f"({rep.x},{rep.y}) differs by {rep.gap:g}")
+    f = np.arange(5.0)
+    for _ in range(3):
+        for call, who in ((lambda: calculus.energy(vp, f), "energy"),
+                          (lambda: calculus.p2_energy_identity(vp, f),
+                           "p2_energy_identity"),
+                          (lambda: randomwalk.on_diagonal(vp, 0, [1]),
+                           "on_diagonal"),
+                          (lambda: randomwalk.spectral_radius(vp),
+                           "spectral radius")):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"{who} {witness}"
+    assert calculus.is_symmetric(vp) == rep
+
+
+def _unmemoised_energy(vp, f):
+    """energy and p2_energy_identity as they read before the memos: the
+    symmetry check aside, every step of both, inline."""
+    mu = vp.space.measure
+    dirichlet = float(np.sum((f - vp.dens @ (f * mu)) * f * mu))
+    g = calculus.grad_viewpoint(vp, f, 2)
+    grad_sq = float(np.sum(g * g * mu))
+    dens2 = csr_matrix(vp.dens @ diags(mu) @ vp.dens)
+    dev = f[dens2.indices] - np.repeat(f, np.diff(dens2.indptr))
+    lhs = float(mu @ (csr_matrix((dev * dev * dens2.data, dens2.indices,
+                                  dens2.indptr), shape=dens2.shape) @ mu))
+    pf = vp.dens @ (f * mu)
+    rhs = float(np.sum(f * f * mu) - np.sum(pf * pf * mu))
+    return dirichlet, grad_sq, lhs, rhs
+
+
+@pytest.mark.parametrize("make,h", [
+    (lambda: zoo.path(12), 1.0), (lambda: zoo.grid(2, 5), 1.0),
+    (lambda: zoo.grid(2, 5, "linf"), 1.0),
+    (lambda: zoo.random_geometric(40, 3), 0.3)],
+    ids=["path", "grid", "grid_linf", "rgg"])
+@pytest.mark.parametrize("kind", ["lazy_srw", "symmetrized", "random"])
+def test_memoised_identities_are_bitwise_the_unmemoised_path(make, h, kind):
+    rng = np.random.default_rng(29)
+    space = make()
+    if kind == "lazy_srw":
+        vp = lazy_srw(space, h)
+    elif kind == "symmetrized":
+        vp, space = viewpoint.symmetrize(space, standard_viewpoint(space, h))
+    else:
+        vp = random_symmetric_viewpoint(space, h, rng)
+    for _ in range(5):
+        f = rng.standard_normal(space.n)
+        got = calculus.energy(vp, f) + calculus.p2_energy_identity(vp, f)
+        assert np.array(got).tobytes() == \
+            np.array(_unmemoised_energy(vp, f)).tobytes()
+
+
+# ----------------------------------------------------------------------
+# fields with NaN or +-inf
+
+
+NONFINITE_CHECKS = {
+    "energy": lambda vp, f: calculus.energy(vp, f),
+    "p2_energy_identity": lambda vp, f: calculus.p2_energy_identity(vp, f),
+    "sandwich_report": lambda vp, f: calculus.sandwich_report(vp, f, 2, 2),
+    "coarea": lambda vp, f: calculus.coarea(vp.space, f, vp.h),
+    "nash_check": lambda vp, f: profiles.nash_check(
+        vp.space, vp, lambda v: v ** 0.5, [np.ones(vp.space.n), f]),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("check", sorted(NONFINITE_CHECKS))
+def test_identity_checks_refuse_a_non_finite_field(check, bad):
+    vp = lazy_srw(zoo.path(5), 1.0)
+    f = np.array([0.0, bad, 1.0, 2.0, 0.0])
+    with pytest.raises(ValueError,
+                       match=rf"^field has a non-finite value {bad} at "
+                             rf"point 1$"):
+        NONFINITE_CHECKS[check](vp, f)
+    f[1], f[3], f[4] = 1.0, bad, np.nan   # the first one is named
+    with pytest.raises(ValueError, match=r"at point 3$"):
+        NONFINITE_CHECKS[check](vp, f)
