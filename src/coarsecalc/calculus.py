@@ -37,6 +37,7 @@ ENERGY_IDENTITY_RTOL = 1e-10
 # largest matrix solved whole by LAPACK; on one thread Lanczos is faster on
 # box walks from about 200 points and on criterion 7's J_2 blocks above 256
 DENSE_EIG_SIZE = 256
+_EPS = np.finfo(float).eps
 
 
 def _check_field(space, f):
@@ -226,19 +227,19 @@ def symmetric_eig(M, which, k=1):
     return theta, V, residuals
 
 
-def above(C, s):
+def above(C, s, diag):
     """True when every eigenvalue of the dense positive semidefinite C, and
     every eigenvalue dsyevd computes for it, is certified above s: C minus
     (s + 4 (k + 1)^2 eps trace(C)) I factors by Cholesky (LAPACK dpotrf),
     so by Sylvester's law of inertia it has no eigenvalue <= 0. The margin
     is above Cholesky's backward error, about (k + 1) eps trace(C), and
-    dsyevd's, a small multiple of eps ||C||_2 <= eps trace(C). False
-    certifies nothing; s = inf gives False.
+    dsyevd's, a small multiple of eps ||C||_2 <= eps trace(C). ``diag`` is
+    C's diagonal, which the caller has read already; trace(C) is its sum,
+    bit for bit np.trace(C). False certifies nothing; s = inf gives False.
     """
     k = C.shape[0]
     shifted = C.copy()
-    shifted.flat[::k + 1] -= s + 4 * (k + 1) ** 2 * np.finfo(float).eps \
-        * np.trace(C)
+    shifted.flat[::k + 1] -= s + 4 * (k + 1) ** 2 * _EPS * diag.sum()
     return dpotrf(shifted, lower=1, clean=0, overwrite_a=1)[1] == 0
 
 

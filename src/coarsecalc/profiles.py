@@ -46,7 +46,7 @@ from scipy.sparse.csgraph import connected_components
 from coarsecalc.calculus import (
     DENSE_EIG_SIZE, _block, _form, above, grad_lp, grad_sup, grad_viewpoint,
     gradient_pairs, lp_norm, p2_energy_identity, symmetric_eig)
-from coarsecalc.space import Subset, boundary_measures
+from coarsecalc.space import BLOCK_ENTRIES, Subset, boundary_measures
 from coarsecalc.viewpoint import is_symmetric
 
 EXACT_ENUM_LIMIT = 18
@@ -399,17 +399,19 @@ def _j2_eig(space, backend, idx, bar=np.inf):
 
     The cut: given a finite bar > 0, a block of at most DENSE_EIG_SIZE
     points is first tested with calculus.above against
-    s = bar^-2 (1 + 1e-12) + the isolation floor. If it passes, dsyevd's
+    s = bar^-2 (1 + 1e-12) + the isolation floor; the block's diagonal is
+    read once, for the floor and for above's margin. If it passes, dsyevd's
     theta would exceed s, so J_2(A) would come out finite and below bar:
     (nan, None) is returned unsolved. An isolated A never passes: its
     smallest eigenvalue is at or below the floor, which s exceeds.
     """
     C = _block(_form(space, backend.h, backend.vp), idx)
-    floor = 1e-14 * max(1.0, *C.diagonal().tolist())
+    diag = C.diagonal()
+    floor = 1e-14 * max(1.0, *diag.tolist())
     if 0 < bar < np.inf and idx.size <= DENSE_EIG_SIZE:
         C = C.toarray() if issparse(C) else C       # as symmetric_eig would
         bar = float(bar)                # bar^-2 overflows to inf, not raises
-        if above(C, (1 + 1e-12) / bar / bar + floor):
+        if above(C, (1 + 1e-12) / bar / bar + floor, diag):
             return np.nan, None
     theta, V, _ = symmetric_eig(C, "SA")
     lam = float(theta[0])
@@ -451,14 +453,20 @@ def _subset(space, idx):
 
 def _family_table(space, backend, family):
     """_subset_tables' (mu_b, den_b) for a list of Subsets, in list order."""
+    return np.array([b.measure for b in family]), \
+        _cuts(space, backend, (b.mask() for b in family))
+
+
+def _cuts(space, backend, masks):
+    """_subset_tables' den_b for each set mask (N bools) of ``masks``, in
+    order: mu(boundary at scale h) on the sup backend, the cut weight
+    ||grad 1_B||_1 otherwise."""
     pw = backend.pair_weights(space)
-    masks = (b.mask() for b in family)
     if pw is None:
-        den = boundary_measures(space, masks, backend.h)
-    else:
-        rows, cols, w = pw
-        den = [np.sum(w * (m[rows] != m[cols])) for m in masks]
-    return np.array([b.measure for b in family]), np.array(den, dtype=float)
+        return boundary_measures(space, masks, backend.h)
+    rows, cols, w = pw
+    return np.array([np.sum(w * (m[rows] != m[cols])) for m in masks],
+                    dtype=float)
 
 
 def _ratio(mu, den):
@@ -747,74 +755,182 @@ def candidate_subsets(space, backend=None):
     """Documented search family: metric balls everywhere; coordinate
     sub-boxes and their complements on grids (intervals and their
     complements on paths); sublevel sets of the second eigenfield for a
-    symmetric viewpoint backend. At most MAX_CANDIDATES members.
+    symmetric viewpoint backend. At most MAX_CANDIDATES members, as
+    (Subset, label) pairs in family order.
 
     Complements matter: on a grid the complement of a small box can beat
     every box for boundary-to-volume ratios, and leaving them out makes the
     family provably miss exhaustive optima.
+
+    The family is built as one table (see _candidate_table), which the
+    candidate profile reads directly; the Subsets and labels here are made
+    from its rows, one per member.
     """
-    seen = set()
-    out = []
+    fam = _candidate_table(space, backend)
+    return [(Subset(space, fam.indices(j), float(fam.masses[j])),
+             fam.label(j)) for j in range(fam.masses.size)]
 
-    def push(indices, label):
-        # every family member is a flatnonzero: sorted, distinct int64
-        if indices.size == 0 or indices.size >= space.n:
-            return
-        key = indices.tobytes()
-        if key in seen:
-            return
-        seen.add(key)
-        out.append((_subset(space, indices), label))
 
-    for ball in _balls(space, range(0, space.n, max(1, space.n // 80))):
-        push(*ball)
+class _Family:
+    """A candidate family as one table, in family order: member j has the
+    sorted indices flat[off[j]:off[j + 1]] (int64), the measure masses[j]
+    (a float, summed over those indices as a Subset's is) and the packed
+    mask row packed[j]; its label is formatted only when asked for."""
 
-    shape = space.meta.get("shape")
-    if shape is not None:
-        dims = len(shape)
-        axes = [np.arange(s) for s in shape]
-        coords = np.stack(np.meshgrid(*axes, indexing="ij"),
-                          axis=-1).reshape(space.n, dims)
-        sizes = list(itertools.product(*[_strided_range(1, s)
-                                         for s in shape]))
-        corners = [_strided_range(0, s - 1) for s in shape]
-        # boxes that fit, in (corner, size) order, until the first past
-        # MAX_CANDIDATES / 2; each comes with its complement
-        left = MAX_CANDIDATES // 2 + 1
-        for corner in itertools.product(*corners):
-            hi = np.array(corner) + np.array(sizes)
-            fits = np.flatnonzero(np.all(hi <= shape, axis=1))[:left]
-            # inside[b, x]: x lies in box fits[b], one axis at a time
-            inside = np.all(coords >= corner, axis=1)[None, :]
-            for a in range(dims):
-                inside = inside & (coords[:, a] < hi[fits, a][:, None])
-            for b, mask in zip(fits.tolist(), inside):
-                push(np.flatnonzero(mask), f"box({corner},{sizes[b]})")
-                push(np.flatnonzero(~mask), f"cobox({corner},{sizes[b]})")
-            left -= fits.size
-            if not left:
+    def __init__(self, n, flat, off, masses, packed, labels):
+        self.n, self.flat, self.off = n, flat, off
+        self.masses, self.packed, self._labels = masses, packed, labels
+
+    def indices(self, j):
+        return self.flat[self.off[j]:self.off[j + 1]]
+
+    def label(self, j):
+        fmt, i = self._labels[j]
+        return fmt(i)
+
+    def masks(self, members):
+        """Yield the N-bool mask of each member in ``members``, unpacked
+        BLOCK_ENTRIES / N rows at a time."""
+        step = max(1, BLOCK_ENTRIES // self.n)
+        for lo in range(0, len(members), step):
+            yield from np.unpackbits(self.packed[members[lo:lo + step]],
+                                     axis=1, count=self.n).view(bool)
+
+
+def _candidate_table(space, backend=None):
+    """The candidate family of candidate_subsets as a _Family.
+
+    Candidate rows come in blocks of member masks (_candidate_rows). A row
+    is kept at its first occurrence unless it is empty or the whole space,
+    and the build stops at MAX_CANDIDATES members, so no later block is
+    made. Kept rows are stored as indices, packed mask rows and one mass
+    each."""
+    n, mu = space.n, space.measure
+    seen, labels, masses = set(), [], []
+    flats, sizes = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    packed = [np.zeros((0, (n + 7) // 8), np.uint8)]
+    for rows, fmt in _candidate_rows(space, backend):
+        size = np.count_nonzero(rows, axis=1)
+        bits = np.packbits(rows, axis=1)
+        # each packed row as one bytes object
+        keys = bits.view(np.dtype((np.void, bits.shape[1])))[:, 0].tolist()
+        keep = []
+        for i in np.flatnonzero((size > 0) & (size < n)).tolist():
+            if len(labels) + len(keep) == MAX_CANDIDATES:
                 break
+            if keys[i] not in seen:
+                seen.add(keys[i])
+                keep.append(i)
+        labels += [(fmt, i) for i in keep]
+        flat = np.nonzero(rows[keep])[1]
+        ends = np.cumsum(size[keep]).tolist()
+        mu_flat = mu[flat]
+        masses += [float(mu_flat[a:b].sum())
+                   for a, b in zip([0] + ends[:-1], ends)]
+        flats.append(flat)
+        sizes.append(size[keep])
+        packed.append(bits[keep])
+        if len(labels) == MAX_CANDIDATES:
+            break
+    return _Family(n, np.concatenate(flats),
+                   np.r_[0, np.cumsum(np.concatenate(sizes))],
+                   np.array(masses, dtype=float), np.concatenate(packed),
+                   labels)
 
+
+def _candidate_rows(space, backend):
+    """Yield the candidate family before deduplication as (rows, fmt)
+    blocks in family order: rows an (m, N) bool array of member masks,
+    at most BLOCK_ENTRIES entries (one row or one pair of rows when N is
+    larger), and fmt(i) the label of rows[i]. The eigenfield is solved
+    before the first block, so it is solved, as a whole family needs it,
+    even where the balls and boxes reach MAX_CANDIDATES first."""
+    g = None
     if backend is not None and backend.kind == "viewpoint" and \
             is_symmetric(backend.vp).symmetric and space.n >= 3:
         # not S from _form: the eigenvalue is repeated on grids, where S's
         # last bits turn the eigenvector (0.58 on grid(2,4)) and the family
         _, V, _ = symmetric_eig(backend.vp.symmetric_matrix(), "LA", k=2)
         g = V[:, 0] / np.sqrt(space.measure)   # second eigenfield on L2(mu)
-        for t in _thin(np.unique(g), 32):
-            push(np.flatnonzero(g <= t), f"sublevel({t:.3g})")
-            push(np.flatnonzero(g > t), f"suplevel({t:.3g})")
+    yield from _ball_rows(space, range(0, space.n, max(1, space.n // 80)))
+    if space.meta.get("shape") is not None:
+        yield from _box_rows(space, space.meta["shape"])
+    if g is not None:
+        levels = _thin(np.unique(g), 32)
+        step = max(1, BLOCK_ENTRIES // (2 * space.n))
+        for lo in range(0, levels.size, step):
+            t = levels[lo:lo + step, None]
+            rows = np.empty((2 * t.size, space.n), dtype=bool)
+            np.less_equal(g, t, out=rows[0::2])
+            np.greater(g, t, out=rows[1::2])
+            yield rows, lambda i, t=t[:, 0]: (
+                f"{'suplevel' if i % 2 else 'sublevel'}({t[i // 2]:.3g})")
 
-    return out[:MAX_CANDIDATES]
+
+def _ball_rows(space, centers):
+    """(rows, fmt) blocks of B(x, r) for each centre x and each r on the
+    _radius_grid (cap 10) of x's distance row, in order: one comparison
+    d <= radii per centre, distance rows read in blocks of rows."""
+    step = max(1, BLOCK_ENTRIES // space.n)
+    for xb, D in space.dist_blocks(centers):
+        radii = [_radius_grid(d, cap=10) for d in D]
+        own = np.repeat(np.arange(xb.size), [r.size for r in radii])
+        radii = np.concatenate(radii)
+        for lo in range(0, radii.size, step):
+            o, r = own[lo:lo + step], radii[lo:lo + step]
+            rows = np.empty((r.size, space.n), dtype=bool)
+            # one run of rows per centre
+            ends = np.r_[np.flatnonzero(o[1:] != o[:-1]) + 1, r.size]
+            for a, b in zip([0] + ends[:-1].tolist(), ends.tolist()):
+                np.less_equal(D[o[a]], r[a:b, None], out=rows[a:b])
+            yield rows, lambda i, x=xb[o], r=r: f"ball({x[i]},{r[i]:g})"
 
 
 def _balls(space, centers):
-    """(indices, label) of B(x, r) for each centre x and each r on the
-    _radius_grid (cap 10) of x's distance row, read in blocks of rows."""
-    for xb, D in space.dist_blocks(centers):
-        for x, d in zip(xb, D):
-            for r in _radius_grid(d, cap=10):
-                yield np.flatnonzero(d <= r), f"ball({x},{r:g})"
+    """(indices, label) of each ball of _ball_rows, in order."""
+    for rows, fmt in _ball_rows(space, centers):
+        for i, row in enumerate(rows):
+            yield np.flatnonzero(row), fmt(i)
+
+
+def _box_rows(space, shape):
+    """(rows, fmt) blocks of coordinate sub-boxes, each followed by its
+    complement: corners and sizes on strided ranges, the first
+    MAX_CANDIDATES // 2 + 1 (corner, size) pairs that fit, in (corner,
+    size) order."""
+    n, dims = space.n, len(shape)
+    coords = np.stack(np.meshgrid(*[np.arange(s) for s in shape],
+                                  indexing="ij"), axis=-1).reshape(n, dims)
+    sizes = list(itertools.product(*[_strided_range(1, s) for s in shape]))
+    corners = list(itertools.product(*[_strided_range(0, s - 1)
+                                       for s in shape]))
+    lo, size = np.array(corners), np.array(sizes)
+    # which pairs fit, a block of corners at a time until enough do
+    left, pairs = MAX_CANDIDATES // 2 + 1, []
+    step = max(1, BLOCK_ENTRIES // size.size)
+    for c0 in range(0, len(corners), step):
+        fit = np.all(lo[c0:c0 + step, None] + size <= shape, axis=2)
+        c, s = np.nonzero(fit)
+        pairs.append((c[:left] + c0, s[:left]))
+        left -= pairs[-1][0].size
+        if not left:
+            break
+    c, s = (np.concatenate(a) for a in zip(*pairs))
+    step = max(1, BLOCK_ENTRIES // (2 * n))
+    for b in range(0, c.size, step):
+        cb, sb = c[b:b + step], s[b:b + step]
+        # inside[k, x]: x lies in box k, one axis at a time
+        inside = np.ones((cb.size, n), dtype=bool)
+        for a in range(dims):
+            start = lo[cb, a][:, None]
+            inside &= (coords[:, a] >= start) & \
+                (coords[:, a] < start + size[sb, a][:, None])
+        rows = np.empty((2 * cb.size, n), dtype=bool)
+        rows[0::2] = inside
+        np.logical_not(inside, out=rows[1::2])
+        yield rows, lambda i, cb=cb.tolist(), sb=sb.tolist(): (
+            f"{'cobox' if i % 2 else 'box'}({corners[cb[i // 2]]},"
+            f"{sizes[sb[i // 2]]})")
 
 
 def _strided_range(lo, hi, cap=12):
@@ -853,12 +969,12 @@ def isoperimetric_profile(space, backend, p, volume_grid,
         masses, den, fam = mu_b[masks], den_b[masks], None
         members = (_mask_indices(m, space.n) for m in masks)
     else:
-        fam = [(sub, label) for sub, label in candidate_subsets(space, backend)
-               if sub.measure <= top]
-        masses = np.array([sub.measure for sub, _ in fam])
-        members = (sub.indices for sub, _ in fam)
+        fam = _candidate_table(space, backend)
+        keep = np.flatnonzero(fam.masses <= top)
+        masses = fam.masses[keep]
+        members = (fam.indices(j) for j in keep.tolist())
         if p == 1:
-            den = _family_table(space, backend, [sub for sub, _ in fam])[1]
+            den = _cuts(space, backend, fam.masks(keep))
     uppers, modes = np.full(masses.size, np.inf), {"exact"}
     if p == 1:
         values = _ratio(masses, den)
@@ -872,7 +988,7 @@ def isoperimetric_profile(space, backend, p, volume_grid,
 
     def pick(j):
         sub, label = (_mask_indices(masks[j], space.n), "exhaustive") \
-            if fam is None else (fam[j][0].indices, fam[j][1])
+            if fam is None else (fam.indices(keep[j]), fam.label(keep[j]))
         wit = {"indices": sub, "label": label, "measure": masses[j],
                "value": values[j]}
         if backend.kind == "sup" and p == 2:

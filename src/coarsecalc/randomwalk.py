@@ -57,8 +57,7 @@ def lazy_srw(space, h) -> Viewpoint:
     # one diagonal entry per row, met in row order
     data[np.repeat(np.arange(space.n), np.diff(indptr)) == indices] = \
         c0 + (1.0 - c0 * vols) / mu
-    dens = csr_matrix((data, indices.copy(), indptr.copy()),
-                      shape=(space.n, space.n))
+    dens = csr_matrix((data, indices, indptr), shape=(space.n, space.n))
     return Viewpoint(space, h, dens, Certificate(1.0, c0), kind="lazy_srw")
 
 

@@ -37,13 +37,14 @@ Conventions
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, issparse
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 # Triangle-inequality validation is O(N^3): on by default up to this size,
@@ -67,7 +68,8 @@ class MetricMeasureSpace:
     ``calculus._form`` keeps per scale; and the exhaustive subset tables
     ``profiles._space_tables`` keeps per backend kind and scale. The last
     two depend on the measure and are not shared. A viewpoint's form is
-    kept on the viewpoint, and its tables are not kept.
+    kept on the viewpoint, and its tables are not kept. A deep copy
+    carries the memos, read-only like the originals.
 
     Use the classmethods :meth:`from_dense`, :meth:`from_graph`,
     :meth:`from_coords` to construct, or :func:`load_space` to read the JSON
@@ -97,6 +99,14 @@ class MetricMeasureSpace:
         self._balls = {}   # radius -> neighbourhoods(radius)
         self._forms = {}   # lp scale h -> calculus._form(self, h)
         self._tables = {}  # (kind, h) -> profiles._space_tables(self, ...)
+
+    def __deepcopy__(self, memo):
+        """A deep copy whose memos are read-only, as the originals are."""
+        out = copy.copy(self)
+        memo[id(self)] = out
+        out.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        _read_only(out._balls, out._forms, out._tables)
+        return out
 
     # ------------------------------------------------------------------
     # constructors
@@ -398,6 +408,18 @@ def _check_triangle(dist):
             raise ValueError(
                 f"triangle inequality fails: d({i},{j}) = {dist[i, j]} > "
                 f"d({i},{k}) + d({k},{j}) = {via[i, j]}")
+
+
+def _read_only(*memos):
+    """Mark every array of the memos read-only: arrays, the arrays of
+    sparse matrices, and those held in dicts and tuples."""
+    for m in memos:
+        if isinstance(m, (dict, tuple)):
+            _read_only(*(m.values() if isinstance(m, dict) else m))
+        elif issparse(m):
+            _read_only(m.data, m.indices, m.indptr)
+        elif isinstance(m, np.ndarray):
+            m.flags.writeable = False
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,12 +17,15 @@ Scalar fields are plain float arrays indexed by point.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
+
+from coarsecalc.space import _read_only
 
 STOCHASTIC_TOL = 1e-12
 SYMMETRY_TOL = 1e-12
@@ -65,13 +68,15 @@ class Viewpoint:
     kernel alone and are built on first use: the form ``calculus._form``
     keeps, the two-step density of ``calculus._two_step`` and the
     ``is_symmetric`` verdict. Builders return new viewpoints, which start
-    with none; a deep copy carries them with the densities they were
-    computed from. ``apply`` is pure, so viewpoints can be shared across
-    workers.
+    with none; a deep copy carries them, read-only, with the densities
+    they were computed from. The densities are a copy of ``dens`` with its
+    explicit zeros dropped, so the caller's matrix is left as it was.
+    ``apply`` is pure, so viewpoints can be shared across workers.
     """
 
     def __init__(self, space, h, dens, certificate, kind="custom"):
-        dens = csr_matrix(dens)
+        # a copy: zeros are dropped in place, and the memos read this kernel
+        dens = csr_matrix(dens, copy=True)
         dens.eliminate_zeros()
         if dens.shape != (space.n, space.n):
             raise ValueError(f"kernel must be {space.n} x {space.n}, "
@@ -86,6 +91,14 @@ class Viewpoint:
         self._form = None       # calculus._form(space, vp=self)
         self._two_step = None   # calculus._two_step(self)
         self._symmetry = None   # is_symmetric(self)
+
+    def __deepcopy__(self, memo):
+        """A deep copy whose memos are read-only, as the originals are."""
+        out = copy.copy(self)
+        memo[id(self)] = out
+        out.__dict__.update(copy.deepcopy(self.__dict__, memo))
+        _read_only(out._form, out._two_step)
+        return out
 
     @property
     def A(self):
@@ -126,9 +139,8 @@ def standard_viewpoint(space, h) -> Viewpoint:
         raise ValueError(f"scale must be > 0, got {h}")
     indptr, indices, _ = space.neighbourhoods(h)
     V = space.volumes(h)
-    # copies: Viewpoint.__init__ drops zeros in place, the memo is read-only
-    dens = csr_matrix((np.repeat(1.0 / V, np.diff(indptr)), indices.copy(),
-                       indptr.copy()), shape=(space.n, space.n))
+    dens = csr_matrix((np.repeat(1.0 / V, np.diff(indptr)), indices, indptr),
+                      shape=(space.n, space.n))
     return Viewpoint(space, h, dens, Certificate(1.0, 1.0 / V.max()),
                      kind="standard")
 

@@ -364,6 +364,61 @@ def test_builders_start_with_empty_memos_and_deep_copies_keep_them():
         calculus.p2_energy_identity(first, f)
 
 
+def _memo_arrays(memo):
+    """Every array of a memo slot: arrays, sparse matrices' arrays, and
+    those held in dicts and tuples."""
+    if isinstance(memo, dict):
+        return [a for m in memo.values() for a in _memo_arrays(m)]
+    if isinstance(memo, tuple):
+        return [a for m in memo for a in _memo_arrays(m)]
+    if hasattr(memo, "indptr"):
+        return [memo.data, memo.indices, memo.indptr]
+    return [memo]
+
+
+@pytest.mark.parametrize("make", [lambda: zoo.grid(2, 4),
+                                  lambda: zoo.grid(2, 17)],
+                         ids=["dense_forms", "sparse_forms"])
+def test_deep_copies_keep_every_memo_read_only(make):
+    # every memo slot of a space and of a viewpoint, filled, then copied as
+    # the benchmark copies its inputs: the copies hold equal read-only
+    # arrays, and the originals stay read-only
+    space = make()
+    vp = lazy_srw(space, 1.0)
+    calculus._form(space, 1.0)
+    calculus._form(space, vp=vp)
+    calculus.p2_energy_identity(vp, np.arange(space.n, dtype=float))
+    space.neighbourhoods(2.0)
+    # exhaustive tables exist up to EXACT_ENUM_LIMIT points only
+    tables = space.n <= profiles.EXACT_ENUM_LIMIT
+    if tables:
+        profiles._space_tables(space, profiles.Backend.sup(1.0))
+        profiles._space_tables(space, profiles.Backend.lp(1.0))
+    slots = {"space": ("_balls", "_forms") + ("_tables",) * tables,
+             "vp": ("_form", "_two_step")}
+    inputs = {"space": space, "vp": vp}
+    copied = copy.deepcopy(inputs)
+    assert copied["vp"].space is copied["space"]
+    for name, attrs in slots.items():
+        for attr in attrs:
+            orig = getattr(inputs[name], attr)
+            got = getattr(copied[name], attr)
+            assert orig is not None and (not isinstance(orig, dict) or orig)
+            want, arrays = _memo_arrays(orig), _memo_arrays(got)
+            assert len(arrays) == len(want) > 0
+            for a, b in zip(arrays, want):
+                assert a is not b and not np.shares_memory(a, b)
+                assert not a.flags.writeable and not b.flags.writeable
+                np.testing.assert_array_equal(a, b)
+                with pytest.raises(ValueError, match="read-only"):
+                    a[...] = a
+    assert copied["vp"]._symmetry == vp._symmetry
+    # the copies still answer as the originals do
+    f = np.linspace(-1.0, 1.0, space.n)
+    assert calculus.p2_energy_identity(copied["vp"], f) == \
+        calculus.p2_energy_identity(vp, f)
+
+
 def test_an_asymmetric_viewpoint_raises_the_same_witness_on_every_call():
     space = zoo.path(5).with_measure(np.array([1.0, 3, 1, 1, 1]))
     std = standard_viewpoint(space, 1.0)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg.lapack import dpotrf
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -1446,6 +1447,242 @@ def test_candidate_subsets_read_one_distance_row_per_centre(monkeypatch):
         want = _candidate_subsets_oracle(space)
         assert [(s.indices.tobytes(), label, s.measure) for s, label in got] \
             == [(s.indices.tobytes(), label, s.measure) for s, label in want]
+
+
+def _push_loop_family(space, backend=None):
+    """candidate_subsets one push per member, as it was built before the
+    table: balls centre by centre, boxes a (corner, size) pair at a time,
+    eigenfield levels threshold by threshold; each member a flatnonzero,
+    kept at its first occurrence unless empty or the whole space, with its
+    measure summed on its own; cut at MAX_CANDIDATES. (indices, label,
+    measure) triples."""
+    seen, out = set(), []
+
+    def push(indices, label):
+        if 0 < indices.size < space.n and indices.tobytes() not in seen:
+            seen.add(indices.tobytes())
+            out.append((indices, label, float(space.measure[indices].sum())))
+
+    for x in range(0, space.n, max(1, space.n // 80)):
+        d = space.dist_row(x)
+        for r in _radius_grid_oracle(d, cap=10):
+            push(np.flatnonzero(d <= r), f"ball({x},{r:g})")
+    shape = space.meta.get("shape")
+    if shape is not None:
+        coords = np.stack(np.meshgrid(*[np.arange(s) for s in shape],
+                                      indexing="ij"),
+                          axis=-1).reshape(space.n, -1)
+        sizes = list(itertools.product(*[_strided_range_oracle(1, s)
+                                         for s in shape]))
+        left = profiles.MAX_CANDIDATES // 2 + 1
+        for corner in itertools.product(*[_strided_range_oracle(0, s - 1)
+                                          for s in shape]):
+            for size in sizes:
+                hi = np.array(corner) + np.array(size)
+                if left and np.all(hi <= np.array(shape)):
+                    inside = np.all((coords >= corner) & (coords < hi),
+                                    axis=1)
+                    push(np.flatnonzero(inside), f"box({corner},{size})")
+                    push(np.flatnonzero(~inside), f"cobox({corner},{size})")
+                    left -= 1
+    if backend is not None and backend.kind == "viewpoint" and \
+            is_symmetric(backend.vp).symmetric and space.n >= 3:
+        _, V, _ = calculus.symmetric_eig(backend.vp.symmetric_matrix(), "LA",
+                                         k=2)
+        g = V[:, 0] / np.sqrt(space.measure)
+        for t in _levels_oracle(np.unique(g), 32):
+            push(np.flatnonzero(g <= t), f"sublevel({t:.3g})")
+            push(np.flatnonzero(g > t), f"suplevel({t:.3g})")
+    return out[:profiles.MAX_CANDIDATES]
+
+
+def _spread(space, seed, decades):
+    """space under a measure 10^U(-decades, decades)."""
+    rng = np.random.default_rng(seed)
+    return space.with_measure(10.0 ** rng.uniform(-decades, decades,
+                                                  space.n))
+
+
+# name -> () -> (space, h); grid(2,8), grid(3,4) and grid(2,17) reach
+# MAX_CANDIDATES, grid(2,17) before its eigenfield levels (its measure
+# spreads over less than a decade: at 10^U(-3, 3), Lanczos does not
+# converge on the eigenfield of its lazy walk)
+PUSH_SPACES = {
+    "path16": lambda: (zoo.path(16), 1.0),
+    "grid2_5_spread": lambda: (_spread(zoo.grid(2, 5), 1, 3), 1.0),
+    "grid2_8": lambda: (zoo.grid(2, 8), 1.0),
+    "grid3_4_weighted": lambda: (_spread(zoo.grid(3, 4), 2, 0.3), 1.0),
+    "grid2_5_l2_weighted": lambda: (_spread(zoo.grid(2, 5, "l2"), 3, 0.3),
+                                    1.5),
+    "tree_weighted": lambda: (_spread(zoo.regular_tree(3, 3), 4, 0.3), 1.0),
+    "geo_spread": lambda: (_spread(zoo.random_geometric(30, 2), 5, 3), 0.3),
+    "grid2_17_weighted": lambda: (_spread(zoo.grid(2, 17), 6, 0.3), 1.0),
+}
+
+
+def _push_backend(space, h, kind):
+    if kind in ("sup", "lp"):
+        return getattr(Backend, kind)(h)
+    if kind == "none":
+        return None
+    if kind == "random_symmetric":
+        return Backend.viewpoint(random_symmetric_viewpoint(
+            space, h, np.random.default_rng(7)))
+    make = lazy_srw if kind == "lazy_srw" else standard_viewpoint
+    return Backend.viewpoint(make(space, h))
+
+
+def _family_rows(fam):
+    return [(idx.tobytes(), idx.dtype.str, label, measure, type(measure))
+            for idx, label, measure in fam]
+
+
+@pytest.mark.parametrize("kind", ["none", "sup", "lp", "lazy_srw",
+                                  "random_symmetric", "standard"])
+@pytest.mark.parametrize("name", sorted(PUSH_SPACES))
+def test_candidate_table_matches_the_push_loop(name, kind):
+    # members, order, labels and masses (==) of the one-push-per-member
+    # family, on unit, weighted and spread measures, under every backend
+    space, h = PUSH_SPACES[name]()
+    backend = _push_backend(space, h, kind)
+    want = _push_loop_family(space, backend)
+    got = profiles.candidate_subsets(space, backend)
+    assert _family_rows([(s.indices, label, s.measure) for s, label in got]) \
+        == _family_rows(want)
+    fam = profiles._candidate_table(space, backend)
+    assert fam.masses.tobytes() == np.array([m for _, _, m in want]).tobytes()
+    assert len(want) <= profiles.MAX_CANDIDATES
+    if name in ("grid2_8", "grid3_4_weighted", "grid2_17_weighted"):
+        assert len(want) == profiles.MAX_CANDIDATES
+    if kind in ("lazy_srw", "random_symmetric") and \
+            name in ("tree_weighted", "geo_spread"):
+        # no boxes there, so the level rows are new members
+        assert any(label.startswith("sublevel") for _, label, _ in want)
+
+
+def test_candidate_table_stops_at_the_cut(monkeypatch):
+    # balls and boxes fill grid(2,17)'s MAX_CANDIDATES: no block after the
+    # one that reaches the cut is built, and no level row at all, though
+    # the eigenfield is still solved once, as for any family
+    space, h = PUSH_SPACES["grid2_17_weighted"]()
+    backend = Backend.viewpoint(lazy_srw(space, h))
+    want = _push_loop_family(space, backend)
+    assert len(want) == profiles.MAX_CANDIDATES
+    assert not any("level" in label for _, label, _ in want)
+    made, solved = [], []
+    rows_of, eig = profiles._candidate_rows, profiles.symmetric_eig
+    monkeypatch.setattr(profiles, "_candidate_rows", lambda *a: (
+        made.append(fmt(rows.shape[0] - 1)) or (rows, fmt)
+        for rows, fmt in rows_of(*a)))
+    monkeypatch.setattr(profiles, "symmetric_eig", lambda *a, **k: (
+        solved.append(a[1]) or eig(*a, **k)))
+    got = profiles.candidate_subsets(space, backend)
+    assert _family_rows([(s.indices, label, s.measure) for s, label in got]) \
+        == _family_rows(want)
+    assert solved == ["LA"]
+    assert not any("level" in label for label in made)
+    every = [fmt(rows.shape[0] - 1) for rows, fmt in rows_of(space, backend)]
+    assert made == every[:len(made)] and "level" in every[-1]
+
+
+@pytest.mark.parametrize("name", ["grid2_8", "geo_spread", "path16"])
+def test_candidate_table_builds_a_block_of_entries_at_a_time(monkeypatch,
+                                                              name):
+    space, h = PUSH_SPACES[name]()
+    backend = Backend.viewpoint(lazy_srw(space, h))
+    want = _push_loop_family(space, backend)
+    # three rows a block: balls, boxes and levels span many blocks
+    monkeypatch.setattr(profiles, "BLOCK_ENTRIES", 3 * space.n)
+    monkeypatch.setattr(space_mod, "BLOCK_ENTRIES", 2 * space.n)
+    blocks = []
+    rows_of = profiles._candidate_rows
+    monkeypatch.setattr(profiles, "_candidate_rows", lambda *a: (
+        blocks.append(rows.size) or (rows, fmt) for rows, fmt in
+        rows_of(*a)))
+    got = profiles.candidate_subsets(space, backend)
+    assert _family_rows([(s.indices, label, s.measure) for s, label in got]) \
+        == _family_rows(want)
+    assert len(blocks) > len(want) // 3
+    assert max(blocks) <= 3 * space.n
+    # p = 1 unpacks the kept masks three rows at a time as well
+    fam = profiles._candidate_table(space, backend)
+    members = np.arange(fam.masses.size)[::-1]
+    for j, mask in zip(members, fam.masks(members)):
+        assert np.flatnonzero(mask).tobytes() == fam.indices(j).tobytes()
+
+
+@pytest.mark.parametrize("name,kind,p", [
+    (name, kind, p) for name in ["path16", "grid2_5_spread",
+                                 "grid3_4_weighted", "tree_weighted",
+                                 "geo_spread"]
+    for kind in ["lp", "sup", "lazy_srw"] for p in [1, 2]
+    # a dual ascent per member: the two smaller spaces only
+    if (kind, p) != ("sup", 2) or name in ("path16", "grid2_5_spread")])
+def test_candidate_profile_matches_the_push_loop_family(monkeypatch, name,
+                                                        kind, p):
+    # curves, witnesses (indices, labels, masses, values) and modes of the
+    # profile over the one-push-per-member family, every member solved
+    space, h = PUSH_SPACES[name]()
+    backend = _push_backend(space, h, kind)
+    per_point = space.total_measure / space.n
+    grid = np.array([np.nan, 1.5, 3.0, 5.0]) * per_point
+    if kind == "sup" and p == 2:
+        grid = grid[:3]
+    labels = []
+    label_of = profiles._Family.label
+    monkeypatch.setattr(profiles._Family, "label", lambda fam, j: (
+        labels.append(j) or label_of(fam, j)))
+    curve, _ = _warnings_of(lambda: profiles.isoperimetric_profile(
+        space, backend, p, grid))
+    # a label is formatted for each reported witness only
+    assert len(labels) == sum(w is not None for w in curve.witnesses)
+    monkeypatch.setattr(profiles, "candidate_subsets", lambda s, b: [
+        (s.subset(idx), label) for idx, label, _ in _push_loop_family(s, b)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want, want_wit = _old_candidate_profile(space, backend, p,
+                                                grid[1:])
+    assert curve.mode == "lower_bound"
+    _assert_same_curve(curve, [np.nan] + list(want), [None] + want_wit)
+    assert all(w is not None for w in curve.witnesses[1:])
+
+
+def _above_oracle(C, s):
+    """calculus.above as it read the trace and eps on each call."""
+    k = C.shape[0]
+    shifted = C.copy()
+    shifted.flat[::k + 1] -= s + 4 * (k + 1) ** 2 * np.finfo(float).eps \
+        * np.trace(C)
+    return dpotrf(shifted, lower=1, clean=0, overwrite_a=1)[1] == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (zoo.grid(2, 5), Backend.lp(1.0)),
+    lambda: (_spread(zoo.random_geometric(40, 3), 2, 6), Backend.lp(0.3)),
+    lambda: (zoo.grid(2, 17), Backend.lp(1.0)),
+    lambda: (_spread(zoo.grid(2, 17), 3, 2), Backend.viewpoint(
+        lazy_srw(_spread(zoo.grid(2, 17), 3, 2), 1.0)))],
+    ids=["dense", "dense_spread", "sparse", "sparse_viewpoint"])
+def test_cut_margin_reads_the_trace_from_the_diagonal(make):
+    # the block's diagonal gives trace(C) bit for bit, so the cut certifies
+    # exactly the blocks it certified with np.trace
+    space, backend = make()
+    if backend.kind == "viewpoint":
+        space = backend.vp.space
+    rng = np.random.default_rng(9)
+    Q = calculus._form(space, backend.h, backend.vp)
+    for _ in range(40):
+        idx = np.flatnonzero(rng.random(space.n) < rng.uniform(0.02, 0.5))
+        if not 0 < idx.size <= calculus.DENSE_EIG_SIZE:
+            continue
+        C = calculus._block(Q, idx)
+        diag = C.diagonal()
+        C = C.toarray() if hasattr(C, "toarray") else C
+        assert diag.sum().tobytes() == np.trace(C).tobytes()
+        theta = np.linalg.eigvalsh(C)[0]
+        for s in (theta * (1 - 1e-9), theta * (1 - 1e-15), theta,
+                  theta * (1 + 1e-9), 0.5 * theta, np.inf):
+            assert calculus.above(C, s, diag) == _above_oracle(C, s)
 
 
 def _radius_grid_oracle(d, cap=12):

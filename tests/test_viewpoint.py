@@ -170,3 +170,25 @@ def test_repr_prints_the_certificate_only_when_there_is_one(path6):
     assert repr(standard_viewpoint(path6, 1.0)) == \
         "Viewpoint(h=1, kind='standard', A=1, c=0.333333, " \
         "space='grid_1d_L6_l1')"
+
+
+def test_a_viewpoint_leaves_the_callers_matrix_alone():
+    # path(4)'s lazy kernel with one explicit zero: the viewpoint drops the
+    # zero from its own copy, and later edits of the caller's matrix do
+    # not reach it
+    space = zoo.path(4)
+    kernel = randomwalk.lazy_srw(space, 1.0).dens.toarray()
+    rows, cols = np.nonzero(kernel)
+    data = kernel[rows, cols]
+    data[1] = 0.0
+    M = csr_matrix((data, (rows, cols)), shape=(4, 4))
+    assert M.indptr.tolist() == [0, 2, 5, 8, 10]
+    before = [a.copy() for a in (M.indptr, M.indices, M.data)]
+    vp = Viewpoint(space, 1.0, M, None)
+    for arr, was in zip((M.indptr, M.indices, M.data), before):
+        assert arr.dtype == was.dtype
+        np.testing.assert_array_equal(arr, was)
+    assert vp.dens.indptr.tolist() == [0, 1, 4, 7, 9]
+    kept = vp.dens.toarray()
+    M.data[:] = 7.0
+    np.testing.assert_array_equal(vp.dens.toarray(), kept)
