@@ -244,7 +244,8 @@ def _subset_tables(space, backend, idx):
     selects idx[j], so mask 0 is the empty set (the whole space is
     idx = arange(N)). The denominator is mu(boundary at scale h) of B for
     the sup backend and the cut weight ||grad 1_B||_1 otherwise. Masks are
-    formed a chunk at a time, never all at once.
+    formed a chunk at a time, never all at once. The sup boundary counts
+    the balls that hold each point, as space.boundaries does.
     """
     k = idx.size
     if k > EXACT_ENUM_LIMIT:
@@ -258,12 +259,12 @@ def _subset_tables(space, backend, idx):
         rows = np.repeat(np.arange(n), np.diff(indptr))
         pos = np.full(n, -1)
         pos[idx] = np.arange(k)
-        hit = pos[cols] >= 0
-        # only points that see A can see B; rel[i, j]: near[i] ~ idx[j]
-        near, row_of = np.unique(rows[hit], return_inverse=True)
+        hit = pos[rows] >= 0      # the balls of A's points
+        # rel[i, j]: near[i] in B(idx[j], h)
+        near, row_of = np.unique(cols[hit], return_inverse=True)
         rel = np.zeros((near.size, k))
-        rel[row_of, pos[cols[hit]]] = 1.0
-        deg = np.diff(indptr)[near]
+        rel[row_of, pos[rows[hit]]] = 1.0
+        deg = np.bincount(cols, minlength=n)[near]    # balls holding near[i]
         mu_near = space.measure[near]
     else:
         rows, cols, w = pw
@@ -281,8 +282,8 @@ def _subset_tables(space, backend, idx):
         masks = ((np.arange(s, e)[:, None] >> np.arange(k)) & 1).astype(float)
         mu_b[s:e] = masks @ space.measure[idx]
         if pw is None:
-            # near[i] sees B, and sees outside B unless all deg[i] points
-            # it sees are in B
+            # a ball centred in B holds near[i], and one centred outside B
+            # does unless all deg[i] of them are centred in B
             seen = masks @ rel.T
             den_b[s:e] = ((seen > 0) & (seen < deg)) @ mu_near
         else:
@@ -346,9 +347,9 @@ def _check_p(p):
 
 
 def _sweep(space, backend, p, members, ranks):
-    """(value, upper, mode, reason) of J_p on each member (sorted distinct
-    indices) in order, as jp_subset reports and warns; an exact J_2 under
-    pair weights skips the witness field.
+    """(member, value, upper, mode, reason) of J_p on each member (sorted
+    distinct indices) in order, as jp_subset reports and warns; an exact
+    J_2 under pair weights skips the witness field.
 
     ranks[j] is the place, on the sorted grid, of the first sample that
     can report member j (a ball profile has one place per radius). Each
@@ -356,7 +357,7 @@ def _sweep(space, backend, p, members, ranks):
     be reported if its J beats its bar, the best value so far at its
     place (the best only grows along the grid). A pair-weight J_2 member
     whose block certifies J < bar (_j2_eig's cut) is therefore not solved:
-    it comes out as (nan, inf, "exact", None), and NaN never wins. Every
+    its row is (nan, inf, "exact", None), and NaN never wins. Every
     other member runs as it would alone, so curves, witnesses and warnings
     do not move.
     """
@@ -371,7 +372,7 @@ def _sweep(space, backend, p, members, ranks):
             res = jp_subset(space, backend, idx, p)
             row = res.value, res.upper, res.mode, res.reason
         best[r:] = np.fmax(best[r:], row[0])
-        yield row
+        yield (idx,) + row
 
 
 def _inf_result(reason, field_or_subset, as_field=True, stacklevel=3):
@@ -429,26 +430,23 @@ def _jp1(space, backend, idx):
         mu_b, den_b = _subset_tables(space, backend, idx)
         mu_b, den_b = mu_b[1:], den_b[1:]          # drop the empty set
     else:
-        # candidate search: balls inside A around every point of A
+        # candidate search: balls around every point of A, cut to A
+        in_a = np.isin(np.arange(space.n), idx)
         radii = _radius_grid(space.dist_rows(idx[:1])[0])
-        fam = [_subset(space, np.intersect1d(np.flatnonzero(d <= r), idx))
-               for _, D in space.dist_blocks(idx) for d in D for r in radii]
-        mu_b, den_b = _family_table(space, backend, fam)
+        fam = _table(space, ((rows & in_a, fmt) for rows, fmt in
+                             _ball_rows(space, idx, radii)))
+        mu_b = fam.masses
+        den_b = _cuts(space, backend, fam.masks(np.arange(mu_b.size)))
     q = _ratio(mu_b, den_b)
     if not q.size:                                 # no radius to search
         return JpResult(-np.inf, "lower_bound")
     j = int(np.argmax(q))                          # the first inf if any
     sub = idx[_mask_indices(j + 1, idx.size)] if fam is None else \
-        fam[j].indices
+        fam.indices(j)
     if np.isinf(q[j]):
         return _inf_result("isolated_at_scale", sub, as_field=False)
     return JpResult(float(q[j]), "exact" if fam is None else "lower_bound",
                     witness_subset=sub)
-
-
-def _subset(space, idx):
-    """Sorted distinct indices as a Subset, measured."""
-    return Subset(space, idx, float(space.measure[idx].sum()))
 
 
 def _family_table(space, backend, family):
@@ -762,9 +760,8 @@ def candidate_subsets(space, backend=None):
     every box for boundary-to-volume ratios, and leaving them out makes the
     family provably miss exhaustive optima.
 
-    The family is built as one table (see _candidate_table), which the
-    candidate profile reads directly; the Subsets and labels here are made
-    from its rows, one per member.
+    The family is built as one table (_candidate_table), which the
+    candidate profile reads directly; the Subsets here are made from it.
     """
     fam = _candidate_table(space, backend)
     return [(Subset(space, fam.indices(j), float(fam.masses[j])),
@@ -772,7 +769,7 @@ def candidate_subsets(space, backend=None):
 
 
 class _Family:
-    """A candidate family as one table, in family order: member j has the
+    """A generated family as one table, in family order: member j has the
     sorted indices flat[off[j]:off[j + 1]] (int64), the measure masses[j]
     (a float, summed over those indices as a Subset's is) and the packed
     mask row packed[j]; its label is formatted only when asked for."""
@@ -798,25 +795,28 @@ class _Family:
 
 
 def _candidate_table(space, backend=None):
-    """The candidate family of candidate_subsets as a _Family.
+    """The candidate family of candidate_subsets as a _Family."""
+    return _table(space, _candidate_rows(space, backend), MAX_CANDIDATES)
 
-    Candidate rows come in blocks of member masks (_candidate_rows). A row
-    is kept at its first occurrence unless it is empty or the whole space,
-    and the build stops at MAX_CANDIDATES members, so no later block is
-    made. Kept rows are stored as indices, packed mask rows and one mass
-    each."""
+
+def _table(space, blocks, cap=np.inf):
+    """The _Family of ``blocks``, (rows, fmt) pairs of (m, N) bool member
+    masks and their labels fmt(i): the one builder of generated families.
+    A row is kept at its first occurrence unless it is empty or the whole
+    space, and the build stops at ``cap`` members, so no later block is
+    made. Kept rows are stored as indices, packed rows and one mass each."""
     n, mu = space.n, space.measure
     seen, labels, masses = set(), [], []
     flats, sizes = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
     packed = [np.zeros((0, (n + 7) // 8), np.uint8)]
-    for rows, fmt in _candidate_rows(space, backend):
+    for rows, fmt in blocks:
         size = np.count_nonzero(rows, axis=1)
         bits = np.packbits(rows, axis=1)
         # each packed row as one bytes object
         keys = bits.view(np.dtype((np.void, bits.shape[1])))[:, 0].tolist()
         keep = []
         for i in np.flatnonzero((size > 0) & (size < n)).tolist():
-            if len(labels) + len(keep) == MAX_CANDIDATES:
+            if len(labels) + len(keep) == cap:
                 break
             if keys[i] not in seen:
                 seen.add(keys[i])
@@ -830,7 +830,7 @@ def _candidate_table(space, backend=None):
         flats.append(flat)
         sizes.append(size[keep])
         packed.append(bits[keep])
-        if len(labels) == MAX_CANDIDATES:
+        if len(labels) == cap:
             break
     return _Family(n, np.concatenate(flats),
                    np.r_[0, np.cumsum(np.concatenate(sizes))],
@@ -843,54 +843,48 @@ def _candidate_rows(space, backend):
     blocks in family order: rows an (m, N) bool array of member masks,
     at most BLOCK_ENTRIES entries (one row or one pair of rows when N is
     larger), and fmt(i) the label of rows[i]. The eigenfield is solved
-    before the first block, so it is solved, as a whole family needs it,
-    even where the balls and boxes reach MAX_CANDIDATES first."""
-    g = None
-    if backend is not None and backend.kind == "viewpoint" and \
-            is_symmetric(backend.vp).symmetric and space.n >= 3:
-        # not S from _form: the eigenvalue is repeated on grids, where S's
-        # last bits turn the eigenvector (0.58 on grid(2,4)) and the family
-        _, V, _ = symmetric_eig(backend.vp.symmetric_matrix(), "LA", k=2)
-        g = V[:, 0] / np.sqrt(space.measure)   # second eigenfield on L2(mu)
+    only when the level rows are reached, so a family that balls and
+    boxes fill never solves it."""
     yield from _ball_rows(space, range(0, space.n, max(1, space.n // 80)))
     if space.meta.get("shape") is not None:
         yield from _box_rows(space, space.meta["shape"])
-    if g is not None:
-        levels = _thin(np.unique(g), 32)
-        step = max(1, BLOCK_ENTRIES // (2 * space.n))
-        for lo in range(0, levels.size, step):
-            t = levels[lo:lo + step, None]
-            rows = np.empty((2 * t.size, space.n), dtype=bool)
-            np.less_equal(g, t, out=rows[0::2])
-            np.greater(g, t, out=rows[1::2])
-            yield rows, lambda i, t=t[:, 0]: (
-                f"{'suplevel' if i % 2 else 'sublevel'}({t[i // 2]:.3g})")
+    if backend is None or backend.kind != "viewpoint" or space.n < 3 or \
+            not is_symmetric(backend.vp).symmetric:
+        return
+    # not S from _form: the eigenvalue is repeated on grids, where S's
+    # last bits turn the eigenvector (0.58 on grid(2,4)) and the family
+    _, V, _ = symmetric_eig(backend.vp.symmetric_matrix(), "LA", k=2)
+    g = V[:, 0] / np.sqrt(space.measure)       # second eigenfield on L2(mu)
+    levels = _thin(np.unique(g), 32)
+    step = max(1, BLOCK_ENTRIES // (2 * space.n))
+    for lo in range(0, levels.size, step):
+        t = levels[lo:lo + step, None]
+        rows = np.empty((2 * t.size, space.n), dtype=bool)
+        np.less_equal(g, t, out=rows[0::2])
+        np.greater(g, t, out=rows[1::2])
+        yield rows, lambda i, t=t[:, 0]: (
+            f"{'suplevel' if i % 2 else 'sublevel'}({t[i // 2]:.3g})")
 
 
-def _ball_rows(space, centers):
-    """(rows, fmt) blocks of B(x, r) for each centre x and each r on the
-    _radius_grid (cap 10) of x's distance row, in order: one comparison
-    d <= radii per centre, distance rows read in blocks of rows."""
+def _ball_rows(space, centers, radii=None, limit=None):
+    """(rows, fmt) blocks of B(x, r) for each centre x and each r of
+    ``radii`` (default: the _radius_grid, cap 10, of x's row), in order:
+    one comparison d <= radii per centre over dist_blocks(centers, limit),
+    whose limit, if set, must be at least every radius."""
     step = max(1, BLOCK_ENTRIES // space.n)
-    for xb, D in space.dist_blocks(centers):
-        radii = [_radius_grid(d, cap=10) for d in D]
-        own = np.repeat(np.arange(xb.size), [r.size for r in radii])
-        radii = np.concatenate(radii)
-        for lo in range(0, radii.size, step):
-            o, r = own[lo:lo + step], radii[lo:lo + step]
+    for xb, D in space.dist_blocks(centers, limit):
+        grids = [_radius_grid(d, cap=10) if radii is None else radii
+                 for d in D]
+        own = np.repeat(np.arange(xb.size), [len(r) for r in grids])
+        grid = np.concatenate(grids)
+        for lo in range(0, grid.size, step):
+            o, r = own[lo:lo + step], grid[lo:lo + step]
             rows = np.empty((r.size, space.n), dtype=bool)
             # one run of rows per centre
             ends = np.r_[np.flatnonzero(o[1:] != o[:-1]) + 1, r.size]
             for a, b in zip([0] + ends[:-1].tolist(), ends.tolist()):
                 np.less_equal(D[o[a]], r[a:b, None], out=rows[a:b])
             yield rows, lambda i, x=xb[o], r=r: f"ball({x[i]},{r[i]:g})"
-
-
-def _balls(space, centers):
-    """(indices, label) of each ball of _ball_rows, in order."""
-    for rows, fmt in _ball_rows(space, centers):
-        for i, row in enumerate(rows):
-            yield np.flatnonzero(row), fmt(i)
 
 
 def _box_rows(space, shape):
@@ -979,8 +973,8 @@ def isoperimetric_profile(space, backend, p, volume_grid,
     if p == 1:
         values = _ratio(masses, den)
     else:
-        rows = list(_sweep(space, backend, p, members,
-                           np.searchsorted(np.sort(volume_grid), masses)))
+        ranks = np.searchsorted(np.sort(volume_grid), masses)
+        rows = [r[1:] for r in _sweep(space, backend, p, members, ranks)]
         values, uppers = (np.array([r[k] for r in rows], dtype=float)
                           for k in (0, 1))
         modes = {r[2] for r in rows}
@@ -1037,11 +1031,12 @@ def profile_in_balls(space, backend, p, radius_grid) -> ProfileCurve:
     modes = set()
     for i, t in enumerate(radius_grid):
         best, wit = -np.inf, None
-        # each ball is built once, when the sweep reaches its centre
-        balls, members = itertools.tee(space.ball(x, t) for x in centers)
-        for x, ball, (value, upper, mode, reason) in zip(
-                centers, balls, _sweep(space, backend, p, members,
-                                       np.zeros(len(centers)))):
+        # each block of balls is read when the sweep reaches it
+        balls = (np.flatnonzero(row) for rows, _ in
+                 _ball_rows(space, centers, [t], limit=t) for row in rows)
+        for x, (ball, value, upper, mode, reason) in zip(
+                centers, _sweep(space, backend, p, balls,
+                                np.zeros(len(centers)))):
             modes.add(mode)
             if value > best:
                 best = value
@@ -1065,33 +1060,35 @@ def boundary_profile(space, h, family="all", t_grid=None):
     I(t) = inf{mu(boundary_h A) : mu(A) >= t} over *proper nonempty*
     subsets (the whole space has empty boundary and would collapse I to 0).
     Exact by enumeration when family="all" (at most EXACT_ENUM_LIMIT
-    points, the first optimum in mask order is reported); for "balls" or
-    an explicit family, I is the same infimum restricted to the family and
-    is labeled "upper_bound". I_down/I_up are the family-restricted lower/upper
-    envelopes (inf of boundary above mass t / sup of boundary below mass t)
-    and are exact statements about the family itself.
+    points, the first optimum in mask order is reported). "balls" is the
+    proper balls B(x, r), for each x with r on the _radius_grid (cap 10)
+    of its distances. For "balls" or an explicit family, I is the same
+    infimum restricted to the family and is labeled "upper_bound".
+    I_down/I_up are the family-restricted lower/upper envelopes (inf of
+    boundary above mass t / sup of boundary below mass t) and are exact
+    statements about the family itself.
 
     An explicit family may contain the whole space (a caller asking about
-    X gets its empty boundary back); only enumeration excludes it.
+    X gets its empty boundary back); "all" and "balls" leave it out.
     """
     if t_grid is None:
         t_grid = np.unique(np.cumsum(np.sort(space.measure)))
     t_grid = np.asarray(t_grid, dtype=float)
-    fam, masses, bounds = _boundary_table(space, h, family)
-    if fam is not None and not fam:
+    exact = isinstance(family, str) and family == "all"
+    indices, masses, bounds = _boundary_table(space, h, family)
+    if not (exact or masses.size):
         raise ValueError("boundary_profile needs a nonempty family of "
                          "nonempty subsets")
 
     def pick(j):
-        idx = _mask_indices(j + 1, space.n) if fam is None else \
-            fam[j].indices
-        return {"indices": idx, "measure": masses[j], "boundary": bounds[j]}
+        return {"indices": indices(j), "measure": masses[j],
+                "boundary": bounds[j]}
 
     I_vals, I_wit = _first_best(t_grid, masses, bounds, "above", pick)
     up_vals, up_wit = _first_best(t_grid, masses, bounds, "below", pick)
     fam_name = family if isinstance(family, str) else "provided"
     meta = {"h": h, "family": fam_name}
-    mode_i = "exact" if fam is None else "upper_bound"
+    mode_i = "exact" if exact else "upper_bound"
     return (ProfileCurve("I", t_grid, I_vals, mode_i, I_wit, meta),
             ProfileCurve("I_down", t_grid, I_vals.copy(), "exact",
                          list(I_wit), meta),
@@ -1099,24 +1096,27 @@ def boundary_profile(space, h, family="all", t_grid=None):
 
 
 def _boundary_table(space, h, family, top=np.inf):
-    """(members, masses, boundaries) of a family at scale h: for "all",
-    every proper subset in mask order from mask 1 (members None); else the
-    balls around every point ("balls") or an iterable of Subsets or index
-    arrays, as the Subsets with 0 < mu(A) <= top."""
+    """(indices, masses, boundaries) at scale h of the members with
+    0 < mu(A) <= top, in table order, indices(j) sorted: "all" proper
+    subsets in mask order from mask 1, "balls", or an iterable of Subsets
+    or index arrays."""
     backend = Backend.sup(h)
     if isinstance(family, str) and family == "all":
         mu_b, den_b = _space_tables(space, backend)
-        return None, mu_b[1:-1], den_b[1:-1]
+        keep = np.flatnonzero(mu_b[1:-1] <= top)
+        return lambda j: _mask_indices(keep[j] + 1, space.n), \
+            mu_b[keep + 1], den_b[keep + 1]
     if isinstance(family, str) and family == "balls":
-        fam = [_subset(space, b) for b, _ in _balls(space, range(space.n))]
-    elif isinstance(family, str):
+        fam = _table(space, _ball_rows(space, range(space.n)))
+        keep = np.flatnonzero(fam.masses <= top)
+        return lambda j: fam.indices(keep[j]), fam.masses[keep], \
+            _cuts(space, backend, fam.masks(keep))
+    if isinstance(family, str):
         raise ValueError(f"family must be \"all\", \"balls\" or a list of "
                          f"index arrays, got {family!r}")
-    else:
-        fam = [a if hasattr(a, "indices") else space.subset(a)
-               for a in family]
+    fam = [a if hasattr(a, "indices") else space.subset(a) for a in family]
     fam = [a for a in fam if 0 < a.measure <= top]
-    return (fam,) + _family_table(space, backend, fam)
+    return (lambda j: fam[j].indices,) + _family_table(space, backend, fam)
 
 
 # ----------------------------------------------------------------------
@@ -1235,13 +1235,12 @@ def cheeger(space, h, family):
     boundary_profile. The first minimiser in table order is reported.
     """
     half = space.total_measure / 2.0
-    fam, mu, den = _boundary_table(space, h, family, top=half)
-    ok = mu <= half                 # all of an explicit family
-    if not ok.any():
+    indices, mu, den = _boundary_table(space, h, family, top=half)
+    if not mu.size:
         raise ValueError("no subset satisfies mu(A) <= mu(X)/2"
-                         if fam is None else "cheeger needs a nonempty "
-                         "family with mu(A) <= mu(X)/2")
-    ratio = np.divide(den, mu, out=np.full(mu.size, np.inf), where=ok)
+                         if isinstance(family, str) and family == "all" else
+                         "cheeger needs a nonempty family with "
+                         "mu(A) <= mu(X)/2")
+    ratio = den / mu
     m = int(np.argmin(ratio))
-    return float(ratio[m]), (fam[m] if fam is not None else
-                             space.subset(_mask_indices(m + 1, space.n)))
+    return float(ratio[m]), space.subset(indices(m))

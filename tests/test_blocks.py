@@ -249,7 +249,9 @@ def test_ball_family_matches_centre_loop(make, small_blocks):
         d = space.dist_row(x)
         want += [(np.flatnonzero(d <= r), f"ball({x},{r:g})")
                  for r in profiles._radius_grid(d, cap=10)]
-    got = list(profiles._balls(space, centers))
+    got = [(np.flatnonzero(row), fmt(i))
+           for rows, fmt in profiles._ball_rows(space, centers)
+           for i, row in enumerate(rows)]
     assert [lab for _, lab in got] == [lab for _, lab in want]
     for (a, _), (b, _) in zip(got, want):
         assert a.tobytes() == b.tobytes()
@@ -262,15 +264,22 @@ def test_jp1_ball_search_family_matches_centre_loop(small_blocks,
     assert idx.size > profiles.EXACT_ENUM_LIMIT
     assert space.block_rows() < idx.size / 3
     seen = []
-    table = profiles._family_table
-    monkeypatch.setattr(profiles, "_family_table",
-                        lambda s, b, fam: seen.append(fam) or table(s, b, fam))
+    table = profiles._table
+    monkeypatch.setattr(profiles, "_table", lambda *a: seen.append(
+        table(*a)) or seen[-1])
     profiles.jp_subset(space, profiles.Backend.sup(1.0), idx, 1)
     radii = profiles._radius_grid(space.dist_row(int(idx[0])))
-    want = [np.intersect1d(np.flatnonzero(space.dist_row(int(x)) <= r), idx)
-            for x in idx for r in radii]
-    assert [sub.indices.tolist() for sub in seen[0]] == \
-        [w.tolist() for w in want]
+    # the parts in A of the balls, each at its first occurrence
+    want = {}
+    for x in idx:
+        for r in radii:
+            sub = np.intersect1d(np.flatnonzero(space.dist_row(int(x)) <= r),
+                                 idx)
+            want.setdefault(sub.tobytes(), (sub, f"ball({x},{r:g})"))
+    fam, = seen
+    assert [(fam.indices(j).tolist(), fam.label(j))
+            for j in range(fam.masses.size)] == \
+        [(sub.tolist(), label) for sub, label in want.values()]
 
 
 # ------------------------------------------------------------- guards

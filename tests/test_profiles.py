@@ -110,26 +110,43 @@ def test_j1_isolated_point_sentinel():
 # ----------------------------------------------------- exhaustive tables
 
 
+# name -> () -> (space, h, A): A is the largest subset tabled
 ORACLE_SPACES = {
-    "path9": (lambda: zoo.path(9), 1.0),
-    "grid3_l1": (lambda: zoo.grid(2, 3), 1.0),
-    "grid3_linf": (lambda: zoo.grid(2, 3, "linf"), 1.0),
-    "geo12": (lambda: zoo.random_geometric(12, 5), 0.6),
+    "path9": lambda: (zoo.path(9), 1.0, np.arange(9)),
+    "grid3_l1": lambda: (zoo.grid(2, 3), 1.0, np.arange(9)),
+    "grid3_linf": lambda: (zoo.grid(2, 3, "linf"), 1.0, np.arange(9)),
+    "geo12": lambda: (zoo.random_geometric(12, 5), 0.6, np.arange(12)),
+    # ball relations that are one-sided at h: the whole space, and the
+    # 12 points nearest the tie pair of a larger graph
+    "graph_asymmetric12": lambda: _near_tie(*_asymmetric_graph(12, 10, 13)),
+    "graph_asymmetric24": lambda: _near_tie(*_asymmetric_graph()),
 }
+
+
+def _near_tie(space, h, k=12):
+    """(space, h, A): A the k points nearest the first pair x, y with
+    d(x, y) < d(y, x), in index order."""
+    D = space.dense_matrix()
+    x, y = np.argwhere(D < D.T)[0]
+    near = np.argsort(np.minimum(D[x], D[y]), kind="stable")[:k]
+    return space, h, np.sort(near)
 
 
 @pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
 @pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
 def test_subset_tables_match_brute_force(name, unit):
-    make, h = ORACLE_SPACES[name]
-    space = make()
-    if not unit:
-        space = space.with_measure(
-            np.random.default_rng(3).uniform(0.5, 2.0, space.n))
-    vp = random_symmetric_viewpoint(space, h, np.random.default_rng(1))
-    for backend in (Backend.sup(h), Backend.lp(h), Backend.viewpoint(vp)):
+    space, h, A = ORACLE_SPACES[name]()
+    space = space.with_measure(np.ones(space.n) if unit else
+                               np.random.default_rng(3).uniform(0.5, 2.0,
+                                                                space.n))
+    backends = [Backend.sup(h), Backend.lp(h)]
+    if not name.startswith("graph_asymmetric"):
+        # a random kernel's density floor fails at a one-sided tie
+        backends.append(Backend.viewpoint(random_symmetric_viewpoint(
+            space, h, np.random.default_rng(1))))
+    for backend in backends:
         pw = backend.pair_weights(space)
-        for idx in (np.arange(space.n), np.arange(1, space.n, 2)):
+        for idx in (A, A[1::2]):
             mu_b, den_b = profiles._subset_tables(space, backend, idx)
             assert mu_b.shape == den_b.shape == (1 << idx.size,)
             tol = 1e-12 * max(1.0, den_b.max())
@@ -1005,6 +1022,9 @@ def _sweep_case(case):
     if case == "lp_isolated":
         # points 1, 3 and 7 are isolated at 0.25
         return zoo.random_geometric(10, 3), Backend.lp(0.25)
+    if case == "tree":
+        # a graph space: its balls come from a Dijkstra limited to t
+        return zoo.regular_tree(3, 3), Backend.sup(1.0)
     space = zoo.path(5)
     if case == "lp":
         return space.with_measure(
@@ -1023,10 +1043,12 @@ def _warnings_of(call):
 
 
 @pytest.mark.parametrize("case,p,route", [
-    (case, p, route) for case in ["sup", "lp", "vp", "lp_isolated"]
+    (case, p, route) for case in ["sup", "lp", "vp", "lp_isolated", "tree"]
     for p in [1, 2, 3, np.inf] for route in ["exact", "candidates", "balls"]
-    # the old loop would descend on all 1,022 subsets, about 10 s
-    if (case, p, route) != ("lp_isolated", 3, "exact")])
+    # the old loop would descend on all 1,022 subsets, about 10 s; the
+    # 22-point tree is past the exhaustive cap
+    if (case, p, route) != ("lp_isolated", 3, "exact")
+    and (case != "tree" or route == "balls")])
 def test_profile_sweep_matches_the_three_old_loops(case, p, route):
     space, backend = _sweep_case(case)
     grid = [1.0, 2.0, 3.5, 4.0]
@@ -1101,11 +1123,11 @@ def _uncut_sweep(space, backend, p, members, ranks):
     for idx in members:
         if p == 2 and backend.kind != "sup" and idx.size < space.n:
             value = profiles._j2_eig(space, backend, idx)[0]
-            yield (value, np.inf, "exact",
+            yield (idx, value, np.inf, "exact",
                    "isolated_at_scale" if value == np.inf else None)
         else:
             res = profiles.jp_subset(space, backend, idx, p)
-            yield res.value, res.upper, res.mode, res.reason
+            yield idx, res.value, res.upper, res.mode, res.reason
 
 
 def _cut_case(kind, weighted, route):
@@ -1403,11 +1425,12 @@ def _candidate_subsets_oracle(space):
     def push(indices, label):
         if 0 < indices.size < space.n and indices.tobytes() not in seen:
             seen.add(indices.tobytes())
-            out.append((profiles._subset(space, indices), label))
+            out.append((space.subset(indices), label))
 
-    for ball in profiles._balls(space, range(0, space.n,
-                                             max(1, space.n // 80))):
-        push(*ball)
+    for rows, fmt in profiles._ball_rows(space, range(0, space.n,
+                                                      max(1, space.n // 80))):
+        for i, row in enumerate(rows):
+            push(np.flatnonzero(row), fmt(i))
     shape = space.meta["shape"]
     coords = np.stack(np.meshgrid(*[np.arange(s) for s in shape],
                                   indexing="ij"), axis=-1).reshape(space.n, -1)
@@ -1505,8 +1528,9 @@ def _spread(space, seed, decades):
 
 # name -> () -> (space, h); grid(2,8), grid(3,4) and grid(2,17) reach
 # MAX_CANDIDATES, grid(2,17) before its eigenfield levels (its measure
-# spreads over less than a decade: at 10^U(-3, 3), Lanczos does not
-# converge on the eigenfield of its lazy walk)
+# spreads over less than a decade, so the oracle, which solves the
+# eigenfield first, converges; see test_a_full_family_never_solves_the_
+# eigenfield for a spread that does not)
 PUSH_SPACES = {
     "path16": lambda: (zoo.path(16), 1.0),
     "grid2_5_spread": lambda: (_spread(zoo.grid(2, 5), 1, 3), 1.0),
@@ -1562,8 +1586,8 @@ def test_candidate_table_matches_the_push_loop(name, kind):
 
 def test_candidate_table_stops_at_the_cut(monkeypatch):
     # balls and boxes fill grid(2,17)'s MAX_CANDIDATES: no block after the
-    # one that reaches the cut is built, and no level row at all, though
-    # the eigenfield is still solved once, as for any family
+    # one that reaches the cut is built, no level row at all, and the
+    # eigenfield is not solved
     space, h = PUSH_SPACES["grid2_17_weighted"]()
     backend = Backend.viewpoint(lazy_srw(space, h))
     want = _push_loop_family(space, backend)
@@ -1579,10 +1603,25 @@ def test_candidate_table_stops_at_the_cut(monkeypatch):
     got = profiles.candidate_subsets(space, backend)
     assert _family_rows([(s.indices, label, s.measure) for s, label in got]) \
         == _family_rows(want)
-    assert solved == ["LA"]
+    assert solved == []
     assert not any("level" in label for label in made)
     every = [fmt(rows.shape[0] - 1) for rows, fmt in rows_of(space, backend)]
     assert made == every[:len(made)] and "level" in every[-1]
+
+
+def test_a_full_family_never_solves_the_eigenfield():
+    # at mu = 10^U(-3, 3) Lanczos does not converge on the eigenfield of
+    # grid(2,17)'s lazy walk; balls and boxes fill the family first, so it
+    # is never asked for
+    space = _spread(zoo.grid(2, 17), 6, 3)
+    vp = lazy_srw(space, 1.0)
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        calculus.symmetric_eig(vp.symmetric_matrix(), "LA", k=2)
+    got = profiles.candidate_subsets(space, Backend.viewpoint(vp))
+    want = _push_loop_family(space)
+    assert len(want) == profiles.MAX_CANDIDATES
+    assert _family_rows([(s.indices, label, s.measure) for s, label in got]) \
+        == _family_rows(want)
 
 
 @pytest.mark.parametrize("name", ["grid2_8", "geo_spread", "path16"])
@@ -1814,7 +1853,8 @@ def test_boundary_profile_whole_space_family():
 
 def _ball_family_oracle(space):
     """family="balls" built the old way: for each point, a ball query per
-    radius of at most 10 distinct positive distances from it."""
+    radius of at most 10 distinct positive distances from it, keeping the
+    proper balls (a whole-space ball has an empty boundary)."""
     fam = []
     for x in range(space.n):
         d = space.dist_row(x)
@@ -1823,7 +1863,7 @@ def _ball_family_oracle(space):
         if vals.size > 10:
             vals = vals[np.linspace(0, vals.size - 1, 10).astype(int)]
         fam += [space.subset(space.ball(x, r)) for r in vals]
-    return fam
+    return [sub for sub in fam if len(sub) < space.n]
 
 
 @pytest.mark.parametrize("make", [
@@ -1849,6 +1889,19 @@ def test_boundary_profile_ball_family_unchanged(make):
             assert a["indices"].tobytes() == b["indices"].tobytes()
             assert (a["measure"], a["boundary"]) == \
                 (b["measure"], b["boundary"])
+
+
+def test_ball_family_leaves_out_the_whole_space():
+    # a whole-space ball has an empty boundary, which read I = 0 at every
+    # mass; the proper balls of path(9) at h = 1 meet the exhaustive I
+    space = zoo.path(9)
+    I = profiles.boundary_profile(space, 1.0, family="balls")[0]
+    exact = profiles.boundary_profile(space, 1.0)[0]
+    assert I.values[:-1].tolist() == exact.values[:-1].tolist() == [2.0] * 8
+    assert np.isnan(I.values[-1]) and I.witnesses[-1] is None
+    assert all(len(w["indices"]) < space.n for w in I.witnesses[:-1])
+    assert profiles.cheeger(space, 1.0, "balls")[0] == \
+        profiles.cheeger(space, 1.0, "all")[0] == 0.5
 
 
 def _boundary_loop_oracle(space, h, family):
@@ -1943,15 +1996,15 @@ def _boundary_set_oracle(space, idx, h):
     return space.subset(np.flatnonzero(reach(mask) & reach(~mask)))
 
 
-def _asymmetric_graph():
-    """(space, h): a weighted graph whose non-dyadic edge weights make
-    d(x, y) and d(y, x) differ in the last bit, at a tie h = d(x, y) where
-    y is in B(x, h) but x is not in B(y, h)."""
-    rng = np.random.default_rng(0)
-    n = 24
+def _asymmetric_graph(n=24, extra=30, seed=0):
+    """(space, h): a weighted graph on n points, a path plus ``extra``
+    random edges, whose non-dyadic edge weights make d(x, y) and d(y, x)
+    differ in the last bit, at a tie h = d(x, y) where y is in B(x, h) but
+    x is not in B(y, h)."""
+    rng = np.random.default_rng(seed)
     edges = [[i, i + 1, rng.uniform(0.1, 1.0)] for i in range(n - 1)]
     edges += [[int(a), int(b), rng.uniform(0.1, 1.0)]
-              for a, b in rng.integers(0, n, (30, 2)) if a != b]
+              for a, b in rng.integers(0, n, (extra, 2)) if a != b]
     space = MetricMeasureSpace.from_graph(n, edges, rng.uniform(0.5, 2, n))
     D = space.dense_matrix()
     x, y = np.argwhere(D < D.T)[0]
