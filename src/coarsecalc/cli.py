@@ -11,8 +11,8 @@ table ``OPS`` declares every operation: its handler, required keys,
 defaults, and the one-shot action and flags that fill its keys.
 
 Exit codes: 0 when every asserted invariant passed, 1 when at least one
-failed (a witness file is written next to the artifacts), 2 when the
-config or arguments are invalid (first schema error reported by JSON
+failed (:func:`run` writes its witness file next to the artifacts), 2 when
+the config or arguments are invalid (first schema error reported by JSON
 pointer).
 
 Artifacts are bit-identical across runs with the same config and seed:
@@ -279,11 +279,6 @@ class RunContext:
     def emit_csv(self, header, rows, claim):
         self.emit(".csv", lambda path: _write_csv(path, header, rows), claim)
 
-    def fail(self, witness):
-        self.emit_json(witness, "witness for a failed assertion", "_witness")
-        self.failures.append({"operation": self.op,
-                              "witness": f"{self.tag}_witness.json"})
-
 
 def _build_space(spec, base, pointer):
     """The space a spec names: a saved ``{"file": ...}`` or a zoo family.
@@ -348,7 +343,7 @@ def _fields(ctx, op, key, space=None):
                               _FIELD_VALUES)
         elif not isinstance(spec, list):
             raise ConfigError(pointer, f"bad field spec {spec!r}")
-        rows = [spec] if spec and not isinstance(spec[0], list) else spec
+        rows = spec if isinstance(spec[0], list) else [spec]
         out = [np.asarray(row, dtype=float) for row in rows]
         if any(f.shape != (n,) for f in out):
             raise ConfigError(pointer, f"a field needs one value for each "
@@ -443,30 +438,28 @@ def _target_map(ctx, op, certify=True):
 
 
 # ----------------------------------------------------------------------
-# operation handlers: each returns True/False for asserted invariants or
-# None for purely informational output; OPS fills in the keys they read
+# operation handlers: each returns None when it only reports, True when
+# what it asserts holds, or else the failed assertion's witness, a dict
+# that run writes; OPS fills in the keys they read
 
 
 def _op_energy_check(ctx, op):
     vp = ctx.need_kernel()
     fields = _fields(ctx, op, "fields")
-    tol = float(ctx.tolerances["energy_rel"])
-    rows, worst = [], (0.0, None)
+    rows, errs = [], []
     for i, f in enumerate(fields):
         d, g = calculus.energy(vp, f)
         e1 = abs(g - 2.0 * d) / max(abs(g), 1e-300)
         lhs, rhs = calculus.p2_energy_identity(vp, f)
         e2 = abs(lhs - 2.0 * rhs) / max(abs(lhs), 1e-300)
         rows.append((i, d, g, e1, lhs, rhs, e2))
-        if max(e1, e2) > worst[0]:
-            worst = (max(e1, e2), i)
+        errs.append(max(e1, e2))
     ctx.emit_csv(["field", "dirichlet", "grad_sq_half_x2", "rel_err_1",
                   "two_step_lhs", "two_step_rhs", "rel_err_2"], rows,
                  "one- and two-step energy identities hold to tolerance")
-    if worst[0] > tol:
-        ctx.fail({"field_index": worst[1], "rel_error": worst[0],
-                  "field": fields[worst[1]]})
-        return False
+    i = int(np.argmax(errs))
+    if errs[i] > float(ctx.tolerances["energy_rel"]):
+        return {"field_index": i, "rel_error": errs[i], "field": fields[i]}
     return True
 
 
@@ -492,32 +485,29 @@ def _op_gradient_sandwich(ctx, op):
     for i, f in enumerate(fields):
         rep = calculus.sandwich_report(vp, f, q, q2, slack=slack)
         if not rep.holds:
-            bad = (i, f, rep)
+            bad = {"field_index": i, "field": f, "lower": rep.lower,
+                   "vp_q": rep.vp_q, "vp_q2": rep.vp_q2, "upper": rep.upper}
             break
     ctx.emit_json({"fields": len(fields), "q": q, "q2": q2,
                    "violations": 0 if bad is None else 1},
                   "pointwise gradient chain holds across exponents")
-    if bad is not None:
-        i, f, rep = bad
-        ctx.fail({"field_index": i, "field": f, "lower": rep.lower,
-                  "vp_q": rep.vp_q, "vp_q2": rep.vp_q2, "upper": rep.upper})
-        return False
-    return True
+    return True if bad is None else bad
 
 
 def _op_smoothing(ctx, op):
     space = ctx.need_space()
     h = float(op["h"])
-    fields = _fields(ctx, op, "fields")
-    rows = []
-    holds = True
-    for i, f in enumerate(fields):
-        rep = calculus.smoothing_report(space, f, h)
-        rows.append((i, rep.measured, rep.bound, rep.holds))
-        holds = holds and rep.holds
+    reps = [calculus.smoothing_report(space, f, h)
+            for f in _fields(ctx, op, "fields")]
+    rows = [(i, r.measured, r.bound, r.holds) for i, r in enumerate(reps)]
     ctx.emit_csv(["field", "measured", "bound", "holds"], rows,
                  "averaging constant stays under the doubling bound")
-    return holds
+    bad = [i for i, r in enumerate(reps) if not r.holds]
+    if bad:
+        return {"failing_fields": bad,
+                "measured": [reps[i].measured for i in bad],
+                "bound": [reps[i].bound for i in bad]}
+    return True
 
 
 def _op_grad(ctx, op):
@@ -589,17 +579,15 @@ def _op_sobolev_verify(ctx, op):
     fields = _fields(ctx, op, "fields")
     rep = profiles.sobolev_verify(space, b, p, phi, fields)
     assert_c = op["assert_C"]
-    passed = rep.passes and (assert_c is None or rep.C <= float(assert_c))
     ctx.emit_json({"passes": rep.passes, "C": rep.C, "C_prime": rep.C_prime,
                    "asserted_C": assert_c, "worst_index": rep.worst_index,
                    "margins": rep.margins},
                   "fitted norm-vs-gradient constant over the sample fields")
-    if not passed:
-        ctx.fail({"worst_index": rep.worst_index,
-                  "field": fields[rep.worst_index],
-                  "fitted_C": rep.C, "asserted_C": assert_c,
-                  "failures": rep.failures})
-    return passed
+    if rep.passes and (assert_c is None or rep.C <= float(assert_c)):
+        return True
+    return {"worst_index": rep.worst_index, "field": fields[rep.worst_index],
+            "fitted_C": rep.C, "asserted_C": assert_c,
+            "failures": rep.failures}
 
 
 def _op_nash_check(ctx, op):
@@ -609,15 +597,14 @@ def _op_nash_check(ctx, op):
     fields = _fields(ctx, op, "fields")
     rep = profiles.nash_check(space, vp, phi, fields)
     assert_c = op["assert_C"]
-    passed = rep.passes and (assert_c is None or rep.C <= float(assert_c))
     ctx.emit_json({"passes": rep.passes, "C": rep.C,
                    "asserted_C": assert_c, "margins": rep.margins},
                   "fitted Nash constant over the sample fields")
-    if not passed:
-        worst = int(np.argmin(rep.margins))
-        ctx.fail({"worst_index": worst, "field": fields[worst],
-                  "fitted_C": rep.C, "asserted_C": assert_c})
-    return passed
+    if rep.passes and (assert_c is None or rep.C <= float(assert_c)):
+        return True
+    worst = int(np.argmin(rep.margins))
+    return {"worst_index": worst, "field": fields[worst], "fitted_C": rep.C,
+            "asserted_C": assert_c}
 
 
 def _op_decay(ctx, op):
@@ -658,11 +645,9 @@ def _op_decay_vs_profile(ctx, op):
                   "measured return decay against the rate transform")
     if rep.status == "skipped_bounded_phi":
         return None
-    if rep.status != "ok":
-        ctx.fail({"status": rep.status, "violating_n": rep.violating_n,
-                  "decay": rep.decay})
-        return False
-    return True
+    return True if rep.status == "ok" else {
+        "status": rep.status, "violating_n": rep.violating_n,
+        "decay": rep.decay}
 
 
 def _op_nash_from_decay(ctx, op):
@@ -676,11 +661,10 @@ def _op_nash_from_decay(ctx, op):
     ctx.emit_csv(["field", "skipped", "n_star", "constant", "margin",
                   "passed"], rows,
                  "per-field functional bounds induced by the decay curve")
-    if not rep.passes:
-        bad = [e.index for e in rep.entries if not (e.skipped or e.passed)]
-        ctx.fail({"failing_fields": bad, "fields": [fields[i] for i in bad]})
-        return False
-    return True
+    if rep.passes:
+        return True
+    bad = [e.index for e in rep.entries if not (e.skipped or e.passed)]
+    return {"failing_fields": bad, "fields": [fields[i] for i in bad]}
 
 
 def _op_spectral_radius(ctx, op):
@@ -707,12 +691,7 @@ def _op_certify(ctx, op):
     _, _, _, cert = _target_map(ctx, op)
     ctx.emit_json(cert.to_dict(),
                   "distortion envelopes and volume constants for the map")
-    if not cert.ok:
-        ctx.fail({"axiom": cert.violation.axiom,
-                  "detail": cert.violation.detail,
-                  "witness": cert.violation.witness})
-        return False
-    return True
+    return True if cert.ok else asdict(cert.violation)
 
 
 def _op_discretize(ctx, op):
@@ -723,7 +702,7 @@ def _op_discretize(ctx, op):
                   "net centers and the projection map", "_assign")
     ctx.emit_json(disc.certificate.to_dict(),
                   "round-trip certificate for the net", "_certificate")
-    return disc.certificate.ok
+    return True if disc.certificate.ok else asdict(disc.certificate.violation)
 
 
 def _op_pullback_transfer(ctx, op):
@@ -734,7 +713,7 @@ def _op_pullback_transfer(ctx, op):
         p=float(op["p"]), q=float(op["q"]))
     ctx.emit_json(asdict(rep),
                   "measured norm, gradient and support transfer constants")
-    return rep.status == "ok"
+    return True if rep.status == "ok" else asdict(rep)
 
 
 def _op_transfer_band(ctx, op):
@@ -745,9 +724,7 @@ def _op_transfer_band(ctx, op):
                           "transfer_band needs a nonempty radii grid")
     space, target, F, cert = _target_map(ctx, op)
     if not cert.ok:
-        ctx.fail({"axiom": cert.violation.axiom,
-                  "detail": cert.violation.detail})
-        return False
+        return asdict(cert.violation)
     band = coarse.profile_transfer_band(
         space, target, F, cert, p=float(op["p"]), h=float(op["h"]),
         v_grid=op["volumes"])
@@ -757,11 +734,9 @@ def _op_transfer_band(ctx, op):
                    "in_range": band.in_range},
                   "profile ratios against the certificate-derived band "
                   "(asserted on the in-range volumes)")
-    if not band.within_band:
-        ctx.fail({"ratios": band.ratios, "K_prime": band.K_prime,
-                  "in_range": band.in_range})
-        return False
-    return True
+    return True if band.within_band else {
+        "ratios": band.ratios, "K_prime": band.K_prime,
+        "in_range": band.in_range}
 
 
 def _op_thicken_support(ctx, op):
@@ -786,9 +761,7 @@ def _op_rough_volume(ctx, op):
     ctx.emit_json(result, "volume comparability across the map at the scale")
     if rep.status == "skipped_no_containment":
         return None
-    if not rep.holds:
-        ctx.fail(result)
-    return bool(rep.holds)
+    return True if rep.holds else result
 
 
 def _op_scale_reduction(ctx, op):
@@ -799,11 +772,9 @@ def _op_scale_reduction(ctx, op):
         profile_radii=[float(r) for r in op["profile_radii"]])
     ctx.emit_json(asdict(rep),
                   "distribution bound reducing the scale to the step size")
-    if rep.status == "ok":
-        return True
     if rep.status == "skipped_not_geodesic":
         return None
-    return False
+    return True if rep.status == "ok" else asdict(rep)
 
 
 def _op_accept(ctx, op):
@@ -817,13 +788,10 @@ def _op_accept(ctx, op):
         print(r.line())
         if r.discrepancy:
             print(f"    note: {r.discrepancy}")
-    if not table["passed"]:
-        bad = [r.cid for r in results if not r.passed]
-        ctx.fail({"failing_criteria": bad,
-                  "checks": {str(r.cid): r.checks for r in results
-                             if not r.passed}})
-        return False
-    return True
+    bad = [r for r in results if not r.passed]
+    return True if table["passed"] else {
+        "failing_criteria": [r.cid for r in bad],
+        "checks": {str(r.cid): r.checks for r in bad}}
 
 
 # ----------------------------------------------------------------------
@@ -970,8 +938,9 @@ _INDICES = {"type": "array", "items": {"type": "integer"}}
 _FAMILY_SCHEMA = {"anyOf": [{"enum": ["all", "balls"]},
                             {"type": "array", "items": _INDICES}]}
 # one field or a list of fields, inline or in the file a field spec names
-_FIELD_VALUES = {"type": "array", "items": {"type": ["number", "array"],
-                                            "items": {"type": "number"}}}
+_FIELD_VALUES = {"type": "array", "minItems": 1,
+                 "items": {"type": ["number", "array"],
+                           "items": {"type": "number"}}}
 _NUMBER, _NATURAL = {"type": "number"}, {"type": "integer", "minimum": 0}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _RADII = {"type": "array", "items": {"type": "number", "minimum": 0}}
@@ -1049,12 +1018,12 @@ CONFIG_SCHEMA = {
 def run(config, out_dir=None, base_dir=".") -> int:
     """Execute a validated experiment config; returns the exit code.
 
-    Operations run sequentially; assertion failures do not stop the run
-    (each writes its witness), so one invocation reports everything it
-    can. The manifest is written last and lists every artifact. A config
-    error met while an operation runs stops the run with exit code 2; the
-    manifest then lists what ran and records the error. Any other error
-    an operation raises is its failure, with the message as witness.
+    Operations run sequentially; a failed assertion does not stop the run.
+    The witness a handler returns, or ``{"error": message}`` for an error
+    it raises, is written as ``<tag>_witness.json`` and named in the
+    manifest's failures. A config error met while an operation runs stops
+    the run with exit code 2; the manifest, written last, then lists what
+    ran and records the error.
     """
     try:
         ops = validate_config(config)
@@ -1092,7 +1061,12 @@ def run(config, out_dir=None, base_dir=".") -> int:
             return 2
         except Exception as exc:
             print(f"{ctx.tag}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            ctx.fail({"error": str(exc)})
+            outcome = {"error": str(exc)}
+        if isinstance(outcome, dict):
+            ctx.emit_json(outcome, "witness for a failed assertion",
+                          "_witness")
+            ctx.failures.append({"operation": name,
+                                 "witness": f"{ctx.tag}_witness.json"})
             outcome = False
         statuses.append((name, outcome))
         label = "info" if outcome is None else \

@@ -263,17 +263,18 @@ def apply(vp, f):
 def random_symmetric_viewpoint(space, h, rng) -> Viewpoint:
     """Random symmetric viewpoint for property tests.
 
-    Draws symmetric uniform(0.5, 1.5) weights on the pairs {d(x,y) <= h},
+    Draws symmetric uniform(0.5, 1.5) weights on the pairs with d(x,y) <= h
+    or d(y,x) <= h (graph distances can differ in the last bit at a tie),
     divides by the largest row integral, and pours each row's deficit onto
     the diagonal. Rows sum to 1 exactly (up to float), the floor is at
     least min-weight / max-row-integral, and the support factor is A = 1.
     """
     n = space.n
     indptr, indices, _ = space.neighbourhoods(h)
-    w = np.zeros((n, n))
-    w[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
-    w *= rng.uniform(0.5, 1.5, size=(n, n))
-    w = np.minimum(w, w.T)  # symmetric, zero outside symmetric ball pairs
+    rel = np.zeros((n, n))
+    rel[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
+    u = rng.uniform(0.5, 1.5, size=(n, n))
+    w = np.maximum(rel, rel.T) * np.minimum(u, u.T)
     integrals = w @ space.measure
     w /= integrals.max()
     deficit = 1.0 - w @ space.measure

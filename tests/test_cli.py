@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from coarsecalc import (acceptance, calculus, cli, profiles, randomwalk,
-                        viewpoint, zoo)
+from coarsecalc import (acceptance, calculus, cli, coarse, profiles,
+                        randomwalk, viewpoint, zoo)
 
 
 def _gen_space(tmp_path, name="space.json", family="path", **kw):
@@ -176,24 +176,6 @@ def test_missing_action_is_a_config_error(capsys):
     assert "needs a subcommand or --config" in capsys.readouterr().err
 
 
-def test_sobolev_budget_breach_exits_1_with_witness(tmp_path):
-    sp = _gen_space(tmp_path, family="path", n=9)
-    out = tmp_path / "run"
-    rc = cli.main(["profile", "sobolev", "--space", str(sp),
-                   "--phi", "power:0.5", "--fields", "random:8",
-                   "--seed", "7", "--assert-c", "1e-6",
-                   "--out", str(out)])
-    assert rc == 1
-    man = _manifest(out)
-    assert man["passed"] is False
-    assert man["failures"] == [{"operation": "sobolev_verify",
-                                "witness": "00_sobolev_verify_witness.json"}]
-    with open(out / "00_sobolev_verify_witness.json") as fh:
-        witness = json.load(fh)
-    assert witness["asserted_C"] == pytest.approx(1e-6)
-    assert witness["fitted_C"] > 1e-6
-
-
 def test_accept_subcommand_runs_selected_criterion(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["accept", "--criteria", "3", "--out", str(out)]) == 0
@@ -263,27 +245,6 @@ def test_rough_volume_clause_passes_through_run(tmp_path):
     assert rep["status"] == "clause1" and rep["holds"] is True
 
 
-def test_rough_volume_clause_failure_exits_1_with_witness(tmp_path):
-    # three points sent onto one point of a 30-point path: clause 1 applies
-    # (the preimage is everything) but mu'(A') / mu(A) = 10 exceeds the
-    # doubling bound of the path
-    out = tmp_path / "run"
-    rc = cli.run({"space": {"family": "path", "n": 3}, "operations": [
-        {"op": "rough_volume", "target": {"family": "path", "n": 30},
-         "map": [15, 15, 15], "A": [0, 1, 2],
-         "A_target": list(range(30)), "u": 1.0}]}, out_dir=str(out))
-    assert rc == 1
-    man = _manifest(out)
-    assert man["passed"] is False
-    assert man["failures"] == [{"operation": "rough_volume",
-                                "witness": "00_rough_volume_witness.json"}]
-    with open(out / "00_rough_volume_witness.json") as fh:
-        witness = json.load(fh)
-    assert witness["status"] == "clause1" and witness["holds"] is False
-    assert witness["ratio"] == pytest.approx(10.0)
-    assert witness["ratio"] > witness["bound"]
-
-
 def _spectral_run(out, L, op):
     return cli.run({"space": {"family": "grid", "d": 2, "L": L},
                     "kernel": {"kind": "pure_srw", "ambient_degree": 4},
@@ -328,19 +289,6 @@ def test_spectral_radius_radii_through_run(tmp_path):
         vp, [space.ball(27, r) for r in radii])
     assert rhos == sorted(rhos)
     assert rhos[-1] == pytest.approx(math.cos(math.pi / 9), abs=1e-12)
-
-
-@pytest.mark.parametrize("L", [8, 17], ids=["dense", "lanczos"])
-def test_spectral_radius_residual_breach_leaves_witness(tmp_path,
-                                                        monkeypatch, L):
-    monkeypatch.setattr(calculus, "EIG_RESIDUAL_TOL", 0.0)
-    out = tmp_path / "run"
-    assert _spectral_run(out, L, {}) == 1
-    man = _manifest(out)
-    assert man["failures"] == [{"operation": "spectral_radius",
-                                "witness": "00_spectral_radius_witness.json"}]
-    with open(out / "00_spectral_radius_witness.json") as fh:
-        assert "residual" in json.load(fh)["error"]
 
 
 def test_decay_vs_profile_through_run(tmp_path):
@@ -875,7 +823,10 @@ def test_every_operation_runs_through_run(tmp_path, name):
 
 
 def test_every_operation_has_a_run_case():
+    # a passing case, which the misspelt-key case reuses, and a failing one
     assert sorted(RUN_CASES) == sorted(cli.OPS)
+    assert sorted({op["op"] for _, op, _, _ in FAIL_CASES.values()}) == \
+        sorted(cli.OPS)
 
 
 @pytest.mark.parametrize("name", sorted(RUN_CASES))
@@ -894,6 +845,180 @@ def test_every_operation_refuses_a_misspelt_key(tmp_path, capsys, name):
     assert err.startswith("config error at /operations/0: ")
     assert f"{typo!r} was unexpected" in err
     assert not out.exists()
+
+
+_discretize = coarse.discretize
+
+
+def _net_failing_its_certificate(space, h):
+    disc = _discretize(space, h)
+    disc.certificate.violation = coarse.CoarseViolation(
+        "a", "a forced failure", (0, 8))
+    return disc
+
+
+# a path whose two heavy points lie within h = 6 of a field's variation but
+# not within 2b = 2, so no constant reduces the scale
+HEAVY_PATH = {"points": 9, "name": "heavy_path",
+              "measure": [1, 1, 1, 1, 1, 1e6, 1e6, 1, 1],
+              "metric": {"type": "graph",
+                         "edges": [[i, i + 1, 1] for i in range(8)]}}
+
+# a failing run of every operation: its config, its one operation, the
+# (object, name, value) a monkeypatch sets where no input fails it, and a
+# test of the witness. A run that only reports fails by raising.
+FAIL_CASES = {
+    "accept": ({}, {"op": "accept", "criteria": [3]},
+               (acceptance, "CRITERIA",
+                [(3, "a check that fails", None,
+                  lambda: ({"holds": False}, {}))]),
+               lambda w: w == {"failing_criteria": [3],
+                               "checks": {"3": {"holds": False}}}),
+    "boundary_profile": ({"space": PATH9},
+                         {"op": "boundary_profile", "family": [[0, 99]]},
+                         None, lambda w: "index 99" in w["error"]),
+    "certify": ({"space": PATH9},
+                {"op": "certify", "target": PATH9, "map": [0] * 9}, None,
+                lambda w: (w["axiom"], w["witness"]) == ("a", [0, 8])),
+    # on the 9-point path every member weighs more than mu(X)/2 = 4.5
+    "cheeger": ({"space": PATH9},
+                {"op": "cheeger", "family": [list(range(7)),
+                                             [8, 0, 2, 4, 6]]}, None,
+                lambda w: w == {"error": "cheeger needs a nonempty family "
+                                         "with mu(A) <= mu(X)/2"}),
+    "coarea_check": ({"space": PATH9},
+                     {"op": "coarea_check",
+                      "fields": [FIELD[:-1] + [math.inf]]}, None,
+                     lambda w: "inf at point 8" in w["error"]),
+    "decay": ({"space": PATH9, "kernel": LAZY}, {"op": "decay", "x": 99},
+              None, lambda w: "99" in w["error"]),
+    "decay_vs_profile": ({"space": {"family": "path", "n": 48},
+                          "kernel": LAZY},
+                         {"op": "decay_vs_profile", "phi": "power:1,1e-3",
+                          "n": {"max": 48}, "centers": [24]}, None,
+                         lambda w: w["status"] == "no_c_works"),
+    "discretize": ({"space": PATH9}, {"op": "discretize", "h": 2.0},
+                   (coarse, "discretize", _net_failing_its_certificate),
+                   lambda w: w == {"axiom": "a", "detail": "a forced failure",
+                                   "witness": [0, 8]}),
+    # the identities hold to rounding, which an exact tolerance refuses
+    "energy_check": ({"space": PATH9, "kernel": LAZY, "seed": 3,
+                      "tolerances": {"energy_rel": 0.0}},
+                     {"op": "energy_check", "fields": "random:3"}, None,
+                     lambda w: w["rel_error"] > 0 and len(w["field"]) == 9),
+    "gamma": ({}, {"op": "gamma", "phi": "power:0.25", "v_min": 1e300}, None,
+              lambda w: "round-trip failed" in w["error"]),
+    "grad": ({"space": PATH9}, {"op": "grad", "field": FIELD, "h": -1.0},
+             None, lambda w: "scale must be >= 0" in w["error"]),
+    "gradient_sandwich": ({"space": PATH9, "kernel": LAZY, "seed": 3,
+                           "tolerances": {"sandwich_slack": -1.0}},
+                          {"op": "gradient_sandwich", "fields": "random:3"},
+                          None, lambda w: w["field_index"] == 0),
+    "laplacian": ({"space": PATH9, "kernel": LAZY},
+                  {"op": "laplacian", "field": FIELD, "p": 1}, None,
+                  lambda w: "needs p > 1" in w["error"]),
+    "nash_check": ({"space": PATH9, "kernel": LAZY, "seed": 3},
+                   {"op": "nash_check", "phi": "power:1", "fields": "random:4",
+                    "assert_C": 1e-9}, None,
+                   lambda w: w["fitted_C"] > w["asserted_C"] == 1e-9),
+    # a point mass at an end against the decay at the middle
+    "nash_from_decay": ({"space": PATH9, "kernel": LAZY},
+                        {"op": "nash_from_decay", "x": 4, "n": {"max": 16},
+                         "fields": [[1.0] + [0.0] * 8]}, None,
+                        lambda w: w["failing_fields"] == [0]),
+    "profile": ({"space": {"family": "path", "n": 40}},
+                {"op": "profile", "strategy": "exact", "volumes": [4]}, None,
+                lambda w: "EXACT_ENUM_LIMIT" in w["error"]),
+    "pullback_transfer": ({"space": PATH9},
+                          {"op": "pullback_transfer", "target": PATH9,
+                           "field": FIELD},
+                          (coarse, "pullback_transfer_report",
+                           lambda *a, **kw: coarse.TransferReport(
+                               "unbounded", 1.0, math.inf, 1.0, 2.0, 1.0,
+                               {"l2_threshold": 0.5})),
+                          lambda w: (w["status"], w["detail"]) ==
+                          ("unbounded", {"l2_threshold": 0.5})),
+    # three points sent onto one point of a 30-point path: clause 1 applies
+    # (the preimage is everything) but mu'(A') / mu(A) = 10 exceeds the
+    # doubling bound of the path
+    "rough_volume": ({"space": {"family": "path", "n": 3}},
+                     {"op": "rough_volume",
+                      "target": {"family": "path", "n": 30},
+                      "map": [15, 15, 15], "A": [0, 1, 2],
+                      "A_target": list(range(30)), "u": 1.0}, None,
+                     lambda w: w["status"] == "clause1" and not w["holds"]
+                     and w["ratio"] == pytest.approx(10.0)
+                     and w["ratio"] > w["bound"]),
+    "scale_reduction": ({"space": {"file": "heavy.json"}},
+                        {"op": "scale_reduction", "b": 1.0, "h": 6.0,
+                         "fields": [[2, 1] + [0] * 7, [0] * 7 + [1, 1]]},
+                        None, lambda w: w["status"] == "no_constant"
+                        and w["per_field"] == [None, 1.0]),
+    "smoothing": ({"space": PATH9, "seed": 3},
+                  {"op": "smoothing", "fields": "random:2"},
+                  (calculus, "smoothing_report",
+                   lambda space, f, h: calculus.SmoothingReport(3.0, 2.0,
+                                                                False)),
+                  lambda w: w == {"failing_fields": [0, 1],
+                                  "measured": [3.0, 3.0],
+                                  "bound": [2.0, 2.0]}),
+    "sobolev_verify": ({"space": PATH9, "seed": 7},
+                       {"op": "sobolev_verify", "phi": "power:0.5",
+                        "fields": "random:8", "assert_C": 1e-6}, None,
+                       lambda w: w["asserted_C"] == pytest.approx(1e-6)
+                       and w["fitted_C"] > 1e-6),
+    # the dense and the Lanczos eigensolver both check their residual
+    **{f"spectral_radius_{path}": (
+        {"space": {"family": "grid", "d": 2, "L": L},
+         "kernel": {"kind": "pure_srw", "ambient_degree": 4}},
+        {"op": "spectral_radius"}, (calculus, "EIG_RESIDUAL_TOL", 0.0),
+        lambda w: "residual" in w["error"])
+       for path, L in (("dense", 8), ("lanczos", 17))},
+    "thicken_support": ({"space": PATH9},
+                        {"op": "thicken_support", "field": [0.0] * 9}, None,
+                        lambda w: "nonzero" in w["error"]),
+    "transfer_band": ({"space": PATH9},
+                      {"op": "transfer_band", "target": PATH9,
+                       "map": [0] * 9, "radii": [2]}, None,
+                      lambda w: (w["axiom"], w["witness"]) == ("a", [0, 8])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAIL_CASES))
+def test_every_operation_fails_with_a_witness(run_dir, monkeypatch, case):
+    top, op, patch, check = FAIL_CASES[case]
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    (run_dir / "heavy.json").write_text(json.dumps(HEAVY_PATH))
+    out = run_dir / "run"
+    assert cli.run(dict(top, operations=[op]), out_dir=str(out),
+                   base_dir=str(run_dir)) == 1
+    man, witness = _manifest(out), f"00_{op['op']}_witness.json"
+    assert man["passed"] is False
+    assert man["operations"] == [{"op": op["op"], "outcome": "fail"}]
+    assert man["failures"] == [{"operation": op["op"], "witness": witness}]
+    assert witness in [art["path"] for art in man["artifacts"]]
+    with open(out / witness) as fh:
+        assert check(json.load(fh))
+
+
+@pytest.mark.parametrize("route", ["inline", "file"])
+@pytest.mark.parametrize("name", sorted(
+    name for name, spec in cli.OPS.items()
+    if {"field", "fields"} & {*spec.needs, *spec.defaults}))
+def test_an_empty_field_list_exits_2_at_its_key(run_dir, capsys, name,
+                                                  route):
+    top, op, _ = RUN_CASES[name]
+    spec = cli.OPS[name]
+    key = "field" if "field" in (*spec.needs, *spec.defaults) else "fields"
+    (run_dir / "empty.json").write_text("[]")
+    op = dict(op, op=name, **{key: [] if route == "inline" else
+                                   "file:empty.json"})
+    rc = cli.run(dict(top, operations=[op]), out_dir=str(run_dir / "run"),
+                 base_dir=str(run_dir))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith(f"config error at /operations/0/{key}:")
 
 
 @pytest.mark.parametrize("kind", ["sup", "lp", "viewpoint"])
@@ -1160,22 +1285,6 @@ def test_misspelt_family_exits_2_at_its_pointer(tmp_path, capsys, op, family):
     assert rc == 2, err
     assert err.startswith("config error at /operations/1/family:")
     assert repr(family) in err
-
-
-def test_cheeger_without_admissible_member_exits_1_with_witness(tmp_path):
-    # on the 9-point path every member weighs more than mu(X)/2 = 4.5
-    out = tmp_path / "run"
-    rc = cli.run({"space": PATH9, "operations": [
-        {"op": "cheeger", "family": [list(range(7)), [8, 0, 2, 4, 6]]}]},
-        out_dir=str(out))
-    assert rc == 1
-    man = _manifest(out)
-    assert man["operations"] == [{"op": "cheeger", "outcome": "fail"}]
-    assert man["failures"] == [{"operation": "cheeger",
-                                "witness": "00_cheeger_witness.json"}]
-    with open(out / "00_cheeger_witness.json") as fh:
-        assert json.load(fh) == {"error": "cheeger needs a nonempty family "
-                                          "with mu(A) <= mu(X)/2"}
 
 
 @pytest.mark.parametrize("top,op", [
